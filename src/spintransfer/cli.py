@@ -19,18 +19,23 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
 from . import __version__, optimize, verification
 from .chain import ChainSpecError, chain_to_dict, dumps_chain, load_chain, preset
-from .excitation import eigensolve, amplitudes, reduce
-from .fidelity import fidelity_report
+from .excitation import PHASE_DEGENERATE_TOL, eigensolve, reduce, synthesize_f
+from .fidelity import fidelity_reports
 from .optimize import OptimizationResult, SearchConfig
 
 CSV_HEADER = "t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta"
+# "%.17g" % x is byte-identical to format(x, ".17g"); rows are formatted and
+# written this many at a time.
+_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
+_CSV_BLOCK = 1024
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -39,10 +44,6 @@ _EXIT_USAGE = 2
 
 class _UsageError(Exception):
     """Bad input: reported on stderr, exit code 2."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _sha256(data: bytes) -> str:
@@ -91,12 +92,14 @@ def _write_manifest(args: argparse.Namespace, command: str, digest: str | None,
         print(text, file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         # newline="" keeps the contractual \n line endings on every platform
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "w", encoding="utf-8", newline="") as stream:
+            yield stream
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -108,16 +111,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise _UsageError(f"--t-max must be nonnegative, got {args.t_max}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     h = reduce(spec)
-    eig = eigensolve(h)
-    lines = [CSV_HEADER]
-    for t in grid:
-        record = amplitudes(h, eig, t)
-        rep = fidelity_report(record.t, record.f, record.phase_degenerate)
-        lines.append(",".join(_fmt(v) for v in (
-            rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
-            rep.fbar, rep.fbar_corrected, rep.correction_phase,
-        )))
-    _emit("\n".join(lines) + "\n", args.out)
+    f = synthesize_f(h, eigensolve(h), grid)
+    # Every row is computed, and |f| checked, before anything is written.
+    rep = fidelity_reports(grid, f, np.abs(f) <= PHASE_DEGENERATE_TOL)
+    columns = (rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
+               rep.fbar, rep.fbar_corrected, rep.correction_phase)
+    with _output(args.out) as stream:
+        stream.write(CSV_HEADER + "\n")
+        for lo in range(0, grid.size, _CSV_BLOCK):
+            block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in columns])
+            stream.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
     _write_manifest(args, "simulate", digest, started)
     return _EXIT_OK
 
@@ -145,7 +148,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         res = optimize.tune_uniform_field(spec, cfg, (lo, hi), n_b=args.n_field)
     else:
         res = optimize.maximize_fidelity(spec, cfg, corrected=args.corrected)
-    _emit(json.dumps(_result_to_json(res), indent=2) + "\n", args.out)
+    with _output(args.out) as stream:
+        stream.write(json.dumps(_result_to_json(res), indent=2) + "\n")
     _write_manifest(args, "optimize", digest, started)
     return _EXIT_OK
 
@@ -157,7 +161,8 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     except ChainSpecError as exc:
         raise _UsageError(str(exc)) from exc
     text = dumps_chain(spec)
-    _emit(text, args.out)
+    with _output(args.out) as stream:
+        stream.write(text)
     _write_manifest(args, "preset", _sha256(text.encode("utf-8")), started)
     return _EXIT_OK
 

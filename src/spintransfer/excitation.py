@@ -8,50 +8,55 @@ symmetric tridiagonal block with
     onsite[n]  = E0 - B_n           (one flip removes one quantum of Zeeman energy)
     hopping[i] = J_i sqrt(s_i s_{i+1})
 
-Transfer amplitudes are evaluated by spectral synthesis, never by time
-stepping, so they are exact at any t:
+The block is diagonalised by LAPACK (numpy.linalg.eigh).  Transfer
+amplitudes are evaluated by spectral synthesis, never by time stepping, so
+they are exact at any t:
 
     f0    = exp(-i E0 t)
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
     f     = conj(f0) * fn[N],  gamma = arg(f) on (-pi, pi]
 
-All functions here are pure; a shared EigenSystem may be read concurrently.
+The end-to-end amplitude alone needs only the weights w_k = v_k[1] v_k[N]:
+
+    f     = sum_k w_k exp(-i (eps_k - E0) t)
+
+synthesize_f evaluates this in O(N) per time, on a scalar time or a whole
+grid; amplitudes builds the full O(N^2) vector fn.
+
+All functions here are pure; a shared EigenSystem may be read concurrently
+(its end_weights are computed once, on first use).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import ChainSpec
 
 __all__ = [
-    "ConvergenceFailureError",
     "SingleExcitationHamiltonian",
     "EigenSystem",
     "AmplitudeRecord",
     "reduce",
     "eigensolve",
+    "solve",
     "amplitudes",
+    "synthesize_f",
     "transfer_amplitude",
     "time_series",
     "propagator",
 ]
 
-# Convergence threshold for neglecting an off-diagonal element, relative to
-# its two diagonal neighbours, and the sweep budget per eigenvalue.
-_OFFDIAG_TOL = 1e-15
-_MAX_SWEEPS = 50
-
 # Below this magnitude the phase of f is numerically meaningless.
 PHASE_DEGENERATE_TOL = 1e-12
 
-
-class ConvergenceFailureError(RuntimeError):
-    """The tridiagonal eigensolver exceeded its sweep budget for one eigenvalue."""
+# Times per block of synthesize_f's array path; bounds its (times x levels)
+# phase matrix at 1024 * N complex numbers.
+_TIME_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,11 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
+
+    @cached_property
+    def end_weights(self) -> np.ndarray:
+        """w_k = v_k[1] v_k[N], the weight of level k in the end-to-end amplitude f."""
+        return self.vectors[0] * self.vectors[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,71 +130,19 @@ def reduce(spec: ChainSpec) -> SingleExcitationHamiltonian:
 
 
 def eigensolve(h: SingleExcitationHamiltonian) -> EigenSystem:
-    """Diagonalise the excitation block by the implicit-shift QL method.
+    """Diagonalise the excitation block with LAPACK (numpy.linalg.eigh).
 
     Eigenvalues come back ascending with orthonormal eigenvectors in the
-    matching columns.  An off-diagonal entry counts as converged once it
-    drops below 1e-15 * (|d_i| + |d_{i+1}|); each eigenvalue gets at most
-    50 sweeps before ConvergenceFailureError is raised.
+    matching columns.
     """
-    d = np.asarray(h.onsite, dtype=float).copy()
-    n = d.size
-    e = np.zeros(n)
-    if n > 1:
-        e[: n - 1] = h.hopping
-    v = np.eye(n)
+    values, vectors = np.linalg.eigh(h.matrix())
+    return EigenSystem(values=values, vectors=vectors)
 
-    for l in range(n):
-        sweeps = 0
-        while True:
-            for m in range(l, n - 1):
-                if abs(e[m]) <= _OFFDIAG_TOL * (abs(d[m]) + abs(d[m + 1])):
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            if sweeps >= _MAX_SWEEPS:
-                raise ConvergenceFailureError(
-                    f"eigenvalue {l} of {n} not converged after {_MAX_SWEEPS} sweeps"
-                )
-            sweeps += 1
 
-            # Wilkinson shift from the leading 2x2, then one QL sweep of
-            # Givens rotations from m-1 down to l.
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # Underflow: the sweep has split the matrix early.
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = v[:, i + 1].copy()
-                v[:, i + 1] = s * v[:, i] + c * col
-                v[:, i] = c * v[:, i] - s * col
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    return EigenSystem(values=d[order], vectors=v[:, order])
+def solve(spec: ChainSpec) -> tuple[SingleExcitationHamiltonian, EigenSystem]:
+    """Reduce a chain and diagonalise its excitation block."""
+    h = reduce(spec)
+    return h, eigensolve(h)
 
 
 def _principal_branch(angle: float) -> float:
@@ -195,19 +153,49 @@ def _principal_branch(angle: float) -> float:
 def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
     """Evaluate f0, all fn, and f at one time from a precomputed spectrum."""
     t = float(t)
-    phases = np.exp(-1j * eig.values * t)
-    fn = eig.vectors @ (eig.vectors[0] * phases)
-    f0 = cmath.exp(-1j * h.vacuum_energy * t)
+    fn = (eig.vectors * eig.vectors[0] * np.exp(-1j * t * eig.values)).sum(axis=1)
+    f0 = complex(np.exp(-1j * h.vacuum_energy * t))
     f = complex(np.conj(f0) * fn[-1])
     degenerate = abs(f) <= PHASE_DEGENERATE_TOL
     gamma = 0.0 if degenerate else _principal_branch(math.atan2(f.imag, f.real))
     return AmplitudeRecord(t=t, f0=f0, fn=fn, f=f, gamma=gamma, phase_degenerate=degenerate)
 
 
+def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
+    """End-to-end amplitude f at a scalar time (complex) or a 1-D array of times.
+
+    With the weights w_k = v_k[1] v_k[N] (eig.end_weights, computed once),
+
+        f(t) = conj(f0) * sum_k w_k exp(-i eps_k t) = sum_k w_k exp(-i (eps_k - E0) t),
+
+    O(N) per time.  Folding the vacuum phase into the exponents saves a
+    complex product per time and keeps the phase arguments small when the
+    fields are large.  The terms are summed elementwise, in the order
+    amplitudes() sums fn[N], not by a BLAS product whose order depends on
+    the shape, so a scalar time and the same time in an array give identical
+    bits, and at E0 = 0 so does amplitudes(h, eig, t).f.  Arrays are
+    evaluated in blocks of at most 1024 times.
+    """
+    weights = eig.end_weights
+    levels = eig.values - h.vacuum_energy
+    times = np.asarray(t, dtype=float)
+    if times.ndim == 0:
+        return complex((np.exp(-1j * float(times) * levels) * weights).sum())
+    if times.ndim != 1:
+        raise ValueError("times must be a scalar or one-dimensional")
+    f = np.empty(times.size, dtype=complex)
+    for lo in range(0, times.size, _TIME_BLOCK):
+        # one (times x levels) buffer per block, updated in place
+        terms = np.multiply.outer(-1j * times[lo:lo + _TIME_BLOCK], levels)
+        np.exp(terms, out=terms)
+        terms *= weights
+        f[lo:lo + _TIME_BLOCK] = terms.sum(axis=1)
+    return f
+
+
 def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:
     """One-shot convenience: reduce, diagonalise, evaluate at a single time."""
-    h = reduce(spec)
-    return amplitudes(h, eigensolve(h), t)
+    return amplitudes(*solve(spec), t)
 
 
 def time_series(spec: ChainSpec, t_grid) -> list[AmplitudeRecord]:
@@ -217,8 +205,7 @@ def time_series(spec: ChainSpec, t_grid) -> list[AmplitudeRecord]:
         raise ValueError("time grid must be one-dimensional")
     if grid.size > 1 and np.any(np.diff(grid) < 0):
         raise ValueError("time grid must be ascending")
-    h = reduce(spec)
-    eig = eigensolve(h)
+    h, eig = solve(spec)
     return [amplitudes(h, eig, t) for t in grid]
 
 
@@ -229,6 +216,6 @@ def propagator(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> np
     """
     n = h.n_sites
     u = np.zeros((n + 1, n + 1), dtype=complex)
-    u[0, 0] = cmath.exp(-1j * h.vacuum_energy * float(t))
+    u[0, 0] = np.exp(-1j * h.vacuum_energy * float(t))
     u[1:, 1:] = (eig.vectors * np.exp(-1j * eig.values * float(t))) @ eig.vectors.T
     return u

@@ -19,6 +19,7 @@ gate can repair |f| < 1.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ __all__ = [
     "corrected_average_fidelity",
     "bloch_average_quadrature",
     "fidelity_report",
+    "fidelity_reports",
 ]
 
 # |f| may exceed 1 by at most this much (upstream round-off); beyond it the
@@ -95,19 +97,31 @@ def reduced_density(f: complex, state: BlochState) -> np.ndarray:
     return np.array([[1.0 - pop, off], [off.conjugate(), pop]], dtype=complex)
 
 
-def fidelity(f: complex, state: BlochState) -> float:
-    """Overlap of the received state with the sent one for a single input."""
-    f = _checked_amplitude(f)
-    c2 = math.cos(state.theta / 2.0) ** 2
-    s2 = math.sin(state.theta / 2.0) ** 2
+def _state_fidelity(f: complex, theta):
+    """<in|rho|in> for a checked f and polar angle(s) theta; phi drops out."""
+    c2 = np.cos(theta / 2.0) ** 2
+    s2 = np.sin(theta / 2.0) ** 2
     mag2 = abs(f) ** 2
     return c2 * (1.0 - mag2 * s2 + 2.0 * s2 * f.real) + mag2 * s2 * s2
+
+
+def fidelity(f: complex, state: BlochState) -> float:
+    """Overlap of the received state with the sent one for a single input."""
+    return float(_state_fidelity(_checked_amplitude(f), state.theta))
+
+
+def _average(re, mag):
+    """1/2 + re/3 + mag^2/6 on floats or arrays.
+
+    Fbar at re = Re f, mag = |f|; the corrected Fbar at re = mag = |f|.
+    """
+    return 0.5 + re / 3.0 + mag * mag / 6.0
 
 
 def average_fidelity(f: complex) -> float:
     """Fidelity averaged uniformly over all pure input states."""
     f = _checked_amplitude(f)
-    return _clip_boundary(0.5 + f.real / 3.0 + abs(f) ** 2 / 6.0)
+    return _clip_boundary(_average(f.real, abs(f)))
 
 
 def corrected_average_fidelity(f: complex) -> tuple[float, float]:
@@ -120,7 +134,7 @@ def corrected_average_fidelity(f: complex) -> tuple[float, float]:
     f = _checked_amplitude(f)
     mag = abs(f)
     phase = math.atan2(f.imag, f.real)
-    return _clip_boundary(0.5 + mag / 3.0 + mag * mag / 6.0), phase
+    return _clip_boundary(_average(mag, mag)), phase
 
 
 def bloch_average_quadrature(f: complex, n_theta: int = 64, n_phi: int = 64) -> float:
@@ -129,18 +143,15 @@ def bloch_average_quadrature(f: complex, n_theta: int = 64, n_phi: int = 64) -> 
     Gauss-Legendre in cos(theta) with n_theta nodes crossed with the uniform
     trapezoid rule in phi (endpoints identified) with n_phi nodes.  The
     integrand is a low-degree polynomial in cos(theta), so modest resolutions
-    are already exact to round-off.
+    are already exact to round-off.  It does not depend on phi, so every
+    ring of n_phi trapezoid nodes averages to its value at the ring's theta,
+    and only the theta nodes are evaluated.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least 2 nodes per angle")
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(nodes)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    acc = 0.0
-    for theta, w in zip(thetas, weights):
-        ring = sum(fidelity(f, BlochState(theta, phi)) for phi in phis) / n_phi
-        acc += w * ring
-    return acc / 2.0
+    rings = _state_fidelity(_checked_amplitude(f), np.arccos(nodes))
+    return float(weights @ rings) / 2.0
 
 
 @dataclass(frozen=True)
@@ -163,13 +174,44 @@ def fidelity_report(t: float, f: complex, phase_degenerate: bool = False) -> Fid
     corrected, phase = corrected_average_fidelity(f)
     if phase_degenerate:
         phase = 0.0
-    gamma = 0.0 if phase_degenerate else phase
     return FidelityReport(
         t=float(t),
         f=f,
         abs_f=abs(f),
-        gamma=gamma,
+        gamma=phase,
         fbar=fbar,
         fbar_corrected=corrected,
         correction_phase=phase,
     )
+
+
+def fidelity_reports(t, f, phase_degenerate=False) -> FidelityReport:
+    """fidelity_report over 1-D arrays: one FidelityReport whose fields are arrays.
+
+    Element i of every field equals the field of fidelity_report(t[i], f[i],
+    phase_degenerate[i]) bit for bit.  Magnitudes and phases come from
+    Python's abs and math.atan2, because numpy's can differ in the last bit,
+    and the rare rows that the scalar rules rescale or clip are taken from
+    fidelity_report itself.  AmplitudeOutOfRangeError is raised before any
+    row is computed.
+    """
+    t = np.array(t, dtype=float)
+    f = np.array(f, dtype=complex)
+    mag = np.empty(f.size)
+    phase = np.empty(f.size)
+    for lo in range(0, f.size, 1024):  # blocks keep the Python objects few
+        block = f[lo:lo + 1024].tolist()
+        mag[lo:lo + 1024] = [abs(z) for z in block]
+        phase[lo:lo + 1024] = [math.atan2(z.imag, z.real) for z in block]
+    if mag.size and mag.max() > 1.0 + _CLAMP_EXCESS:
+        _checked_amplitude(f[np.argmax(mag)])
+    degenerate = np.broadcast_to(phase_degenerate, f.shape)
+    phase[degenerate] = 0.0
+    rep = FidelityReport(t=t, f=f, abs_f=mag, gamma=phase, fbar=_average(f.real, mag),
+                         fbar_corrected=_average(mag, mag), correction_phase=phase.copy())
+    # No average fidelity falls below 1/6, so the clip at 0 never applies.
+    for i in np.flatnonzero((mag > 1.0) | (rep.fbar > 1.0) | (rep.fbar_corrected > 1.0)):
+        row = fidelity_report(t[i], f[i], bool(degenerate[i]))
+        for field in dataclasses.fields(FidelityReport):
+            getattr(rep, field.name)[i] = getattr(row, field.name)
+    return rep

@@ -22,7 +22,7 @@ import numpy as np
 from . import closed_forms, fidelity
 from .chain import ChainSpec, SiteSpec, preset
 from .closed_forms import PresetSystem
-from .excitation import amplitudes, eigensolve, reduce
+from .excitation import amplitudes, solve, synthesize_f
 
 __all__ = [
     "SearchConfig",
@@ -72,7 +72,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best point found, its fidelities, and search diagnostics."""
+    """Best point found, its fidelities, and search diagnostics.
+
+    evaluations is the number of time points at which f was evaluated, grid
+    points included, each counted once.
+    """
 
     best_t: float
     best_field: float | None
@@ -98,11 +102,15 @@ class FieldTuningReport:
     ok: bool
 
 
-class _Counter:
-    __slots__ = ("n",)
+class _Evaluations:
+    """f(t) on solved chains, counting every time point at which f is evaluated."""
 
     def __init__(self) -> None:
-        self.n = 0
+        self.count = 0
+
+    def __call__(self, solved, t):
+        self.count += np.size(t)
+        return synthesize_f(*solved, t)
 
 
 def _level_spread(h, eig) -> float:
@@ -126,13 +134,11 @@ def _golden_max(
     hi: float,
     tol: float,
     max_iters: int,
-    counter: _Counter,
 ) -> tuple[float, float]:
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    counter.n += 2
     iters = 0
     while (b - a) > tol and iters < max_iters:
         if f1 > f2:
@@ -143,7 +149,6 @@ def _golden_max(
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = fn(x2)
-        counter.n += 1
         iters += 1
     if f1 > f2:
         return x1, f1
@@ -157,7 +162,6 @@ def _parabolic_polish(
     lo: float,
     hi: float,
     h: float,
-    counter: _Counter,
 ) -> tuple[float, float]:
     """One three-point parabolic step with stencil width h, clamped to [lo, hi].
 
@@ -170,14 +174,12 @@ def _parabolic_polish(
     left = min(max(x - h, lo), hi - 2.0 * h)
     xs = (left, left + h, left + 2.0 * h)
     ys = (fn(xs[0]), fn(xs[1]), fn(xs[2]))
-    counter.n += 3
     denom = ys[0] - 2.0 * ys[1] + ys[2]
     if denom >= 0.0:
         return x, value
     vertex = xs[1] + 0.5 * h * (ys[0] - ys[2]) / denom
     vertex = min(max(vertex, lo), hi)
     v_val = fn(vertex)
-    counter.n += 1
     best_x, best_val = x, value
     for cand_x, cand_val in ((xs[0], ys[0]), (xs[1], ys[1]), (xs[2], ys[2])):
         if cand_val > best_val:
@@ -194,11 +196,10 @@ def _refine_bracket(
     lo: float,
     hi: float,
     cfg: SearchConfig,
-    counter: _Counter,
 ) -> tuple[float, float, tuple[float, float]]:
-    x, val = _golden_max(fn, lo, hi, cfg.refine_tol, cfg.max_refine_iters, counter)
+    x, val = _golden_max(fn, lo, hi, cfg.refine_tol, cfg.max_refine_iters)
     h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
-    x, val = _parabolic_polish(fn, x, val, lo, hi, h, counter)
+    x, val = _parabolic_polish(fn, x, val, lo, hi, h)
     return x, val, (max(lo, x - cfg.refine_tol), min(hi, x + cfg.refine_tol))
 
 
@@ -217,32 +218,33 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     Returns an empty list when the channel is dead (|f| identically zero,
     for instance with all couplings zero).
     """
-    h = reduce(spec)
-    eig = eigensolve(h)
-    counter = _Counter()
-
-    def abs_f(t: float) -> float:
-        counter.n += 1
-        return abs(amplitudes(h, eig, t).f)
-
-    grid = _time_grid(cfg, _level_spread(h, eig))
-    values = np.array([abs(amplitudes(h, eig, t).f) for t in grid])
-    counter.n += grid.size
+    solved = solve(spec)
+    grid = _time_grid(cfg, _level_spread(*solved))
+    values = np.abs(synthesize_f(*solved, grid))
 
     peaks = []
     for i in _interior_peaks(values):
         if values[i] <= _PEAK_FLOOR:
             continue
-        t, val, _ = _refine_bracket(abs_f, grid[i - 1], grid[i + 1], cfg, counter)
+        t, val, _ = _refine_bracket(lambda t: abs(synthesize_f(*solved, t)),
+                                    grid[i - 1], grid[i + 1], cfg)
         peaks.append((t, val))
     peaks.sort(key=lambda pair: pair[0])
     return peaks
 
 
-def _record_objective(corrected: bool):
-    if corrected:
-        return lambda record: fidelity.corrected_average_fidelity(record.f)[0]
-    return lambda record: fidelity.average_fidelity(record.f)
+def _result(f: complex, best_t: float, best_field: float | None, evaluations: int,
+            bracket: tuple[float, float]) -> OptimizationResult:
+    corrected_val, _ = fidelity.corrected_average_fidelity(f)
+    return OptimizationResult(
+        best_t=best_t,
+        best_field=best_field,
+        fbar=fidelity.average_fidelity(f),
+        fbar_corrected=corrected_val,
+        abs_f=abs(f),
+        evaluations=evaluations,
+        bracket=bracket,
+    )
 
 
 def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = False) -> OptimizationResult:
@@ -252,18 +254,18 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     refined by golden-section plus a parabolic polish.  Ties within 1e-12
     resolve to the earliest time.
     """
-    h = reduce(spec)
-    eig = eigensolve(h)
-    objective_of = _record_objective(corrected)
-    counter = _Counter()
+    solved = solve(spec)
+    f_of = _Evaluations()
 
     def objective(t: float) -> float:
-        counter.n += 1
-        return objective_of(amplitudes(h, eig, t))
+        f = f_of(solved, t)
+        if corrected:
+            return fidelity.corrected_average_fidelity(f)[0]
+        return fidelity.average_fidelity(f)
 
-    grid = _time_grid(cfg, _level_spread(h, eig))
-    values = np.array([objective_of(amplitudes(h, eig, t)) for t in grid])
-    counter.n += grid.size
+    grid = _time_grid(cfg, _level_spread(*solved))
+    reports = fidelity.fidelity_reports(grid, f_of(solved, grid))
+    values = reports.fbar_corrected if corrected else reports.fbar
 
     candidates: list[tuple[float, float, tuple[float, float]]] = [
         (0.0, float(values[0]), (0.0, 0.0)),
@@ -272,7 +274,7 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     brackets = [(0, 1), (grid.size - 2, grid.size - 1)]
     brackets.extend((i - 1, i + 1) for i in _interior_peaks(values))
     for lo_i, hi_i in brackets:
-        t, val, bracket = _refine_bracket(objective, grid[lo_i], grid[hi_i], cfg, counter)
+        t, val, bracket = _refine_bracket(objective, grid[lo_i], grid[hi_i], cfg)
         candidates.append((t, val, bracket))
 
     candidates.sort(key=lambda c: c[0])
@@ -281,25 +283,15 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
         if val > best_val + _TIE_TOL:
             best_t, best_val, best_bracket = t, val, bracket
 
-    record = amplitudes(h, eig, best_t)
-    fbar = fidelity.average_fidelity(record.f)
-    corrected_val, _ = fidelity.corrected_average_fidelity(record.f)
-    return OptimizationResult(
-        best_t=best_t,
-        best_field=None,
-        fbar=fbar,
-        fbar_corrected=corrected_val,
-        abs_f=abs(record.f),
-        evaluations=counter.n,
-        bracket=best_bracket,
-    )
+    f = f_of(solved, best_t)
+    return _result(f, best_t, None, f_of.count, best_bracket)
 
 
-def _with_uniform_field(base: ChainSpec, b: float) -> ChainSpec:
+def _solve_with_uniform_field(base: ChainSpec, b: float):
     sites = tuple(
         SiteSpec(spin=site.spin, field=site.field + b) for site in base.sites
     )
-    return ChainSpec(sites=sites, couplings=base.couplings)
+    return solve(ChainSpec(sites=sites, couplings=base.couplings))
 
 
 def tune_uniform_field(
@@ -324,7 +316,7 @@ def tune_uniform_field(
     b_lo, b_hi = float(b_range[0]), float(b_range[1])
     if not b_lo < b_hi:
         raise ValueError(f"need B_lo < B_hi, got {b_range!r}")
-    counter = _Counter()
+    f_of = _Evaluations()
 
     # cos(B t) completes (b_hi - b_lo) * t_max / (2 pi) periods across the
     # box edge; keep at least ~6 samples per period.
@@ -332,24 +324,14 @@ def tune_uniform_field(
     n_b_eff = max(int(n_b), floor, 2)
     b_grid = np.linspace(b_lo, b_hi, n_b_eff)
 
-    def objective(t: float, b: float) -> float:
-        counter.n += 1
-        h = reduce(_with_uniform_field(base, b))
-        eig = eigensolve(h)
-        return fidelity.average_fidelity(amplitudes(h, eig, t).f)
-
     best_t = 0.0
     best_b = b_grid[0]
     best_val = -math.inf
     t_step = None
     for b in b_grid:
-        h = reduce(_with_uniform_field(base, b))
-        eig = eigensolve(h)
-        grid = _time_grid(cfg, _level_spread(h, eig))
-        values = np.array(
-            [fidelity.average_fidelity(amplitudes(h, eig, t).f) for t in grid]
-        )
-        counter.n += grid.size
+        solved = _solve_with_uniform_field(base, b)
+        grid = _time_grid(cfg, _level_spread(*solved))
+        values = fidelity.fidelity_reports(grid, f_of(solved, grid)).fbar
         i = int(np.argmax(values))
         if values[i] > best_val + _TIE_TOL:
             best_val = float(values[i])
@@ -366,25 +348,21 @@ def tune_uniform_field(
         t_lo = max(0.0, best_t - t_step)
         t_hi = min(cfg.t_max, best_t + t_step)
 
-        def along_t(t, b=best_b):
-            return objective(t, b)
+        def along_t(t, solved=_solve_with_uniform_field(base, best_b)):
+            return fidelity.average_fidelity(f_of(solved, t))
 
-        new_t, val = _golden_max(along_t, t_lo, t_hi, cfg.refine_tol,
-                                 cfg.max_refine_iters, counter)
-        new_t, val = _parabolic_polish(along_t, new_t, val, t_lo, t_hi,
-                                       polish_h_t, counter)
+        new_t, val = _golden_max(along_t, t_lo, t_hi, cfg.refine_tol, cfg.max_refine_iters)
+        new_t, val = _parabolic_polish(along_t, new_t, val, t_lo, t_hi, polish_h_t)
         bracket = (t_lo, t_hi)
 
         f_lo = max(b_lo, best_b - b_step)
         f_hi = min(b_hi, best_b + b_step)
 
         def along_b(b, t=new_t):
-            return objective(t, b)
+            return fidelity.average_fidelity(f_of(_solve_with_uniform_field(base, b), t))
 
-        new_b, val = _golden_max(along_b, f_lo, f_hi, cfg.refine_tol,
-                                 cfg.max_refine_iters, counter)
-        new_b, val = _parabolic_polish(along_b, new_b, val, f_lo, f_hi,
-                                       polish_h_b, counter)
+        new_b, val = _golden_max(along_b, f_lo, f_hi, cfg.refine_tol, cfg.max_refine_iters)
+        new_b, val = _parabolic_polish(along_b, new_b, val, f_lo, f_hi, polish_h_b)
 
         moved_t = abs(new_t - best_t)
         moved_b = abs(new_b - best_b)
@@ -393,20 +371,8 @@ def tune_uniform_field(
             break
 
     best_t, best_b = float(best_t), float(best_b)
-    tuned = _with_uniform_field(base, best_b)
-    h = reduce(tuned)
-    record = amplitudes(h, eigensolve(h), best_t)
-    fbar = fidelity.average_fidelity(record.f)
-    corrected_val, _ = fidelity.corrected_average_fidelity(record.f)
-    return OptimizationResult(
-        best_t=best_t,
-        best_field=best_b,
-        fbar=fbar,
-        fbar_corrected=corrected_val,
-        abs_f=abs(record.f),
-        evaluations=counter.n,
-        bracket=bracket,
-    )
+    f = f_of(_solve_with_uniform_field(base, best_b), best_t)
+    return _result(f, best_t, best_b, f_of.count, bracket)
 
 
 def verify_field_formula(
@@ -425,9 +391,7 @@ def verify_field_formula(
     t_c = closed_forms.zero_field_critical_time(sys.name, sys.J, k)
     parity = "even" if k % 2 == 0 else "odd"
     b_c = closed_forms.critical_field(sys, t_c, parity, l)
-    tuned = preset(sys.name, sys.J, b_c)
-    h = reduce(tuned)
-    record = amplitudes(h, eigensolve(h), t_c)
+    record = amplitudes(*solve(preset(sys.name, sys.J, b_c)), t_c)
     fbar = fidelity.average_fidelity(record.f)
     return FieldTuningReport(
         system=sys.name,

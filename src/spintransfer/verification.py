@@ -24,7 +24,7 @@ from .chain import (
     preset,
 )
 from .closed_forms import PresetSystem
-from .excitation import amplitudes, eigensolve, reduce
+from .excitation import amplitudes, solve
 from .fidelity import BlochState
 from .optimize import SearchConfig
 
@@ -101,7 +101,7 @@ def _check_three_spin_impurity() -> list[CheckResult]:
     res = optimize.maximize_fidelity(spec, SearchConfig(t_max=4.0 * math.pi / j))
     err_bare = abs(res.fbar - 0.5)
     t_c = math.pi / j
-    record = amplitudes(*_solved(spec), t_c)
+    record = amplitudes(*solve(spec), t_c)
     corrected, phase = fidelity.corrected_average_fidelity(record.f)
     err_corr = abs(corrected - 1.0)
     return [
@@ -110,11 +110,6 @@ def _check_three_spin_impurity() -> list[CheckResult]:
         CheckResult("three-spin-impurity-corrected", err_corr <= 1e-9, 1e-9, err_corr,
                     f"corrected={corrected:.12f}, gate phase={phase:.6f}"),
     ]
-
-
-def _solved(spec: ChainSpec):
-    h = reduce(spec)
-    return h, eigensolve(h)
 
 
 @_register("field-impurity-amplitude-bound", "field-impurity-strictly-lossy")
@@ -184,7 +179,7 @@ def _check_closed_form_amplitudes() -> list[CheckResult]:
             b = rng.uniform(0.0, 3.0)
             t = rng.uniform(0.0, 50.0)
             sys = PresetSystem(name, j, b)
-            record = amplitudes(*_solved(sys.chain()), t)
+            record = amplitudes(*solve(sys.chain()), t)
             worst = max(worst, abs(record.f - closed_forms.analytic_f(sys, t)))
         results.append(CheckResult(f"closed-form-f-{name}", worst <= 1e-10, 1e-10, worst,
                                    "100 random (J, B, t)"))
@@ -199,7 +194,7 @@ def _check_spectra() -> list[CheckResult]:
     for name in PRESET_NAMES:
         sys = PresetSystem(name, j, b)
         values, _ = closed_forms.analytic_spectrum(sys)
-        h, eig = _solved(sys.chain())
+        h, eig = solve(sys.chain())
         numeric = np.sort(np.append(eig.values, h.vacuum_energy))
         worst = float(np.max(np.abs(np.sort(values) - numeric)))
         results.append(CheckResult(f"spectrum-{name}", worst <= 1e-12, 1e-12, worst,
@@ -232,7 +227,7 @@ def _check_full_space_equivalence() -> list[CheckResult]:
     worst_comm = 0.0
     for spec in specs:
         model = full_space.FullSpaceModel(spec)
-        h, eig = _solved(spec)
+        h, eig = solve(spec)
 
         idx = full_space.excitation_sector_indices(spec)
         block = model.hamiltonian[np.ix_(idx, idx)].real
@@ -285,7 +280,7 @@ def _check_unitarity() -> list[CheckResult]:
     worst_vac = 0.0
     for _ in range(200):
         spec = _random_chain(rng, 12)
-        record = amplitudes(*_solved(spec), float(rng.uniform(0.0, 50.0)))
+        record = amplitudes(*solve(spec), float(rng.uniform(0.0, 50.0)))
         worst_norm = max(worst_norm, abs(float(np.sum(np.abs(record.fn) ** 2)) - 1.0))
         worst_vac = max(worst_vac, abs(abs(record.f0) - 1.0))
     return [

@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spintransfer.chain import load_chain
+import spintransfer
+from spintransfer.chain import ChainSpec, SiteSpec, SpinMagnitude, load_chain, save_chain
 from spintransfer.cli import CSV_HEADER, main
-from spintransfer.excitation import transfer_amplitude
+from spintransfer.excitation import amplitudes, eigensolve, reduce, transfer_amplitude
 from spintransfer.fidelity import fidelity_report
 
 SQRT2 = math.sqrt(2.0)
@@ -119,6 +126,58 @@ class TestSimulate:
         code, _, err = _run(capsys, "simulate", "--t-max", "1.0")
         assert code == 2
         assert "chain" in err
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    spins = draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))
+    fields = draw(st.lists(values, min_size=n, max_size=n))
+    couplings = draw(st.lists(values, min_size=n - 1, max_size=n - 1))
+    sites = tuple(SiteSpec(SpinMagnitude(s), b) for s, b in zip(spins, fields))
+    return ChainSpec(sites=sites, couplings=tuple(couplings))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=_chains(), t_max=st.floats(min_value=0.0, max_value=40.0),
+       steps=st.integers(min_value=1, max_value=300))
+def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        chain, out = Path(tmp) / "chain.json", Path(tmp) / "out.csv"
+        save_chain(spec, chain)
+        code = main(["simulate", "--chain", str(chain), "--t-max", repr(t_max),
+                     "--steps", str(steps), "--out", str(out), "--manifest", str(Path(tmp) / "m")])
+        assert code == 0
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+    assert header == CSV_HEADER
+    assert len(lines) == steps
+    h = reduce(spec)
+    eig = eigensolve(h)
+    for line in lines:
+        cells = line.split(",")
+        assert all(cell == format(float(cell), ".17g") for cell in cells)
+        t, re_f, im_f, abs_f, gamma, fbar, fbar_corr, delta = map(float, cells)
+        record = amplitudes(h, eig, t)
+        rep = fidelity_report(record.t, record.f, record.phase_degenerate)
+        for got, want in ((re_f, rep.f.real), (im_f, rep.f.imag), (abs_f, rep.abs_f),
+                          (fbar, rep.fbar), (fbar_corr, rep.fbar_corrected)):
+            assert abs(got - want) <= 1e-12
+        for got, want in ((gamma, rep.gamma), (delta, rep.correction_phase)):
+            wrapped = (got - want + math.pi) % (2.0 * math.pi) - math.pi
+            assert rep.abs_f * abs(wrapped) <= 1e-12
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only declared dependency
+    src = Path(spintransfer.__file__).resolve().parents[1]
+    code = ("import sys, spintransfer, spintransfer.cli, spintransfer.verification; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOptimize:

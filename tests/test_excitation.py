@@ -21,6 +21,7 @@ from spintransfer.excitation import (
     eigensolve,
     propagator,
     reduce,
+    synthesize_f,
     time_series,
     transfer_amplitude,
 )
@@ -243,3 +244,87 @@ def test_unitarity_property(spec, t):
     assert abs(float(np.sum(np.abs(rec.fn) ** 2)) - 1.0) <= 1e-12
     assert abs(abs(rec.f0) - 1.0) <= 1e-12
     assert isinstance(rec, AmplitudeRecord)
+
+
+@st.composite
+def random_block(draw, max_sites=40):
+    """Excitation block of a random mixed-spin chain with site fields, N = 1..max_sites."""
+    n = draw(st.integers(min_value=1, max_value=max_sites))
+    spins = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=n, max_size=n))
+    fields = draw(st.lists(
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=n, max_size=n
+    ))
+    if n == 1:  # a chain needs two sites; the one-site block follows reduce's rules
+        e0 = fields[0] * spins[0]
+        return SingleExcitationHamiltonian(e0, (e0 - fields[0],), ())
+    couplings = draw(st.lists(
+        st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+        min_size=n - 1, max_size=n - 1,
+    ))
+    sites = tuple(SiteSpec(SpinMagnitude(s), b) for s, b in zip(spins, fields))
+    return reduce(ChainSpec(sites=sites, couplings=tuple(couplings)))
+
+
+class TestSynthesizeF:
+    @settings(max_examples=60, deadline=None)
+    @given(h=random_block(), times=st.lists(
+        st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=40))
+    def test_array_path_matches_amplitudes(self, h, times):
+        eig = eigensolve(h)
+        f = synthesize_f(h, eig, np.array(times))
+        expected = np.array([amplitudes(h, eig, t).f for t in times])
+        assert np.max(np.abs(f - expected)) <= 1e-12
+        # the scalar path sums the same terms in the same order
+        assert all(synthesize_f(h, eig, t) == z for t, z in zip(times, f))
+
+    def test_bitwise_equal_to_amplitudes_without_vacuum_energy(self):
+        # E0 = 0: the folded and the referenced phase are the same numbers
+        rng = np.random.default_rng(14)
+        for n in (2, 3, 9, 17, 40):
+            h = SingleExcitationHamiltonian(0.0, tuple(rng.uniform(-2, 2, n)),
+                                            tuple(rng.uniform(-2, 2, n - 1)))
+            eig = eigensolve(h)
+            times = np.linspace(0.0, 30.0, 2500)  # spans three blocks
+            expected = np.array([amplitudes(h, eig, t).f for t in times])
+            assert np.array_equal(synthesize_f(h, eig, times), expected)
+
+    def test_scalar_returns_complex(self):
+        spec = preset("sec2-two-spin", 1.3, 0.0)
+        h = reduce(spec)
+        f = synthesize_f(h, eigensolve(h), math.pi / (SQRT2 * 1.3))
+        assert isinstance(f, complex)
+        assert f == pytest.approx(-1j, abs=1e-12)
+
+    def test_empty_grid_and_bad_shape(self):
+        h = reduce(preset("sec2-two-spin", 1.0, 0.0))
+        eig = eigensolve(h)
+        assert synthesize_f(h, eig, np.array([])).shape == (0,)
+        with pytest.raises(ValueError):
+            synthesize_f(h, eig, np.zeros((2, 2)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(half=random_block(max_sites=20),
+           t_max=st.floats(min_value=1.0, max_value=50.0))
+    def test_cut_chain_is_dead(self, half, t_max):
+        # two identical halves joined by a zero coupling: every level is
+        # doubly degenerate and nothing reaches the far end
+        h = SingleExcitationHamiltonian(
+            2.0 * half.vacuum_energy,
+            tuple(x + half.vacuum_energy for x in half.onsite * 2),
+            half.hopping + (0.0,) + half.hopping,
+        )
+        eig = eigensolve(h)
+        f = synthesize_f(h, eig, np.linspace(0.0, t_max, 200))
+        assert np.max(np.abs(f)) <= 1e-12
+
+
+class TestEigensolveProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=400), seed=st.integers(0, 2**32 - 1))
+    def test_ascending_and_reconstructs(self, n, seed):
+        h = _random_tridiagonal(np.random.default_rng(seed), n)
+        eig = eigensolve(h)
+        assert np.all(np.diff(eig.values) >= 0.0)
+        m = h.matrix()
+        rebuilt = (eig.vectors * eig.values) @ eig.vectors.T
+        assert np.max(np.abs(rebuilt - m)) <= 1e-12 * np.linalg.norm(m, 2)

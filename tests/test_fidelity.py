@@ -15,6 +15,7 @@ from spintransfer.fidelity import (
     corrected_average_fidelity,
     fidelity,
     fidelity_report,
+    fidelity_reports,
     reduced_density,
 )
 
@@ -189,3 +190,30 @@ class TestFidelityReport:
         assert rep.gamma == 0.0
         assert rep.correction_phase == 0.0
         assert rep.fbar == 0.5
+
+
+class TestFidelityReports:
+    def _amplitudes(self):
+        rng = np.random.default_rng(17)
+        f = rng.uniform(0, 1, 4000) * np.exp(2j * math.pi * rng.uniform(size=4000))
+        # a hair above 1 (rescaled by the scalar rules), at 1, and near 0
+        f[:200] *= (1.0 + rng.uniform(0.0, 5e-10, 200)) / np.abs(f[:200])
+        f[200:300] = rng.uniform(-1e-12, 1e-12, 100) * 1j
+        f[300:306] = [1.0, -1.0, 1j, -1j, 0.0, 1.0 + 1e-16]
+        return f
+
+    def test_bitwise_equal_to_fidelity_report(self):
+        f = self._amplitudes()
+        t = np.linspace(0.0, 7.0, f.size)
+        degenerate = np.abs(f) <= 1e-12
+        reports = fidelity_reports(t, f, degenerate)
+        for i in range(f.size):
+            row = fidelity_report(t[i], f[i], bool(degenerate[i]))
+            for name, value in vars(row).items():
+                assert getattr(reports, name)[i] == value, (i, name)
+
+    def test_out_of_range_raises(self):
+        f = self._amplitudes()
+        f[-1] = 1.0 + 2e-9
+        with pytest.raises(AmplitudeOutOfRangeError):
+            fidelity_reports(np.zeros(f.size), f)

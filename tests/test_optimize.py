@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spintransfer import optimize
 from spintransfer.chain import ChainSpec, SPIN_HALF, SiteSpec, preset
 from spintransfer.closed_forms import NotTunableError, PresetSystem
 from spintransfer.optimize import (
@@ -198,3 +199,31 @@ class TestVerifyFieldFormula:
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             verify_field_formula(PresetSystem("sec2-two-spin", 1.0, 0.0), -1, 0)
+
+
+class TestEvaluationCount:
+    """`evaluations` counts every time point at which f is evaluated, once."""
+
+    @pytest.fixture
+    def synthesized(self, monkeypatch):
+        points = []
+        real = optimize.synthesize_f
+
+        def counting(h, eig, t):
+            points.append(np.size(t))
+            return real(h, eig, t)
+
+        monkeypatch.setattr(optimize, "synthesize_f", counting)
+        return points
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_maximize_fidelity(self, synthesized, corrected):
+        res = maximize_fidelity(preset("sec2-three-spin-center", 1.0, 0.0),
+                                SearchConfig(t_max=3.8), corrected=corrected)
+        assert res.evaluations == sum(synthesized)
+        assert len(synthesized) > 1  # one grid call plus the refinements
+
+    def test_tune_uniform_field(self, synthesized):
+        res = tune_uniform_field(preset("sec2-two-spin", 1.0, 0.0),
+                                 SearchConfig(t_max=2.8), (0.0, 2.0), n_b=8)
+        assert res.evaluations == sum(synthesized)
