@@ -51,7 +51,7 @@ print(f"corrected Fbar = {corrected:.9f}")
 
 print()
 print("=== tuning a uniform field to B_c ===")
-res = tune_uniform_field(spec, SearchConfig(t_max=1.25 * T_STAR), (0.0, 2.0), n_b=32)
+res = tune_uniform_field(spec, SearchConfig(t_max=1.25 * T_STAR), (0.0, 2.0))
 print(f"tuned optimum: Fbar = {res.fbar:.9f} at t = {res.best_t:.6f}, B = {res.best_field:.6f}")
 print(f"closed-form B_c = pi / (2 t*) = {math.pi / (2 * T_STAR):.6f}")
 

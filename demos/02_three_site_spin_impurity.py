@@ -42,7 +42,7 @@ print(f"corrected Fbar at t_c = pi/J: {corrected:.12f}")
 
 print()
 print("=== or tune the uniform field to B_c = (2l+1) pi / t_c ===")
-res = tune_uniform_field(spec, SearchConfig(t_max=1.3 * T_C), (0.0, 2.0), n_b=32)
+res = tune_uniform_field(spec, SearchConfig(t_max=1.3 * T_C), (0.0, 2.0))
 print(f"tuned optimum: Fbar = {res.fbar:.9f} at t = {res.best_t:.6f}, B = {res.best_field:.6f}")
 
 tuned = preset("sec2-three-spin-center", J, math.pi / T_C)

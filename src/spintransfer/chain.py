@@ -157,6 +157,10 @@ class ChainSpec:
         """Local fields B_1 .. B_N as a float array."""
         return np.array([site.field for site in self.sites])
 
+    def with_uniform_field(self, b: float) -> "ChainSpec":
+        """The same chain with b added to the field of every site."""
+        return ChainSpec(tuple(SiteSpec(s.spin, s.field + b) for s in self.sites), self.couplings)
+
 
 def _parse_spin(value: Any) -> SpinMagnitude:
     if value == "half":

@@ -3,7 +3,7 @@
 Output contracts:
   simulate  CSV with header t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta,
             every value printed with 17 significant digits (round-trip safe).
-  optimize  JSON mirroring OptimizationResult.
+  optimize  JSON of the OptimizationResult fields.
   preset    chain JSON in the external format.
   verify    one line per check plus an optional JSON report.
 
@@ -15,6 +15,7 @@ with --manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -29,7 +30,7 @@ from . import __version__, optimize, verification
 from .chain import ChainSpecError, chain_to_dict, dumps_chain, load_chain, preset
 from .excitation import PHASE_DEGENERATE_TOL, eigensolve, reduce, synthesize_f
 from .fidelity import fidelity_reports
-from .optimize import OptimizationResult, SearchConfig
+from .optimize import SearchConfig
 
 CSV_HEADER = "t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta"
 # "%.17g" % x is byte-identical to format(x, ".17g"); rows are formatted and
@@ -125,31 +126,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _result_to_json(res: OptimizationResult) -> dict[str, Any]:
-    return {
-        "best_t": res.best_t,
-        "best_field": res.best_field,
-        "fbar": res.fbar,
-        "fbar_corrected": res.fbar_corrected,
-        "abs_f": res.abs_f,
-        "evaluations": res.evaluations,
-        "bracket": list(res.bracket),
-    }
-
-
 def _cmd_optimize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     spec, digest = _load_spec(args)
-    cfg = SearchConfig(t_max=args.t_max, n_samples=args.steps)
-    if args.tune_field is not None:
-        lo, hi = args.tune_field
-        if not lo < hi:
-            raise _UsageError(f"--tune-field needs lo < hi, got {lo} {hi}")
-        res = optimize.tune_uniform_field(spec, cfg, (lo, hi), n_b=args.n_field)
-    else:
-        res = optimize.maximize_fidelity(spec, cfg, corrected=args.corrected)
+    try:  # a bad horizon, step count or field box, or a grid over the budget
+        cfg = SearchConfig(t_max=args.t_max, n_samples=args.steps)
+        if args.tune_field is not None:
+            res = optimize.tune_uniform_field(spec, cfg, tuple(args.tune_field))
+        else:
+            res = optimize.maximize_fidelity(spec, cfg, corrected=args.corrected)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     with _output(args.out) as stream:
-        stream.write(json.dumps(_result_to_json(res), indent=2) + "\n")
+        stream.write(json.dumps(dataclasses.asdict(res), indent=2) + "\n")
     _write_manifest(args, "optimize", digest, started)
     return _EXIT_OK
 
@@ -236,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optimize the phase-corrected average fidelity")
     p_opt.add_argument("--tune-field", nargs=2, type=float, metavar=("LO", "HI"),
                        help="also tune a uniform field over [LO, HI]")
-    p_opt.add_argument("--n-field", type=int, default=32,
-                       help="coarse field-grid size for --tune-field (default 32)")
     p_opt.add_argument("--out", metavar="PATH", help="JSON path (default stdout)")
     p_opt.add_argument("--manifest", metavar="PATH")
     p_opt.set_defaults(func=_cmd_optimize)
@@ -269,10 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ChainSpecError as exc:
+    except (_UsageError, ChainSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

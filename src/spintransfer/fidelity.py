@@ -22,6 +22,7 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +138,16 @@ def corrected_average_fidelity(f: complex) -> tuple[float, float]:
     return _clip_boundary(_average(mag, mag)), phase
 
 
+@lru_cache(maxsize=8)
+def _theta_rule(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre angles arccos(x_i) and weights, read-only; leggauss costs ms."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    rule = np.arccos(nodes), weights
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def bloch_average_quadrature(f: complex, n_theta: int = 64, n_phi: int = 64) -> float:
     """Numerical sphere average of fidelity(f, .) as an independent check.
 
@@ -145,12 +156,12 @@ def bloch_average_quadrature(f: complex, n_theta: int = 64, n_phi: int = 64) -> 
     integrand is a low-degree polynomial in cos(theta), so modest resolutions
     are already exact to round-off.  It does not depend on phi, so every
     ring of n_phi trapezoid nodes averages to its value at the ring's theta,
-    and only the theta nodes are evaluated.
+    and only the theta nodes, cached per n_theta, are evaluated.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least 2 nodes per angle")
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    rings = _state_fidelity(_checked_amplitude(f), np.arccos(nodes))
+    theta, weights = _theta_rule(n_theta)
+    rings = _state_fidelity(_checked_amplitude(f), theta)
     return float(weights @ rings) / 2.0
 
 

@@ -8,7 +8,9 @@ search.  A final three-point parabolic correction sharpens each extremum past
 the floating-point tie plateau that makes raw golden-section comparisons
 uninformative on flat tops.  No randomness is used anywhere; identical inputs
 give identical results, and ties between equal peaks resolve to the earliest
-time.
+time.  Field tuning searches t alone: a uniform field b only rotates the
+phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best field at each t is known,
+and the grid is finer only while the field box cannot align every phase.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from typing import Callable
 import numpy as np
 
 from . import closed_forms, fidelity
-from .chain import ChainSpec, SiteSpec, preset
+from .chain import ChainSpec, preset
 from .closed_forms import PresetSystem
 from .excitation import amplitudes, solve, synthesize_f
 
 __all__ = [
+    "GridBudgetError",
     "SearchConfig",
     "OptimizationResult",
     "FieldTuningReport",
@@ -44,12 +47,20 @@ _PEAK_FLOOR = 1e-12
 _TIE_TOL = 1e-12
 
 
+# Longest search grid (the benchmark's largest holds about 4 000 points).
+_MAX_GRID_POINTS = 2**20
+
+
+class GridBudgetError(ValueError):
+    """The search grid on [0, t_max] would hold more than _MAX_GRID_POINTS times."""
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Search horizon and refinement budget.
 
-    refine_tol is a tolerance on the parameter (time or field); when omitted
-    it defaults to 1e-10 * t_max.
+    refine_tol is a tolerance on the time; when omitted it defaults to
+    1e-10 * t_max.
     """
 
     t_max: float
@@ -120,12 +131,23 @@ def _level_spread(h, eig) -> float:
     return hi - lo
 
 
-def _time_grid(cfg: SearchConfig, spread: float) -> np.ndarray:
-    spacing = cfg.t_max / cfg.n_samples
-    if spread > 0.0:
-        spacing = min(spacing, math.pi / (10.0 * spread))
-    n_points = int(math.ceil(cfg.t_max / spacing)) + 1
-    return np.linspace(0.0, cfg.t_max, n_points)
+def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> np.ndarray:
+    """Grid on [0, t_max] of (t_end, spread) pieces, t_end ascending to t_max; each
+    is sampled at spacing min(t_max / n_samples, pi / (10 * spread))."""
+    ends, steps = [0.0], []
+    for t_end, spread in pieces:
+        spacing = cfg.t_max / cfg.n_samples
+        if spread > 0.0:
+            spacing = min(spacing, math.pi / (10.0 * spread))
+        steps.append((t_end - ends[-1]) / spacing if spacing > 0.0 else math.inf)  # spread overflowed
+        ends.append(t_end)
+    total = sum(steps)  # the grid holds sum(ceil(steps)) + 1 points; total may be inf
+    if not (total < _MAX_GRID_POINTS and sum(map(math.ceil, steps)) < _MAX_GRID_POINTS):
+        raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {total + 1:.4g} grid points (limit "
+                              f"{_MAX_GRID_POINTS}); split the horizon into pieces of at most "
+                              f"{cfg.t_max * (_MAX_GRID_POINTS - 1) / total:.6g}")
+    parts = [np.linspace(lo, hi, math.ceil(n) + 1) for lo, hi, n in zip(ends, ends[1:], steps)]
+    return np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
 
 
 def _golden_max(
@@ -219,7 +241,7 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     for instance with all couplings zero).
     """
     solved = solve(spec)
-    grid = _time_grid(cfg, _level_spread(*solved))
+    grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
     values = np.abs(synthesize_f(*solved, grid))
 
     peaks = []
@@ -247,6 +269,23 @@ def _result(f: complex, best_t: float, best_field: float | None, evaluations: in
     )
 
 
+def _global_max(objective: Callable[[float], float], grid: np.ndarray, values: np.ndarray,
+                cfg: SearchConfig) -> tuple[float, tuple[float, float]]:
+    """Time and bracket of the largest refined candidate; values is objective on grid."""
+    candidates = [(0.0, float(values[0]), (0.0, 0.0)),
+                  (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
+    brackets = [(0, 1), (grid.size - 2, grid.size - 1)]
+    brackets.extend((i - 1, i + 1) for i in _interior_peaks(values))
+    candidates.extend(_refine_bracket(objective, grid[lo], grid[hi], cfg) for lo, hi in brackets)
+
+    candidates.sort(key=lambda c: c[0])
+    best_t, best_val, best_bracket = candidates[0]
+    for t, val, bracket in candidates[1:]:
+        if val > best_val + _TIE_TOL:
+            best_t, best_val, best_bracket = t, val, bracket
+    return best_t, best_bracket
+
+
 def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = False) -> OptimizationResult:
     """Global maximum of the (plain or corrected) average fidelity on [0, t_max].
 
@@ -263,35 +302,13 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
             return fidelity.corrected_average_fidelity(f)[0]
         return fidelity.average_fidelity(f)
 
-    grid = _time_grid(cfg, _level_spread(*solved))
+    grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
     reports = fidelity.fidelity_reports(grid, f_of(solved, grid))
     values = reports.fbar_corrected if corrected else reports.fbar
-
-    candidates: list[tuple[float, float, tuple[float, float]]] = [
-        (0.0, float(values[0]), (0.0, 0.0)),
-        (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max)),
-    ]
-    brackets = [(0, 1), (grid.size - 2, grid.size - 1)]
-    brackets.extend((i - 1, i + 1) for i in _interior_peaks(values))
-    for lo_i, hi_i in brackets:
-        t, val, bracket = _refine_bracket(objective, grid[lo_i], grid[hi_i], cfg)
-        candidates.append((t, val, bracket))
-
-    candidates.sort(key=lambda c: c[0])
-    best_t, best_val, best_bracket = candidates[0]
-    for t, val, bracket in candidates[1:]:
-        if val > best_val + _TIE_TOL:
-            best_t, best_val, best_bracket = t, val, bracket
+    best_t, bracket = _global_max(objective, grid, values, cfg)
 
     f = f_of(solved, best_t)
-    return _result(f, best_t, None, f_of.count, best_bracket)
-
-
-def _solve_with_uniform_field(base: ChainSpec, b: float):
-    sites = tuple(
-        SiteSpec(spin=site.spin, field=site.field + b) for site in base.sites
-    )
-    return solve(ChainSpec(sites=sites, couplings=base.couplings))
+    return _result(f, best_t, None, f_of.count, bracket)
 
 
 def tune_uniform_field(
@@ -302,76 +319,41 @@ def tune_uniform_field(
 ) -> OptimizationResult:
     """Maximise the average fidelity over (t, uniform field B) on a box.
 
-    The field is added uniformly to every site on top of the base fields.  A
-    uniform field only rotates the phase of f (it commutes with the chain
-    Hamiltonian), so it can align the phase at a transfer peak but can never
-    raise |f|; with a fixed local impurity field in the base chain the
-    achievable average fidelity therefore stays strictly below 1.
-
-    Coarse (t, B) grid first, then coordinate descent alternating golden
-    sections in t and in B until both moves drop below refine_tol (at most
-    100 sweeps).  The B grid is refined automatically when n_b is too coarse
-    to resolve the phase oscillation cos(B * t_max).
+    The field, added to every site, commutes with the chain: it only rotates f,
+    f(t, B) = f(t, 0) e^{iBt}, and with a local impurity field Fbar stays below
+    1.  The chain is solved once, at the box centre B_c.  At time t the field
+    B_c - arg f(t, B_c) / t aligns the phase; clipped to the box (the nearer
+    edge leaves the smaller phase) it gives the exact maximum over the box.  t
+    is searched as in maximize_fidelity, with W / 2 (W the box width) added to
+    the grid's spread up to t = 2 pi / W; from there on every phase is aligned
+    and the objective, the corrected Fbar, oscillates only at differences of
+    excitation levels.  The reported values come from a solve of the tuned
+    chain.  n_b is ignored; the field needs no grid.
     """
     b_lo, b_hi = float(b_range[0]), float(b_range[1])
     if not b_lo < b_hi:
         raise ValueError(f"need B_lo < B_hi, got {b_range!r}")
+    b_c = (b_lo + b_hi) / 2.0
+    solved = solve(base.with_uniform_field(b_c))
     f_of = _Evaluations()
 
-    # cos(B t) completes (b_hi - b_lo) * t_max / (2 pi) periods across the
-    # box edge; keep at least ~6 samples per period.
-    floor = int(math.ceil((b_hi - b_lo) * cfg.t_max * 6.0 / (2.0 * math.pi))) + 1
-    n_b_eff = max(int(n_b), floor, 2)
-    b_grid = np.linspace(b_lo, b_hi, n_b_eff)
+    def tuned(t, f):
+        """Best field at time(s) t, given f at B_c there, and f at that field."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 keeps B_c
+            b = np.clip(np.where(t > 0.0, b_c - np.angle(f) / t, b_c), b_lo, b_hi)
+        return b, f * np.exp(1j * (b - b_c) * t)
 
-    best_t = 0.0
-    best_b = b_grid[0]
-    best_val = -math.inf
-    t_step = None
-    for b in b_grid:
-        solved = _solve_with_uniform_field(base, b)
-        grid = _time_grid(cfg, _level_spread(*solved))
-        values = fidelity.fidelity_reports(grid, f_of(solved, grid)).fbar
-        i = int(np.argmax(values))
-        if values[i] > best_val + _TIE_TOL:
-            best_val = float(values[i])
-            best_t = float(grid[i])
-            best_b = float(b)
-            t_step = float(grid[1] - grid[0])
+    def objective(t: float) -> float:
+        return fidelity.average_fidelity(complex(tuned(t, f_of(solved, t))[1]))
 
-    t_step = t_step if t_step is not None else cfg.t_max / cfg.n_samples
-    b_step = float(b_grid[1] - b_grid[0])
-    polish_h_t = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
-    polish_h_b = max(1e4 * cfg.refine_tol, 1e-6 * (b_hi - b_lo))
-    bracket = (best_t, best_t)
-    for _ in range(100):
-        t_lo = max(0.0, best_t - t_step)
-        t_hi = min(cfg.t_max, best_t + t_step)
+    t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values
+    grid = _time_grid(cfg, (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
+                      (cfg.t_max, float(levels[-1] - levels[0])))
+    values = fidelity.fidelity_reports(grid, tuned(grid, f_of(solved, grid))[1]).fbar
+    best_t, bracket = _global_max(objective, grid, values, cfg)
 
-        def along_t(t, solved=_solve_with_uniform_field(base, best_b)):
-            return fidelity.average_fidelity(f_of(solved, t))
-
-        new_t, val = _golden_max(along_t, t_lo, t_hi, cfg.refine_tol, cfg.max_refine_iters)
-        new_t, val = _parabolic_polish(along_t, new_t, val, t_lo, t_hi, polish_h_t)
-        bracket = (t_lo, t_hi)
-
-        f_lo = max(b_lo, best_b - b_step)
-        f_hi = min(b_hi, best_b + b_step)
-
-        def along_b(b, t=new_t):
-            return fidelity.average_fidelity(f_of(_solve_with_uniform_field(base, b), t))
-
-        new_b, val = _golden_max(along_b, f_lo, f_hi, cfg.refine_tol, cfg.max_refine_iters)
-        new_b, val = _parabolic_polish(along_b, new_b, val, f_lo, f_hi, polish_h_b)
-
-        moved_t = abs(new_t - best_t)
-        moved_b = abs(new_b - best_b)
-        best_t, best_b = new_t, new_b
-        if moved_t < cfg.refine_tol and moved_b < cfg.refine_tol:
-            break
-
-    best_t, best_b = float(best_t), float(best_b)
-    f = f_of(_solve_with_uniform_field(base, best_b), best_t)
+    best_b = float(tuned(best_t, f_of(solved, best_t))[0])
+    f = f_of(solve(base.with_uniform_field(best_b)), best_t)
     return _result(f, best_t, best_b, f_of.count, bracket)
 
 

@@ -24,7 +24,7 @@ from .chain import (
     preset,
 )
 from .closed_forms import PresetSystem
-from .excitation import amplitudes, solve
+from .excitation import amplitudes, solve, synthesize_f
 from .fidelity import BlochState
 from .optimize import SearchConfig
 
@@ -79,9 +79,10 @@ def _check_two_spin_impurity_peak() -> list[CheckResult]:
     ]
 
 
-@_register("field-tuning-perfect-fbar")
+@_register("field-tuning-perfect-fbar", "uniform-field-phase-law")
 def _check_field_tuning() -> list[CheckResult]:
-    """Tuned (t_c, B_c) pairs reach Fbar = 1 for both spin-impurity systems."""
+    """Tuned (t_c, B_c) pairs reach Fbar = 1 for both spin-impurity systems, and
+    a uniform field b only rotates f, f(t, b) = f(t, 0) e^{ibt} (field tuning)."""
     j = 1.3
     worst = 0.0
     for name in ("sec2-two-spin", "sec2-three-spin-center"):
@@ -89,8 +90,21 @@ def _check_field_tuning() -> list[CheckResult]:
             for l in (0, 1):
                 rep = optimize.verify_field_formula(PresetSystem(name, j, 0.0), k, l)
                 worst = max(worst, abs(1.0 - rep.fbar))
-    return [CheckResult("field-tuning-perfect-fbar", worst <= 1e-9, 1e-9, worst,
-                        "8 (system, k, l) combinations")]
+
+    rng = np.random.default_rng(47)
+    specs = [preset(name, 1.1, 0.0) for name in ("sec2-two-spin", "sec2-three-spin-center")]
+    worst_law = 0.0
+    for spec in specs + [_random_chain(rng, 12) for _ in range(4)]:
+        b, times = float(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 50.0, 20)
+        rotated = synthesize_f(*solve(spec), times) * np.exp(1j * b * times)
+        direct = synthesize_f(*solve(spec.with_uniform_field(b)), times)
+        worst_law = max(worst_law, float(np.max(np.abs(direct - rotated))))
+    return [
+        CheckResult("field-tuning-perfect-fbar", worst <= 1e-9, 1e-9, worst,
+                    "8 (system, k, l) combinations"),
+        CheckResult("uniform-field-phase-law", worst_law <= 1e-12, 1e-12, worst_law,
+                    "6 chains, 20 random t and one random b in [-3, 3] each"),
+    ]
 
 
 @_register("three-spin-impurity-bare-max", "three-spin-impurity-corrected")

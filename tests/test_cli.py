@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -224,6 +225,38 @@ class TestOptimize:
         res = json.loads(out)
         assert res["fbar"] == 0.5
         assert res["best_t"] == 0.0
+
+    def test_runaway_horizon_is_a_usage_error(self, capsys, monkeypatch):
+        # t_max = 1e9 on a J = 1 preset needs about 1e10 grid points, far over
+        # the 2**20 budget; the refusal must come before any grid is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        for extra in ([], ["--tune-field", "0", "2"]):
+            code, out, err = _run(capsys, "optimize", "--preset", "sec2-two-spin", "--J", "1",
+                                  "--B", "0", "--t-max", "1e9", *extra)
+            assert code == 2
+            assert out == ""
+            assert "split the horizon" in err
+
+    def test_wide_field_box_is_searched(self, capsys):
+        # past t = 2 pi / 1e6 every phase lines up, so the box width does not
+        # lengthen the grid
+        code, out, _ = _run(capsys, "optimize", "--preset", "sec2-two-spin", "--J", "1",
+                            "--t-max", "10", "--tune-field", "0", "1e6")
+        assert code == 0
+        res = json.loads(out)
+        assert 0.0 <= res["best_field"] <= 1e6
+        assert res["evaluations"] < 10_000
+
+    @pytest.mark.parametrize("flags", [["--t-max", "0"], ["--t-max", "5", "--steps", "4"],
+                                       ["--t-max", "5", "--tune-field", "3", "0"]])
+    def test_bad_search_config_is_a_usage_error(self, capsys, flags):
+        code, out, err = _run(capsys, "optimize", "--preset", "sec2-two-spin", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestVerify:

@@ -247,22 +247,32 @@ def test_unitarity_property(spec, t):
 
 
 @st.composite
-def random_block(draw, max_sites=40):
-    """Excitation block of a random mixed-spin chain with site fields, N = 1..max_sites."""
+def chain_parts(draw, max_sites, spin_values=(0.5, 1.0, 1.5)):
+    """(spins, fields, couplings) of a random mixed-spin chain, N = 1..max_sites."""
     n = draw(st.integers(min_value=1, max_value=max_sites))
-    spins = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=n, max_size=n))
+    spins = draw(st.lists(st.sampled_from(spin_values), min_size=n, max_size=n))
     fields = draw(st.lists(
         st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=n, max_size=n
     ))
-    if n == 1:  # a chain needs two sites; the one-site block follows reduce's rules
-        e0 = fields[0] * spins[0]
-        return SingleExcitationHamiltonian(e0, (e0 - fields[0],), ())
     couplings = draw(st.lists(
         st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
         min_size=n - 1, max_size=n - 1,
     ))
+    return spins, fields, couplings
+
+
+def _block(spins, fields, couplings):
+    if len(spins) == 1:  # a chain needs two sites; the one-site block follows reduce's rules
+        e0 = fields[0] * spins[0]
+        return SingleExcitationHamiltonian(e0, (e0 - fields[0],), ())
     sites = tuple(SiteSpec(SpinMagnitude(s), b) for s, b in zip(spins, fields))
     return reduce(ChainSpec(sites=sites, couplings=tuple(couplings)))
+
+
+@st.composite
+def random_block(draw, max_sites=40):
+    """Excitation block of a random mixed-spin chain with site fields, N = 1..max_sites."""
+    return _block(*draw(chain_parts(max_sites)))
 
 
 class TestSynthesizeF:
@@ -316,6 +326,20 @@ class TestSynthesizeF:
         eig = eigensolve(h)
         f = synthesize_f(h, eig, np.linspace(0.0, t_max, 200))
         assert np.max(np.abs(f)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=chain_parts(max_sites=12, spin_values=(0.5, 1.0)),
+       b=st.floats(min_value=-3.0, max_value=3.0),
+       times=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=20))
+def test_uniform_field_only_rotates_f(parts, b, times):
+    # a uniform field commutes with the chain: f(t, b) = f(t, 0) e^{ibt}
+    spins, fields, couplings = parts
+    t = np.array(times)
+    h0 = _block(spins, fields, couplings)
+    hb = _block(spins, [x + b for x in fields], couplings)
+    rotated = synthesize_f(h0, eigensolve(h0), t) * np.exp(1j * b * t)
+    assert np.max(np.abs(synthesize_f(hb, eigensolve(hb), t) - rotated)) <= 1e-12
 
 
 class TestEigensolveProperties:

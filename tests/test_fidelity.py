@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spintransfer import fidelity as fidelity_module
 from spintransfer.fidelity import (
     AmplitudeOutOfRangeError,
     BlochState,
@@ -171,6 +172,21 @@ class TestQuadrature:
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             bloch_average_quadrature(0.5, 1, 64)
+
+    def test_cached_nodes_give_the_uncached_sum(self):
+        rng = np.random.default_rng(10)
+        for n_theta in (2, 64, 7, 64, 2):
+            f = complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
+            nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+            c2, s2 = np.cos(np.arccos(nodes) / 2) ** 2, np.sin(np.arccos(nodes) / 2) ** 2
+            rings = c2 * (1 - abs(f) ** 2 * s2 + 2 * s2 * f.real) + abs(f) ** 2 * s2 * s2
+            assert bloch_average_quadrature(f, n_theta, 8) == float(weights @ rings) / 2
+
+    def test_cached_nodes_are_read_only(self):
+        theta, weights = fidelity_module._theta_rule(64)
+        for array in (theta, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestFidelityReport:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spintransfer import optimize
 from spintransfer.chain import ChainSpec, SPIN_HALF, SiteSpec, preset
 from spintransfer.closed_forms import NotTunableError, PresetSystem
+from spintransfer.excitation import solve, synthesize_f
+from spintransfer.fidelity import average_fidelity
 from spintransfer.optimize import (
+    GridBudgetError,
     SearchConfig,
     critical_times,
     maximize_fidelity,
@@ -38,6 +42,59 @@ class TestSearchConfig:
             SearchConfig(t_max=1.0, n_samples=4)
         with pytest.raises(ValueError):
             SearchConfig(t_max=1.0, refine_tol=-1.0)
+
+
+class TestGridBudget:
+    """A grid longer than _MAX_GRID_POINTS is refused before it is allocated."""
+
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        # a regression must fail here, not allocate the runaway grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize("search", [
+        lambda spec, cfg: maximize_fidelity(spec, cfg),
+        lambda spec, cfg: critical_times(spec, cfg),
+        lambda spec, cfg: tune_uniform_field(spec, cfg, (0.0, 2.0)),
+    ])
+    def test_runaway_horizon_is_refused(self, no_grid, search):
+        spec = preset("sec2-two-spin", 1.0, 0.0)
+        cfg = SearchConfig(t_max=1e9)
+        h, eig = solve(spec)
+        spread = max(eig.values[-1], h.vacuum_energy) - min(eig.values[0], h.vacuum_energy)
+        points = math.ceil(cfg.t_max * 10.0 * spread / math.pi) + 1
+        assert points > 1000 * optimize._MAX_GRID_POINTS
+        with pytest.raises(GridBudgetError, match="split the horizon"):
+            search(spec, cfg)
+
+    def test_infinite_horizon_is_refused(self, no_grid):
+        with pytest.raises(GridBudgetError):
+            maximize_fidelity(preset("sec2-two-spin", 1.0, 0.0), SearchConfig(t_max=math.inf))
+
+    def test_box_too_wide_for_a_float_is_refused(self, no_grid):
+        # the width 2e308 overflows to inf, and so does the grid's spread
+        with pytest.raises(GridBudgetError):
+            tune_uniform_field(preset("sec2-two-spin", 1.0, 0.0), SearchConfig(t_max=5.0),
+                               (-1e308, 1e308))
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # spread 1: spacing pi / 10, so t_max = 6.4 pi needs exactly 65 points
+        monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 65)
+        cfg = SearchConfig(t_max=6.4 * math.pi, n_samples=16)
+        assert optimize._time_grid(cfg, (cfg.t_max, 1.0)).size == 65
+        with pytest.raises(GridBudgetError):
+            optimize._time_grid(cfg, (cfg.t_max, 1.01))
+        # pieces of 40 steps (spacing pi / 20) and 44 (pi / 10) share a point
+        monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 85)
+        grid = optimize._time_grid(cfg, (2.0 * math.pi, 2.0), (cfg.t_max, 1.0))
+        assert grid.size == 85
+        assert grid[0] == 0.0 and grid[40] == 2.0 * math.pi and grid[-1] == cfg.t_max
+        assert np.all(np.diff(grid) > 0.0)
+        with pytest.raises(GridBudgetError):
+            optimize._time_grid(cfg, (2.0 * math.pi, 2.0), (cfg.t_max, 1.01))
 
 
 class TestCriticalTimes:
@@ -180,6 +237,58 @@ class TestTuneUniformField:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             tune_uniform_field(_dead_chain(), SearchConfig(t_max=1.0), (2.0, 1.0))
+
+
+def _brute_force_max(spec, t_max, b_lo, b_hi, n_t=4001, n_b=41):
+    """Largest Fbar on a (t, B) grid, the chain solved again at every B."""
+    t = np.linspace(0.0, t_max, n_t)
+    best = -math.inf
+    for b in np.linspace(b_lo, b_hi, n_b):
+        f = synthesize_f(*solve(spec.with_uniform_field(b)), t)
+        best = max(best, float(np.max(0.5 + f.real / 3.0 + np.abs(f) ** 2 / 6.0)))
+    return best
+
+
+class TestTunedOptimum:
+    def test_box_edge_local_maximum_is_avoided(self):
+        # a coarse (t, B) grid plus coordinate descent stopped at the box edge
+        # B = 3.116 here, 2e-4 short; B = 0.633 inside the box aligns the phase
+        spec = preset("sec2-two-spin", 0.895557603128256, 0.0)
+        t_max, box = 4.455717774085757, (-0.29725379021842846, 3.1160026099689166)
+        res = tune_uniform_field(spec, SearchConfig(t_max=t_max), box)
+        t = np.linspace(0.0, t_max, 2**17 + 1)
+        mag = np.abs(synthesize_f(*solve(spec), t))
+        sampled = float(np.max(0.5 + mag / 3.0 + mag**2 / 6.0))
+        assert abs(res.fbar - sampled) <= 1e-9
+        assert box[0] <= res.best_field <= box[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(["sec2-two-spin", "sec2-three-spin-center", "sec3-two-spin",
+                                 "sec3-three-spin-center", "sec4-three-spin-center"]),
+           j=st.floats(0.5, 1.5), b=st.floats(0.2, 1.2), t_max=st.floats(2.0, 15.0),
+           b_lo=st.floats(-1.0, 1.0), share=st.floats(0.05, 0.95))
+    def test_narrow_box_beats_brute_force(self, name, j, b, t_max, b_lo, share):
+        # narrower than 2 pi / t_max: no field aligns the phase at every time
+        spec = preset(name, j, 0.0 if name.startswith("sec2") else b)
+        b_hi = b_lo + share * 2.0 * math.pi / t_max
+        res = tune_uniform_field(spec, SearchConfig(t_max=t_max), (b_lo, b_hi))
+        assert b_lo <= res.best_field <= b_hi
+        assert 0.0 <= res.best_t <= t_max
+        assert res.fbar >= _brute_force_max(spec, t_max, b_lo, b_hi) - 1e-9
+        # the reported values belong to the tuned chain at (best_t, best_field)
+        f = synthesize_f(*solve(spec.with_uniform_field(res.best_field)), res.best_t)
+        assert res.fbar == average_fidelity(f)
+
+    def test_wide_box_gives_the_corrected_optimum(self):
+        # every phase can be aligned from t = 2 pi / W on, so a wide box finds
+        # the phase-corrected optimum, and its grid does not grow with W
+        spec = preset("sec3-three-spin-center", 0.9, 0.6)
+        cfg = SearchConfig(t_max=12.0)
+        corrected = maximize_fidelity(spec, cfg, corrected=True)
+        for width in (1e2, 1e6):
+            res = tune_uniform_field(spec, cfg, (-width / 2.0, width / 2.0))
+            assert abs(res.fbar - corrected.fbar_corrected) <= 1e-9
+            assert res.evaluations < 2 * corrected.evaluations + 1000
 
 
 class TestVerifyFieldFormula:
