@@ -106,8 +106,9 @@ def _output(out: str | None) -> Iterator[TextIO]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     spec, digest = _load_spec(args)
-    if args.steps < 1:
-        raise _UsageError(f"--steps must be at least 1, got {args.steps}")
+    if not 1 <= args.steps <= optimize._MAX_GRID_POINTS:  # checked before any row exists
+        raise _UsageError(f"--steps must lie in [1, {optimize._MAX_GRID_POINTS}], got "
+                          f"{args.steps}; split a longer sweep over t into several runs")
     if args.t_max < 0:
         raise _UsageError(f"--t-max must be nonnegative, got {args.t_max}")
     grid = np.linspace(0.0, args.t_max, args.steps)

@@ -34,6 +34,7 @@ __all__ = [
     "fidelity",
     "average_fidelity",
     "corrected_average_fidelity",
+    "average_fidelities",
     "bloch_average_quadrature",
     "fidelity_report",
     "fidelity_reports",
@@ -136,6 +137,26 @@ def corrected_average_fidelity(f: complex) -> tuple[float, float]:
     mag = abs(f)
     phase = math.atan2(f.imag, f.real)
     return _clip_boundary(_average(mag, mag)), phase
+
+
+def average_fidelities(f, corrected: bool = False) -> np.ndarray:
+    """average_fidelity, or the value of corrected_average_fidelity, on a 1-D array of f.
+
+    Element i equals the scalar function at f[i] bit for bit: |f| comes from
+    Python's abs, because numpy's can differ in the last bit, and the rare
+    rows that the scalar rules rescale or clip are taken from the scalar
+    functions, which also raise AmplitudeOutOfRangeError.  No phase is
+    computed.
+    """
+    f = np.asarray(f, dtype=complex)
+    mag = np.empty(f.size)
+    for lo in range(0, f.size, 1024):  # blocks keep the Python objects few
+        mag[lo:lo + 1024] = [abs(z) for z in f[lo:lo + 1024].tolist()]
+    values = _average(mag if corrected else f.real, mag)
+    # No average fidelity falls below 1/6, so the clip at 0 never applies.
+    for i in np.flatnonzero((mag > 1.0) | (values > 1.0)):
+        values[i] = corrected_average_fidelity(f[i])[0] if corrected else average_fidelity(f[i])
+    return values
 
 
 @lru_cache(maxsize=8)

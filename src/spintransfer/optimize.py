@@ -4,13 +4,16 @@ Strategy: sample the objective on a uniform grid whose spacing is tied to the
 spectral spread of the chain (the objective is a trigonometric polynomial
 whose frequencies are level differences, so spacing pi / (10 * spread) cannot
 skip an oscillation), then refine every candidate bracket by golden-section
-search.  A final three-point parabolic correction sharpens each extremum past
-the floating-point tie plateau that makes raw golden-section comparisons
-uninformative on flat tops.  No randomness is used anywhere; identical inputs
-give identical results, and ties between equal peaks resolve to the earliest
-time.  Field tuning searches t alone: a uniform field b only rotates the
-phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best field at each t is known,
-and the grid is finer only while the field box cannot align every phase.
+search.  The brackets are refined in lockstep: each step evaluates f at one
+new time per bracket still open, in one array synthesis, and each bracket
+visits the same times a search on it alone would.  A final three-point
+parabolic correction sharpens each extremum past the floating-point tie
+plateau that makes raw golden-section comparisons uninformative on flat
+tops.  No randomness is used anywhere; identical inputs give identical
+results, and ties between equal peaks resolve to the earliest time.  Field
+tuning searches t alone: a uniform field b only rotates the phase of f,
+f(t, b) = f(t, 0) e^{ibt}, so the best field at each t is known, and the
+grid is finer only while the field box cannot align every phase.
 """
 
 from __future__ import annotations
@@ -150,88 +153,73 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> np.ndarray:
     return np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
 
 
-def _golden_max(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    max_iters: int,
-) -> tuple[float, float]:
-    a, b = lo, hi
+def _refine_brackets(
+    objective: Callable[[np.ndarray], np.ndarray],
+    los: np.ndarray,
+    his: np.ndarray,
+    cfg: SearchConfig,
+) -> list[tuple[float, float, tuple[float, float]]]:
+    """Refine every bracket [los[i], his[i]] at once; (t, value, bracket) for each.
+
+    objective maps an array of times to an array of values.  Golden-section
+    steps run on all brackets in lockstep, one objective call per step on the
+    new time of every bracket still wider than refine_tol, for at most
+    max_refine_iters steps.  One three-point parabolic step of width h then
+    polishes every bracket wider than 2h: golden-section stalls once objective
+    differences drop below the resolution of a flat top, and a stencil wide
+    enough to see real curvature places the vertex far better.  Each bracket
+    visits the times, and takes the branches, of a search on it alone.
+    """
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    a, b = los.copy(), his.copy()
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    iters = 0
-    while (b - a) > tol and iters < max_iters:
-        if f1 > f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-        iters += 1
-    if f1 > f2:
-        return x1, f1
-    return x2, f2
+    f12 = objective(np.concatenate([x1, x2]))
+    f1, f2 = f12[:a.size], f12[a.size:]
+    for _ in range(cfg.max_refine_iters):
+        active = np.flatnonzero(b - a > cfg.refine_tol)
+        if not active.size:
+            break
+        first = f1[active] > f2[active]
+        lower, upper = active[first], active[~first]  # keep [a, x2], or [x1, b]
+        b[lower], x2[lower], f2[lower] = x2[lower], x1[lower], f1[lower]
+        x1[lower] = b[lower] - _GOLDEN * (b[lower] - a[lower])
+        a[upper], x1[upper], f1[upper] = x1[upper], x2[upper], f2[upper]
+        x2[upper] = a[upper] + _GOLDEN * (b[upper] - a[upper])
+        new = objective(np.concatenate([x1[lower], x2[upper]]))
+        f1[lower], f2[upper] = new[:lower.size], new[lower.size:]
+    first = f1 > f2
+    x, val = np.where(first, x1, x2), np.where(first, f1, f2)
 
-
-def _parabolic_polish(
-    fn: Callable[[float], float],
-    x: float,
-    value: float,
-    lo: float,
-    hi: float,
-    h: float,
-) -> tuple[float, float]:
-    """One three-point parabolic step with stencil width h, clamped to [lo, hi].
-
-    Golden-section alone stalls once objective differences drop below the
-    floating-point resolution of the flat top; a stencil wide enough to see
-    real curvature relocates the vertex to far better than the plateau width.
-    """
-    if h <= 0.0 or hi - lo <= 2.0 * h:
-        return x, value
-    left = min(max(x - h, lo), hi - 2.0 * h)
-    xs = (left, left + h, left + 2.0 * h)
-    ys = (fn(xs[0]), fn(xs[1]), fn(xs[2]))
+    h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
+    wide = np.flatnonzero(his - los > 2.0 * h)
+    left = np.minimum(np.maximum(x[wide] - h, los[wide]), his[wide] - 2.0 * h)
+    xs = np.stack([left, left + h, left + 2.0 * h])
+    ys = objective(xs.ravel()).reshape(xs.shape)
     denom = ys[0] - 2.0 * ys[1] + ys[2]
-    if denom >= 0.0:
-        return x, value
+    curved = denom < 0.0  # the other stencils keep the golden-section point
+    wide, xs, ys, denom = wide[curved], xs[:, curved], ys[:, curved], denom[curved]
     vertex = xs[1] + 0.5 * h * (ys[0] - ys[2]) / denom
-    vertex = min(max(vertex, lo), hi)
-    v_val = fn(vertex)
-    best_x, best_val = x, value
-    for cand_x, cand_val in ((xs[0], ys[0]), (xs[1], ys[1]), (xs[2], ys[2])):
-        if cand_val > best_val:
-            best_x, best_val = cand_x, cand_val
+    vertex = np.minimum(np.maximum(vertex, los[wide]), his[wide])
+    v_val = objective(vertex)
+    best_x, best_val = x[wide], val[wide]
+    for xk, yk in zip(xs, ys):
+        better = yk > best_val
+        best_x, best_val = np.where(better, xk, best_x), np.where(better, yk, best_val)
     # On a flat top the vertex ties the incumbent; its position is still the
     # better estimate because it comes from the visible curvature.
-    if v_val >= best_val:
-        best_x, best_val = vertex, v_val
-    return best_x, best_val
+    take = v_val >= best_val
+    x[wide], val[wide] = np.where(take, vertex, best_x), np.where(take, v_val, best_val)
+
+    brackets = zip(np.maximum(los, x - cfg.refine_tol).tolist(),
+                   np.minimum(his, x + cfg.refine_tol).tolist())
+    return list(zip(x.tolist(), val.tolist(), brackets))
 
 
-def _refine_bracket(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    cfg: SearchConfig,
-) -> tuple[float, float, tuple[float, float]]:
-    x, val = _golden_max(fn, lo, hi, cfg.refine_tol, cfg.max_refine_iters)
-    h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
-    x, val = _parabolic_polish(fn, x, val, lo, hi, h)
-    return x, val, (max(lo, x - cfg.refine_tol), min(hi, x + cfg.refine_tol))
-
-
-def _interior_peaks(values: np.ndarray) -> list[int]:
-    idx = []
-    for i in range(1, values.size - 1):
-        left, mid, right = values[i - 1], values[i], values[i + 1]
-        if mid >= left and mid >= right and (mid > left or mid > right):
-            idx.append(i)
-    return idx
+def _interior_peaks(values: np.ndarray) -> np.ndarray:
+    """Indices i with values[i] >= both neighbours and > at least one of them."""
+    left, mid, right = values[:-2], values[1:-1], values[2:]
+    return 1 + np.flatnonzero((mid >= left) & (mid >= right) & ((mid > left) | (mid > right)))
 
 
 def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, float]]:
@@ -243,16 +231,14 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     solved = solve(spec)
     grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
     values = np.abs(synthesize_f(*solved, grid))
+    peaks = _interior_peaks(values)
+    peaks = peaks[values[peaks] > _PEAK_FLOOR]
 
-    peaks = []
-    for i in _interior_peaks(values):
-        if values[i] <= _PEAK_FLOOR:
-            continue
-        t, val, _ = _refine_bracket(lambda t: abs(synthesize_f(*solved, t)),
-                                    grid[i - 1], grid[i + 1], cfg)
-        peaks.append((t, val))
-    peaks.sort(key=lambda pair: pair[0])
-    return peaks
+    def objective(t: np.ndarray) -> np.ndarray:
+        return np.array([abs(f) for f in synthesize_f(*solved, t).tolist()], dtype=float)
+
+    refined = _refine_brackets(objective, grid[peaks - 1], grid[peaks + 1], cfg)
+    return sorted(((t, val) for t, val, _ in refined), key=lambda pair: pair[0])
 
 
 def _result(f: complex, best_t: float, best_field: float | None, evaluations: int,
@@ -269,14 +255,17 @@ def _result(f: complex, best_t: float, best_field: float | None, evaluations: in
     )
 
 
-def _global_max(objective: Callable[[float], float], grid: np.ndarray, values: np.ndarray,
+def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 cfg: SearchConfig) -> tuple[float, tuple[float, float]]:
-    """Time and bracket of the largest refined candidate; values is objective on grid."""
+    """Time and bracket of the largest candidate: both ends of the grid, and
+    the refined brackets around both end intervals and every interior peak."""
+    values = objective(grid)
+    peaks = _interior_peaks(values)
+    los = np.concatenate([[0, grid.size - 2], peaks - 1])
+    his = np.concatenate([[1, grid.size - 1], peaks + 1])
     candidates = [(0.0, float(values[0]), (0.0, 0.0)),
                   (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
-    brackets = [(0, 1), (grid.size - 2, grid.size - 1)]
-    brackets.extend((i - 1, i + 1) for i in _interior_peaks(values))
-    candidates.extend(_refine_bracket(objective, grid[lo], grid[hi], cfg) for lo, hi in brackets)
+    candidates += _refine_brackets(objective, grid[los], grid[his], cfg)
 
     candidates.sort(key=lambda c: c[0])
     best_t, best_val, best_bracket = candidates[0]
@@ -296,16 +285,11 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     solved = solve(spec)
     f_of = _Evaluations()
 
-    def objective(t: float) -> float:
-        f = f_of(solved, t)
-        if corrected:
-            return fidelity.corrected_average_fidelity(f)[0]
-        return fidelity.average_fidelity(f)
+    def objective(t: np.ndarray) -> np.ndarray:
+        return fidelity.average_fidelities(f_of(solved, t), corrected)
 
     grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
-    reports = fidelity.fidelity_reports(grid, f_of(solved, grid))
-    values = reports.fbar_corrected if corrected else reports.fbar
-    best_t, bracket = _global_max(objective, grid, values, cfg)
+    best_t, bracket = _global_max(objective, grid, cfg)
 
     f = f_of(solved, best_t)
     return _result(f, best_t, None, f_of.count, bracket)
@@ -343,14 +327,13 @@ def tune_uniform_field(
             b = np.clip(np.where(t > 0.0, b_c - np.angle(f) / t, b_c), b_lo, b_hi)
         return b, f * np.exp(1j * (b - b_c) * t)
 
-    def objective(t: float) -> float:
-        return fidelity.average_fidelity(complex(tuned(t, f_of(solved, t))[1]))
+    def objective(t: np.ndarray) -> np.ndarray:
+        return fidelity.average_fidelities(tuned(t, f_of(solved, t))[1])
 
     t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values
     grid = _time_grid(cfg, (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
                       (cfg.t_max, float(levels[-1] - levels[0])))
-    values = fidelity.fidelity_reports(grid, tuned(grid, f_of(solved, grid))[1]).fbar
-    best_t, bracket = _global_max(objective, grid, values, cfg)
+    best_t, bracket = _global_max(objective, grid, cfg)
 
     best_b = float(tuned(best_t, f_of(solved, best_t))[0])
     f = f_of(solve(base.with_uniform_field(best_b)), best_t)

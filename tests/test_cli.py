@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spintransfer
+from spintransfer import optimize
 from spintransfer.chain import ChainSpec, SiteSpec, SpinMagnitude, load_chain, save_chain
 from spintransfer.cli import CSV_HEADER, main
 from spintransfer.excitation import amplitudes, eigensolve, reduce, transfer_amplitude
@@ -68,6 +69,30 @@ class TestSimulate:
         assert row[0] == 0.0
         assert row[1] == row[2] == 0.0  # f = 0 at t = 0
         assert row[5] == 0.5
+
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        # a regression must fail here, not allocate the runaway grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("a time grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+
+    @pytest.mark.parametrize("steps", [0, optimize._MAX_GRID_POINTS + 1, 10**15])
+    def test_row_count_out_of_range_is_a_usage_error(self, capsys, no_grid, steps):
+        code, out, err = _run(capsys, "simulate", "--preset", "sec2-two-spin", "--J", "1",
+                              "--B", "0", "--t-max", "5.0", "--steps", str(steps))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --steps must lie in [1, ")
+
+    def test_row_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 7)
+        argv = ["simulate", "--preset", "sec2-two-spin", "--t-max", "5.0", "--steps"]
+        code, out, _ = _run(capsys, *argv, "7")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 8
+        assert _run(capsys, *argv, "8")[0] == 2
 
     def test_values_round_trip_and_match_engine(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"

@@ -16,7 +16,7 @@ from spintransfer.closed_forms import (
     critical_field,
     zero_field_critical_time,
 )
-from spintransfer.excitation import eigensolve, reduce, transfer_amplitude
+from spintransfer.excitation import eigensolve, reduce, solve, synthesize_f, transfer_amplitude
 
 SQRT2 = math.sqrt(2.0)
 
@@ -73,6 +73,23 @@ class TestAnalyticF:
             sys = PresetSystem(name, j, b)
             worst = max(worst, abs(analytic_f(sys, t) - transfer_amplitude(sys.chain(), t).f))
         assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_engine_error_grows_linearly_in_t(name):
+    """Both routes lose about |eps| t 2^-53 of phase, eps the largest energy:
+    on 200 random presets the error over |eps| t 2^-53 had median 0.77 and
+    maximum 3.3 for every t in 10^3 ... 10^9 (log-log slope 1.00), so 8 is
+    the bound.  No clamp hides the growth: past t ~ 2^53 / |eps| the phase of f
+    is noise."""
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        sys = PresetSystem(name, rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0))
+        h, eig = solve(sys.chain())
+        eps = max(float(np.max(np.abs(eig.values))), abs(h.vacuum_energy))
+        for t in 10.0 ** rng.uniform(3.0, 9.0, 7):
+            error = abs(synthesize_f(h, eig, t) - analytic_f(sys, t))
+            assert error <= 8.0 * eps * t * 2.0**-53, (sys, t)
 
 
 class TestAnalyticSpectrum:

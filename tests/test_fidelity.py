@@ -11,6 +11,7 @@ from spintransfer import fidelity as fidelity_module
 from spintransfer.fidelity import (
     AmplitudeOutOfRangeError,
     BlochState,
+    average_fidelities,
     average_fidelity,
     bloch_average_quadrature,
     corrected_average_fidelity,
@@ -233,3 +234,43 @@ class TestFidelityReports:
         f[-1] = 1.0 + 2e-9
         with pytest.raises(AmplitudeOutOfRangeError):
             fidelity_reports(np.zeros(f.size), f)
+
+
+class TestAverageFidelities:
+    @staticmethod
+    def _amplitudes():
+        rng = np.random.default_rng(23)
+        f = rng.uniform(0, 1, 3000) * np.exp(2j * math.pi * rng.uniform(size=3000))
+        # |f| in (1, 1 + _CLAMP_EXCESS] (rescaled by the scalar rules), within
+        # a few ulp below 1, and exactly on the axes
+        excess = rng.uniform(0.0, fidelity_module._CLAMP_EXCESS, 300)
+        f[:300] *= (1.0 + excess) / np.abs(f[:300])
+        f[300:600] *= (1.0 - rng.uniform(0.0, 1e-15, 300)) / np.abs(f[300:600])
+        f[600:606] = [1.0, -1.0, 1j, -1j, 0.0, 1.0 + 1e-16]
+        f[606] = 1.0 + fidelity_module._CLAMP_EXCESS
+        return f
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_bitwise_equal_to_the_scalar_functions(self, corrected):
+        f = self._amplitudes()
+        assert max(abs(z) for z in f.tolist()) == 1.0 + fidelity_module._CLAMP_EXCESS
+        values = average_fidelities(f, corrected)
+        for i, z in enumerate(f.tolist()):
+            expected = corrected_average_fidelity(z)[0] if corrected else average_fidelity(z)
+            assert float(values[i]).hex() == expected.hex(), i
+
+    @settings(max_examples=50)
+    @given(f=st.lists(unit_disk, max_size=30), corrected=st.booleans())
+    def test_random_amplitudes(self, f, corrected):
+        values = average_fidelities(np.array(f, dtype=complex), corrected)
+        assert values.shape == (len(f),)
+        for value, z in zip(values.tolist(), f):
+            expected = corrected_average_fidelity(z)[0] if corrected else average_fidelity(z)
+            assert value.hex() == expected.hex()
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_out_of_range_raises(self, corrected):
+        f = self._amplitudes()
+        f[-1] = 1.0 + 2e-9
+        with pytest.raises(AmplitudeOutOfRangeError):
+            average_fidelities(f, corrected)

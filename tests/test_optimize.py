@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spintransfer import optimize
-from spintransfer.chain import ChainSpec, SPIN_HALF, SiteSpec, preset
+from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, preset
 from spintransfer.closed_forms import NotTunableError, PresetSystem
 from spintransfer.excitation import solve, synthesize_f
-from spintransfer.fidelity import average_fidelity
+from spintransfer.fidelity import average_fidelities, average_fidelity, corrected_average_fidelity
 from spintransfer.optimize import (
     GridBudgetError,
     SearchConfig,
@@ -336,3 +336,144 @@ class TestEvaluationCount:
         res = tune_uniform_field(preset("sec2-two-spin", 1.0, 0.0),
                                  SearchConfig(t_max=2.8), (0.0, 2.0), n_b=8)
         assert res.evaluations == sum(synthesized)
+
+    @pytest.mark.parametrize("corrected, count", [(False, 343), (True, 387)])
+    def test_count_is_that_of_the_scalar_search(self, corrected, count):
+        # refining the brackets in lockstep visits the points a scalar search did
+        res = maximize_fidelity(preset("sec2-three-spin-center", 1.0, 0.0),
+                                SearchConfig(t_max=3.8), corrected=corrected)
+        assert res.evaluations == count
+
+
+def _interior_peaks_loop(values):
+    idx = []
+    for i in range(1, values.size - 1):
+        left, mid, right = values[i - 1], values[i], values[i + 1]
+        if mid >= left and mid >= right and (mid > left or mid > right):
+            idx.append(i)
+    return idx
+
+
+@given(st.lists(st.floats(allow_nan=False, width=64), max_size=50)
+       | st.lists(st.integers(0, 3), max_size=50))  # small integers make plateaus
+def test_interior_peaks_match_the_loop(values):
+    values = np.array(values, dtype=float)
+    assert optimize._interior_peaks(values).tolist() == _interior_peaks_loop(values)
+
+
+# The scalar refine that _refine_brackets replaced, kept as its oracle.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn, lo, hi, tol, max_iters):
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    iters = 0
+    while (b - a) > tol and iters < max_iters:
+        if f1 > f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = fn(x2)
+        iters += 1
+    if f1 > f2:
+        return x1, f1
+    return x2, f2
+
+
+def _parabolic_polish(fn, x, value, lo, hi, h):
+    if h <= 0.0 or hi - lo <= 2.0 * h:
+        return x, value
+    left = min(max(x - h, lo), hi - 2.0 * h)
+    xs = (left, left + h, left + 2.0 * h)
+    ys = (fn(xs[0]), fn(xs[1]), fn(xs[2]))
+    denom = ys[0] - 2.0 * ys[1] + ys[2]
+    if denom >= 0.0:
+        return x, value
+    vertex = xs[1] + 0.5 * h * (ys[0] - ys[2]) / denom
+    vertex = min(max(vertex, lo), hi)
+    v_val = fn(vertex)
+    best_x, best_val = x, value
+    for cand_x, cand_val in ((xs[0], ys[0]), (xs[1], ys[1]), (xs[2], ys[2])):
+        if cand_val > best_val:
+            best_x, best_val = cand_x, cand_val
+    if v_val >= best_val:
+        best_x, best_val = vertex, v_val
+    return best_x, best_val
+
+
+def _scalar_refine(fn, lo, hi, cfg):
+    """(t, value, bracket) of the scalar search, its golden-section steps and the
+    polish's evaluations: 0 (bracket no wider than 2h), 3 (denom >= 0) or 4."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    x, val = _golden_max(counted, lo, hi, cfg.refine_tol, cfg.max_refine_iters)
+    steps = len(calls) - 2
+    x, val = _parabolic_polish(counted, x, val, lo, hi,
+                               max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max))
+    bracket = (max(lo, x - cfg.refine_tol), min(hi, x + cfg.refine_tol))
+    return (x, val, bracket), steps, len(calls) - 2 - steps
+
+
+def _bits(candidate):
+    t, value, (lo, hi) = candidate
+    return tuple(float(x).hex() for x in (t, value, lo, hi))
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(2, 7))
+    sites = tuple(SiteSpec(draw(st.sampled_from([SPIN_HALF, SPIN_ONE])), draw(st.floats(-2.0, 2.0)))
+                  for _ in range(n))
+    return ChainSpec(sites=sites, couplings=tuple(draw(st.floats(0.2, 2.0)) for _ in range(n - 1)))
+
+
+class TestLockstepRefine:
+    """_refine_brackets returns, bit for bit, what a scalar search gives on each bracket."""
+
+    @staticmethod
+    def _compare(spec, cfg, corrected):
+        solved = solve(spec)
+
+        def scalar(t):
+            f = synthesize_f(*solved, t)
+            return corrected_average_fidelity(f)[0] if corrected else average_fidelity(f)
+
+        def array(t):
+            return average_fidelities(synthesize_f(*solved, t), corrected)
+
+        # the brackets _global_max refines, one around every grid minimum, and
+        # one a single stencil step h wide
+        grid = optimize._time_grid(cfg, (cfg.t_max, optimize._level_spread(*solved)))
+        values = array(grid)
+        inner = np.concatenate([optimize._interior_peaks(values), optimize._interior_peaks(-values)])
+        h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
+        los = np.concatenate([[grid[0], grid[-2]], grid[inner - 1], [grid[3]]])
+        his = np.concatenate([[grid[1], grid[-1]], grid[inner + 1], [grid[3] + h]])
+        refined = optimize._refine_brackets(array, los, his, cfg)
+        oracle = [_scalar_refine(scalar, lo, hi, cfg) for lo, hi in zip(los, his)]
+        assert [_bits(c) for c in refined] == [_bits(c) for c, _, _ in oracle]
+        return [(steps, polish) for _, steps, polish in oracle]
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_every_branch_is_taken(self, corrected):
+        spec = preset("sec3-three-spin-center", 0.9, 0.6)
+        paths = self._compare(spec, SearchConfig(t_max=25.0), corrected)
+        assert {polish for _, polish in paths} == {0, 3, 4}
+        capped = self._compare(spec, SearchConfig(t_max=25.0, max_refine_iters=6), corrected)
+        assert {steps for steps, _ in capped} == {6}
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=_chains(), t_max=st.floats(1.0, 30.0), corrected=st.booleans(),
+           max_iters=st.sampled_from([4, 200]))
+    def test_random_chains(self, spec, t_max, corrected, max_iters):
+        self._compare(spec, SearchConfig(t_max=t_max, max_refine_iters=max_iters), corrected)
