@@ -183,6 +183,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "tolerance": r.tolerance,
                     "measured": r.measured,
                     "detail": r.detail,
+                    "seconds": r.seconds,
                 }
                 for r in results
             ],

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,28 @@ class TestVerify:
         for check in payload["checks"]:
             assert check["tolerance"] == 1e-12
             assert check["measured"] <= 1e-12
+
+    def test_report_times_each_check_group(self, tmp_path, capsys):
+        # two registered groups match: the closed-form amplitudes and the spectra
+        report = tmp_path / "report.json"
+        started = time.perf_counter()
+        code, out, _ = _run(capsys, "verify", "--only", "sec2-two-spin", "--out", str(report))
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert "seconds" not in out
+        checks = json.loads(report.read_text())["checks"]
+        assert len(checks) == 10
+        assert all(set(c) == {"name", "passed", "tolerance", "measured", "detail", "seconds"}
+                   for c in checks)
+        per_group = {}
+        for c in checks:
+            group = "spectrum" if c["name"].startswith("spectrum-") else "closed-form"
+            per_group.setdefault(group, set()).add(c["seconds"])
+        assert set(per_group) == {"spectrum", "closed-form"}
+        assert all(len(values) == 1 for values in per_group.values())
+        seconds = [values.pop() for values in per_group.values()]
+        assert all(s > 0.0 for s in seconds)
+        assert sum(seconds) <= elapsed
 
     def test_injected_fault_is_named(self, capsys, monkeypatch):
         # break the hopping rule: pretend every bond couples like spin-1/2
