@@ -19,7 +19,6 @@ gate can repair |f| < 1.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -71,24 +70,32 @@ class BlochState:
         )
 
 
+def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
+    """(f, |f|) for a 1-D array of amplitudes, |f| in (1, 1 + _CLAMP_EXCESS] rescaled to 1.
+
+    |f| is np.hypot(Re f, Im f), the libm hypot that Python's abs(complex)
+    calls, so it equals abs(z) for every element z.  A rescaled row divides
+    Re f and Im f by |f| separately, as Python's complex / float does, and
+    takes its |f| again.  Raises AmplitudeOutOfRangeError, before any row is
+    rescaled, when some |f| exceeds 1 + _CLAMP_EXCESS.
+    """
+    f = np.array(f, dtype=complex, ndmin=1, copy=None)
+    mag = np.hypot(f.real, f.imag)
+    peak = np.fmax.reduce(mag, initial=0.0)  # skips NaN, 0 for no rows
+    if peak > 1.0 + _CLAMP_EXCESS:
+        raise AmplitudeOutOfRangeError(f"|f| = {float(peak)!r} exceeds 1 beyond "
+                                       f"the round-off allowance {_CLAMP_EXCESS}")
+    if peak > 1.0:
+        over = mag > 1.0
+        f = f.copy()
+        f.real[over] /= mag[over]
+        f.imag[over] /= mag[over]
+        mag[over] = np.hypot(f.real[over], f.imag[over])
+    return f, mag
+
+
 def _checked_amplitude(f: complex) -> complex:
-    f = complex(f)
-    mag = abs(f)
-    if mag > 1.0 + _CLAMP_EXCESS:
-        raise AmplitudeOutOfRangeError(
-            f"|f| = {mag!r} exceeds 1 beyond the round-off allowance {_CLAMP_EXCESS}"
-        )
-    if mag > 1.0:
-        return f / mag
-    return f
-
-
-def _clip_boundary(value: float) -> float:
-    if 1.0 < value <= 1.0 + _BOUNDARY_TOL:
-        return 1.0
-    if -_BOUNDARY_TOL <= value < 0.0:
-        return 0.0
-    return value
+    return complex(_checked_amplitudes(f)[0][0])
 
 
 def reduced_density(f: complex, state: BlochState) -> np.ndarray:
@@ -112,18 +119,19 @@ def fidelity(f: complex, state: BlochState) -> float:
     return float(_state_fidelity(_checked_amplitude(f), state.theta))
 
 
-def _average(re, mag):
-    """1/2 + re/3 + mag^2/6 on floats or arrays.
+def _average(re, mag) -> np.ndarray:
+    """1/2 + re/3 + mag^2/6 on arrays, a round-off excess over 1 clipped to 1.
 
-    Fbar at re = Re f, mag = |f|; the corrected Fbar at re = mag = |f|.
+    Fbar at re = Re f, mag = |f|; the corrected Fbar at re = mag = |f|.  No
+    average fidelity falls below 1/6, so only the upper boundary is clipped.
     """
-    return 0.5 + re / 3.0 + mag * mag / 6.0
+    value = 0.5 + re / 3.0 + mag * mag / 6.0
+    return np.minimum(value, 1.0, out=value, where=value <= 1.0 + _BOUNDARY_TOL)
 
 
 def average_fidelity(f: complex) -> float:
     """Fidelity averaged uniformly over all pure input states."""
-    f = _checked_amplitude(f)
-    return _clip_boundary(_average(f.real, abs(f)))
+    return average_fidelities(f)[0].item()
 
 
 def corrected_average_fidelity(f: complex) -> tuple[float, float]:
@@ -133,30 +141,18 @@ def corrected_average_fidelity(f: complex) -> tuple[float, float]:
     the positive real axis, so the corrected value is the average fidelity
     evaluated at |f|.  At f = 0 the phase is reported as 0.
     """
-    f = _checked_amplitude(f)
-    mag = abs(f)
-    phase = math.atan2(f.imag, f.real)
-    return _clip_boundary(_average(mag, mag)), phase
+    rep = fidelity_reports([0.0], [f])
+    return rep.fbar_corrected[0].item(), rep.correction_phase[0].item()
 
 
 def average_fidelities(f, corrected: bool = False) -> np.ndarray:
     """average_fidelity, or the value of corrected_average_fidelity, on a 1-D array of f.
 
-    Element i equals the scalar function at f[i] bit for bit: |f| comes from
-    Python's abs, because numpy's can differ in the last bit, and the rare
-    rows that the scalar rules rescale or clip are taken from the scalar
-    functions, which also raise AmplitudeOutOfRangeError.  No phase is
+    Raises AmplitudeOutOfRangeError as the scalar functions do.  No phase is
     computed.
     """
-    f = np.asarray(f, dtype=complex)
-    mag = np.empty(f.size)
-    for lo in range(0, f.size, 1024):  # blocks keep the Python objects few
-        mag[lo:lo + 1024] = [abs(z) for z in f[lo:lo + 1024].tolist()]
-    values = _average(mag if corrected else f.real, mag)
-    # No average fidelity falls below 1/6, so the clip at 0 never applies.
-    for i in np.flatnonzero((mag > 1.0) | (values > 1.0)):
-        values[i] = corrected_average_fidelity(f[i])[0] if corrected else average_fidelity(f[i])
-    return values
+    f, mag = _checked_amplitudes(f)
+    return _average(mag if corrected else f.real, mag)
 
 
 @lru_cache(maxsize=8)
@@ -201,49 +197,19 @@ class FidelityReport:
 
 def fidelity_report(t: float, f: complex, phase_degenerate: bool = False) -> FidelityReport:
     """Bundle plain and corrected average fidelities for one (t, f) pair."""
-    f = _checked_amplitude(f)
-    fbar = average_fidelity(f)
-    corrected, phase = corrected_average_fidelity(f)
-    if phase_degenerate:
-        phase = 0.0
-    return FidelityReport(
-        t=float(t),
-        f=f,
-        abs_f=abs(f),
-        gamma=phase,
-        fbar=fbar,
-        fbar_corrected=corrected,
-        correction_phase=phase,
-    )
+    rep = fidelity_reports([t], [f], phase_degenerate)
+    return FidelityReport(**{name: column[0].item() for name, column in vars(rep).items()})
 
 
 def fidelity_reports(t, f, phase_degenerate=False) -> FidelityReport:
     """fidelity_report over 1-D arrays: one FidelityReport whose fields are arrays.
 
-    Element i of every field equals the field of fidelity_report(t[i], f[i],
-    phase_degenerate[i]) bit for bit.  Magnitudes and phases come from
-    Python's abs and math.atan2, because numpy's can differ in the last bit,
-    and the rare rows that the scalar rules rescale or clip are taken from
-    fidelity_report itself.  AmplitudeOutOfRangeError is raised before any
+    phase_degenerate is a bool or a bool array; where it is set, gamma and
+    correction_phase are 0.  AmplitudeOutOfRangeError is raised before any
     row is computed.
     """
-    t = np.array(t, dtype=float)
-    f = np.array(f, dtype=complex)
-    mag = np.empty(f.size)
-    phase = np.empty(f.size)
-    for lo in range(0, f.size, 1024):  # blocks keep the Python objects few
-        block = f[lo:lo + 1024].tolist()
-        mag[lo:lo + 1024] = [abs(z) for z in block]
-        phase[lo:lo + 1024] = [math.atan2(z.imag, z.real) for z in block]
-    if mag.size and mag.max() > 1.0 + _CLAMP_EXCESS:
-        _checked_amplitude(f[np.argmax(mag)])
-    degenerate = np.broadcast_to(phase_degenerate, f.shape)
-    phase[degenerate] = 0.0
-    rep = FidelityReport(t=t, f=f, abs_f=mag, gamma=phase, fbar=_average(f.real, mag),
-                         fbar_corrected=_average(mag, mag), correction_phase=phase.copy())
-    # No average fidelity falls below 1/6, so the clip at 0 never applies.
-    for i in np.flatnonzero((mag > 1.0) | (rep.fbar > 1.0) | (rep.fbar_corrected > 1.0)):
-        row = fidelity_report(t[i], f[i], bool(degenerate[i]))
-        for field in dataclasses.fields(FidelityReport):
-            getattr(rep, field.name)[i] = getattr(row, field.name)
-    return rep
+    f, mag = _checked_amplitudes(f)
+    phase = np.where(phase_degenerate, 0.0, np.arctan2(f.imag, f.real))
+    return FidelityReport(t=np.array(t, dtype=float), f=f, abs_f=mag, gamma=phase,
+                          fbar=_average(f.real, mag), fbar_corrected=_average(mag, mag),
+                          correction_phase=phase.copy())

@@ -229,14 +229,15 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     for instance with all couplings zero).
     """
     solved = solve(spec)
-    grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
-    values = np.abs(synthesize_f(*solved, grid))
-    peaks = _interior_peaks(values)
-    peaks = peaks[values[peaks] > _PEAK_FLOOR]
 
     def objective(t: np.ndarray) -> np.ndarray:
-        return np.array([abs(f) for f in synthesize_f(*solved, t).tolist()], dtype=float)
+        f = synthesize_f(*solved, t)
+        return np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
 
+    grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
+    values = objective(grid)
+    peaks = _interior_peaks(values)
+    peaks = peaks[values[peaks] > _PEAK_FLOOR]
     refined = _refine_brackets(objective, grid[peaks - 1], grid[peaks + 1], cfg)
     return sorted(((t, val) for t, val, _ in refined), key=lambda pair: pair[0])
 
@@ -299,7 +300,6 @@ def tune_uniform_field(
     base: ChainSpec,
     cfg: SearchConfig,
     b_range: tuple[float, float],
-    n_b: int = 32,
 ) -> OptimizationResult:
     """Maximise the average fidelity over (t, uniform field B) on a box.
 
@@ -312,7 +312,7 @@ def tune_uniform_field(
     the grid's spread up to t = 2 pi / W; from there on every phase is aligned
     and the objective, the corrected Fbar, oscillates only at differences of
     excitation levels.  The reported values come from a solve of the tuned
-    chain.  n_b is ignored; the field needs no grid.
+    chain.
     """
     b_lo, b_hi = float(b_range[0]), float(b_range[1])
     if not b_lo < b_hi:

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spintransfer
-from spintransfer import optimize
-from spintransfer.chain import ChainSpec, SiteSpec, SpinMagnitude, load_chain, save_chain
+from spintransfer import cli, optimize
+from spintransfer.chain import (ChainSpec, SiteSpec, SpinMagnitude, load_chain, preset,
+                                save_chain)
 from spintransfer.cli import CSV_HEADER, main
-from spintransfer.excitation import amplitudes, eigensolve, reduce, transfer_amplitude
-from spintransfer.fidelity import fidelity_report
+from spintransfer.excitation import (PHASE_DEGENERATE_TOL, amplitudes, eigensolve, reduce,
+                                     synthesize_f, transfer_amplitude)
+from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report, fidelity_reports
 
 SQRT2 = math.sqrt(2.0)
 
@@ -124,6 +126,34 @@ class TestSimulate:
         assert row[5] == rep.fbar
         assert row[6] == rep.fbar_corrected
         assert row[7] == rep.correction_phase
+
+    def test_rows_streamed_in_blocks_equal_the_whole_array_report(self, tmp_path, capsys):
+        # 2,500 rows cross two boundaries of the 1,024-row output blocks
+        out_path = tmp_path / "sweep.csv"
+        argv = ["simulate", "--preset", "sec3-two-spin", "--J", "1", "--B", "0.5",
+                "--t-max", "30", "--steps", "2500"]
+        assert _run(capsys, *argv, "--out", str(out_path))[0] == 0
+        h = reduce(preset("sec3-two-spin", 1.0, 0.5))
+        t = np.linspace(0.0, 30.0, 2500)
+        f = synthesize_f(h, eigensolve(h), t)
+        rep = fidelity_reports(t, f, np.abs(f) <= PHASE_DEGENERATE_TOL)
+        columns = (rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
+                   rep.fbar, rep.fbar_corrected, rep.correction_phase)
+        rows = (",".join(format(x, ".17g") for x in row) for row in zip(*map(list, columns)))
+        assert out_path.read_bytes() == "\n".join([CSV_HEADER, *rows, ""]).encode()
+
+    def test_out_of_range_amplitude_fails_before_the_file_exists(self, tmp_path, monkeypatch):
+        def corrupt_last(h, eig, t):
+            f = synthesize_f(h, eig, t)
+            f[-1] = 1.0 + 2e-9
+            return f
+
+        monkeypatch.setattr(cli, "synthesize_f", corrupt_last)
+        out_path = tmp_path / "sweep.csv"
+        with pytest.raises(AmplitudeOutOfRangeError):
+            main(["simulate", "--preset", "sec2-two-spin", "--t-max", "5.0", "--steps", "2500",
+                  "--out", str(out_path)])
+        assert not out_path.exists()
 
     def test_csv_is_locale_independent(self, capsys):
         code, out, _ = _run(

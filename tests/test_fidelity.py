@@ -31,6 +31,20 @@ def _density_by_substitution(f, theta, phi):
     )
 
 
+def _reference_average(z, corrected=False):
+    """Independent pure-Python Fbar (or corrected Fbar): Python's abs, one rescale
+    of a round-off excess |f| in (1, 1 + 1e-9], and the clip of 1 + 1e-12 to 1."""
+    z = complex(z)
+    mag = abs(z)
+    if mag > 1.0 + 1e-9:
+        raise AmplitudeOutOfRangeError(mag)
+    if mag > 1.0:
+        z = z / mag
+        mag = abs(z)
+    value = 0.5 + (mag if corrected else z.real) / 3.0 + mag * mag / 6.0
+    return 1.0 if 1.0 < value <= 1.0 + 1e-12 else value
+
+
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -220,6 +234,8 @@ class TestFidelityReports:
         return f
 
     def test_bitwise_equal_to_fidelity_report(self):
+        # fidelity_report is a size-1 call of fidelity_reports, so this holds by
+        # construction; the reference test below carries the guarantee
         f = self._amplitudes()
         t = np.linspace(0.0, 7.0, f.size)
         degenerate = np.abs(f) <= 1e-12
@@ -228,6 +244,32 @@ class TestFidelityReports:
             row = fidelity_report(t[i], f[i], bool(degenerate[i]))
             for name, value in vars(row).items():
                 assert getattr(reports, name)[i] == value, (i, name)
+
+    def test_matches_the_reference(self):
+        f = self._amplitudes()
+        degenerate = np.abs(f) <= 1e-12
+        reports = fidelity_reports(np.zeros(f.size), f, degenerate)
+        for i, z in enumerate(f.tolist()):
+            assert reports.fbar[i].hex() == _reference_average(z).hex(), i
+            assert reports.fbar_corrected[i].hex() == _reference_average(z, True).hex(), i
+            checked = z / abs(z) if abs(z) > 1.0 else z
+            assert complex(reports.f[i]) == checked and reports.abs_f[i] == abs(checked), i
+            # np.arctan2 is not correctly rounded: allow 2 ulp against math.atan2
+            phase = 0.0 if degenerate[i] else math.atan2(checked.imag, checked.real)
+            assert abs(reports.gamma[i] - phase) <= 2 * math.ulp(phase), i
+            assert reports.correction_phase[i] == reports.gamma[i], i
+
+    def test_report_and_scalar_functions_agree_in_the_rescale_band(self):
+        # the report rescales |f| in (1, 1 + 1e-9] once, exactly as average_fidelity
+        # and corrected_average_fidelity do, so the CSV and the optimize JSON agree
+        rng = np.random.default_rng(29)
+        f = np.exp(2j * math.pi * rng.uniform(size=4000))
+        f = f * (1.0 + rng.uniform(0.0, 1e-9, 4000)) / np.abs(f)
+        for z in f.tolist():
+            rep = fidelity_report(0.0, z)
+            assert rep.fbar.hex() == average_fidelity(z).hex() == _reference_average(z).hex()
+            assert (rep.fbar_corrected.hex() == corrected_average_fidelity(z)[0].hex()
+                    == _reference_average(z, True).hex())
 
     def test_out_of_range_raises(self):
         f = self._amplitudes()
@@ -250,6 +292,8 @@ class TestAverageFidelities:
         f[606] = 1.0 + fidelity_module._CLAMP_EXCESS
         return f
 
+    # The scalar functions are size-1 calls of average_fidelities, so their
+    # agreement holds by construction; the reference carries the guarantee.
     @pytest.mark.parametrize("corrected", [False, True])
     def test_bitwise_equal_to_the_scalar_functions(self, corrected):
         f = self._amplitudes()
@@ -258,6 +302,7 @@ class TestAverageFidelities:
         for i, z in enumerate(f.tolist()):
             expected = corrected_average_fidelity(z)[0] if corrected else average_fidelity(z)
             assert float(values[i]).hex() == expected.hex(), i
+            assert expected.hex() == _reference_average(z, corrected).hex(), i
 
     @settings(max_examples=50)
     @given(f=st.lists(unit_disk, max_size=30), corrected=st.booleans())
@@ -266,7 +311,7 @@ class TestAverageFidelities:
         assert values.shape == (len(f),)
         for value, z in zip(values.tolist(), f):
             expected = corrected_average_fidelity(z)[0] if corrected else average_fidelity(z)
-            assert value.hex() == expected.hex()
+            assert value.hex() == expected.hex() == _reference_average(z, corrected).hex()
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_out_of_range_raises(self, corrected):

@@ -96,7 +96,8 @@ def mixed_chains(draw, min_sites=2, max_sites=4, fields=_values):
     return _chain(*draw(mixed_chain_parts(min_sites, max_sites, fields)))
 
 
-bloch_states = st.builds(BlochState, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+bloch_states = st.builds(BlochState, st.floats(0.0, math.pi),
+                         st.floats(0.0, 2.0 * math.pi, exclude_max=True))
 
 
 class TestSpinOperators:

@@ -202,7 +202,6 @@ class TestTuneUniformField:
             preset("sec2-two-spin", j, 0.0),
             SearchConfig(t_max=1.25 * t_star),
             (0.0, 2.0),
-            n_b=32,
         )
         assert res.fbar == pytest.approx(1.0, abs=1e-6)
         assert res.best_field == pytest.approx(math.pi / (2 * t_star), abs=1e-4)
@@ -214,7 +213,6 @@ class TestTuneUniformField:
             preset("sec2-three-spin-center", j, 0.0),
             SearchConfig(t_max=1.3 * math.pi / j),
             (0.0, 2.0),
-            n_b=32,
         )
         assert res.fbar == pytest.approx(1.0, abs=1e-6)
         assert res.best_field == pytest.approx(1.0, abs=1e-4)
@@ -229,7 +227,6 @@ class TestTuneUniformField:
             preset("sec3-two-spin", j, b),
             SearchConfig(t_max=20 * math.pi / mu),
             (-1.0, 1.0),
-            n_b=24,
         )
         assert res.fbar <= ceiling + 1e-9
         assert res.fbar < 1.0 - 1e-3
@@ -334,7 +331,7 @@ class TestEvaluationCount:
 
     def test_tune_uniform_field(self, synthesized):
         res = tune_uniform_field(preset("sec2-two-spin", 1.0, 0.0),
-                                 SearchConfig(t_max=2.8), (0.0, 2.0), n_b=8)
+                                 SearchConfig(t_max=2.8), (0.0, 2.0))
         assert res.evaluations == sum(synthesized)
 
     @pytest.mark.parametrize("corrected, count", [(False, 343), (True, 387)])
