@@ -29,14 +29,13 @@ import numpy as np
 from . import __version__, optimize, verification
 from .chain import ChainSpecError, chain_to_dict, dumps_chain, load_chain, preset
 from .excitation import PHASE_DEGENERATE_TOL, eigensolve, reduce, synthesize_f
-from .fidelity import _checked_amplitudes, fidelity_reports
+from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
 
 CSV_HEADER = "t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta"
-# "%.17g" % x is byte-identical to format(x, ".17g"); rows are computed,
-# formatted and written this many at a time.
+# "%.17g" % x is byte-identical to format(x, ".17g"); rows are formatted and
+# written one fidelity_report_blocks block at a time.
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
-_CSV_BLOCK = 1024
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -114,13 +113,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     grid = np.linspace(0.0, args.t_max, args.steps)
     h = reduce(spec)
     f = synthesize_f(h, eigensolve(h), grid)
-    _checked_amplitudes(f)  # every |f| is checked before anything is written
+    # Every |f| is checked here, before anything is written.
+    reports = fidelity_report_blocks(grid, f, np.abs(f) <= PHASE_DEGENERATE_TOL)
     with _output(args.out) as stream:
         stream.write(CSV_HEADER + "\n")
-        for lo in range(0, grid.size, _CSV_BLOCK):
-            f_block = f[lo:lo + _CSV_BLOCK]
-            rep = fidelity_reports(grid[lo:lo + _CSV_BLOCK], f_block,
-                                   np.abs(f_block) <= PHASE_DEGENERATE_TOL)
+        for rep in reports:
             block = np.column_stack([rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
                                      rep.fbar, rep.fbar_corrected, rep.correction_phase])
             stream.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))

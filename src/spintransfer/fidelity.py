@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -37,12 +38,15 @@ __all__ = [
     "bloch_average_quadrature",
     "fidelity_report",
     "fidelity_reports",
+    "fidelity_report_blocks",
 ]
 
 # |f| may exceed 1 by at most this much (upstream round-off); beyond it the
 # input is treated as corrupt.
 _CLAMP_EXCESS = 1e-9
 _BOUNDARY_TOL = 1e-12
+# Rows per fidelity_report_blocks block: its eight columns stay near 64 kB.
+_REPORT_BLOCK = 1024
 
 
 class AmplitudeOutOfRangeError(ValueError):
@@ -79,7 +83,7 @@ def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
     takes its |f| again.  Raises AmplitudeOutOfRangeError, before any row is
     rescaled, when some |f| exceeds 1 + _CLAMP_EXCESS.
     """
-    f = np.array(f, dtype=complex, ndmin=1, copy=None)
+    f = np.array(f, dtype=complex, ndmin=1)  # a copy: rescaled in place, kept in reports
     mag = np.hypot(f.real, f.imag)
     peak = np.fmax.reduce(mag, initial=0.0)  # skips NaN, 0 for no rows
     if peak > 1.0 + _CLAMP_EXCESS:
@@ -87,7 +91,6 @@ def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
                                        f"the round-off allowance {_CLAMP_EXCESS}")
     if peak > 1.0:
         over = mag > 1.0
-        f = f.copy()
         f.real[over] /= mag[over]
         f.imag[over] /= mag[over]
         mag[over] = np.hypot(f.real[over], f.imag[over])
@@ -209,7 +212,26 @@ def fidelity_reports(t, f, phase_degenerate=False) -> FidelityReport:
     row is computed.
     """
     f, mag = _checked_amplitudes(f)
+    return _reports(np.array(t, dtype=float), f, mag, phase_degenerate)
+
+
+def fidelity_report_blocks(t, f, phase_degenerate=False) -> Iterator[FidelityReport]:
+    """fidelity_reports(t, f, phase_degenerate) as consecutive blocks of rows.
+
+    Every |f| is checked, and AmplitudeOutOfRangeError raised, by the call
+    itself, before the first block exists; each block is computed only when
+    the iterator reaches it, so the whole report is never held at once.
+    """
+    f, mag = _checked_amplitudes(f)
+    t = np.asarray(t, dtype=float)
+    degenerate = np.broadcast_to(phase_degenerate, f.shape)
+    blocks = (slice(lo, lo + _REPORT_BLOCK) for lo in range(0, f.size, _REPORT_BLOCK))
+    return (_reports(t[b].copy(), f[b], mag[b], degenerate[b]) for b in blocks)
+
+
+def _reports(t, f, mag, phase_degenerate) -> FidelityReport:
+    """The report columns for checked f and |f| from _checked_amplitudes."""
     phase = np.where(phase_degenerate, 0.0, np.arctan2(f.imag, f.real))
-    return FidelityReport(t=np.array(t, dtype=float), f=f, abs_f=mag, gamma=phase,
+    return FidelityReport(t=t, f=f, abs_f=mag, gamma=phase,
                           fbar=_average(f.real, mag), fbar_corrected=_average(mag, mag),
                           correction_phase=phase.copy())

@@ -17,6 +17,7 @@ from spintransfer.fidelity import (
     corrected_average_fidelity,
     fidelity,
     fidelity_report,
+    fidelity_report_blocks,
     fidelity_reports,
     reduced_density,
 )
@@ -276,6 +277,33 @@ class TestFidelityReports:
         f[-1] = 1.0 + 2e-9
         with pytest.raises(AmplitudeOutOfRangeError):
             fidelity_reports(np.zeros(f.size), f)
+
+    def test_report_does_not_alias_its_input(self):
+        f = self._amplitudes()
+        t = np.linspace(0.0, 7.0, f.size)
+        reports = fidelity_reports(t, f)
+        kept = reports.f.copy(), reports.t.copy()
+        f[:] = 0.25
+        t[:] = -1.0
+        assert np.array_equal(reports.f, kept[0]) and np.array_equal(reports.t, kept[1])
+
+    def test_blocks_concatenate_to_the_whole_report(self):
+        # 4,000 rows: three full 1,024-row blocks and a partial one
+        f = self._amplitudes()
+        t = np.linspace(0.0, 7.0, f.size)
+        degenerate = np.abs(f) <= 1e-12
+        whole = fidelity_reports(t, f, degenerate)
+        blocks = list(fidelity_report_blocks(t, f, degenerate))
+        assert [len(b.t) for b in blocks] == [1024, 1024, 1024, 928]
+        for name, column in vars(whole).items():
+            joined = np.concatenate([getattr(b, name) for b in blocks])
+            assert joined.tobytes() == column.tobytes(), name
+
+    def test_blocks_raise_before_the_first_block(self):
+        f = self._amplitudes()
+        f[-1] = 1.0 + 2e-9
+        with pytest.raises(AmplitudeOutOfRangeError):
+            fidelity_report_blocks(np.zeros(f.size), f)  # the call, not iteration, raises
 
 
 class TestAverageFidelities:
