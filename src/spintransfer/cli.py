@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from typing import Any, Iterator, TextIO
 import numpy as np
 
 from . import __version__, optimize, verification
-from .chain import ChainSpecError, chain_to_dict, dumps_chain, load_chain, preset
+from .chain import ChainSpecError, chain_to_dict, dumps_chain, loads_chain, preset
 from .excitation import PHASE_DEGENERATE_TOL, eigensolve, reduce, synthesize_f
 from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
@@ -59,7 +60,9 @@ def _load_spec(args: argparse.Namespace) -> tuple[Any, str]:
         except OSError as exc:
             raise _UsageError(f"{path}: {exc.strerror or exc}") from exc
         try:
-            spec = load_chain(path)
+            spec = loads_chain(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise _UsageError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
         except json.JSONDecodeError as exc:
             raise _UsageError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
         except ChainSpecError as exc:
@@ -108,8 +111,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not 1 <= args.steps <= optimize._MAX_GRID_POINTS:  # checked before any row exists
         raise _UsageError(f"--steps must lie in [1, {optimize._MAX_GRID_POINTS}], got "
                           f"{args.steps}; split a longer sweep over t into several runs")
-    if args.t_max < 0:
-        raise _UsageError(f"--t-max must be nonnegative, got {args.t_max}")
+    if not (math.isfinite(args.t_max) and args.t_max >= 0):
+        raise _UsageError(f"--t-max must be finite and nonnegative, got {args.t_max}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     h = reduce(spec)
     f = synthesize_f(h, eigensolve(h), grid)

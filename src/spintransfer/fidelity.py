@@ -32,6 +32,7 @@ __all__ = [
     "FidelityReport",
     "reduced_density",
     "fidelity",
+    "fidelities",
     "average_fidelity",
     "corrected_average_fidelity",
     "average_fidelities",
@@ -109,17 +110,22 @@ def reduced_density(f: complex, state: BlochState) -> np.ndarray:
     return np.array([[1.0 - pop, off], [off.conjugate(), pop]], dtype=complex)
 
 
-def _state_fidelity(f: complex, theta):
-    """<in|rho|in> for a checked f and polar angle(s) theta; phi drops out."""
-    c2 = np.cos(theta / 2.0) ** 2
-    s2 = np.sin(theta / 2.0) ** 2
-    mag2 = abs(f) ** 2
-    return c2 * (1.0 - mag2 * s2 + 2.0 * s2 * f.real) + mag2 * s2 * s2
-
-
 def fidelity(f: complex, state: BlochState) -> float:
     """Overlap of the received state with the sent one for a single input."""
-    return float(_state_fidelity(_checked_amplitude(f), state.theta))
+    return fidelities(f, state.theta)[0].item()
+
+
+def fidelities(f, theta) -> np.ndarray:
+    """fidelity on arrays: <in|rho|in> for amplitudes f and polar angles theta.
+
+    f and theta broadcast against each other; the azimuth phi drops out.
+    Raises AmplitudeOutOfRangeError as fidelity does.
+    """
+    f, mag = _checked_amplitudes(f)
+    half = np.asarray(theta) / 2.0
+    c2, s2 = np.cos(half) ** 2, np.sin(half) ** 2
+    mag2 = mag * mag
+    return c2 * (1.0 - mag2 * s2 + 2.0 * s2 * f.real) + mag2 * s2 * s2
 
 
 def _average(re, mag) -> np.ndarray:
@@ -181,8 +187,7 @@ def bloch_average_quadrature(f: complex, n_theta: int = 64, n_phi: int = 64) -> 
     if n_theta < 2 or n_phi < 2:
         raise ValueError("need at least 2 nodes per angle")
     theta, weights = _theta_rule(n_theta)
-    rings = _state_fidelity(_checked_amplitude(f), theta)
-    return float(weights @ rings) / 2.0
+    return float(weights @ fidelities(f, theta)) / 2.0
 
 
 @dataclass(frozen=True)

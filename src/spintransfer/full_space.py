@@ -1,26 +1,28 @@
 """Brute-force reference dynamics in the full tensor-product Hilbert space.
 
-The XX Hamiltonian is applied bond by bond with standard spin-s matrices
-(local basis ordered m = s, s-1, .., -s, so index 0 is the site ground level)
-to states reshaped as a site tensor; site 1 is the slowest-varying index of
-the tensor product.  Nothing here uses the single-excitation reduction or its
-sqrt(s_i s_{i+1}) hopping rule: every matrix element comes from the spin
-matrices.
+The XX Hamiltonian is built from standard spin-s matrices (local basis ordered
+m = s, s-1, .., -s, so index 0 is the site ground level); site 1 is the
+slowest-varying index of the tensor product.  H is only ever applied to
+product basis states, so each local term is index arithmetic: it moves a
+basis state to the states that differ from it in the term's sites, with the
+term's matrix elements as weights.  Nothing here uses the single-excitation
+reduction or its sqrt(s_i s_{i+1}) hopping rule: every matrix element comes
+from the spin matrices.
 
 `FullSpaceModel` applies H to the N+1 product states with at most one site
 lowered by one level (the vacuum and the single excitations).  Total Sz is
 conserved, so these states span an invariant subspace; the model measures the
 part of their images outside it, keeps the (N+1)x(N+1) block, and evolves
-exactly inside it.  The receiver density is still traced out of the full
-product vector.  A model allows state vectors of up to STATE_CAP = 2^20
-entries (20 spin-1/2 sites); the dense `full_hamiltonian` is capped at
-dimension DIMENSION_CAP = 4096.
+exactly inside it.  Receiver densities are still traced out of the full
+product vectors, a batch of input states and times at once.  A model allows
+state vectors of up to STATE_CAP = 2^20 entries (20 spin-1/2 sites); the
+dense `full_hamiltonian` is capped at dimension DIMENSION_CAP = 4096.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,10 +55,12 @@ class DimensionCapError(ValueError):
     """Total Hilbert-space dimension exceeds the brute-force cap."""
 
 
+@lru_cache(maxsize=8)
 def spin_operators(spin: SpinMagnitude) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Sx, Sy, Sz) for one site of magnitude s, basis m = s, s-1, .., -s.
 
-    Matrix elements follow <m+1|S+|m> = sqrt(s(s+1) - m(m+1)).
+    Matrix elements follow <m+1|S+|m> = sqrt(s(s+1) - m(m+1)).  The matrices
+    are cached per magnitude and read-only.
     """
     s = spin.s
     d = spin.dim
@@ -68,6 +72,8 @@ def spin_operators(spin: SpinMagnitude) -> tuple[np.ndarray, np.ndarray, np.ndar
     )
     sx = (raising + raising.conj().T) / 2.0
     sy = (raising - raising.conj().T) / 2.0j
+    for op in (sx, sy, sz):
+        op.setflags(write=False)
     return sx, sy, sz
 
 
@@ -101,47 +107,38 @@ def _local_terms(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
 
 
 def _apply(terms: list[tuple[int, np.ndarray]], dims: list[int],
-           states: np.ndarray) -> np.ndarray:
-    """H applied to every column of `states` (shape (prod(dims), k)).
+           cols: np.ndarray) -> np.ndarray:
+    """H applied to the product basis states with flat indices `cols`.
 
-    A term on the sites starting at `site` acts on the middle axis of the
-    (left, local, right * k) view of the site tensor, one nonzero matrix
-    element at a time: a spin matrix has at most two per row.
+    Returns the (prod(dims), len(cols)) array of their images.  A term on the
+    sites starting at `site`, with local dimension d and right = the product
+    of the later sites' dimensions, maps a state b at local level
+    c = (b // right) % d to the state b + (r - c) * right with weight op[r, c].
+    Each term is one scatter-add, in summation order, so every entry sums its
+    nonzero contributions in the order of `terms`.
     """
-    out = np.zeros_like(states)
+    total = math.prod(dims)
+    out = np.zeros((total, len(cols)), dtype=complex)
     for site, op in terms:
-        shape = (math.prod(dims[:site]), op.shape[0], -1)
-        src, dst = states.reshape(shape), out.reshape(shape)
-        for row, col in zip(*np.nonzero(op)):
-            dst[:, row] += op[row, col] * src[:, col]
+        d = op.shape[0]
+        right = total // (math.prod(dims[:site]) * d)
+        rows, levels = np.nonzero(op)
+        col, k = np.nonzero(cols[:, None] // right % d == levels)
+        out[cols[col] + (rows[k] - levels[k]) * right, col] += op[rows[k], levels[k]]
     return out
 
 
-def _basis_images(spec: ChainSpec, dims: list[int],
-                  indices: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, H applied to the product states indices[offset:offset + k]).
-
-    Columns go in batches of about STATE_CAP entries, so memory stays at a
-    few state vectors whatever the dimension.
-    """
-    terms = _local_terms(spec)
-    total = math.prod(dims)
+def _batches(count: int, total: int) -> list[slice]:
+    """Slices that split `count` state vectors of `total` entries into batches
+    of about STATE_CAP entries, so memory stays at a few state vectors."""
     batch = max(1, STATE_CAP // total)
-    for lo in range(0, len(indices), batch):
-        cols = indices[lo:lo + batch]
-        states = np.zeros((total, len(cols)), dtype=complex)
-        states[cols, np.arange(len(cols))] = 1.0
-        yield lo, _apply(terms, dims, states)
+    return [slice(lo, lo + batch) for lo in range(0, count, batch)]
 
 
 def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense H = sum_i J_i (Sx_i Sx_{i+1} + Sy_i Sy_{i+1}) + sum_i B_i Sz_i."""
     dims = _site_dims(spec, DIMENSION_CAP)
-    total = math.prod(dims)
-    h = np.empty((total, total), dtype=complex)
-    for lo, image in _basis_images(spec, dims, np.arange(total)):
-        h[:, lo:lo + image.shape[1]] = image
-    return h
+    return _apply(_local_terms(spec), dims, np.arange(math.prod(dims)))
 
 
 def total_sz_diagonal(spec: ChainSpec) -> np.ndarray:
@@ -176,9 +173,11 @@ class FullSpaceModel:
         self.dims = _site_dims(spec, STATE_CAP)
         self.sector = np.array(excitation_sector_indices(spec))
         self.block = np.empty((self.sector.size, self.sector.size), dtype=complex)
+        terms = _local_terms(spec)
         leak = 0.0
-        for lo, image in _basis_images(spec, self.dims, self.sector):
-            self.block[:, lo:lo + image.shape[1]] = image[self.sector]
+        for cols in _batches(self.sector.size, math.prod(self.dims)):
+            image = _apply(terms, self.dims, self.sector[cols])
+            self.block[:, cols] = image[self.sector]
             image[self.sector] = 0.0
             leak = max(leak, float(np.max(np.linalg.norm(image, axis=0))))
         if leak > _LEAKAGE_TOL:
@@ -193,11 +192,17 @@ class FullSpaceModel:
         psi[self.sector[1]] = a1
         return psi
 
-    def _propagate(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        """exp(-iHt) on coefficients over the sector states."""
-        coeffs = self.eigenvectors.conj().T @ coeffs
-        coeffs *= np.exp(-1j * self.eigenvalues * float(t))
-        return self.eigenvectors @ coeffs
+    def _propagate(self, coeffs: np.ndarray, t) -> np.ndarray:
+        """exp(-iHt) on rows of coefficients over the sector states, row j at time t[j]
+        (or every row at the scalar time t).
+
+        The products are stacked matrix-vector products, so a row's result
+        does not depend on how many rows are evolved with it.
+        """
+        vectors = self.eigenvectors
+        coeffs = np.matmul(vectors.conj().T, coeffs[..., None])[..., 0]
+        coeffs *= np.exp(-1j * np.multiply.outer(t, self.eigenvalues))
+        return np.matmul(vectors, coeffs[..., None])[..., 0]
 
     def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
         """exp(-iHt) psi for a product-space vector inside the sector."""
@@ -205,29 +210,62 @@ class FullSpaceModel:
         if outside > _LEAKAGE_TOL:
             raise ValueError(f"state has weight {outside:.3e} outside the excitation sector")
         out = np.zeros_like(psi)
-        out[self.sector] = self._propagate(psi[self.sector], t)
+        out[self.sector] = self._propagate(psi[self.sector], float(t))
         return out
 
-    def receiver_density(self, state: BlochState, t: float) -> np.ndarray:
-        """Evolve and trace out everything but the last site's two reachable levels."""
-        coeffs = np.zeros(self.sector.size, dtype=complex)
-        coeffs[:2] = state.amplitudes()
-        psi = np.zeros(math.prod(self.dims), dtype=complex)
-        psi[self.sector] = self._propagate(coeffs, t)
-        block = psi.reshape(-1, self.dims[-1])
-        rho = block.T @ block.conj()
-        top = rho[:2, :2]
-        leak = abs(np.trace(top).real - 1.0)
+    def receiver_densities(self, theta, phi, t) -> np.ndarray:
+        """Receiver density matrices, shape (k, 2, 2), for k inputs and times.
+
+        theta, phi and t broadcast to k values; input j is the Bloch state
+        (theta[j], phi[j]) on site 1, read out at time t[j].  Each input is
+        evolved in the sector, scattered into the full product vector, and
+        traced over everything but the last site's two reachable levels;
+        RuntimeError if any of them leaks population out of those levels.
+        """
+        return self._densities(*_inputs(theta, phi, t))
+
+    def fidelities(self, theta, phi, t) -> np.ndarray:
+        """<in|rho|in> for the inputs and times of receiver_densities."""
+        amps, t = _inputs(theta, phi, t)
+        rho = self._densities(amps, t)
+        return (amps.conj()[:, None, :] @ rho @ amps[:, :, None])[:, 0, 0].real
+
+    def _densities(self, amps: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """receiver_densities for the rows of _inputs."""
+        coeffs = np.zeros((len(amps), self.sector.size), dtype=complex)
+        coeffs[:, :2] = amps
+        coeffs = self._propagate(coeffs, t)
+        total, d = math.prod(self.dims), self.dims[-1]
+        top = np.empty((len(amps), 2, 2), dtype=complex)
+        for rows in _batches(len(amps), total):
+            batch = coeffs[rows]
+            psi = np.zeros((len(batch), total), dtype=complex)
+            psi[:, self.sector] = batch
+            blocks = psi.reshape(len(batch), -1, d)
+            top[rows] = (blocks.transpose(0, 2, 1) @ blocks.conj())[:, :2, :2]
+        leak = np.max(np.abs(np.trace(top, axis1=1, axis2=2).real - 1.0), initial=0.0)
         if leak > _LEAKAGE_TOL:
             raise RuntimeError(
                 f"population {leak:.3e} leaked out of the receiver's reachable levels"
             )
         return top
 
+    def receiver_density(self, state: BlochState, t: float) -> np.ndarray:
+        """Evolve and trace out everything but the last site's two reachable levels."""
+        return self.receiver_densities(state.theta, state.phi, t)[0]
+
     def fidelity(self, state: BlochState, t: float) -> float:
-        rho = self.receiver_density(state, t)
-        amps = np.array(state.amplitudes())
-        return float(np.real(amps.conj() @ rho @ amps))
+        return self.fidelities(state.theta, state.phi, t)[0].item()
+
+
+def _inputs(theta, phi, t) -> tuple[np.ndarray, np.ndarray]:
+    """(k, 2) amplitudes on |0> and |1> of the Bloch states (theta, phi), and
+    the k times, with theta, phi and t broadcast against each other."""
+    theta, phi, t = np.broadcast_arrays(*np.atleast_1d(theta, phi, t))
+    if not np.all(np.isfinite(theta) & np.isfinite(phi) & np.isfinite(t)):
+        raise ValueError("theta, phi and t must be finite")
+    amps = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
+    return amps, t
 
 
 def evolve_and_trace(spec: ChainSpec, state: BlochState, t: float) -> np.ndarray:

@@ -26,7 +26,6 @@ from .chain import (
 )
 from .closed_forms import PresetSystem
 from .excitation import amplitudes, solve, synthesize_f
-from .fidelity import BlochState
 from .optimize import SearchConfig
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
@@ -255,13 +254,11 @@ def _check_full_space_equivalence() -> list[CheckResult]:
         comm = np.abs(full_space.full_hamiltonian(spec) * (sz[None, :] - sz[:, None]))
         worst_comm = max(worst_comm, float(np.max(comm)))
 
-        for _ in range(20):
-            t = float(rng.uniform(0.0, 20.0))
-            state = BlochState(float(rng.uniform(0.0, math.pi)),
-                               float(rng.uniform(0.0, 2.0 * math.pi)))
-            f_sub = fidelity.fidelity(amplitudes(h, eig, t).f, state)
-            f_full = model.fidelity(state, t)
-            worst_fid = max(worst_fid, abs(f_full - f_sub))
+        # the (t, theta, phi) rows take the same draws as 60 scalar uniform calls
+        t, theta, phi = rng.uniform([0.0, 0.0, 0.0], [20.0, math.pi, 2.0 * math.pi], (20, 3)).T
+        f_sub = fidelity.fidelities(synthesize_f(h, eig, t), theta)
+        f_full = model.fidelities(theta, phi, t)
+        worst_fid = max(worst_fid, float(np.max(np.abs(f_full - f_sub))))
 
     return [
         CheckResult("excitation-block-embedding", worst_block <= 1e-13, 1e-13, worst_block,

@@ -179,6 +179,22 @@ class TestSimulate:
         assert code == 2
         assert "2 sites" in err
 
+    def test_chain_file_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"sites": [], "note": "caf\xe9"}'.encode("latin-1"))
+        code, out, err = _run(capsys, "simulate", "--chain", str(bad), "--t-max", "1.0")
+        assert code == 2
+        assert out == ""
+        assert f"{bad}: not UTF-8" in err
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf"])
+    def test_non_finite_horizon_is_a_usage_error(self, capsys, t_max):
+        code, out, err = _run(capsys, "simulate", "--preset", "sec2-two-spin",
+                              f"--t-max={t_max}", "--steps", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --t-max must be finite and nonnegative")
+
     def test_missing_chain_source(self, capsys):
         code, _, err = _run(capsys, "simulate", "--t-max", "1.0")
         assert code == 2

@@ -15,6 +15,7 @@ from spintransfer.fidelity import (
     average_fidelity,
     bloch_average_quadrature,
     corrected_average_fidelity,
+    fidelities,
     fidelity,
     fidelity_report,
     fidelity_report_blocks,
@@ -44,6 +45,17 @@ def _reference_average(z, corrected=False):
         mag = abs(z)
     value = 0.5 + (mag if corrected else z.real) / 3.0 + mag * mag / 6.0
     return 1.0 if 1.0 < value <= 1.0 + 1e-12 else value
+
+
+def _reference_fidelity(z, theta):
+    """Independent pure-Python <in|rho|in>: Python's abs and one rescale, as above."""
+    z = complex(z)
+    if abs(z) > 1.0 + 1e-9:
+        raise AmplitudeOutOfRangeError(abs(z))
+    if abs(z) > 1.0:
+        z = z / abs(z)
+    c2, s2 = math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2
+    return c2 * (1.0 - abs(z) ** 2 * s2 + 2.0 * s2 * z.real) + abs(z) ** 2 * s2 * s2
 
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -133,6 +145,27 @@ class TestFidelity:
         a = np.array(state.amplitudes())
         via_rho = float(np.real(a.conj() @ reduced_density(f, state) @ a))
         assert abs(fidelity(f, state) - via_rho) <= 1e-14
+
+
+class TestFidelities:
+    def test_matches_the_reference(self):
+        f = TestAverageFidelities._amplitudes()
+        theta = np.random.default_rng(24).uniform(0.0, math.pi, f.size)
+        values = fidelities(f, theta)
+        assert values.shape == f.shape
+        for i, (z, th) in enumerate(zip(f.tolist(), theta.tolist())):
+            assert abs(values[i] - _reference_fidelity(z, th)) <= 1e-15, i
+
+    def test_scalar_amplitude_broadcasts_over_angles(self):
+        theta = np.linspace(0.0, math.pi, 7)
+        values = fidelities(0.3 + 0.4j, theta)
+        assert values.shape == (7,)
+        for value, th in zip(values.tolist(), theta.tolist()):
+            assert abs(value - fidelity(0.3 + 0.4j, BlochState(th))) <= 1e-15
+
+    def test_out_of_range_raises(self):
+        with pytest.raises(AmplitudeOutOfRangeError):
+            fidelities([0.5, 1.0 + 2e-9], [1.0, 2.0])
 
 
 class TestAverageFidelity:

@@ -1,8 +1,10 @@
 """Full-Hilbert-space reference against the subspace pipeline.
 
-The original construction of the validator, a dense H summed from kron chains
-and evolved by a full-space eigh, is kept here as the oracle the bond-wise,
-sector-restricted route is compared with.
+Two earlier constructions of the validator are kept here as oracles: a dense
+H summed from kron chains and evolved by a full-space eigh, which the
+sector-restricted route is compared with, and the bond-wise application of
+the local terms to dense state arrays, which the index-arithmetic `_apply`
+must match bit for bit.
 """
 
 import math
@@ -73,6 +75,23 @@ def dense_receiver_density(spec: ChainSpec, state: BlochState, t: float) -> np.n
     return (block.T @ block.conj())[:2, :2]
 
 
+def bondwise_apply(terms, dims, states):
+    """Every local term applied to dense states (prod(dims), k) on the
+    (left, local, right * k) view of the site tensor, one matrix element at a time."""
+    out = np.zeros_like(states)
+    for site, op in terms:
+        shape = (math.prod(dims[:site]), op.shape[0], -1)
+        src, dst = states.reshape(shape), out.reshape(shape)
+        for row, col in zip(*np.nonzero(op)):
+            dst[:, row] += op[row, col] * src[:, col]
+    return out
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The bit patterns of a complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 _values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 
@@ -112,6 +131,12 @@ class TestSpinOperators:
         r = 1 / math.sqrt(2)
         assert np.allclose(sx, [[0, r, 0], [r, 0, r], [0, r, 0]], atol=1e-15)
         assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]), atol=0)
+
+    def test_cached_and_read_only(self):
+        ops = spin_operators(SPIN_ONE)
+        assert spin_operators(SpinMagnitude(1.0)) is ops
+        for op in ops:
+            assert not op.flags.writeable
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5])
     def test_su2_algebra(self, s):
@@ -258,6 +283,45 @@ class TestAgainstKronOracle:
         rho = FullSpaceModel(spec).receiver_density(state, t)
         assert np.max(np.abs(rho - dense_receiver_density(spec, state, t))) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(spec=mixed_chains())
+    def test_basis_images_match_the_bondwise_oracle_bit_for_bit(self, spec):
+        dims = [site.spin.dim for site in spec.sites]
+        oracle = bondwise_apply(full_space._local_terms(spec), dims,
+                                np.eye(math.prod(dims), dtype=complex))
+        assert np.array_equal(_bits(full_hamiltonian(spec)), _bits(oracle))
+        sector = excitation_sector_indices(spec)
+        block = oracle[np.ix_(sector, sector)]
+        assert np.array_equal(_bits(FullSpaceModel(spec).block), _bits(block))
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=mixed_chains(),
+           draws=st.lists(st.tuples(bloch_states, st.floats(0.0, 20.0)), min_size=1,
+                          max_size=6))
+    def test_batched_receiver_densities(self, spec, draws):
+        model = FullSpaceModel(spec)
+        theta, phi, t = (np.array(column) for column in zip(
+            *[(state.theta, state.phi, time) for state, time in draws]))
+        rho = model.receiver_densities(theta, phi, t)
+        fid = model.fidelities(theta, phi, t)
+        assert rho.shape == (len(draws), 2, 2) and fid.shape == (len(draws),)
+        for j, (state, time) in enumerate(draws):
+            assert np.max(np.abs(rho[j] - dense_receiver_density(spec, state, time))) <= 1e-12
+            assert np.array_equal(_bits(rho[j]), _bits(model.receiver_density(state, time)))
+            assert fid[j].hex() == model.fidelity(state, time).hex()
+
+    def test_batches_over_the_state_cap_give_the_same_bits(self, monkeypatch):
+        spec = ChainSpec(sites=(SiteSpec(SPIN_HALF, 0.3), SiteSpec(SPIN_ONE, -0.4),
+                                SiteSpec(SPIN_HALF)), couplings=(1.0, 0.7))
+        rng = np.random.default_rng(27)
+        theta, phi, t = rng.uniform(0, math.pi, 7), rng.uniform(0, 6, 7), rng.uniform(0, 9, 7)
+        whole = FullSpaceModel(spec)
+        monkeypatch.setattr(full_space, "STATE_CAP", 2 * 12)  # two columns per batch
+        split = FullSpaceModel(spec)
+        assert np.array_equal(_bits(split.block), _bits(whole.block))
+        assert np.array_equal(_bits(split.receiver_densities(theta, phi, t)),
+                              _bits(whole.receiver_densities(theta, phi, t)))
+
     @settings(max_examples=25, deadline=None)
     @given(spec=mixed_chains(fields=st.floats(0.1, 2.0)))
     def test_broken_sz_conservation_is_refused(self, spec):
@@ -269,6 +333,14 @@ class TestAgainstKronOracle:
             mp.setattr(full_space, "spin_operators", tilted)
             with pytest.raises(RuntimeError, match="out of the excitation sector"):
                 FullSpaceModel(spec)
+
+    @pytest.mark.parametrize("bad", ["theta", "phi", "t"])
+    def test_non_finite_inputs_are_refused(self, bad):
+        model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))
+        draws = {"theta": np.array([1.0, 2.0]), "phi": np.array([0.5, 0.5]), "t": 3.0}
+        draws[bad] = np.array([1.0, math.nan]) if bad != "t" else math.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            model.receiver_densities(**draws)
 
     def test_state_outside_the_sector_is_refused(self):
         model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))
