@@ -13,16 +13,17 @@ import numpy as np
 from spintransfer import (
     BlochState,
     SearchConfig,
-    average_fidelity,
     corrected_average_fidelity,
     critical_times,
     maximize_fidelity,
     preset,
-    time_series,
+    transfer_amplitude,
     tune_uniform_field,
     verify_field_formula,
 )
 from spintransfer.closed_forms import PresetSystem
+from spintransfer.excitation import solve, synthesize_f
+from spintransfer.fidelity import fidelity_reports
 
 J = 1.0
 T_STAR = math.pi / (math.sqrt(2.0) * J)
@@ -31,8 +32,9 @@ print("=== bare channel (B = 0) ===")
 spec = preset("sec2-two-spin", J, 0.0)
 grid = np.linspace(0.0, 2.5 * T_STAR, 9)
 print("      t      |f|     gamma     Fbar")
-for rec in time_series(spec, grid):
-    print(f"  {rec.t:7.3f}  {abs(rec.f):.4f}  {rec.gamma:+.4f}  {average_fidelity(rec.f):.4f}")
+rep = fidelity_reports(grid, synthesize_f(*solve(spec), grid))
+for t, abs_f, gamma, fbar in zip(rep.t, rep.abs_f, rep.gamma, rep.fbar):
+    print(f"  {t:7.3f}  {abs_f:.4f}  {gamma:+.4f}  {fbar:.4f}")
 
 peaks = critical_times(spec, SearchConfig(t_max=3.5 * T_STAR))
 print("critical times:", ", ".join(f"{t:.6f} (|f|={m:.6f})" for t, m in peaks))
@@ -44,7 +46,7 @@ print(f"max Fbar = {best.fbar:.9f} at t = {best.best_t:.9f}  (2/3 = {2 / 3:.9f})
 print()
 print("=== receiver-side phase gate instead of a field ===")
 # at t*, f = -i: the gate diag{1, e^{i pi/2}} (an S gate) makes it real
-rec = time_series(spec, [T_STAR])[0]
+rec = transfer_amplitude(spec, T_STAR)
 corrected, phase = corrected_average_fidelity(rec.f)
 print(f"f(t*) = {rec.f:.4f}; gate phase = {phase:+.4f} (-pi/2 means an S gate)")
 print(f"corrected Fbar = {corrected:.9f}")

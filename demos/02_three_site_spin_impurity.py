@@ -16,9 +16,11 @@ from spintransfer import (
     corrected_average_fidelity,
     maximize_fidelity,
     preset,
-    time_series,
+    transfer_amplitude,
     tune_uniform_field,
 )
+from spintransfer.excitation import solve, synthesize_f
+from spintransfer.fidelity import fidelity_reports
 
 J = 1.0
 T_C = math.pi / J
@@ -30,12 +32,13 @@ print(f"max Fbar over four periods = {best.fbar:.9f} (attained at t = {best.best
 
 grid = np.linspace(0.0, 2.0 * T_C, 9)
 print("      t      |f|     gamma     Fbar")
-for rec in time_series(spec, grid):
-    print(f"  {rec.t:7.3f}  {abs(rec.f):.4f}  {rec.gamma:+.4f}  {average_fidelity(rec.f):.4f}")
+rep = fidelity_reports(grid, synthesize_f(*solve(spec), grid))
+for t, abs_f, gamma, fbar in zip(rep.t, rep.abs_f, rep.gamma, rep.fbar):
+    print(f"  {t:7.3f}  {abs_f:.4f}  {gamma:+.4f}  {fbar:.4f}")
 
 print()
 print("=== a Z gate at the receiver rescues it ===")
-rec = time_series(spec, [T_C])[0]
+rec = transfer_amplitude(spec, T_C)
 corrected, phase = corrected_average_fidelity(rec.f)
 print(f"f(t_c) = {rec.f:.6f}, gate phase = {phase:+.6f} (|phase| = pi: a Z gate)")
 print(f"corrected Fbar at t_c = pi/J: {corrected:.12f}")
@@ -46,6 +49,6 @@ res = tune_uniform_field(spec, SearchConfig(t_max=1.3 * T_C), (0.0, 2.0))
 print(f"tuned optimum: Fbar = {res.fbar:.9f} at t = {res.best_t:.6f}, B = {res.best_field:.6f}")
 
 tuned = preset("sec2-three-spin-center", J, math.pi / T_C)
-rec = time_series(tuned, [T_C])[0]
+rec = transfer_amplitude(tuned, T_C)
 print(f"closed-form check at B = pi/t_c: f(t_c) = {rec.f:.6f} -> Fbar = "
       f"{average_fidelity(rec.f):.12f}")

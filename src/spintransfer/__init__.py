@@ -29,7 +29,6 @@ from .excitation import (
     EigenSystem,
     SingleExcitationHamiltonian,
     transfer_amplitude,
-    time_series,
 )
 from .fidelity import (
     BlochState,
@@ -80,7 +79,6 @@ __all__ = [
     "EigenSystem",
     "SingleExcitationHamiltonian",
     "transfer_amplitude",
-    "time_series",
     "BlochState",
     "FidelityReport",
     "average_fidelity",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, optimize, verification
 from .chain import ChainSpecError, chain_to_dict, dumps_chain, loads_chain, preset
-from .excitation import PHASE_DEGENERATE_TOL, eigensolve, reduce, synthesize_f
+from .excitation import eigensolve, reduce, synthesize_f
 from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
 
@@ -117,7 +117,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     h = reduce(spec)
     f = synthesize_f(h, eigensolve(h), grid)
     # Every |f| is checked here, before anything is written.
-    reports = fidelity_report_blocks(grid, f, np.abs(f) <= PHASE_DEGENERATE_TOL)
+    reports = fidelity_report_blocks(grid, f)
     with _output(args.out) as stream:
         stream.write(CSV_HEADER + "\n")
         for rep in reports:
@@ -266,3 +266,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

@@ -14,14 +14,15 @@ they are exact at any t:
 
     f0    = exp(-i E0 t)
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
-    f     = conj(f0) * fn[N],  gamma = arg(f) on (-pi, pi]
+    f     = conj(f0) * fn[N]
 
 The end-to-end amplitude alone needs only the weights w_k = v_k[1] v_k[N]:
 
     f     = sum_k w_k exp(-i (eps_k - E0) t)
 
 synthesize_f evaluates this in O(N) per time, on a scalar time or a whole
-grid; amplitudes builds the full O(N^2) vector fn.
+grid; amplitudes builds the full O(N^2) vector fn.  The phase of f, and every
+fidelity derived from it, is computed in the fidelity module.
 
 All functions here are pure; a shared EigenSystem may be read concurrently
 (its end_weights are computed once, on first use).
@@ -47,12 +48,8 @@ __all__ = [
     "amplitudes",
     "synthesize_f",
     "transfer_amplitude",
-    "time_series",
     "propagator",
 ]
-
-# Below this magnitude the phase of f is numerically meaningless.
-PHASE_DEGENERATE_TOL = 1e-12
 
 # Times per block of synthesize_f's array path; bounds its (times x levels)
 # phase matrix at 1024 * N complex numbers.
@@ -100,16 +97,13 @@ class AmplitudeRecord:
 
     fn[n] is the amplitude for the excitation injected at site 1 to be found
     at site n+1; f = conj(f0) * fn[-1] is the phase-referenced end-to-end
-    amplitude and gamma its argument.  When |f| <= PHASE_DEGENERATE_TOL the
-    phase is reported as 0 and phase_degenerate is set.
+    amplitude.
     """
 
     t: float
     f0: complex
     fn: np.ndarray
     f: complex
-    gamma: float
-    phase_degenerate: bool
 
 
 def _hopping_scale(s_left: float, s_right: float) -> float:
@@ -145,20 +139,13 @@ def solve(spec: ChainSpec) -> tuple[SingleExcitationHamiltonian, EigenSystem]:
     return h, eigensolve(h)
 
 
-def _principal_branch(angle: float) -> float:
-    # atan2 returns [-pi, pi]; fold the single point -pi onto +pi.
-    return math.pi if angle == -math.pi else angle
-
-
 def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
     """Evaluate f0, all fn, and f at one time from a precomputed spectrum."""
     t = float(t)
     fn = (eig.vectors * eig.vectors[0] * np.exp(-1j * t * eig.values)).sum(axis=1)
     f0 = complex(np.exp(-1j * h.vacuum_energy * t))
     f = complex(np.conj(f0) * fn[-1])
-    degenerate = abs(f) <= PHASE_DEGENERATE_TOL
-    gamma = 0.0 if degenerate else _principal_branch(math.atan2(f.imag, f.real))
-    return AmplitudeRecord(t=t, f0=f0, fn=fn, f=f, gamma=gamma, phase_degenerate=degenerate)
+    return AmplitudeRecord(t=t, f0=f0, fn=fn, f=f)
 
 
 def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
@@ -196,17 +183,6 @@ def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
 def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:
     """One-shot convenience: reduce, diagonalise, evaluate at a single time."""
     return amplitudes(*solve(spec), t)
-
-
-def time_series(spec: ChainSpec, t_grid) -> list[AmplitudeRecord]:
-    """Amplitudes on an ascending time grid, sharing a single eigensolve."""
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("time grid must be one-dimensional")
-    if grid.size > 1 and np.any(np.diff(grid) < 0):
-        raise ValueError("time grid must be ascending")
-    h, eig = solve(spec)
-    return [amplitudes(h, eig, t) for t in grid]
 
 
 def propagator(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> np.ndarray:

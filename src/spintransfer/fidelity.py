@@ -14,6 +14,10 @@ gives
 A receiver-side gate diag{1, e^{-i vartheta}} with vartheta = arg(f) removes
 the phase penalty, raising the average to 1/2 + |f|/3 + |f|^2/6; no local
 gate can repair |f| < 1.
+
+The reports are the one place that computes the phase of f: gamma = vartheta
+= arg(f) on (-pi, pi], with 0 where |f| <= PHASE_DEGENERATE_TOL, below which
+the phase is numerically meaningless.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ __all__ = [
     "fidelity_report_blocks",
 ]
 
+# Below this |f| the phase of f is reported as 0.
+PHASE_DEGENERATE_TOL = 1e-12
 # |f| may exceed 1 by at most this much (upstream round-off); beyond it the
 # input is treated as corrupt.
 _CLAMP_EXCESS = 1e-9
@@ -148,7 +154,8 @@ def corrected_average_fidelity(f: complex) -> tuple[float, float]:
 
     The gate diag{1, e^{-i vartheta}} with vartheta = arg(f) rotates f onto
     the positive real axis, so the corrected value is the average fidelity
-    evaluated at |f|.  At f = 0 the phase is reported as 0.
+    evaluated at |f|.  Where |f| <= PHASE_DEGENERATE_TOL the phase is
+    reported as 0.
     """
     rep = fidelity_reports([0.0], [f])
     return rep.fbar_corrected[0].item(), rep.correction_phase[0].item()
@@ -174,18 +181,16 @@ def _theta_rule(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def bloch_average_quadrature(f: complex, n_theta: int = 64, n_phi: int = 64) -> float:
+def bloch_average_quadrature(f: complex, n_theta: int = 64) -> float:
     """Numerical sphere average of fidelity(f, .) as an independent check.
 
-    Gauss-Legendre in cos(theta) with n_theta nodes crossed with the uniform
-    trapezoid rule in phi (endpoints identified) with n_phi nodes.  The
+    Gauss-Legendre in cos(theta) with n_theta nodes, cached per n_theta.  The
     integrand is a low-degree polynomial in cos(theta), so modest resolutions
-    are already exact to round-off.  It does not depend on phi, so every
-    ring of n_phi trapezoid nodes averages to its value at the ring's theta,
-    and only the theta nodes, cached per n_theta, are evaluated.
+    are already exact to round-off.  It does not depend on phi, so the
+    average over phi is the integrand itself and needs no nodes.
     """
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError("need at least 2 nodes per angle")
+    if n_theta < 2:
+        raise ValueError("need at least 2 nodes in theta")
     theta, weights = _theta_rule(n_theta)
     return float(weights @ fidelities(f, theta)) / 2.0
 
@@ -203,25 +208,23 @@ class FidelityReport:
     correction_phase: float
 
 
-def fidelity_report(t: float, f: complex, phase_degenerate: bool = False) -> FidelityReport:
+def fidelity_report(t: float, f: complex) -> FidelityReport:
     """Bundle plain and corrected average fidelities for one (t, f) pair."""
-    rep = fidelity_reports([t], [f], phase_degenerate)
+    rep = fidelity_reports([t], [f])
     return FidelityReport(**{name: column[0].item() for name, column in vars(rep).items()})
 
 
-def fidelity_reports(t, f, phase_degenerate=False) -> FidelityReport:
+def fidelity_reports(t, f) -> FidelityReport:
     """fidelity_report over 1-D arrays: one FidelityReport whose fields are arrays.
 
-    phase_degenerate is a bool or a bool array; where it is set, gamma and
-    correction_phase are 0.  AmplitudeOutOfRangeError is raised before any
-    row is computed.
+    AmplitudeOutOfRangeError is raised before any row is computed.
     """
     f, mag = _checked_amplitudes(f)
-    return _reports(np.array(t, dtype=float), f, mag, phase_degenerate)
+    return _reports(np.array(t, dtype=float), f, mag)
 
 
-def fidelity_report_blocks(t, f, phase_degenerate=False) -> Iterator[FidelityReport]:
-    """fidelity_reports(t, f, phase_degenerate) as consecutive blocks of rows.
+def fidelity_report_blocks(t, f) -> Iterator[FidelityReport]:
+    """fidelity_reports(t, f) as consecutive blocks of rows.
 
     Every |f| is checked, and AmplitudeOutOfRangeError raised, by the call
     itself, before the first block exists; each block is computed only when
@@ -229,14 +232,20 @@ def fidelity_report_blocks(t, f, phase_degenerate=False) -> Iterator[FidelityRep
     """
     f, mag = _checked_amplitudes(f)
     t = np.asarray(t, dtype=float)
-    degenerate = np.broadcast_to(phase_degenerate, f.shape)
     blocks = (slice(lo, lo + _REPORT_BLOCK) for lo in range(0, f.size, _REPORT_BLOCK))
-    return (_reports(t[b].copy(), f[b], mag[b], degenerate[b]) for b in blocks)
+    return (_reports(t[b].copy(), f[b], mag[b]) for b in blocks)
 
 
-def _reports(t, f, mag, phase_degenerate) -> FidelityReport:
-    """The report columns for checked f and |f| from _checked_amplitudes."""
-    phase = np.where(phase_degenerate, 0.0, np.arctan2(f.imag, f.real))
+def _reports(t, f, mag) -> FidelityReport:
+    """The report columns for checked f and |f| from _checked_amplitudes.
+
+    The phase is arg(f) on (-pi, pi]: arctan2 gives -pi for negative Re f
+    when Im f is -0.0 or too small a negative to move the angle, and that
+    point is folded onto +pi.
+    """
+    phase = np.arctan2(f.imag, f.real)
+    phase[phase == -np.pi] = np.pi
+    phase[mag <= PHASE_DEGENERATE_TOL] = 0.0
     return FidelityReport(t=t, f=f, abs_f=mag, gamma=phase,
                           fbar=_average(f.real, mag), fbar_corrected=_average(mag, mag),
                           correction_phase=phase.copy())

@@ -53,6 +53,12 @@ _TIE_TOL = 1e-12
 # Longest search grid (the benchmark's largest holds about 4 000 points).
 _MAX_GRID_POINTS = 2**20
 
+# Golden-section steps per bracket, at most.
+_MAX_REFINE_ITERS = 200
+
+# verify_field_formula accepts a tuned pair whose Fbar reaches 1 minus this.
+_FIELD_TUNING_TOL = 1e-9
+
 
 class GridBudgetError(ValueError):
     """The search grid on [0, t_max] would hold more than _MAX_GRID_POINTS times."""
@@ -60,28 +66,23 @@ class GridBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search horizon and refinement budget.
-
-    refine_tol is a tolerance on the time; when omitted it defaults to
-    1e-10 * t_max.
-    """
+    """Search horizon and coarse-grid sample floor."""
 
     t_max: float
     n_samples: int = 256
-    refine_tol: float | None = None
-    max_refine_iters: int = 200
 
     def __post_init__(self) -> None:
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        if self.t_max == math.inf:  # no grid of finitely many points covers it
+            raise GridBudgetError("t_max must be finite, got inf")
         if self.n_samples < 16:
             raise ValueError(f"n_samples must be at least 16, got {self.n_samples}")
-        if self.refine_tol is None:
-            object.__setattr__(self, "refine_tol", 1e-10 * self.t_max)
-        if not self.refine_tol > 0.0:
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol!r}")
-        if self.max_refine_iters < 1:
-            raise ValueError("max_refine_iters must be at least 1")
+
+    @property
+    def refine_tol(self) -> float:
+        """Tolerance on the time at which refinement stops."""
+        return 1e-10 * self.t_max
 
 
 @dataclass(frozen=True)
@@ -137,18 +138,22 @@ def _level_spread(h, eig) -> float:
 def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> np.ndarray:
     """Grid on [0, t_max] of (t_end, spread) pieces, t_end ascending to t_max; each
     is sampled at spacing min(t_max / n_samples, pi / (10 * spread))."""
-    ends, steps = [0.0], []
+    # density is steps per unit time, still finite when a step count overflows
+    ends, steps, density = [0.0], [], 0.0
     for t_end, spread in pieces:
         spacing = cfg.t_max / cfg.n_samples
         if spread > 0.0:
             spacing = min(spacing, math.pi / (10.0 * spread))
-        steps.append((t_end - ends[-1]) / spacing if spacing > 0.0 else math.inf)  # spread overflowed
+        length = t_end - ends[-1]
+        steps.append(length / spacing if spacing > 0.0 else math.inf)  # spread overflowed
+        density += length / cfg.t_max / spacing if spacing > 0.0 else math.inf
         ends.append(t_end)
     total = sum(steps)  # the grid holds sum(ceil(steps)) + 1 points; total may be inf
     if not (total < _MAX_GRID_POINTS and sum(map(math.ceil, steps)) < _MAX_GRID_POINTS):
-        raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {total + 1:.4g} grid points (limit "
-                              f"{_MAX_GRID_POINTS}); split the horizon into pieces of at most "
-                              f"{cfg.t_max * (_MAX_GRID_POINTS - 1) / total:.6g}")
+        hint = (f"split the horizon into pieces of at most {(_MAX_GRID_POINTS - 1) / density:.6g}"
+                if density < math.inf else "the spread of the levels or the field box overflows")
+        raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {total + 1:.4g} grid points "
+                              f"(limit {_MAX_GRID_POINTS}); {hint}")
     parts = [np.linspace(lo, hi, math.ceil(n) + 1) for lo, hi, n in zip(ends, ends[1:], steps)]
     return np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
 
@@ -164,7 +169,7 @@ def _refine_brackets(
     objective maps an array of times to an array of values.  Golden-section
     steps run on all brackets in lockstep, one objective call per step on the
     new time of every bracket still wider than refine_tol, for at most
-    max_refine_iters steps.  One three-point parabolic step of width h then
+    _MAX_REFINE_ITERS steps.  One three-point parabolic step of width h then
     polishes every bracket wider than 2h: golden-section stalls once objective
     differences drop below the resolution of a flat top, and a stencil wide
     enough to see real curvature places the vertex far better.  Each bracket
@@ -176,7 +181,7 @@ def _refine_brackets(
     x2 = a + _GOLDEN * (b - a)
     f12 = objective(np.concatenate([x1, x2]))
     f1, f2 = f12[:a.size], f12[a.size:]
-    for _ in range(cfg.max_refine_iters):
+    for _ in range(_MAX_REFINE_ITERS):
         active = np.flatnonzero(b - a > cfg.refine_tol)
         if not active.size:
             break
@@ -315,9 +320,9 @@ def tune_uniform_field(
     chain.
     """
     b_lo, b_hi = float(b_range[0]), float(b_range[1])
-    if not b_lo < b_hi:
-        raise ValueError(f"need B_lo < B_hi, got {b_range!r}")
     b_c = (b_lo + b_hi) / 2.0
+    if not (b_lo < b_hi and math.isfinite(b_c)):
+        raise ValueError(f"the field box needs B_lo < B_hi and a finite centre, got {b_range!r}")
     solved = solve(base.with_uniform_field(b_c))
     f_of = _Evaluations()
 
@@ -340,32 +345,30 @@ def tune_uniform_field(
     return _result(f, best_t, best_b, f_of.count, bracket)
 
 
-def verify_field_formula(
-    sys: PresetSystem, k: int, l: int, target_tol: float = 1e-9
-) -> FieldTuningReport:
+def verify_field_formula(sys: PresetSystem, k: int, l: int) -> FieldTuningReport:
     """Check that the printed (t_c, B_c) rules really give perfect transfer.
 
     t_c is the k-th zero-field critical time of sys (its field value is
     ignored), B_c the matching tuned field; the chain is rebuilt with B_c and
     the engine evaluates the average fidelity at t_c.  ok is set when that
-    value reaches 1 - target_tol.  Raises NotTunableError for the systems
-    with no exact tuning.
+    value reaches 1 - _FIELD_TUNING_TOL.  Raises NotTunableError for the
+    systems with no exact tuning.
     """
     if k < 0 or l < 0:
         raise ValueError("k and l must be nonnegative")
     t_c = closed_forms.zero_field_critical_time(sys.name, sys.J, k)
     parity = "even" if k % 2 == 0 else "odd"
     b_c = closed_forms.critical_field(sys, t_c, parity, l)
-    record = amplitudes(*solve(preset(sys.name, sys.J, b_c)), t_c)
-    fbar = fidelity.average_fidelity(record.f)
+    f = amplitudes(*solve(preset(sys.name, sys.J, b_c)), t_c).f
+    rep = fidelity.fidelity_report(t_c, f)
     return FieldTuningReport(
         system=sys.name,
         k=k,
         l=l,
         t_c=t_c,
         b_c=b_c,
-        abs_f=abs(record.f),
-        gamma=record.gamma,
-        fbar=fbar,
-        ok=fbar >= 1.0 - target_tol,
+        abs_f=abs(f),
+        gamma=rep.gamma,
+        fbar=rep.fbar,
+        ok=rep.fbar >= 1.0 - _FIELD_TUNING_TOL,
     )

@@ -1,8 +1,11 @@
 """Command-line interface: CSV/JSON contracts, exit codes, manifests."""
 
+import importlib
+import itertools
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -18,8 +21,8 @@ from spintransfer import cli, optimize
 from spintransfer.chain import (ChainSpec, SiteSpec, SpinMagnitude, load_chain, preset,
                                 save_chain)
 from spintransfer.cli import CSV_HEADER, main
-from spintransfer.excitation import (PHASE_DEGENERATE_TOL, amplitudes, eigensolve, reduce,
-                                     synthesize_f, transfer_amplitude)
+from spintransfer.excitation import (amplitudes, eigensolve, reduce, synthesize_f,
+                                     transfer_amplitude)
 from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report, fidelity_reports
 
 SQRT2 = math.sqrt(2.0)
@@ -118,7 +121,7 @@ class TestSimulate:
 
         # 17 significant digits round-trip to the exact in-memory doubles
         record = transfer_amplitude(spec, row[0])
-        rep = fidelity_report(record.t, record.f, record.phase_degenerate)
+        rep = fidelity_report(record.t, record.f)
         assert row[1] == rep.f.real
         assert row[2] == rep.f.imag
         assert row[3] == rep.abs_f
@@ -136,11 +139,25 @@ class TestSimulate:
         h = reduce(preset("sec3-two-spin", 1.0, 0.5))
         t = np.linspace(0.0, 30.0, 2500)
         f = synthesize_f(h, eigensolve(h), t)
-        rep = fidelity_reports(t, f, np.abs(f) <= PHASE_DEGENERATE_TOL)
+        rep = fidelity_reports(t, f)
         columns = (rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
                    rep.fbar, rep.fbar_corrected, rep.correction_phase)
         rows = (",".join(format(x, ".17g") for x in row) for row in zip(*map(list, columns)))
         assert out_path.read_bytes() == "\n".join([CSV_HEADER, *rows, ""]).encode()
+
+    def test_dead_channel_phase_is_plus_pi(self, tmp_path, capsys):
+        # at B = 0 this chain has f = -sin^2(t / 2) on the negative real axis,
+        # where arctan2 gives -pi whenever Im f is -0.0 or a tiny negative
+        out_path = tmp_path / "dead.csv"
+        code, _, _ = _run(capsys, "simulate", "--preset", "sec2-three-spin-center", "--J", "1",
+                          "--B", "0", "--t-max", repr(4 * math.pi), "--steps", "1001",
+                          "--out", str(out_path))
+        assert code == 0
+        rows = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        gamma, delta = rows[:, 4], rows[:, 7]
+        assert np.array_equal(gamma, delta)
+        assert np.all((gamma > -math.pi) & (gamma <= math.pi))
+        assert np.any(gamma == math.pi)
 
     def test_out_of_range_amplitude_fails_before_the_file_exists(self, tmp_path, monkeypatch):
         def corrupt_last(h, eig, t):
@@ -232,13 +249,41 @@ def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
         assert all(cell == format(float(cell), ".17g") for cell in cells)
         t, re_f, im_f, abs_f, gamma, fbar, fbar_corr, delta = map(float, cells)
         record = amplitudes(h, eig, t)
-        rep = fidelity_report(record.t, record.f, record.phase_degenerate)
+        rep = fidelity_report(record.t, record.f)
         for got, want in ((re_f, rep.f.real), (im_f, rep.f.imag), (abs_f, rep.abs_f),
                           (fbar, rep.fbar), (fbar_corr, rep.fbar_corrected)):
             assert abs(got - want) <= 1e-12
         for got, want in ((gamma, rep.gamma), (delta, rep.correction_phase)):
             wrapped = (got - want + math.pi) % (2.0 * math.pi) - math.pi
             assert rep.abs_f * abs(wrapped) <= 1e-12
+
+
+def _refuse_grid(*args, **kwargs):
+    raise AssertionError("a search grid was allocated")
+
+
+def test_every_exported_name_resolves():
+    modules = [spintransfer] + [importlib.import_module(f"spintransfer.{info.name}")
+                                for info in pkgutil.iter_modules(spintransfer.__path__)]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__
+
+
+def test_module_entry_point_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(spintransfer.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "spintransfer.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = run("verify", "--only", "spectrum")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "5/5 checks passed"
+    proc = run("simulate", "--preset", "no-such-preset", "--t-max", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
 
 
 def test_package_imports_without_scipy():
@@ -300,17 +345,28 @@ class TestOptimize:
 
     def test_runaway_horizon_is_a_usage_error(self, capsys, monkeypatch):
         # t_max = 1e9 on a J = 1 preset needs about 1e10 grid points, far over
-        # the 2**20 budget; the refusal must come before any grid is built
-        def refuse(*args, **kwargs):
-            raise AssertionError("a search grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
-        for extra in ([], ["--tune-field", "0", "2"]):
+        # the 2**20 budget, and 1e308 overflows the point count to inf; the
+        # refusal must come before any grid is built and name a usable piece
+        # length
+        monkeypatch.setattr(np, "linspace", _refuse_grid)
+        for t_max, extra in itertools.product(["1e9", "1e308"], [[], ["--tune-field", "0", "2"]]):
             code, out, err = _run(capsys, "optimize", "--preset", "sec2-two-spin", "--J", "1",
-                                  "--B", "0", "--t-max", "1e9", *extra)
+                                  "--B", "0", "--t-max", t_max, *extra)
             assert code == 2
             assert out == ""
-            assert "split the horizon" in err
+            piece = float(err.split("split the horizon into pieces of at most ")[1].split()[0])
+            assert 0.0 < piece < float(t_max)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-max", "inf"], "error: t_max must be finite"),
+        (["--t-max", "5", "--tune-field", "0", "inf"], "error: the field box"),
+    ])
+    def test_unbounded_input_is_a_usage_error(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(np, "linspace", _refuse_grid)
+        code, out, err = _run(capsys, "optimize", "--preset", "sec2-two-spin", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
 
     def test_wide_field_box_is_searched(self, capsys):
         # past t = 2 pi / 1e6 every phase lines up, so the box width does not

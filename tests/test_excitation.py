@@ -21,10 +21,11 @@ from spintransfer.excitation import (
     eigensolve,
     propagator,
     reduce,
+    solve,
     synthesize_f,
-    time_series,
     transfer_amplitude,
 )
+from spintransfer.fidelity import fidelity_report
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,14 +132,14 @@ class TestAmplitudes:
         assert rec.f0 == pytest.approx(1.0, abs=1e-15)
         assert rec.fn == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
         assert rec.f == pytest.approx(0.0, abs=1e-14)
-        assert rec.phase_degenerate
+        assert fidelity_report(rec.t, rec.f).gamma == 0.0
 
     def test_two_spin_impurity_amplitude(self):
         # f = -i exp(iBt) sin(sqrt(2) J t / 2); at B=0, t = pi/(sqrt2 J) this is -i
         j = 1.3
         rec = transfer_amplitude(preset("sec2-two-spin", j, 0.0), math.pi / (SQRT2 * j))
         assert rec.f == pytest.approx(-1j, abs=1e-12)
-        assert rec.gamma == pytest.approx(-math.pi / 2, abs=1e-12)
+        assert fidelity_report(rec.t, rec.f).gamma == pytest.approx(-math.pi / 2, abs=1e-12)
 
     def test_tuned_three_spin_is_perfect(self):
         j = 1.0
@@ -156,21 +157,25 @@ class TestAmplitudes:
         j = 1.0
         rec = transfer_amplitude(preset("sec2-three-spin-center", j, 0.0), math.pi / j)
         assert rec.f == pytest.approx(-1.0, abs=1e-12)
-        assert rec.gamma == pytest.approx(math.pi, abs=1e-12)
+        assert fidelity_report(rec.t, rec.f).gamma == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestTimeSeries:
+    """synthesize_f on whole time grids, from a single eigensolve."""
+
     def test_single_point(self):
-        records = time_series(preset("sec2-two-spin", 1.0, 0.0), [0.0])
-        assert len(records) == 1
-        assert records[0].fn == pytest.approx([1.0, 0.0], abs=1e-14)
+        solved = solve(preset("sec2-two-spin", 1.0, 0.0))
+        f = synthesize_f(*solved, [0.0])
+        assert f.shape == (1,)
+        assert f[0] == synthesize_f(*solved, 0.0)
+        assert f[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_oscillation_matches_closed_form(self):
         j = 1.0
         grid = np.linspace(0.0, 4 * math.pi / j, 1000)
-        records = time_series(preset("sec2-two-spin", j, 0.0), grid)
+        f = synthesize_f(*solve(preset("sec2-two-spin", j, 0.0)), grid)
         expected = np.abs(np.sin(SQRT2 * j * grid / 2))
-        got = np.array([abs(r.f) for r in records])
+        got = np.abs(f)
         assert np.max(np.abs(got - expected)) <= 1e-12
         assert got.max() == pytest.approx(1.0, abs=1e-6)
 
@@ -179,13 +184,8 @@ class TestTimeSeries:
         j = b = 1.0
         mu = math.hypot(j, b)
         grid = np.linspace(0.0, 6 * math.pi / mu, 20001)
-        records = time_series(preset("sec3-two-spin", j, b), grid)
-        peak = max(abs(r.f) for r in records)
+        peak = np.abs(synthesize_f(*solve(preset("sec3-two-spin", j, b)), grid)).max()
         assert peak == pytest.approx(1.0 / SQRT2, abs=1e-6)
-
-    def test_rejects_descending_grid(self):
-        with pytest.raises(ValueError):
-            time_series(preset("sec2-two-spin", 1.0, 0.0), [1.0, 0.5])
 
 
 class TestPropagator:

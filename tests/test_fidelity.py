@@ -205,22 +205,22 @@ class TestAverageFidelity:
 
 class TestQuadrature:
     def test_dead_channel_exact_at_coarse_resolution(self):
-        assert bloch_average_quadrature(0.0, 2, 2) == pytest.approx(0.5, abs=1e-15)
+        assert bloch_average_quadrature(0.0, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_quarter_phase(self):
-        assert bloch_average_quadrature(-1j, 64, 64) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert bloch_average_quadrature(-1j, 64) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             f = math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
             direct = average_fidelity(f)
-            quad = bloch_average_quadrature(f, 64, 64)
+            quad = bloch_average_quadrature(f, 64)
             assert abs(direct - quad) <= 1e-10
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
-            bloch_average_quadrature(0.5, 1, 64)
+            bloch_average_quadrature(0.5, 1)
 
     def test_cached_nodes_give_the_uncached_sum(self):
         rng = np.random.default_rng(10)
@@ -229,7 +229,7 @@ class TestQuadrature:
             nodes, weights = np.polynomial.legendre.leggauss(n_theta)
             c2, s2 = np.cos(np.arccos(nodes) / 2) ** 2, np.sin(np.arccos(nodes) / 2) ** 2
             rings = c2 * (1 - abs(f) ** 2 * s2 + 2 * s2 * f.real) + abs(f) ** 2 * s2 * s2
-            assert bloch_average_quadrature(f, n_theta, 8) == float(weights @ rings) / 2
+            assert bloch_average_quadrature(f, n_theta) == float(weights @ rings) / 2
 
     def test_cached_nodes_are_read_only(self):
         theta, weights = fidelity_module._theta_rule(64)
@@ -251,10 +251,21 @@ class TestFidelityReport:
         assert rep.correction_phase == pytest.approx(0.7, abs=1e-12)
 
     def test_degenerate_phase(self):
-        rep = fidelity_report(0.0, 0.0, phase_degenerate=True)
+        rep = fidelity_report(0.0, 0.0)
         assert rep.gamma == 0.0
         assert rep.correction_phase == 0.0
         assert rep.fbar == 0.5
+
+    def test_phase_below_the_degeneracy_floor_is_zero(self):
+        # |f| = 1e-13 <= 1e-12: the phase pi/2 is not reported
+        assert corrected_average_fidelity(1e-13j)[1] == 0.0
+        assert fidelity_report(0.0, 1e-13j).gamma == 0.0
+
+    @pytest.mark.parametrize("f", [-1 - 1e-17j, complex(-1.0, -0.0)])
+    def test_negative_real_axis_is_plus_pi(self, f):
+        # arctan2 gives -pi here; the phase lies on (-pi, pi]
+        rep = fidelity_report(0.0, f)
+        assert rep.gamma == rep.correction_phase == math.pi
 
 
 class TestFidelityReports:
@@ -264,7 +275,7 @@ class TestFidelityReports:
         # a hair above 1 (rescaled by the scalar rules), at 1, and near 0
         f[:200] *= (1.0 + rng.uniform(0.0, 5e-10, 200)) / np.abs(f[:200])
         f[200:300] = rng.uniform(-1e-12, 1e-12, 100) * 1j
-        f[300:306] = [1.0, -1.0, 1j, -1j, 0.0, 1.0 + 1e-16]
+        f[300:308] = [1.0, -1.0, 1j, -1j, 0.0, 1.0 + 1e-16, -1 - 1e-17j, complex(-1.0, -0.0)]
         return f
 
     def test_bitwise_equal_to_fidelity_report(self):
@@ -272,24 +283,24 @@ class TestFidelityReports:
         # construction; the reference test below carries the guarantee
         f = self._amplitudes()
         t = np.linspace(0.0, 7.0, f.size)
-        degenerate = np.abs(f) <= 1e-12
-        reports = fidelity_reports(t, f, degenerate)
+        reports = fidelity_reports(t, f)
         for i in range(f.size):
-            row = fidelity_report(t[i], f[i], bool(degenerate[i]))
+            row = fidelity_report(t[i], f[i])
             for name, value in vars(row).items():
                 assert getattr(reports, name)[i] == value, (i, name)
 
     def test_matches_the_reference(self):
         f = self._amplitudes()
-        degenerate = np.abs(f) <= 1e-12
-        reports = fidelity_reports(np.zeros(f.size), f, degenerate)
+        reports = fidelity_reports(np.zeros(f.size), f)
         for i, z in enumerate(f.tolist()):
             assert reports.fbar[i].hex() == _reference_average(z).hex(), i
             assert reports.fbar_corrected[i].hex() == _reference_average(z, True).hex(), i
             checked = z / abs(z) if abs(z) > 1.0 else z
             assert complex(reports.f[i]) == checked and reports.abs_f[i] == abs(checked), i
-            # np.arctan2 is not correctly rounded: allow 2 ulp against math.atan2
-            phase = 0.0 if degenerate[i] else math.atan2(checked.imag, checked.real)
+            # arg f on (-pi, pi], 0 where |f| <= 1e-12; np.arctan2 is not
+            # correctly rounded: allow 2 ulp against math.atan2
+            phase = math.atan2(checked.imag, checked.real)
+            phase = 0.0 if abs(z) <= 1e-12 else math.pi if phase == -math.pi else phase
             assert abs(reports.gamma[i] - phase) <= 2 * math.ulp(phase), i
             assert reports.correction_phase[i] == reports.gamma[i], i
 
@@ -324,9 +335,8 @@ class TestFidelityReports:
         # 4,000 rows: three full 1,024-row blocks and a partial one
         f = self._amplitudes()
         t = np.linspace(0.0, 7.0, f.size)
-        degenerate = np.abs(f) <= 1e-12
-        whole = fidelity_reports(t, f, degenerate)
-        blocks = list(fidelity_report_blocks(t, f, degenerate))
+        whole = fidelity_reports(t, f)
+        blocks = list(fidelity_report_blocks(t, f))
         assert [len(b.t) for b in blocks] == [1024, 1024, 1024, 928]
         for name, column in vars(whole).items():
             joined = np.concatenate([getattr(b, name) for b in blocks])

@@ -1,6 +1,7 @@
 """Critical-time search, fidelity maximization, field tuning."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,8 +41,6 @@ class TestSearchConfig:
             SearchConfig(t_max=0.0)
         with pytest.raises(ValueError):
             SearchConfig(t_max=1.0, n_samples=4)
-        with pytest.raises(ValueError):
-            SearchConfig(t_max=1.0, refine_tol=-1.0)
 
 
 class TestGridBudget:
@@ -413,7 +412,7 @@ def _scalar_refine(fn, lo, hi, cfg):
         calls.append(t)
         return fn(t)
 
-    x, val = _golden_max(counted, lo, hi, cfg.refine_tol, cfg.max_refine_iters)
+    x, val = _golden_max(counted, lo, hi, cfg.refine_tol, optimize._MAX_REFINE_ITERS)
     steps = len(calls) - 2
     x, val = _parabolic_polish(counted, x, val, lo, hi,
                                max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max))
@@ -466,11 +465,13 @@ class TestLockstepRefine:
         spec = preset("sec3-three-spin-center", 0.9, 0.6)
         paths = self._compare(spec, SearchConfig(t_max=25.0), corrected)
         assert {polish for _, polish in paths} == {0, 3, 4}
-        capped = self._compare(spec, SearchConfig(t_max=25.0, max_refine_iters=6), corrected)
+        with mock.patch.object(optimize, "_MAX_REFINE_ITERS", 6):
+            capped = self._compare(spec, SearchConfig(t_max=25.0), corrected)
         assert {steps for steps, _ in capped} == {6}
 
     @settings(max_examples=30, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 30.0), corrected=st.booleans(),
            max_iters=st.sampled_from([4, 200]))
     def test_random_chains(self, spec, t_max, corrected, max_iters):
-        self._compare(spec, SearchConfig(t_max=t_max, max_refine_iters=max_iters), corrected)
+        with mock.patch.object(optimize, "_MAX_REFINE_ITERS", max_iters):
+            self._compare(spec, SearchConfig(t_max=t_max), corrected)
