@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -194,6 +195,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _EXIT_CHECK_FAILED if failed else _EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -1e-3 as a number, not as an option.
+
+    argparse takes an argument for a negative number only in the forms -5 and
+    -.5; its subparsers are built from the same class.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_chain_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("chain source")
     group.add_argument("--chain", metavar="PATH", help="chain JSON file")
@@ -204,7 +217,7 @@ def _add_chain_source(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spintransfer",
         description="Transfer amplitudes and fidelity optimization for XX spin chains.",
     )

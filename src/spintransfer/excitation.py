@@ -90,6 +90,12 @@ class EigenSystem:
         """w_k = v_k[1] v_k[N], the weight of level k in the end-to-end amplitude f."""
         return self.vectors[0] * self.vectors[-1]
 
+    @property
+    def transfer_bound(self) -> float:
+        """sum_k |w_k|, a bound on |f| at every time: at most 1 (Cauchy-Schwarz on
+        the orthonormal eigenvectors), and 1 on mirror-symmetric chains."""
+        return float(np.abs(self.end_weights).sum())
+
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeRecord:

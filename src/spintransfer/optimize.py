@@ -3,17 +3,21 @@
 Strategy: sample the objective on a uniform grid whose spacing is tied to the
 spectral spread of the chain (the objective is a trigonometric polynomial
 whose frequencies are level differences, so spacing pi / (10 * spread) cannot
-skip an oscillation), then refine every candidate bracket by golden-section
+skip an oscillation), then refine candidate brackets by golden-section
 search.  The brackets are refined in lockstep: each step evaluates f at one
 new time per bracket still open, in one array synthesis, and each bracket
 visits the same times a search on it alone would.  A final three-point
 parabolic correction sharpens each extremum past the floating-point tie
 plateau that makes raw golden-section comparisons uninformative on flat
-tops.  No randomness is used anywhere; identical inputs give identical
-results, and ties between equal peaks resolve to the earliest time.  Field
-tuning searches t alone: a uniform field b only rotates the phase of f,
-f(t, b) = f(t, 0) e^{ibt}, so the best field at each t is known, and the
-grid is finer only while the field box cannot align every phase.
+tops.  critical_times refines every peak of |f|.  The fidelity searches skip
+a bracket whose grid peak plus _MAX_RISE, a bound on how far the objective
+can rise between grid points, stays more than 2 * _TIE_TOL below the best
+value found: it can neither win nor tie.  No randomness is used anywhere;
+identical inputs give identical results, and the winner is the earliest
+candidate within _TIE_TOL of the largest.  Field tuning searches t alone: a
+uniform field b only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so
+the best field at each t is known, and the grid is finer only while the
+field box cannot align every phase.
 """
 
 from __future__ import annotations
@@ -49,6 +53,16 @@ _PEAK_FLOOR = 1e-12
 # as tied, and the earlier time wins.
 _TIE_TOL = 1e-12
 
+# How far a fidelity objective can rise above the larger of two neighbouring
+# grid values.  On each piece of _time_grid it is the max, over a family
+# (plain Fbar: theta = 0; corrected: every theta; tuned: every field of the
+# box), of h = 1/2 + Re(e^{i theta} g) / 3 + |g|^2 / 6 with g = sum_k w_k
+# e^{-i nu_k t}, sum_k |w_k| <= 1 and every frequency of h at most Omega, the
+# spread the piece is spaced for.  h lies in [1/6, 1] on all of R, so
+# Bernstein's inequality gives |h''| <= Omega^2 * 5/12, and over a step of at
+# most pi / (10 Omega) the maximum exceeds the larger end by at most
+# |h''| step^2 / 8.
+_MAX_RISE = (5.0 / 12.0) * (math.pi / 10.0) ** 2 / 8.0
 
 # Longest search grid (the benchmark's largest holds about 4 000 points).
 _MAX_GRID_POINTS = 2**20
@@ -90,7 +104,8 @@ class OptimizationResult:
     """Best point found, its fidelities, and search diagnostics.
 
     evaluations is the number of time points at which f was evaluated, grid
-    points included, each counted once.
+    points included, each counted once; brackets that are never refined
+    add nothing.
     """
 
     best_t: float
@@ -263,30 +278,47 @@ def _result(f: complex, best_t: float, best_field: float | None, evaluations: in
 
 def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 cfg: SearchConfig) -> tuple[float, tuple[float, float]]:
-    """Time and bracket of the largest candidate: both ends of the grid, and
-    the refined brackets around both end intervals and every interior peak."""
+    """Time and bracket of the earliest candidate within _TIE_TOL of the largest.
+
+    The candidates are both ends of the grid and the refined brackets around
+    both end intervals and every interior peak.  No point of a bracket lies
+    more than _MAX_RISE above the bracket's grid peak, so a bracket whose
+    peak plus _MAX_RISE stays below best - 2 * _TIE_TOL is never refined: even
+    with round-off its value cannot come within _TIE_TOL of best.  best is
+    first the largest grid value, then the largest candidate value; should
+    the refined values fall short of the grid, the brackets the lower best
+    admits are refined in a second pass.
+    """
     values = objective(grid)
     peaks = _interior_peaks(values)
     los = np.concatenate([[0, grid.size - 2], peaks - 1])
     his = np.concatenate([[1, grid.size - 1], peaks + 1])
-    candidates = [(0.0, float(values[0]), (0.0, 0.0)),
-                  (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
-    candidates += _refine_brackets(objective, grid[los], grid[his], cfg)
+    bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + _MAX_RISE
+    ends = [(0.0, float(values[0]), (0.0, 0.0)),
+            (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
+    refined, best = {}, float(values.max())
+    while True:
+        todo = [i for i in np.flatnonzero(bound >= best - 2.0 * _TIE_TOL).tolist()
+                if i not in refined]
+        if not todo:
+            break
+        refined.update(zip(todo, _refine_brackets(objective, grid[los[todo]], grid[his[todo]], cfg)))
+        best = max(val for _, val, _ in ends + list(refined.values()))
 
-    candidates.sort(key=lambda c: c[0])
-    best_t, best_val, best_bracket = candidates[0]
-    for t, val, bracket in candidates[1:]:
-        if val > best_val + _TIE_TOL:
-            best_t, best_val, best_bracket = t, val, bracket
-    return best_t, best_bracket
+    candidates = ends + [refined[i] for i in sorted(refined)]
+    best_t, _, bracket = min((c for c in candidates if c[1] >= best - _TIE_TOL),
+                             key=lambda c: c[0])
+    return best_t, bracket
 
 
 def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = False) -> OptimizationResult:
     """Global maximum of the (plain or corrected) average fidelity on [0, t_max].
 
-    Candidates are both endpoints and every interior grid peak; each is
-    refined by golden-section plus a parabolic polish.  Ties within 1e-12
-    resolve to the earliest time.
+    Candidates are both endpoints and the brackets around both end intervals
+    and every interior grid peak.  A bracket is refined by golden-section
+    plus a parabolic polish unless its grid peak plus _MAX_RISE stays more
+    than 2 * _TIE_TOL below the best value (see _global_max).  The earliest
+    candidate within _TIE_TOL of the largest wins.
     """
     solved = solve(spec)
     f_of = _Evaluations()

@@ -387,6 +387,46 @@ class TestOptimize:
         assert err.startswith("error: ")
 
 
+class TestNegativeNumbers:
+    """A negative number in exponent form is a value, not an option."""
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["simulate", "--preset", "sec2-two-spin", "--J", "-1e-3", "--t-max", "1"], "J", -1e-3),
+        (["simulate", "--preset", "sec2-two-spin", "--B", "-1e-3", "--t-max", "1"], "B", -1e-3),
+        (["simulate", "--preset", "sec2-two-spin", "--B", "-2.5E+1", "--t-max", "1"], "B", -25.0),
+        (["optimize", "--preset", "sec2-two-spin", "--t-max", "3", "--tune-field", "-1e3", "1e3"],
+         "tune_field", [-1e3, 1e3]),
+        (["optimize", "--preset", "sec2-two-spin", "--J", "-1.", "--t-max", "3",
+          "--tune-field", "-1.5e-1", "-.5e-2"], "tune_field", [-0.15, -0.005]),
+        (["preset", "sec2-two-spin", "--J", "-1e0", "--B", "-1e-3"], "B", -1e-3),
+    ])
+    def test_is_parsed_and_run(self, capsys, argv, dest, value):
+        assert getattr(cli.build_parser().parse_args(argv), dest) == value
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--preset", "sec2-two-spin", "--t-max", "-1e3"],
+         "error: --t-max must be finite and nonnegative"),
+        (["optimize", "--preset", "sec2-two-spin", "--t-max", "-1e-3"],
+         "error: t_max must be positive"),
+    ])
+    def test_negative_horizon_reaches_the_range_check(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize("extra", [["--bogus"], ["-e3"], ["--B", "-1e"], ["-1e3"]])
+    def test_unknown_option_is_still_a_usage_error(self, capsys, extra):
+        code, out, err = _run(capsys, "simulate", "--preset", "sec2-two-spin", "--t-max", "1",
+                              *extra)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
 class TestVerify:
     def test_subset_passes(self, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -12,6 +12,7 @@ from spintransfer.chain import (
     SPIN_ONE,
     SiteSpec,
     SpinMagnitude,
+    engineered_chain,
     preset,
 )
 from spintransfer.excitation import (
@@ -352,3 +353,26 @@ class TestEigensolveProperties:
         m = h.matrix()
         rebuilt = (eig.vectors * eig.values) @ eig.vectors.T
         assert np.max(np.abs(rebuilt - m)) <= 1e-12 * np.linalg.norm(m, 2)
+
+
+class TestTransferBound:
+    """EigenSystem.transfer_bound = sum_k |v_k[1] v_k[N]|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.lists(st.tuples(st.sampled_from([SPIN_HALF, SPIN_ONE]), st.floats(-2.0, 2.0),
+                                   st.floats(0.2, 2.0)), min_size=1, max_size=4),
+           centre=st.none() | st.tuples(st.sampled_from([SPIN_HALF, SPIN_ONE]),
+                                        st.floats(-2.0, 2.0)))
+    def test_one_on_mirror_chains(self, half, centre):
+        # sites and couplings read the same from either end
+        sites = [SiteSpec(s, b) for s, b, _ in half]
+        couplings = [j for _, _, j in half]
+        middle = [SiteSpec(*centre)] if centre is not None else []
+        spec = ChainSpec(sites=tuple(sites + middle + sites[::-1]),
+                         couplings=tuple(couplings[:-1] + [couplings[-1]] * (1 + bool(middle))
+                                         + couplings[:-1][::-1]))
+        assert abs(solve(spec)[1].transfer_bound - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n, site", [(4, 2), (5, 2), (6, 3), (8, 2), (8, 4)])
+    def test_below_one_with_an_off_centre_spin_one(self, n, site):
+        assert solve(engineered_chain(n, 1.0, spin_one_site=site))[1].transfer_bound < 1.0 - 1e-3

@@ -335,10 +335,21 @@ class TestEvaluationCount:
 
     @pytest.mark.parametrize("corrected, count", [(False, 343), (True, 387)])
     def test_count_is_that_of_the_scalar_search(self, corrected, count):
-        # refining the brackets in lockstep visits the points a scalar search did
-        res = maximize_fidelity(preset("sec2-three-spin-center", 1.0, 0.0),
-                                SearchConfig(t_max=3.8), corrected=corrected)
+        # refining every bracket in lockstep visits the points a scalar search did
+        with mock.patch.object(optimize, "_MAX_RISE", math.inf):
+            res = maximize_fidelity(preset("sec2-three-spin-center", 1.0, 0.0),
+                                    SearchConfig(t_max=3.8), corrected=corrected)
         assert res.evaluations == count
+
+    # 343, 387 and 2 906 without pruning; the last is the README example
+    @pytest.mark.parametrize("system, t_max, corrected, count", [
+        (("sec2-three-spin-center", 1.0, 0.0), 3.8, False, 301),
+        (("sec2-three-spin-center", 1.0, 0.0), 3.8, True, 302),
+        (("sec3-three-spin-center", 0.942809, 1.0), 200.0, True, 2006),
+    ])
+    def test_pruned_count(self, synthesized, system, t_max, corrected, count):
+        res = maximize_fidelity(preset(*system), SearchConfig(t_max=t_max), corrected=corrected)
+        assert res.evaluations == sum(synthesized) == count
 
 
 def _interior_peaks_loop(values):
@@ -475,3 +486,131 @@ class TestLockstepRefine:
     def test_random_chains(self, spec, t_max, corrected, max_iters):
         with mock.patch.object(optimize, "_MAX_REFINE_ITERS", max_iters):
             self._compare(spec, SearchConfig(t_max=t_max), corrected)
+
+
+def _recording(name):
+    """Patch optimize.<name> with a wrapper that records (args, result) of each call."""
+    calls = []
+    real = getattr(optimize, name)
+
+    def record(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    return mock.patch.object(optimize, name, record), calls
+
+
+def _search(spec, t_max, kind, box):
+    cfg = SearchConfig(t_max=t_max)
+    if kind == "tuned":
+        return tune_uniform_field(spec, cfg, box)
+    return maximize_fidelity(spec, cfg, corrected=kind == "corrected")
+
+
+_boxes = st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 10.0)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+class TestPruning:
+    """Skipping brackets that cannot win changes nothing but the evaluation count."""
+
+    @staticmethod
+    def _pieces(spec, kind, box):
+        """(t_end, Omega) pieces: Omega bounds every frequency of the objective there."""
+        if kind != "tuned":
+            h, eig = solve(spec)
+            nu = eig.values - h.vacuum_energy
+            return [(math.inf, max(np.max(np.abs(nu)), np.ptp(nu)))]
+        width = box[1] - box[0]
+        h, eig = solve(spec.with_uniform_field((box[0] + box[1]) / 2.0))
+        nu = eig.values - h.vacuum_energy  # a field b shifts them by b - b_c
+        return [(2.0 * math.pi / width, max(np.max(np.abs(nu)) + width / 2.0, np.ptp(nu))),
+                (math.inf, np.ptp(eig.values))]  # centred levels after the phase is aligned
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
+           kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
+    def test_grid_spacing_bounds_every_frequency(self, spec, t_max, kind, box):
+        patch, grids = _recording("_time_grid")
+        with patch:
+            _search(spec, t_max, kind, box)
+        (_, grid), = grids
+        start = 0.0
+        for t_end, omega in self._pieces(spec, kind, box):
+            t_end = min(t_end, t_max)
+            piece = grid[(grid >= start) & (grid <= t_end)]
+            assert piece[0] == start and piece[-1] == t_end  # no step straddles a piece end
+            # 1e-12: linspace rounds each point
+            assert np.all(np.diff(piece) <= math.pi / (10.0 * omega) * (1.0 + 1e-12))
+            start = t_end
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
+           kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
+    def test_no_bracket_rises_further_than_the_bound(self, spec, t_max, kind, box):
+        rise = optimize._MAX_RISE
+        grid_patch, grids = _recording("_time_grid")
+        refine_patch, refines = _recording("_refine_brackets")
+        with grid_patch, refine_patch, mock.patch.object(optimize, "_MAX_RISE", math.inf):
+            _search(spec, t_max, kind, box)
+        (_, grid), = grids
+        ((objective, los, his, _), refined), = refines
+        values = objective(grid)
+        for lo, hi, (_, value, _) in zip(los, his, refined):
+            inside = values[np.searchsorted(grid, lo):np.searchsorted(grid, hi, side="right")]
+            assert value <= np.max(inside) + rise
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
+           kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
+    def test_pruned_search_is_bit_identical(self, spec, t_max, kind, box):
+        pruned = _search(spec, t_max, kind, box)
+        with mock.patch.object(optimize, "_MAX_RISE", math.inf):
+            full = _search(spec, t_max, kind, box)
+
+        def bits(res):
+            return np.array([res.best_t, res.fbar, res.fbar_corrected, res.abs_f, *res.bracket,
+                             res.best_field if kind == "tuned" else 0.0]).tobytes()
+
+        assert bits(pruned) == bits(full)
+        assert pruned.evaluations <= full.evaluations
+
+    def test_a_grid_peak_that_refines_low_reopens_the_pruned_brackets(self):
+        # a spike on one grid point is the largest grid value, but golden-section
+        # never lands on it: the bump pruned against it must still be refined
+        def objective(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t == 5.0, 1.0, 0.5 + 0.49 * np.exp(-((t - 2.05) / 0.3) ** 2))
+
+        cfg = SearchConfig(t_max=10.0)
+        grid = np.linspace(0.0, 10.0, 101)
+        assert objective(grid).max() == 1.0 and objective(grid)[19:23].max() + optimize._MAX_RISE < 1.0
+        best_t, bracket = optimize._global_max(objective, grid, cfg)
+        assert best_t == pytest.approx(2.05, abs=1e-6)
+        with mock.patch.object(optimize, "_MAX_RISE", math.inf):
+            assert optimize._global_max(objective, grid, cfg) == (best_t, bracket)
+
+    def test_earliest_candidate_within_the_tie_margin_of_the_largest_wins(self):
+        # flat tops refine to exactly their height; a chain of near-ties goes to
+        # the earliest top within _TIE_TOL of the highest, not along the chain
+        tops = [(2.0, 1.0), (5.0, 1.0 + 0.8e-12), (8.0, 1.0 + 1.6e-12)]
+
+        def objective(t):
+            t = np.asarray(t, dtype=float)
+            out = np.full(t.shape, 0.5)
+            for centre, height in tops:
+                out[np.abs(t - centre) < 0.35] = height
+            return out
+
+        best_t, _ = optimize._global_max(objective, np.linspace(0.0, 10.0, 101),
+                                         SearchConfig(t_max=10.0))
+        assert abs(best_t - 5.0) < 0.35
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_chains(), t_max=st.floats(1.0, 60.0), corrected=st.booleans())
+def test_no_amplitude_found_exceeds_the_transfer_bound(spec, t_max, corrected):
+    bound = solve(spec)[1].transfer_bound
+    cfg = SearchConfig(t_max=t_max)
+    assert maximize_fidelity(spec, cfg, corrected=corrected).abs_f <= bound + 1e-12
+    assert all(mag <= bound + 1e-12 for _, mag in critical_times(spec, cfg))
