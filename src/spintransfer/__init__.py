@@ -39,7 +39,7 @@ from .fidelity import (
     fidelity_report,
     reduced_density,
 )
-from .full_space import FullSpaceModel, cross_check, evolve_and_trace, full_hamiltonian
+from .full_space import FullSpaceModel, full_hamiltonian
 from .optimize import (
     OptimizationResult,
     SearchConfig,
@@ -87,8 +87,6 @@ __all__ = [
     "fidelity_report",
     "reduced_density",
     "FullSpaceModel",
-    "cross_check",
-    "evolve_and_trace",
     "full_hamiltonian",
     "OptimizationResult",
     "SearchConfig",

@@ -7,7 +7,8 @@ Output contracts:
   preset    chain JSON in the external format.
   verify    one line per check plus an optional JSON report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error (an
+output path that cannot be opened for writing is a usage error).
 Every command emits a run manifest (JSON) to stderr, or to the path given
 with --manifest.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +31,7 @@ from typing import Any, Iterator, TextIO
 import numpy as np
 
 from . import __version__, optimize, verification
-from .chain import ChainSpecError, chain_to_dict, dumps_chain, loads_chain, preset
+from .chain import ChainSpecError, dumps_chain, loads_chain, preset
 from .excitation import eigensolve, reduce, synthesize_f
 from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
@@ -90,20 +92,26 @@ def _write_manifest(args: argparse.Namespace, command: str, digest: str | None,
         "duration_s": time.perf_counter() - started,
     }
     text = json.dumps(manifest, default=str)
-    if args.manifest is not None:
-        Path(args.manifest).write_text(text + "\n", encoding="utf-8")
-    else:
+    if args.manifest is None:
         print(text, file=sys.stderr)
+    else:
+        with _output(args.manifest) as stream:
+            stream.write(text + "\n")
 
 
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
+    """The file at `out`, or stdout; a path that cannot be opened is a usage error."""
     if out is None:
         yield sys.stdout
-    else:
+        return
+    try:
         # newline="" keeps the contractual \n line endings on every platform
-        with open(out, "w", encoding="utf-8", newline="") as stream:
-            yield stream
+        stream = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _UsageError(f"{out}: {exc.strerror or exc}") from exc
+    with stream:
+        yield stream
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -190,7 +198,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        with _output(args.out) as out:
+            out.write(json.dumps(report, indent=2) + "\n")
     _write_manifest(args, "verify", None, started)
     return _EXIT_CHECK_FAILED if failed else _EXIT_OK
 
@@ -216,7 +225,9 @@ def _add_chain_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--B", type=float, default=0.0, help="preset field (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = _Parser(
         prog="spintransfer",
         description="Transfer amplitudes and fidelity optimization for XX spin chains.",

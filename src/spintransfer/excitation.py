@@ -48,7 +48,6 @@ __all__ = [
     "amplitudes",
     "synthesize_f",
     "transfer_amplitude",
-    "propagator",
 ]
 
 # Times per block of synthesize_f's array path; bounds its (times x levels)
@@ -190,14 +189,3 @@ def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:
     """One-shot convenience: reduce, diagonalise, evaluate at a single time."""
     return amplitudes(*solve(spec), t)
 
-
-def propagator(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> np.ndarray:
-    """(N+1) x (N+1) propagator on the zero-plus-single-excitation sector.
-
-    Row/column 0 is the vacuum; rows 1..N are the single-flip states.
-    """
-    n = h.n_sites
-    u = np.zeros((n + 1, n + 1), dtype=complex)
-    u[0, 0] = np.exp(-1j * h.vacuum_energy * float(t))
-    u[1:, 1:] = (eig.vectors * np.exp(-1j * eig.values * float(t))) @ eig.vectors.T
-    return u

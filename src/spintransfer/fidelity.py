@@ -104,13 +104,9 @@ def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
     return f, mag
 
 
-def _checked_amplitude(f: complex) -> complex:
-    return complex(_checked_amplitudes(f)[0][0])
-
-
 def reduced_density(f: complex, state: BlochState) -> np.ndarray:
     """2x2 receiver density matrix; Hermitian, trace one, positive semidefinite."""
-    f = _checked_amplitude(f)
+    f = complex(_checked_amplitudes(f)[0][0])
     pop = math.sin(state.theta / 2.0) ** 2 * abs(f) ** 2
     off = 0.5 * math.sin(state.theta) * cmath.exp(-1j * state.phi) * f.conjugate()
     return np.array([[1.0 - pop, off], [off.conjugate(), pop]], dtype=complex)

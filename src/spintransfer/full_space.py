@@ -38,9 +38,6 @@ __all__ = [
     "total_sz_diagonal",
     "excitation_sector_indices",
     "FullSpaceModel",
-    "evolve_and_trace",
-    "full_fidelity",
-    "cross_check",
 ]
 
 DIMENSION_CAP = 4096
@@ -169,7 +166,6 @@ class FullSpaceModel:
     """
 
     def __init__(self, spec: ChainSpec):
-        self.spec = spec
         self.dims = _site_dims(spec, STATE_CAP)
         self.sector = np.array(excitation_sector_indices(spec))
         self.block = np.empty((self.sector.size, self.sector.size), dtype=complex)
@@ -183,35 +179,6 @@ class FullSpaceModel:
         if leak > _LEAKAGE_TOL:
             raise RuntimeError(f"H moved weight {leak:.3e} out of the excitation sector")
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.block)
-
-    def initial_state(self, state: BlochState) -> np.ndarray:
-        """Site 1 in the Bloch state, every other site in its ground level."""
-        a0, a1 = state.amplitudes()
-        psi = np.zeros(math.prod(self.dims), dtype=complex)
-        psi[self.sector[0]] = a0
-        psi[self.sector[1]] = a1
-        return psi
-
-    def _propagate(self, coeffs: np.ndarray, t) -> np.ndarray:
-        """exp(-iHt) on rows of coefficients over the sector states, row j at time t[j]
-        (or every row at the scalar time t).
-
-        The products are stacked matrix-vector products, so a row's result
-        does not depend on how many rows are evolved with it.
-        """
-        vectors = self.eigenvectors
-        coeffs = np.matmul(vectors.conj().T, coeffs[..., None])[..., 0]
-        coeffs *= np.exp(-1j * np.multiply.outer(t, self.eigenvalues))
-        return np.matmul(vectors, coeffs[..., None])[..., 0]
-
-    def evolve(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """exp(-iHt) psi for a product-space vector inside the sector."""
-        outside = float(np.linalg.norm(np.delete(psi, self.sector)))
-        if outside > _LEAKAGE_TOL:
-            raise ValueError(f"state has weight {outside:.3e} outside the excitation sector")
-        out = np.zeros_like(psi)
-        out[self.sector] = self._propagate(psi[self.sector], float(t))
-        return out
 
     def receiver_densities(self, theta, phi, t) -> np.ndarray:
         """Receiver density matrices, shape (k, 2, 2), for k inputs and times.
@@ -231,10 +198,18 @@ class FullSpaceModel:
         return (amps.conj()[:, None, :] @ rho @ amps[:, :, None])[:, 0, 0].real
 
     def _densities(self, amps: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """receiver_densities for the rows of _inputs."""
+        """receiver_densities for the rows of _inputs.
+
+        exp(-iHt) acts on the sector coefficients as stacked matrix-vector
+        products, so a row's result does not depend on how many rows are
+        evolved with it.
+        """
+        vectors = self.eigenvectors
         coeffs = np.zeros((len(amps), self.sector.size), dtype=complex)
         coeffs[:, :2] = amps
-        coeffs = self._propagate(coeffs, t)
+        coeffs = np.matmul(vectors.conj().T, coeffs[..., None])[..., 0]
+        coeffs *= np.exp(-1j * np.multiply.outer(t, self.eigenvalues))
+        coeffs = np.matmul(vectors, coeffs[..., None])[..., 0]
         total, d = math.prod(self.dims), self.dims[-1]
         top = np.empty((len(amps), 2, 2), dtype=complex)
         for rows in _batches(len(amps), total):
@@ -267,22 +242,3 @@ def _inputs(theta, phi, t) -> tuple[np.ndarray, np.ndarray]:
     amps = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
     return amps, t
 
-
-def evolve_and_trace(spec: ChainSpec, state: BlochState, t: float) -> np.ndarray:
-    """One-shot receiver density matrix from the full-space route."""
-    return FullSpaceModel(spec).receiver_density(state, t)
-
-
-def full_fidelity(spec: ChainSpec, state: BlochState, t: float) -> float:
-    """One-shot transfer fidelity from the full-space route."""
-    return FullSpaceModel(spec).fidelity(state, t)
-
-
-def cross_check(spec: ChainSpec, state: BlochState, t: float) -> float:
-    """|F_full - F_subspace| for one chain, input state, and time."""
-    from . import excitation, fidelity
-
-    record = excitation.transfer_amplitude(spec, t)
-    f_sub = fidelity.fidelity(record.f, state)
-    f_full = full_fidelity(spec, state, t)
-    return abs(f_full - f_sub)

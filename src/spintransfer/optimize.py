@@ -264,12 +264,12 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
 
 def _result(f: complex, best_t: float, best_field: float | None, evaluations: int,
             bracket: tuple[float, float]) -> OptimizationResult:
-    corrected_val, _ = fidelity.corrected_average_fidelity(f)
+    rep = fidelity.fidelity_report(best_t, f)
     return OptimizationResult(
         best_t=best_t,
         best_field=best_field,
-        fbar=fidelity.average_fidelity(f),
-        fbar_corrected=corrected_val,
+        fbar=rep.fbar,
+        fbar_corrected=rep.fbar_corrected,
         abs_f=abs(f),
         evaluations=evaluations,
         bracket=bracket,

@@ -322,7 +322,8 @@ def _check_engineered_impurity_report() -> list[CheckResult]:
 
     No threshold is asserted; the measured peaks are recorded so the claim
     that a spin impurity merely shifts the perfect-transfer time can be
-    judged from data.
+    judged from data.  Each entry also gives the bound sum_k |w_k| on |f| at
+    every time; below 1 it rules out perfect transfer at any time.
     """
     details = []
     for n in (4, 5, 6, 8):
@@ -330,7 +331,9 @@ def _check_engineered_impurity_report() -> list[CheckResult]:
             spec = engineered_chain(n, lam=1.0, spin_one_site=k)
             res = optimize.maximize_fidelity(spec, SearchConfig(t_max=60.0 * math.pi),
                                              corrected=True)
-            details.append(f"N={n} k={k}: max|f|={res.abs_f:.6f} at t={res.best_t:.4f}")
+            bound = solve(spec)[1].transfer_bound
+            details.append(f"N={n} k={k}: max|f|={res.abs_f:.6f} at t={res.best_t:.4f} "
+                           f"bound={bound:.6f}")
     return [CheckResult("engineered-spin-impurity-report", True, None, None,
                         "; ".join(details))]
 

@@ -7,6 +7,7 @@ shows the lines as they pass; the same suite backs `spintransfer verify`.
 
 import dataclasses
 import json
+import re
 import time
 
 import pytest
@@ -64,3 +65,12 @@ def test_impurity_experiment_reported(suite):
     # report-only: every configuration must be present, no threshold asserted
     for n, k in [(4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (8, 2), (8, 4)]:
         assert f"N={n} k={k}:" in report.detail
+
+
+def test_impurity_peaks_stay_below_the_transfer_bound(suite):
+    results, _ = suite
+    entries = re.findall(r"N=\d+ k=\d+: max\|f\|=([\d.]+) at t=[\d.]+ bound=([\d.]+)",
+                         results["engineered-spin-impurity-report"].detail)
+    assert len(entries) == 7
+    for peak, bound in entries:
+        assert float(peak) <= float(bound) + 1e-12

@@ -1,5 +1,6 @@
 """Command-line interface: CSV/JSON contracts, exit codes, manifests."""
 
+import errno
 import importlib
 import itertools
 import json
@@ -481,6 +482,36 @@ class TestVerify:
         code, _, err = _run(capsys, "verify", "--only", "nonexistent-check")
         assert code == 2
         assert "no checks match" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "sec2-two-spin", "--t-max", "1", "--steps", "3", "--out"],
+    ["optimize", "--preset", "sec2-two-spin", "--t-max", "2.8", "--out"],
+    ["preset", "sec2-two-spin", "--J", "1", "--B", "0", "--manifest"],
+    ["verify", "--only", "spectrum", "--out"],
+], ids=["simulate-out", "optimize-out", "preset-manifest", "verify-out"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "file"
+    code, _, err = _run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: {path}: {os.strerror(errno.ENOENT)}"
+    assert not path.parent.exists()
+
+
+class TestParserReuse:
+    ARGV = ["optimize", "--preset", "sec3-two-spin", "--J", "1", "--B", "0", "--t-max", "20"]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_runs(self, capsys):
+        cli.build_parser.cache_clear()
+        code, fresh, _ = _run(capsys, *self.ARGV)
+        assert code == 0
+        assert _run(capsys, *self.ARGV, "--corrected")[0] == 0
+        code, reused, _ = _run(capsys, *self.ARGV)
+        assert code == 0
+        assert reused == fresh
 
 
 class TestManifest:

@@ -20,7 +20,6 @@ from spintransfer.excitation import (
     SingleExcitationHamiltonian,
     amplitudes,
     eigensolve,
-    propagator,
     reduce,
     solve,
     synthesize_f,
@@ -187,40 +186,6 @@ class TestTimeSeries:
         grid = np.linspace(0.0, 6 * math.pi / mu, 20001)
         peak = np.abs(synthesize_f(*solve(preset("sec3-two-spin", j, b)), grid)).max()
         assert peak == pytest.approx(1.0 / SQRT2, abs=1e-6)
-
-
-class TestPropagator:
-    def test_group_law(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            sites = tuple(
-                SiteSpec(SPIN_ONE if rng.uniform() < 0.5 else SPIN_HALF,
-                         float(rng.uniform(-2, 2)))
-                for _ in range(n)
-            )
-            spec = ChainSpec(sites=sites,
-                             couplings=tuple(rng.uniform(-2, 2) for _ in range(n - 1)))
-            h = reduce(spec)
-            eig = eigensolve(h)
-            t1, t2 = rng.uniform(0, 10, size=2)
-            combined = propagator(h, eig, t1 + t2)
-            product = propagator(h, eig, t1) @ propagator(h, eig, t2)
-            assert np.max(np.abs(combined - product)) <= 1e-10
-
-    def test_reciprocity_on_mirror_chains(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            half = [float(rng.uniform(-2, 2)) for _ in range(3)]
-            fields = half + half[::-1]
-            jh = [float(rng.uniform(-2, 2)) for _ in range(3)]
-            couplings = jh[:2] + [jh[2]] + jh[:2][::-1]
-            sites = tuple(SiteSpec(SPIN_HALF, b) for b in fields)
-            spec = ChainSpec(sites=sites, couplings=tuple(couplings))
-            h = reduce(spec)
-            eig = eigensolve(h)
-            u = propagator(h, eig, float(rng.uniform(0, 20)))
-            assert abs(abs(u[-1, 1]) - abs(u[1, -1])) <= 1e-12
 
 
 @st.composite

@@ -23,15 +23,13 @@ from spintransfer.chain import (
     engineered_chain,
     preset,
 )
-from spintransfer.excitation import amplitudes, eigensolve, reduce, solve, synthesize_f
-from spintransfer.fidelity import BlochState, fidelity
+from spintransfer.excitation import (amplitudes, eigensolve, reduce, solve, synthesize_f,
+                                     transfer_amplitude)
+from spintransfer.fidelity import BlochState, fidelities, fidelity
 from spintransfer.full_space import (
     DimensionCapError,
     FullSpaceModel,
-    cross_check,
-    evolve_and_trace,
     excitation_sector_indices,
-    full_fidelity,
     full_hamiltonian,
     spin_operators,
     total_sz_diagonal,
@@ -73,6 +71,13 @@ def dense_receiver_density(spec: ChainSpec, state: BlochState, t: float) -> np.n
     psi = vectors @ (np.exp(-1j * values * t) * (vectors.conj().T @ psi))
     block = psi.reshape(-1, dims[-1])
     return (block.T @ block.conj())[:2, :2]
+
+
+def subspace_gap(model: FullSpaceModel, spec: ChainSpec, state: BlochState,
+                 t: float) -> float:
+    """|F_full - F_subspace| for one input and time, with the subspace fidelity
+    taken from fidelity(transfer_amplitude(spec, t).f, state)."""
+    return abs(model.fidelity(state, t) - fidelity(transfer_amplitude(spec, t).f, state))
 
 
 def bondwise_apply(terms, dims, states):
@@ -198,7 +203,7 @@ class TestFullHamiltonian:
 class TestEvolveAndTrace:
     def test_initial_receiver_state(self):
         spec = preset("sec2-three-spin-center", 1.0, 0.3)
-        rho = evolve_and_trace(spec, BlochState(2.0, 1.0), 0.0)
+        rho = FullSpaceModel(spec).receiver_density(BlochState(2.0, 1.0), 0.0)
         assert np.max(np.abs(rho - np.diag([1.0, 0.0]))) <= 1e-14
 
     def test_density_matrix_properties(self):
@@ -211,13 +216,6 @@ class TestEvolveAndTrace:
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-13
             assert abs(np.trace(rho).real - 1.0) <= 1e-12
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
-
-    def test_norm_preserved(self):
-        spec = preset("sec2-two-spin", 1.0, 0.5)
-        model = FullSpaceModel(spec)
-        psi = model.initial_state(BlochState(1.0, 2.0))
-        for t in (0.0, 1.0, 7.7, 31.4):
-            assert abs(np.linalg.norm(model.evolve(psi, t)) - 1.0) <= 1e-12
 
     def test_spin_one_receiver_block(self):
         # receiver with spin 1: only its top two levels are reachable
@@ -247,14 +245,14 @@ class TestCrossCheck:
 
     def test_vacuum_input_exact(self):
         spec = preset("sec2-two-spin", 1.0, 0.3)
-        assert cross_check(spec, BlochState(0.0, 0.0), 4.2) <= 1e-14
+        assert subspace_gap(FullSpaceModel(spec), spec, BlochState(0.0, 0.0), 4.2) <= 1e-14
 
     def test_uncoupled_chain_exact(self):
         spec = ChainSpec(
             sites=(SiteSpec(SPIN_HALF, 0.7), SiteSpec(SPIN_HALF, -0.2)),
             couplings=(0.0,),
         )
-        assert cross_check(spec, BlochState(2.1, 0.5), 9.0) <= 1e-14
+        assert subspace_gap(FullSpaceModel(spec), spec, BlochState(2.1, 0.5), 9.0) <= 1e-14
 
     def test_reference_transfer_matches_density_route(self):
         # at the critical time of the two-site impurity chain, the full-space
@@ -265,7 +263,7 @@ class TestCrossCheck:
         t_c = math.pi / (math.sqrt(2) * j)
         spec = preset("sec2-two-spin", j, 0.0)
         state = BlochState(math.pi / 2, 0.0)
-        rho_full = evolve_and_trace(spec, state, t_c)
+        rho_full = FullSpaceModel(spec).receiver_density(state, t_c)
         record = amplitudes(reduce(spec), eigensolve(reduce(spec)), t_c)
         rho_sub = reduced_density(record.f, state)
         assert np.max(np.abs(rho_full - rho_sub)) <= 1e-12
@@ -342,13 +340,6 @@ class TestAgainstKronOracle:
         with pytest.raises(ValueError, match="must be finite"):
             model.receiver_densities(**draws)
 
-    def test_state_outside_the_sector_is_refused(self):
-        model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))
-        psi = np.zeros(6, dtype=complex)
-        psi[-1] = 1.0  # both sites lowered: a three-excitation state
-        with pytest.raises(ValueError, match="outside the excitation sector"):
-            model.evolve(psi, 1.0)
-
 
 class TestLimits:
     def test_spin_one_chain_beyond_the_dense_cap(self):
@@ -357,9 +348,10 @@ class TestLimits:
         spec = ChainSpec(sites=sites, couplings=tuple(rng.uniform(-1.5, 1.5, 7)))
         with pytest.raises(DimensionCapError, match="6561"):
             full_hamiltonian(spec)
-        for _ in range(5):
-            state = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            assert cross_check(spec, state, float(rng.uniform(0, 20))) <= 1e-10
+        theta, phi, t = np.array([(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
+                                   rng.uniform(0, 20)) for _ in range(5)]).T
+        f_sub = fidelities(synthesize_f(*solve(spec), t), theta)
+        assert np.max(np.abs(FullSpaceModel(spec).fidelities(theta, phi, t) - f_sub)) <= 1e-10
 
     def test_engineered_sixteen_site_chain(self):
         spec = engineered_chain(16, lam=1.0)
@@ -380,13 +372,11 @@ class TestLimits:
         monkeypatch.setattr(np, "zeros", refuse)
         with pytest.raises(DimensionCapError, match=str(2**21)):
             FullSpaceModel(spec)
-        with pytest.raises(DimensionCapError):
-            full_fidelity(spec, BlochState(1.0, 0.0), 1.0)
 
     def test_state_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(full_space, "STATE_CAP", 8)
         three = ChainSpec(sites=(SiteSpec(SPIN_HALF),) * 3, couplings=(1.0, 0.5))
-        assert cross_check(three, BlochState(1.0, 0.5), 2.0) <= 1e-14
+        assert subspace_gap(FullSpaceModel(three), three, BlochState(1.0, 0.5), 2.0) <= 1e-14
         with pytest.raises(DimensionCapError):
             FullSpaceModel(ChainSpec(sites=(SiteSpec(SPIN_HALF),) * 4, couplings=(1.0,) * 3))
 
