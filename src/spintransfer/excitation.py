@@ -63,10 +63,6 @@ class SingleExcitationHamiltonian:
     onsite: tuple[float, ...]
     hopping: tuple[float, ...]
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.onsite)
-
     def matrix(self) -> np.ndarray:
         """Dense N x N excitation block (mainly for tests and cross-checks)."""
         m = np.diag(np.asarray(self.onsite, dtype=float))

@@ -4,17 +4,24 @@ Strategy: sample the objective on a uniform grid whose spacing is tied to the
 spectral spread of the chain (the objective is a trigonometric polynomial
 whose frequencies are level differences, so spacing pi / (10 * spread) cannot
 skip an oscillation), then refine candidate brackets by golden-section
-search.  The brackets are refined in lockstep: each step evaluates f at one
-new time per bracket still open, in one array synthesis, and each bracket
-visits the same times a search on it alone would.  A final three-point
-parabolic correction sharpens each extremum past the floating-point tie
-plateau that makes raw golden-section comparisons uninformative on flat
-tops.  critical_times refines every peak of |f|.  The fidelity searches skip
-a bracket whose grid peak plus _MAX_RISE, a bound on how far the objective
-can rise between grid points, stays more than 2 * _TIE_TOL below the best
-value found: it can neither win nor tie.  No randomness is used anywhere;
-identical inputs give identical results, and the winner is the earliest
-candidate within _TIE_TOL of the largest.  Field tuning searches t alone: a
+search.  The grid values of f come from one matrix product per grid piece:
+with lambda_k = eps_k - E0 and blocks of _GRID_BLOCK points from grid time
+t_b on, f(t_b + m dt) = sum_k [w_k e^{-i lambda_k t_b}] e^{-i lambda_k m dt},
+a (blocks x N) by (N x _GRID_BLOCK) product in place of an exponential per
+point and level.  They differ from synthesize_f's by at most _grid_error,
+which the pruning margin allows for; refined and reported values come from
+synthesize_f.  The brackets are refined in lockstep: each step evaluates f
+at one new time per bracket still open, in one array synthesis, and each
+bracket visits the same times a search on it alone would.  A final
+three-point parabolic correction sharpens each extremum past the
+floating-point tie plateau that makes raw golden-section comparisons
+uninformative on flat tops.  critical_times refines every peak of |f|.  The
+fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a bound on
+how far the objective can rise between grid points, plus twice the grid
+values' error stays more than 2 * _TIE_TOL below the best value found: it
+can neither win nor tie.  No randomness is used anywhere; identical inputs
+give identical results, and the winner is the earliest candidate within
+_TIE_TOL of the largest.  Field tuning searches t alone: a
 uniform field b only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so
 the best field at each t is known, and the grid is finer only while the
 field box cannot align every phase.
@@ -31,7 +38,7 @@ import numpy as np
 from . import closed_forms, fidelity
 from .chain import ChainSpec, preset
 from .closed_forms import PresetSystem
-from .excitation import amplitudes, solve, synthesize_f
+from .excitation import _TIME_BLOCK, amplitudes, solve, synthesize_f
 
 __all__ = [
     "GridBudgetError",
@@ -58,11 +65,15 @@ _TIE_TOL = 1e-12
 # (plain Fbar: theta = 0; corrected: every theta; tuned: every field of the
 # box), of h = 1/2 + Re(e^{i theta} g) / 3 + |g|^2 / 6 with g = sum_k w_k
 # e^{-i nu_k t}, sum_k |w_k| <= 1 and every frequency of h at most Omega, the
-# spread the piece is spaced for.  h lies in [1/6, 1] on all of R, so
-# Bernstein's inequality gives |h''| <= Omega^2 * 5/12, and over a step of at
-# most pi / (10 Omega) the maximum exceeds the larger end by at most
-# |h''| step^2 / 8.
-_MAX_RISE = (5.0 / 12.0) * (math.pi / 10.0) ** 2 / 8.0
+# spread the piece is spaced for.  h lies in [1/3, 1] on all of R (its least
+# value, at Re(e^{i theta} g) = -|g|, falls with |g| to 1/3 at |g| = 1), so
+# Bernstein's inequality on h - 2/3 gives |h''| <= Omega^2 / 3, and over a
+# step of at most pi / (10 Omega) the maximum exceeds the larger end by at
+# most |h''| step^2 / 8.
+_MAX_RISE = (1.0 / 3.0) * (math.pi / 10.0) ** 2 / 8.0
+
+# Grid points per block of _grid_f's matrix product.
+_GRID_BLOCK = 64
 
 # Longest search grid (the benchmark's largest holds about 4 000 points).
 _MAX_GRID_POINTS = 2**20
@@ -142,6 +153,11 @@ class _Evaluations:
         self.count += np.size(t)
         return synthesize_f(*solved, t)
 
+    def grid(self, solved, grid: np.ndarray, t_ends) -> np.ndarray:
+        """f on a grid of _time_grid by _grid_f, every point counted once."""
+        self.count += grid.size
+        return _grid_f(*solved, grid, t_ends)
+
 
 def _level_spread(h, eig) -> float:
     """Spread of the full zero-plus-one-excitation spectrum, vacuum included."""
@@ -171,6 +187,52 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> np.ndarray:
                               f"(limit {_MAX_GRID_POINTS}); {hint}")
     parts = [np.linspace(lo, hi, math.ceil(n) + 1) for lo, hi, n in zip(ends, ends[1:], steps)]
     return np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
+
+
+def _grid_f(h, eig, grid: np.ndarray, t_ends) -> np.ndarray:
+    """f on a grid of _time_grid whose pieces end at t_ends, by block products.
+
+    Each piece is uniform from its first point on, so a block of _GRID_BLOCK
+    points from grid time t_b holds f(t_b + m dt) = sum_k [w_k e^{-i lambda_k
+    t_b}] e^{-i lambda_k m dt}, lambda_k = eps_k - E0: one (blocks x N) by
+    (N x _GRID_BLOCK) product.  dt is linspace's own step and every t_b a grid
+    time, so the times differ from the grid's by rounding alone (see
+    _grid_error).  Chunks of _TIME_BLOCK times keep the phase matrix within
+    the _TIME_BLOCK x N of synthesize_f.
+    """
+    weights, levels = eig.end_weights, eig.values - h.vacuum_energy
+    ends = np.searchsorted(grid, (0.0, *t_ends)).tolist()  # every piece end is a grid time
+    f = np.empty(grid.size, dtype=complex)
+    for lo, hi in zip(ends, ends[1:]):
+        if hi == lo:  # an empty piece: its one point is the previous piece's end
+            continue
+        step = (grid[hi] - grid[lo]) / (hi - lo)  # as linspace computes it
+        offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(_GRID_BLOCK) * step))
+        for first in range(lo, hi + 1, _TIME_BLOCK):
+            last = min(first + _TIME_BLOCK, hi + 1)
+            phases = np.multiply.outer(-1j * grid[first:last:_GRID_BLOCK], levels)
+            np.exp(phases, out=phases)
+            phases *= weights
+            f[first:last] = (phases @ offsets).ravel()[:last - first]
+    return f
+
+
+def _grid_error(h, eig, t_max: float) -> float:
+    """Bound on |_grid_f - synthesize_f| at every point of a grid on [0, t_max].
+
+    With u = 2^-53: a time t_b + m dt of the block product lies within
+    3 u t_max of a + m dt (a the start of its piece) and linspace's grid time
+    within 2 u t_max, so the two differ by at most 5 u t_max; rounding
+    lambda_k t in synthesize_f and in the block's two phase products adds
+    3 u |lambda_k| t_max, so each term's phase is off by at most
+    8 u |lambda_k| t_max.  The exponentials, the products with w_k and the two
+    sums over the N levels add at most (sqrt(2) (N + log2 N) + 9) u sum_k |w_k|,
+    less than 16 N u sum_k |w_k|.  The phase constant is doubled for the terms
+    of second order.
+    """
+    levels = eig.values - h.vacuum_energy
+    scale = 16.0 * float(np.max(np.abs(levels))) * t_max + 16.0 * levels.size
+    return eig.transfer_bound * scale * 2.0**-53
 
 
 def _refine_brackets(
@@ -250,12 +312,14 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     """
     solved = solve(spec)
 
-    def objective(t: np.ndarray) -> np.ndarray:
-        f = synthesize_f(*solved, t)
+    def magnitude(f: np.ndarray) -> np.ndarray:
         return np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
 
+    def objective(t: np.ndarray) -> np.ndarray:
+        return magnitude(synthesize_f(*solved, t))
+
     grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
-    values = objective(grid)
+    values = magnitude(_grid_f(*solved, grid, (cfg.t_max,)))
     peaks = _interior_peaks(values)
     peaks = peaks[values[peaks] > _PEAK_FLOOR]
     refined = _refine_brackets(objective, grid[peaks - 1], grid[peaks + 1], cfg)
@@ -277,23 +341,28 @@ def _result(f: complex, best_t: float, best_field: float | None, evaluations: in
 
 
 def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
+                values: np.ndarray, grid_error: float,
                 cfg: SearchConfig) -> tuple[float, tuple[float, float]]:
     """Time and bracket of the earliest candidate within _TIE_TOL of the largest.
 
-    The candidates are both ends of the grid and the refined brackets around
-    both end intervals and every interior peak.  No point of a bracket lies
-    more than _MAX_RISE above the bracket's grid peak, so a bracket whose
-    peak plus _MAX_RISE stays below best - 2 * _TIE_TOL is never refined: even
+    values are the objective's values on grid, from an f within grid_error of
+    synthesize_f's; objective gives every other value.  The candidates are
+    both ends of the grid and the refined brackets around both end intervals
+    and every interior peak.  No point of a bracket lies more than _MAX_RISE
+    above the bracket's grid peak, and a fidelity objective moves by at most
+    2/3 of a change in f, so a bracket whose peak plus _MAX_RISE plus
+    2 * (2/3) * grid_error (its own grid values and best may each be off by
+    (2/3) * grid_error) stays below best - 2 * _TIE_TOL is never refined: even
     with round-off its value cannot come within _TIE_TOL of best.  best is
     first the largest grid value, then the largest candidate value; should
     the refined values fall short of the grid, the brackets the lower best
     admits are refined in a second pass.
     """
-    values = objective(grid)
     peaks = _interior_peaks(values)
     los = np.concatenate([[0, grid.size - 2], peaks - 1])
     his = np.concatenate([[1, grid.size - 1], peaks + 1])
-    bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + _MAX_RISE
+    margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * grid_error
+    bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + margin
     ends = [(0.0, float(values[0]), (0.0, 0.0)),
             (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
     refined, best = {}, float(values.max())
@@ -327,7 +396,8 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
         return fidelity.average_fidelities(f_of(solved, t), corrected)
 
     grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
-    best_t, bracket = _global_max(objective, grid, cfg)
+    values = fidelity.average_fidelities(f_of.grid(solved, grid, (cfg.t_max,)), corrected)
+    best_t, bracket = _global_max(objective, grid, values, _grid_error(*solved, cfg.t_max), cfg)
 
     f = f_of(solved, best_t)
     return _result(f, best_t, None, f_of.count, bracket)
@@ -370,7 +440,9 @@ def tune_uniform_field(
     t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values
     grid = _time_grid(cfg, (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
                       (cfg.t_max, float(levels[-1] - levels[0])))
-    best_t, bracket = _global_max(objective, grid, cfg)
+    grid_f = f_of.grid(solved, grid, (t_aligned, cfg.t_max))
+    values = fidelity.average_fidelities(tuned(grid, grid_f)[1])
+    best_t, bracket = _global_max(objective, grid, values, _grid_error(*solved, cfg.t_max), cfg)
 
     best_b = float(tuned(best_t, f_of(solved, best_t))[0])
     f = f_of(solve(base.with_uniform_field(best_b)), best_t)

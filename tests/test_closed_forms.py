@@ -104,7 +104,7 @@ class TestAnalyticSpectrum:
         sys = PresetSystem(name, 1.1, 0.7)
         values, vectors = analytic_spectrum(sys)
         h = reduce(sys.chain())
-        full = np.zeros((h.n_sites + 1, h.n_sites + 1))
+        full = np.zeros((len(h.onsite) + 1, len(h.onsite) + 1))
         full[0, 0] = h.vacuum_energy
         full[1:, 1:] = h.matrix()
         resid = full @ vectors - vectors * values

@@ -311,14 +311,21 @@ class TestEvaluationCount:
 
     @pytest.fixture
     def synthesized(self, monkeypatch):
+        # f reaches the search by two routes: the grid's block products and
+        # synthesize_f everywhere else
         points = []
-        real = optimize.synthesize_f
+        real, real_grid = optimize.synthesize_f, optimize._grid_f
 
         def counting(h, eig, t):
             points.append(np.size(t))
             return real(h, eig, t)
 
+        def counting_grid(h, eig, grid, t_ends):
+            points.append(grid.size)
+            return real_grid(h, eig, grid, t_ends)
+
         monkeypatch.setattr(optimize, "synthesize_f", counting)
+        monkeypatch.setattr(optimize, "_grid_f", counting_grid)
         return points
 
     @pytest.mark.parametrize("corrected", [False, True])
@@ -437,8 +444,8 @@ def _bits(candidate):
 
 
 @st.composite
-def _chains(draw):
-    n = draw(st.integers(2, 7))
+def _chains(draw, max_sites=7):
+    n = draw(st.integers(2, max_sites))
     sites = tuple(SiteSpec(draw(st.sampled_from([SPIN_HALF, SPIN_ONE])), draw(st.floats(-2.0, 2.0)))
                   for _ in range(n))
     return ChainSpec(sites=sites, couplings=tuple(draw(st.floats(0.2, 2.0)) for _ in range(n - 1)))
@@ -585,10 +592,10 @@ class TestPruning:
         cfg = SearchConfig(t_max=10.0)
         grid = np.linspace(0.0, 10.0, 101)
         assert objective(grid).max() == 1.0 and objective(grid)[19:23].max() + optimize._MAX_RISE < 1.0
-        best_t, bracket = optimize._global_max(objective, grid, cfg)
+        best_t, bracket = optimize._global_max(objective, grid, objective(grid), 0.0, cfg)
         assert best_t == pytest.approx(2.05, abs=1e-6)
         with mock.patch.object(optimize, "_MAX_RISE", math.inf):
-            assert optimize._global_max(objective, grid, cfg) == (best_t, bracket)
+            assert optimize._global_max(objective, grid, objective(grid), 0.0, cfg) == (best_t, bracket)
 
     def test_earliest_candidate_within_the_tie_margin_of_the_largest_wins(self):
         # flat tops refine to exactly their height; a chain of near-ties goes to
@@ -602,9 +609,62 @@ class TestPruning:
                 out[np.abs(t - centre) < 0.35] = height
             return out
 
-        best_t, _ = optimize._global_max(objective, np.linspace(0.0, 10.0, 101),
+        grid = np.linspace(0.0, 10.0, 101)
+        best_t, _ = optimize._global_max(objective, grid, objective(grid), 0.0,
                                          SearchConfig(t_max=10.0))
         assert abs(best_t - 5.0) < 0.35
+
+
+class TestGridProduct:
+    """The grid's block products stay within _grid_error of synthesize_f and
+    change no search result."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_chains(max_sites=40), t_max=st.floats(1.0, 100.0),
+           kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
+    def test_within_the_error_bound(self, spec, t_max, kind, box):
+        patch, grids = _recording("_grid_f")
+        with patch:
+            _search(spec, t_max, kind, box)
+        ((h, eig, grid, t_ends), fast), = grids
+        assert len(t_ends) == (2 if kind == "tuned" else 1)
+        gap = np.max(np.abs(fast - synthesize_f(h, eig, grid)))
+        assert gap <= optimize._grid_error(h, eig, t_max)
+
+    def test_empty_piece(self):
+        # a field box narrower than 2 pi / t_max aligns every phase only at
+        # t_max: the second piece holds no step, and its one point is dropped
+        h, eig = solve(preset("sec2-three-spin-center", 1.0, 0.0))
+        cfg = SearchConfig(t_max=3.0)
+        grid = optimize._time_grid(cfg, (cfg.t_max, 2.0), (cfg.t_max, 1.0))
+        one_piece = optimize._time_grid(cfg, (cfg.t_max, 2.0))
+        assert np.array_equal(grid, one_piece)
+        with np.errstate(all="raise"):
+            fast = optimize._grid_f(h, eig, grid, (cfg.t_max, cfg.t_max))
+        assert np.array_equal(fast, optimize._grid_f(h, eig, one_piece, (cfg.t_max,)))
+        gap = np.max(np.abs(fast - synthesize_f(h, eig, grid)))
+        assert gap <= optimize._grid_error(h, eig, cfg.t_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_chains(), t_max=st.floats(1.0, 200.0),
+           kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
+    def test_search_is_bit_identical_to_an_exact_grid(self, spec, t_max, kind, box):
+        fast = _search(spec, t_max, kind, box)
+        fast_peaks = critical_times(spec, SearchConfig(t_max=t_max))
+        with mock.patch.object(optimize, "_grid_f",
+                               lambda h, eig, grid, t_ends: synthesize_f(h, eig, grid)):
+            exact = _search(spec, t_max, kind, box)
+            exact_peaks = critical_times(spec, SearchConfig(t_max=t_max))
+
+        def bits(res):
+            return np.array([res.best_t, res.fbar, res.fbar_corrected, res.abs_f, *res.bracket,
+                             res.best_field if kind == "tuned" else 0.0]).tobytes()
+
+        # evaluations may differ: where the objective is flat to round-off
+        # (0.5 + 1e-8 on a uniform 6-site chain up to t = 1), the last bit of
+        # each grid value decides which grid points are interior peaks
+        assert bits(fast) == bits(exact)
+        assert np.array(fast_peaks).tobytes() == np.array(exact_peaks).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
