@@ -80,10 +80,9 @@ def _load_spec(args: argparse.Namespace) -> tuple[Any, str]:
     return spec, _sha256(dumps_chain(spec).encode("utf-8"))
 
 
-def _write_manifest(args: argparse.Namespace, command: str, digest: str | None,
-                    started: float) -> None:
+def _write_manifest(args: argparse.Namespace, digest: str | None, started: float) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": {
             k: v for k, v in sorted(vars(args).items()) if k not in ("func", "manifest")
         },
@@ -114,8 +113,7 @@ def _output(out: str | None) -> Iterator[TextIO]:
         yield stream
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     spec, digest = _load_spec(args)
     if not 1 <= args.steps <= optimize._MAX_GRID_POINTS:  # checked before any row exists
         raise _UsageError(f"--steps must lie in [1, {optimize._MAX_GRID_POINTS}], got "
@@ -131,14 +129,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         stream.write(CSV_HEADER + "\n")
         for rep in reports:
             block = np.column_stack([rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
-                                     rep.fbar, rep.fbar_corrected, rep.correction_phase])
+                                     rep.fbar, rep.fbar_corrected, rep.gamma])
             stream.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
-    _write_manifest(args, "simulate", digest, started)
-    return _EXIT_OK
+    return _EXIT_OK, digest
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:
     spec, digest = _load_spec(args)
     try:  # a bad horizon, step count or field box, or a grid over the budget
         cfg = SearchConfig(t_max=args.t_max, n_samples=args.steps)
@@ -150,12 +146,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc)) from exc
     with _output(args.out) as stream:
         stream.write(json.dumps(dataclasses.asdict(res), indent=2) + "\n")
-    _write_manifest(args, "optimize", digest, started)
-    return _EXIT_OK
+    return _EXIT_OK, digest
 
 
-def _cmd_preset(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_preset(args: argparse.Namespace) -> tuple[int, str]:
     try:
         spec = preset(args.name, args.J, args.B)
     except ChainSpecError as exc:
@@ -163,13 +157,10 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     text = dumps_chain(spec)
     with _output(args.out) as stream:
         stream.write(text)
-    _write_manifest(args, "preset", _sha256(text.encode("utf-8")), started)
-    return _EXIT_OK
+    return _EXIT_OK, _sha256(text.encode("utf-8"))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, None]:
     def stream(result: verification.CheckResult) -> None:
         status = "PASS" if result.passed else "FAIL"
         tol = "-" if result.tolerance is None else format(result.tolerance, ".1e")
@@ -184,24 +175,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if args.out is not None:
-        report = {
-            "passed": not failed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "tolerance": r.tolerance,
-                    "measured": r.measured,
-                    "detail": r.detail,
-                    "seconds": r.seconds,
-                }
-                for r in results
-            ],
-        }
+        report = {"passed": not failed, "checks": [dataclasses.asdict(r) for r in results]}
         with _output(args.out) as out:
             out.write(json.dumps(report, indent=2) + "\n")
-    _write_manifest(args, "verify", None, started)
-    return _EXIT_CHECK_FAILED if failed else _EXIT_OK
+    return (_EXIT_CHECK_FAILED if failed else _EXIT_OK), None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,11 +258,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, digest = args.func(args)  # a usage error writes no manifest
+        _write_manifest(args, digest, started)
     except (_UsageError, ChainSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    return code
 
 
 def console_entry() -> None:

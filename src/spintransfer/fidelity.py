@@ -154,7 +154,7 @@ def corrected_average_fidelity(f: complex) -> tuple[float, float]:
     reported as 0.
     """
     rep = fidelity_reports([0.0], [f])
-    return rep.fbar_corrected[0].item(), rep.correction_phase[0].item()
+    return rep.fbar_corrected[0].item(), rep.gamma[0].item()
 
 
 def average_fidelities(f, corrected: bool = False) -> np.ndarray:
@@ -201,7 +201,6 @@ class FidelityReport:
     gamma: float
     fbar: float
     fbar_corrected: float
-    correction_phase: float
 
 
 def fidelity_report(t: float, f: complex) -> FidelityReport:
@@ -243,5 +242,4 @@ def _reports(t, f, mag) -> FidelityReport:
     phase[phase == -np.pi] = np.pi
     phase[mag <= PHASE_DEGENERATE_TOL] = 0.0
     return FidelityReport(t=t, f=f, abs_f=mag, gamma=phase,
-                          fbar=_average(f.real, mag), fbar_corrected=_average(mag, mag),
-                          correction_phase=phase.copy())
+                          fbar=_average(f.real, mag), fbar_corrected=_average(mag, mag))

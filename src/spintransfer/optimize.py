@@ -1,30 +1,31 @@
 """Deterministic search for critical times, peak fidelities, and tuned fields.
 
-Strategy: sample the objective on a uniform grid whose spacing is tied to the
-spectral spread of the chain (the objective is a trigonometric polynomial
-whose frequencies are level differences, so spacing pi / (10 * spread) cannot
-skip an oscillation), then refine candidate brackets by golden-section
-search.  The grid values of f come from one matrix product per grid piece:
-with lambda_k = eps_k - E0 and blocks of _GRID_BLOCK points from grid time
-t_b on, f(t_b + m dt) = sum_k [w_k e^{-i lambda_k t_b}] e^{-i lambda_k m dt},
-a (blocks x N) by (N x _GRID_BLOCK) product in place of an exponential per
-point and level.  They differ from synthesize_f's by at most _grid_error,
-which the pruning margin allows for; refined and reported values come from
-synthesize_f.  The brackets are refined in lockstep: each step evaluates f
-at one new time per bracket still open, in one array synthesis, and each
-bracket visits the same times a search on it alone would.  A final
-three-point parabolic correction sharpens each extremum past the
-floating-point tie plateau that makes raw golden-section comparisons
-uninformative on flat tops.  critical_times refines every peak of |f|.  The
-fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a bound on
-how far the objective can rise between grid points, plus twice the grid
-values' error stays more than 2 * _TIE_TOL below the best value found: it
-can neither win nor tie.  No randomness is used anywhere; identical inputs
+Every search builds one _Search on the solved chain.  _time_grid splits
+[0, t_max] into (start, end, steps) pieces, each spaced for the spectral
+spread it covers: the objective is a trigonometric polynomial whose
+frequencies are level differences, so spacing pi / (10 * spread) cannot skip
+an oscillation.  _grid_f gives the grid times and f there by one matrix
+product per piece: with lambda_k = eps_k - E0 and blocks of _GRID_BLOCK
+points from grid time t_b on, f(t_b + m dt) = sum_k [w_k e^{-i lambda_k t_b}]
+e^{-i lambda_k m dt}, a (blocks x N) by (N x _GRID_BLOCK) product in place of
+an exponential per point and level.  These values lie within _grid_error of
+synthesize_f's, which the pruning margin allows for; every other value of f,
+refined or reported, comes from synthesize_f through the search, which counts
+each time point once.  Candidate brackets are refined by golden-section
+search in lockstep: each step evaluates f at one new time per bracket still
+open, in one array synthesis, and each bracket visits the same times a search
+on it alone would.  A final three-point parabolic correction sharpens each
+extremum past the floating-point tie plateau that makes raw golden-section
+comparisons uninformative on flat tops.  critical_times refines every peak of
+|f|.  The fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a
+bound on how far the objective can rise between grid points, plus twice the
+grid values' error stays more than 2 * _TIE_TOL below the best value found:
+it can neither win nor tie.  No randomness is used anywhere; identical inputs
 give identical results, and the winner is the earliest candidate within
-_TIE_TOL of the largest.  Field tuning searches t alone: a
-uniform field b only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so
-the best field at each t is known, and the grid is finer only while the
-field box cannot align every phase.
+_TIE_TOL of the largest.  Field tuning searches t alone: a uniform field b
+only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best field at
+each t is known, and the grid is finer only while the field box cannot align
+every phase.
 """
 
 from __future__ import annotations
@@ -138,25 +139,8 @@ class FieldTuningReport:
     t_c: float
     b_c: float
     abs_f: float
-    gamma: float
     fbar: float
     ok: bool
-
-
-class _Evaluations:
-    """f(t) on solved chains, counting every time point at which f is evaluated."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def __call__(self, solved, t):
-        self.count += np.size(t)
-        return synthesize_f(*solved, t)
-
-    def grid(self, solved, grid: np.ndarray, t_ends) -> np.ndarray:
-        """f on a grid of _time_grid by _grid_f, every point counted once."""
-        self.count += grid.size
-        return _grid_f(*solved, grid, t_ends)
 
 
 def _level_spread(h, eig) -> float:
@@ -166,9 +150,12 @@ def _level_spread(h, eig) -> float:
     return hi - lo
 
 
-def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> np.ndarray:
-    """Grid on [0, t_max] of (t_end, spread) pieces, t_end ascending to t_max; each
-    is sampled at spacing min(t_max / n_samples, pi / (10 * spread))."""
+def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[float, float, int]]:
+    """(start, end, steps) pieces of a grid on [0, t_max], none of zero steps.
+
+    pieces are (t_end, spread), t_end ascending to t_max; each is sampled at
+    spacing at most min(t_max / n_samples, pi / (10 * spread)).
+    """
     # density is steps per unit time, still finite when a step count overflows
     ends, steps, density = [0.0], [], 0.0
     for t_end, spread in pieces:
@@ -185,28 +172,28 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> np.ndarray:
                 if density < math.inf else "the spread of the levels or the field box overflows")
         raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {total + 1:.4g} grid points "
                               f"(limit {_MAX_GRID_POINTS}); {hint}")
-    parts = [np.linspace(lo, hi, math.ceil(n) + 1) for lo, hi, n in zip(ends, ends[1:], steps)]
-    return np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
+    return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]
 
 
-def _grid_f(h, eig, grid: np.ndarray, t_ends) -> np.ndarray:
-    """f on a grid of _time_grid whose pieces end at t_ends, by block products.
+def _grid_f(h, eig, pieces) -> tuple[np.ndarray, np.ndarray]:
+    """The grid times of _time_grid's pieces, and f there by block products.
 
-    Each piece is uniform from its first point on, so a block of _GRID_BLOCK
+    Each piece is linspace(start, end, steps + 1), so a block of _GRID_BLOCK
     points from grid time t_b holds f(t_b + m dt) = sum_k [w_k e^{-i lambda_k
     t_b}] e^{-i lambda_k m dt}, lambda_k = eps_k - E0: one (blocks x N) by
     (N x _GRID_BLOCK) product.  dt is linspace's own step and every t_b a grid
     time, so the times differ from the grid's by rounding alone (see
-    _grid_error).  Chunks of _TIME_BLOCK times keep the phase matrix within
+    _grid_error).  Where two pieces share an end point, the later piece's
+    value is kept.  Chunks of _TIME_BLOCK times keep the phase matrix within
     the _TIME_BLOCK x N of synthesize_f.
     """
     weights, levels = eig.end_weights, eig.values - h.vacuum_energy
-    ends = np.searchsorted(grid, (0.0, *t_ends)).tolist()  # every piece end is a grid time
+    times = [np.linspace(start, end, steps + 1) for start, end, steps in pieces]
+    grid = np.concatenate([times[0]] + [piece[1:] for piece in times[1:]])
     f = np.empty(grid.size, dtype=complex)
-    for lo, hi in zip(ends, ends[1:]):
-        if hi == lo:  # an empty piece: its one point is the previous piece's end
-            continue
-        step = (grid[hi] - grid[lo]) / (hi - lo)  # as linspace computes it
+    lo = 0
+    for start, end, steps in pieces:
+        hi, step = lo + steps, (end - start) / steps  # as linspace computes it
         offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(_GRID_BLOCK) * step))
         for first in range(lo, hi + 1, _TIME_BLOCK):
             last = min(first + _TIME_BLOCK, hi + 1)
@@ -214,7 +201,8 @@ def _grid_f(h, eig, grid: np.ndarray, t_ends) -> np.ndarray:
             np.exp(phases, out=phases)
             phases *= weights
             f[first:last] = (phases @ offsets).ravel()[:last - first]
-    return f
+        lo = hi
+    return grid, f
 
 
 def _grid_error(h, eig, t_max: float) -> float:
@@ -233,6 +221,46 @@ def _grid_error(h, eig, t_max: float) -> float:
     levels = eig.values - h.vacuum_energy
     scale = 16.0 * float(np.max(np.abs(levels))) * t_max + 16.0 * levels.size
     return eig.transfer_bound * scale * 2.0**-53
+
+
+class _Search:
+    """One search on a solved chain: its grid, the objective value(t, f) there,
+    and every time point at which f is evaluated, each counted once.
+
+    The grid values of f come from _grid_f, within grid_error of synthesize_f,
+    which gives f everywhere else.
+    """
+
+    def __init__(self, solved, value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 cfg: SearchConfig, *pieces: tuple[float, float]) -> None:
+        self.solved, self.value = solved, value
+        self.grid, grid_f = _grid_f(*solved, _time_grid(cfg, *pieces))
+        self.values = value(self.grid, grid_f)
+        self.grid_error = _grid_error(*solved, cfg.t_max)
+        self.count = self.grid.size
+
+    def f(self, t, solved=None):
+        """f at time(s) t on the searched chain, or on solved if given."""
+        self.count += np.size(t)
+        return synthesize_f(*(solved or self.solved), t)
+
+    def objective(self, t: np.ndarray) -> np.ndarray:
+        return self.value(t, self.f(t))
+
+    def result(self, best_t: float, bracket: tuple[float, float], best_field: float | None = None,
+               solved=None) -> OptimizationResult:
+        """The result at best_t, its values from f on solved if given."""
+        f = self.f(best_t, solved)
+        rep = fidelity.fidelity_report(best_t, f)
+        return OptimizationResult(
+            best_t=best_t,
+            best_field=best_field,
+            fbar=rep.fbar,
+            fbar_corrected=rep.fbar_corrected,
+            abs_f=abs(f),
+            evaluations=self.count,
+            bracket=bracket,
+        )
 
 
 def _refine_brackets(
@@ -311,33 +339,14 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     for instance with all couplings zero).
     """
     solved = solve(spec)
-
-    def magnitude(f: np.ndarray) -> np.ndarray:
-        return np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
-
-    def objective(t: np.ndarray) -> np.ndarray:
-        return magnitude(synthesize_f(*solved, t))
-
-    grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
-    values = magnitude(_grid_f(*solved, grid, (cfg.t_max,)))
-    peaks = _interior_peaks(values)
-    peaks = peaks[values[peaks] > _PEAK_FLOOR]
-    refined = _refine_brackets(objective, grid[peaks - 1], grid[peaks + 1], cfg)
+    # np.hypot is bit for bit Python's abs(complex)
+    search = _Search(solved, lambda t, f: np.hypot(f.real, f.imag), cfg,
+                     (cfg.t_max, _level_spread(*solved)))
+    peaks = _interior_peaks(search.values)
+    peaks = peaks[search.values[peaks] > _PEAK_FLOOR]
+    grid = search.grid
+    refined = _refine_brackets(search.objective, grid[peaks - 1], grid[peaks + 1], cfg)
     return sorted(((t, val) for t, val, _ in refined), key=lambda pair: pair[0])
-
-
-def _result(f: complex, best_t: float, best_field: float | None, evaluations: int,
-            bracket: tuple[float, float]) -> OptimizationResult:
-    rep = fidelity.fidelity_report(best_t, f)
-    return OptimizationResult(
-        best_t=best_t,
-        best_field=best_field,
-        fbar=rep.fbar,
-        fbar_corrected=rep.fbar_corrected,
-        abs_f=abs(f),
-        evaluations=evaluations,
-        bracket=bracket,
-    )
 
 
 def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
@@ -390,17 +399,11 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     candidate within _TIE_TOL of the largest wins.
     """
     solved = solve(spec)
-    f_of = _Evaluations()
-
-    def objective(t: np.ndarray) -> np.ndarray:
-        return fidelity.average_fidelities(f_of(solved, t), corrected)
-
-    grid = _time_grid(cfg, (cfg.t_max, _level_spread(*solved)))
-    values = fidelity.average_fidelities(f_of.grid(solved, grid, (cfg.t_max,)), corrected)
-    best_t, bracket = _global_max(objective, grid, values, _grid_error(*solved, cfg.t_max), cfg)
-
-    f = f_of(solved, best_t)
-    return _result(f, best_t, None, f_of.count, bracket)
+    search = _Search(solved, lambda t, f: fidelity.average_fidelities(f, corrected), cfg,
+                     (cfg.t_max, _level_spread(*solved)))
+    best_t, bracket = _global_max(search.objective, search.grid, search.values,
+                                  search.grid_error, cfg)
+    return search.result(best_t, bracket)
 
 
 def tune_uniform_field(
@@ -426,7 +429,6 @@ def tune_uniform_field(
     if not (b_lo < b_hi and math.isfinite(b_c)):
         raise ValueError(f"the field box needs B_lo < B_hi and a finite centre, got {b_range!r}")
     solved = solve(base.with_uniform_field(b_c))
-    f_of = _Evaluations()
 
     def tuned(t, f):
         """Best field at time(s) t, given f at B_c there, and f at that field."""
@@ -434,19 +436,14 @@ def tune_uniform_field(
             b = np.clip(np.where(t > 0.0, b_c - np.angle(f) / t, b_c), b_lo, b_hi)
         return b, f * np.exp(1j * (b - b_c) * t)
 
-    def objective(t: np.ndarray) -> np.ndarray:
-        return fidelity.average_fidelities(tuned(t, f_of(solved, t))[1])
-
     t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values
-    grid = _time_grid(cfg, (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
-                      (cfg.t_max, float(levels[-1] - levels[0])))
-    grid_f = f_of.grid(solved, grid, (t_aligned, cfg.t_max))
-    values = fidelity.average_fidelities(tuned(grid, grid_f)[1])
-    best_t, bracket = _global_max(objective, grid, values, _grid_error(*solved, cfg.t_max), cfg)
-
-    best_b = float(tuned(best_t, f_of(solved, best_t))[0])
-    f = f_of(solve(base.with_uniform_field(best_b)), best_t)
-    return _result(f, best_t, best_b, f_of.count, bracket)
+    search = _Search(solved, lambda t, f: fidelity.average_fidelities(tuned(t, f)[1]), cfg,
+                     (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
+                     (cfg.t_max, float(levels[-1] - levels[0])))
+    best_t, bracket = _global_max(search.objective, search.grid, search.values,
+                                  search.grid_error, cfg)
+    best_b = float(tuned(best_t, search.f(best_t))[0])
+    return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))
 
 
 def verify_field_formula(sys: PresetSystem, k: int, l: int) -> FieldTuningReport:
@@ -464,7 +461,7 @@ def verify_field_formula(sys: PresetSystem, k: int, l: int) -> FieldTuningReport
     parity = "even" if k % 2 == 0 else "odd"
     b_c = closed_forms.critical_field(sys, t_c, parity, l)
     f = amplitudes(*solve(preset(sys.name, sys.J, b_c)), t_c).f
-    rep = fidelity.fidelity_report(t_c, f)
+    fbar = fidelity.average_fidelity(f)
     return FieldTuningReport(
         system=sys.name,
         k=k,
@@ -472,7 +469,6 @@ def verify_field_formula(sys: PresetSystem, k: int, l: int) -> FieldTuningReport
         t_c=t_c,
         b_c=b_c,
         abs_f=abs(f),
-        gamma=rep.gamma,
-        fbar=rep.fbar,
-        ok=rep.fbar >= 1.0 - _FIELD_TUNING_TOL,
+        fbar=fbar,
+        ok=fbar >= 1.0 - _FIELD_TUNING_TOL,
     )

@@ -129,7 +129,7 @@ class TestSimulate:
         assert row[4] == rep.gamma
         assert row[5] == rep.fbar
         assert row[6] == rep.fbar_corrected
-        assert row[7] == rep.correction_phase
+        assert row[7] == rep.gamma
 
     def test_rows_streamed_in_blocks_equal_the_whole_array_report(self, tmp_path, capsys):
         # 2,500 rows cross two boundaries of the 1,024-row output blocks
@@ -142,7 +142,7 @@ class TestSimulate:
         f = synthesize_f(h, eigensolve(h), t)
         rep = fidelity_reports(t, f)
         columns = (rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
-                   rep.fbar, rep.fbar_corrected, rep.correction_phase)
+                   rep.fbar, rep.fbar_corrected, rep.gamma)
         rows = (",".join(format(x, ".17g") for x in row) for row in zip(*map(list, columns)))
         assert out_path.read_bytes() == "\n".join([CSV_HEADER, *rows, ""]).encode()
 
@@ -254,7 +254,7 @@ def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
         for got, want in ((re_f, rep.f.real), (im_f, rep.f.imag), (abs_f, rep.abs_f),
                           (fbar, rep.fbar), (fbar_corr, rep.fbar_corrected)):
             assert abs(got - want) <= 1e-12
-        for got, want in ((gamma, rep.gamma), (delta, rep.correction_phase)):
+        for got, want in ((gamma, rep.gamma), (delta, rep.gamma)):
             wrapped = (got - want + math.pi) % (2.0 * math.pi) - math.pi
             assert rep.abs_f * abs(wrapped) <= 1e-12
 
@@ -297,6 +297,38 @@ def test_package_imports_without_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The two optimize examples of the README, byte for byte.
+_README_CORRECTED_JSON = """\
+{
+  "best_t": 199.80529846218954,
+  "best_field": null,
+  "fbar": 0.3492484456759512,
+  "fbar_corrected": 0.9677705383234858,
+  "abs_f": 0.9510569519983048,
+  "evaluations": 2006,
+  "bracket": [
+    199.80529844218955,
+    199.80529848218953
+  ]
+}
+"""
+
+_README_TUNED_JSON = """\
+{
+  "best_t": 3.141592653601543,
+  "best_field": 0.9999999999962602,
+  "fbar": 0.9999999999999999,
+  "fbar_corrected": 0.9999999999999999,
+  "abs_f": 1.0000000000000002,
+  "evaluations": 304,
+  "bracket": [
+    3.141592653221543,
+    3.141592653981543
+  ]
+}
+"""
 
 
 class TestOptimize:
@@ -378,6 +410,17 @@ class TestOptimize:
         res = json.loads(out)
         assert 0.0 <= res["best_field"] <= 1e6
         assert res["evaluations"] < 10_000
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--preset", "sec3-three-spin-center", "--J", "0.942809", "--B", "1", "--t-max", "200",
+          "--corrected"], _README_CORRECTED_JSON),
+        (["--preset", "sec2-three-spin-center", "--J", "1", "--B", "0", "--t-max", "3.8",
+          "--tune-field", "0", "3"], _README_TUNED_JSON),
+    ], ids=["corrected", "tune-field"])
+    def test_readme_examples_are_pinned(self, tmp_path, capsys, argv, expected):
+        out = tmp_path / "result.json"
+        assert _run(capsys, "optimize", *argv, "--out", str(out))[0] == 0
+        assert out.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("flags", [["--t-max", "0"], ["--t-max", "5", "--steps", "4"],
                                        ["--t-max", "5", "--tune-field", "3", "0"]])

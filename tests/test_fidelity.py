@@ -248,12 +248,13 @@ class TestFidelityReport:
             0.5 + rep.abs_f / 3 + rep.abs_f**2 / 6, abs=0
         )
         assert rep.fbar_corrected >= rep.fbar - 1e-12
-        assert rep.correction_phase == pytest.approx(0.7, abs=1e-12)
+        assert rep.gamma == pytest.approx(0.7, abs=1e-12)
+        assert corrected_average_fidelity(f)[1] == rep.gamma
 
     def test_degenerate_phase(self):
         rep = fidelity_report(0.0, 0.0)
         assert rep.gamma == 0.0
-        assert rep.correction_phase == 0.0
+        assert corrected_average_fidelity(0.0)[1] == 0.0
         assert rep.fbar == 0.5
 
     def test_phase_below_the_degeneracy_floor_is_zero(self):
@@ -265,7 +266,7 @@ class TestFidelityReport:
     def test_negative_real_axis_is_plus_pi(self, f):
         # arctan2 gives -pi here; the phase lies on (-pi, pi]
         rep = fidelity_report(0.0, f)
-        assert rep.gamma == rep.correction_phase == math.pi
+        assert rep.gamma == corrected_average_fidelity(f)[1] == math.pi
 
 
 class TestFidelityReports:
@@ -302,7 +303,7 @@ class TestFidelityReports:
             phase = math.atan2(checked.imag, checked.real)
             phase = 0.0 if abs(z) <= 1e-12 else math.pi if phase == -math.pi else phase
             assert abs(reports.gamma[i] - phase) <= 2 * math.ulp(phase), i
-            assert reports.correction_phase[i] == reports.gamma[i], i
+            assert corrected_average_fidelity(z)[1] == reports.gamma[i], i
 
     def test_report_and_scalar_functions_agree_in_the_rescale_band(self):
         # the report rescales |f| in (1, 1 + 1e-9] once, exactly as average_fidelity

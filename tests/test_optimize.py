@@ -83,12 +83,17 @@ class TestGridBudget:
         # spread 1: spacing pi / 10, so t_max = 6.4 pi needs exactly 65 points
         monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 65)
         cfg = SearchConfig(t_max=6.4 * math.pi, n_samples=16)
-        assert optimize._time_grid(cfg, (cfg.t_max, 1.0)).size == 65
+        solved = solve(preset("sec2-two-spin", 1.0, 0.0))
+        pieces = optimize._time_grid(cfg, (cfg.t_max, 1.0))
+        assert pieces == [(0.0, cfg.t_max, 64)]
+        assert optimize._grid_f(*solved, pieces)[0].size == 65
         with pytest.raises(GridBudgetError):
             optimize._time_grid(cfg, (cfg.t_max, 1.01))
         # pieces of 40 steps (spacing pi / 20) and 44 (pi / 10) share a point
         monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 85)
-        grid = optimize._time_grid(cfg, (2.0 * math.pi, 2.0), (cfg.t_max, 1.0))
+        pieces = optimize._time_grid(cfg, (2.0 * math.pi, 2.0), (cfg.t_max, 1.0))
+        assert pieces == [(0.0, 2.0 * math.pi, 40), (2.0 * math.pi, cfg.t_max, 44)]
+        grid, _ = optimize._grid_f(*solved, pieces)
         assert grid.size == 85
         assert grid[0] == 0.0 and grid[40] == 2.0 * math.pi and grid[-1] == cfg.t_max
         assert np.all(np.diff(grid) > 0.0)
@@ -320,9 +325,10 @@ class TestEvaluationCount:
             points.append(np.size(t))
             return real(h, eig, t)
 
-        def counting_grid(h, eig, grid, t_ends):
+        def counting_grid(h, eig, pieces):
+            grid, f = real_grid(h, eig, pieces)
             points.append(grid.size)
-            return real_grid(h, eig, grid, t_ends)
+            return grid, f
 
         monkeypatch.setattr(optimize, "synthesize_f", counting)
         monkeypatch.setattr(optimize, "_grid_f", counting_grid)
@@ -467,7 +473,8 @@ class TestLockstepRefine:
 
         # the brackets _global_max refines, one around every grid minimum, and
         # one a single stencil step h wide
-        grid = optimize._time_grid(cfg, (cfg.t_max, optimize._level_spread(*solved)))
+        pieces = optimize._time_grid(cfg, (cfg.t_max, optimize._level_spread(*solved)))
+        grid, _ = optimize._grid_f(*solved, pieces)
         values = array(grid)
         inner = np.concatenate([optimize._interior_peaks(values), optimize._interior_peaks(-values)])
         h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
@@ -538,10 +545,10 @@ class TestPruning:
     @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
            kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
     def test_grid_spacing_bounds_every_frequency(self, spec, t_max, kind, box):
-        patch, grids = _recording("_time_grid")
+        patch, grids = _recording("_grid_f")
         with patch:
             _search(spec, t_max, kind, box)
-        (_, grid), = grids
+        (_, (grid, _)), = grids
         start = 0.0
         for t_end, omega in self._pieces(spec, kind, box):
             t_end = min(t_end, t_max)
@@ -556,11 +563,11 @@ class TestPruning:
            kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
     def test_no_bracket_rises_further_than_the_bound(self, spec, t_max, kind, box):
         rise = optimize._MAX_RISE
-        grid_patch, grids = _recording("_time_grid")
+        grid_patch, grids = _recording("_grid_f")
         refine_patch, refines = _recording("_refine_brackets")
         with grid_patch, refine_patch, mock.patch.object(optimize, "_MAX_RISE", math.inf):
             _search(spec, t_max, kind, box)
-        (_, grid), = grids
+        (_, (grid, _)), = grids
         ((objective, los, his, _), refined), = refines
         values = objective(grid)
         for lo, hi, (_, value, _) in zip(los, his, refined):
@@ -626,24 +633,38 @@ class TestGridProduct:
         patch, grids = _recording("_grid_f")
         with patch:
             _search(spec, t_max, kind, box)
-        ((h, eig, grid, t_ends), fast), = grids
-        assert len(t_ends) == (2 if kind == "tuned" else 1)
+        ((h, eig, pieces), (grid, fast)), = grids
+        # a tuned grid has a second piece when some t < t_max aligns every phase
+        two = kind == "tuned" and 2.0 * math.pi / (box[1] - box[0]) < t_max
+        assert len(pieces) == (2 if two else 1)
         gap = np.max(np.abs(fast - synthesize_f(h, eig, grid)))
         assert gap <= optimize._grid_error(h, eig, t_max)
 
     def test_empty_piece(self):
         # a field box narrower than 2 pi / t_max aligns every phase only at
-        # t_max: the second piece holds no step, and its one point is dropped
+        # t_max: the second piece holds no step, and it is dropped
         h, eig = solve(preset("sec2-three-spin-center", 1.0, 0.0))
         cfg = SearchConfig(t_max=3.0)
-        grid = optimize._time_grid(cfg, (cfg.t_max, 2.0), (cfg.t_max, 1.0))
+        pieces = optimize._time_grid(cfg, (cfg.t_max, 2.0), (cfg.t_max, 1.0))
         one_piece = optimize._time_grid(cfg, (cfg.t_max, 2.0))
-        assert np.array_equal(grid, one_piece)
+        assert pieces == one_piece and len(pieces) == 1
         with np.errstate(all="raise"):
-            fast = optimize._grid_f(h, eig, grid, (cfg.t_max, cfg.t_max))
-        assert np.array_equal(fast, optimize._grid_f(h, eig, one_piece, (cfg.t_max,)))
+            grid, fast = optimize._grid_f(h, eig, pieces)
+        assert np.array_equal(fast, optimize._grid_f(h, eig, one_piece)[1])
         gap = np.max(np.abs(fast - synthesize_f(h, eig, grid)))
         assert gap <= optimize._grid_error(h, eig, cfg.t_max)
+
+    def test_a_shared_end_point_takes_the_later_piece(self):
+        # the point where two pieces meet is the first of the later piece's
+        # blocks, not the last point of the earlier one's
+        h, eig = solve(preset("sec3-three-spin-center", 0.9, 0.6))
+        cfg = SearchConfig(t_max=12.0)
+        pieces = optimize._time_grid(cfg, (5.0, 3.0), (cfg.t_max, 1.0))
+        grid, fast = optimize._grid_f(h, eig, pieces)
+        shared = pieces[0][2]
+        assert grid[shared] == 5.0
+        assert fast[shared] == optimize._grid_f(h, eig, pieces[1:])[1][0]
+        assert np.array_equal(fast[:shared], optimize._grid_f(h, eig, pieces[:1])[1][:-1])
 
     @settings(max_examples=60, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 200.0),
@@ -651,8 +672,13 @@ class TestGridProduct:
     def test_search_is_bit_identical_to_an_exact_grid(self, spec, t_max, kind, box):
         fast = _search(spec, t_max, kind, box)
         fast_peaks = critical_times(spec, SearchConfig(t_max=t_max))
-        with mock.patch.object(optimize, "_grid_f",
-                               lambda h, eig, grid, t_ends: synthesize_f(h, eig, grid)):
+        real = optimize._grid_f
+
+        def exact_grid_f(h, eig, pieces):
+            grid, _ = real(h, eig, pieces)
+            return grid, synthesize_f(h, eig, grid)
+
+        with mock.patch.object(optimize, "_grid_f", exact_grid_f):
             exact = _search(spec, t_max, kind, box)
             exact_peaks = critical_times(spec, SearchConfig(t_max=t_max))
 
