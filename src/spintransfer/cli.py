@@ -2,7 +2,9 @@
 
 Output contracts:
   simulate  CSV with header t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta,
-            every value printed with 17 significant digits (round-trip safe).
+            every value printed with 17 significant digits (round-trip safe):
+            the bytes of "%.17g", written by a vectorized formatter that
+            falls back to "%" for any row it cannot certify.
   optimize  JSON of the OptimizationResult fields.
   preset    chain JSON in the external format.
   verify    one line per check plus an optional JSON report.
@@ -37,9 +39,21 @@ from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
 
 CSV_HEADER = "t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta"
-# "%.17g" % x is byte-identical to format(x, ".17g"); rows are formatted and
-# written one fidelity_report_blocks block at a time.
+# "%.17g" % x is byte-identical to format(x, ".17g").  _csv_rows produces the
+# text of _CSV_ROW for a whole fidelity_report_blocks block at once and uses
+# _CSV_ROW itself only for the rows it cannot certify.
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
+
+# The decades floor(log10|x|) of the finite nonzero doubles, one table row each.
+_DECADES = range(-324, 309)
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
+# The formatter's slot for one value: the sign in column 0, the prefix "0.000"
+# of fixed notation below 1 in 1-5, the body in 6-38 (digit j in column 6 + 2j,
+# the gap after it for the decimal point in 7 + 2j), the exponent suffix in
+# 39-43 and the separator in 44.
+_BODY = slice(6, 39)
+_SUFFIX = 39
+_SLOT = 45
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -130,8 +144,156 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
         for rep in reports:
             block = np.column_stack([rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
                                      rep.fbar, rep.fbar_corrected, rep.gamma])
-            stream.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
+            stream.write(_csv_rows(block))
     return _EXIT_OK, digest
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The read-only lookup tables of _slots, built on first use (about 3 ms).
+
+    Row i describes the decade e = _DECADES[i]; the last row describes zero,
+    whose D = 0 prints as its digit 0.
+      scale         b such that T = 10^(16-e) 2^-b lies in [1, 2)
+      t_hh, t_hl    the Veltkamp halves of a double t next to T
+      t_lo          T - t rounded, so t + t_lo is T to 2^-105
+      template      the slot without sign and digits: the prefix of fixed
+                    notation below 1, the decimal point in the gap after digit
+                    `point`, the exponent suffix and a ',' separator
+      point         the digit the decimal point follows, -1 for none
+    """
+    scale, t, t_lo, suffix = [], [], [], []
+    for e in _DECADES:
+        k = 16 - e
+        if k >= 0:
+            b = (10**k).bit_length() - 1
+            q = (10**k << 105) >> b  # floor(T 2^105), from Python integers
+        else:
+            b = -(10**-k).bit_length()
+            q = (1 << (105 - b)) // 10**-k
+        scale.append(b)
+        t.append(q / 2.0**105)
+        t_lo.append((q - int(t[-1] * 2.0**105)) / 2.0**105)
+        suffix.append(b"" if -4 <= e <= 16 else b"e%+03d" % e)
+    scale.append(0)
+    t.append(0.0)
+    t_lo.append(0.0)
+    suffix.append(b"")
+    e = np.append(_DECADES, 0)
+    point = np.where((0 <= e) & (e <= 16), e, np.where((-4 <= e) & (e < 0), -1, 0))
+    point[-1] = -1
+    template = np.zeros((len(e), _SLOT), np.uint8)
+    template[:, _SUFFIX:_SUFFIX + 5] = np.frombuffer(
+        b"".join(x.ljust(5, b"\0") for x in suffix), np.uint8).reshape(-1, 5)
+    for shift in range(1, 5):  # the prefixes 0. to 0.000
+        template[e == -shift, 1:2 + shift] = np.frombuffer(b"0." + b"0" * (shift - 1), np.uint8)
+    dotted = np.flatnonzero((point >= 0) & (point < 16))  # digit 16 has no gap after it
+    template[dotted, _BODY.start + 2 * point[dotted] + 1] = ord(".")
+    template[:, -1] = ord(",")
+    t = np.array(t)
+    c = t * _SPLIT
+    t_hh = c - (c - t)
+    tables = (np.array(scale, np.int32), t_hh, t - t_hh, np.array(t_lo), template,
+              point.astype(np.int32))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _decimals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(table row, D, certified) for every value v of x; steps 1-3 of _slots.
+
+    D = round(|v| 10^(16-e)), the 17 significant digits of v, is 0 for zero
+    and meaningless for an uncertified value.
+    """
+    scale, t_hh, t_hl, t_lo, *_ = _format_tables()
+    finite = np.isfinite(x)
+    zero = x == 0.0
+    ax = np.where(finite & ~zero, np.abs(x), 1.0)
+    row = np.floor(np.log10(ax)).astype(np.int32) - _DECADES[0]
+    row[zero] = len(scale) - 1
+    y = np.ldexp(ax, scale[row])
+    c = y * _SPLIT
+    y_hh = c - (c - y)
+    y_hl = y - y_hh
+    hh, hl = t_hh[row], t_hl[row]
+    p = y * (hh + hl)
+    # Dekker's sum, left to right: y (hh + hl) - p exactly, then y t_lo
+    lo = (y_hh * hh - p) + y_hh * hl + y_hl * hh + y_hl * hl + y * t_lo[row]
+    s = p + lo
+    certified = zero | finite & (np.abs(lo - np.floor(lo) - 0.5) > 1e-6) & (
+        s >= 1e16 + 16) & (s <= 1e17 - 16)
+    # p is an integer (>= 2^53, or 0 for zero) wherever D is certified, and
+    # every D lies in [0, 10^18), so its split at 10^9 fits in uint32
+    d = p.astype(np.int64) + np.floor(lo + 0.5).astype(np.int64)
+    return row, d, certified
+
+
+def _slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of "%.17g" % v for every value v of x, and which are certified.
+
+    Returns a (len(x), _SLOT) uint8 array, one slot per value: its text padded
+    with NUL bytes, then the separator ','.  Five vectorized steps:
+      1. The decade e = floor(log10|v|), from np.log10.
+      2. P = |v| 10^(16-e) as a double-double p + lo: y = |v| 2^b is exact,
+         T = 10^(16-e) 2^-b is tabled as t + t_lo, and Dekker's two-product
+         of Veltkamp halves gives y t exactly (numpy has no fma).
+      3. D = round(P), 17 digits: split at 10^9, then uint32 divmod by 10.
+      4. The decade's template, filled with the digits up to the last nonzero
+         one or up to the decimal point, whichever is later, and a '-' for a
+         set sign bit, which covers -0; the point goes if no digit follows.
+      5. (_csv_rows) The NUL padding is deleted.
+    Error budget: rounding y t_lo and the sum lo, and the error of t + t_lo,
+    leave |P - (p + lo)| below about 1e17 2^-103 = 1e-14, far inside the
+    window below.  A value is certified when it is zero, or finite with
+    |frac(P) - 1/2| > 1e-6, so dtoa's round-half-even is never needed, and
+    1e16 + 16 <= p + lo <= 1e17 - 16, so log10 found the decade and D has 17
+    digits.  The slot of an uncertified value holds no valid text.
+    """
+    *_, template, point = _format_tables()
+    row, d, certified = _decimals(x)
+    pair = np.empty((2, len(x)), np.uint32)
+    pair[0], pair[1] = np.divmod(d, 10**9)
+    digits = np.empty((2, 9, len(x)), np.uint8)
+    for i in range(8, -1, -1):
+        q = pair // 10
+        digits[:, i] = pair - q * 10
+        pair = q
+    digits = digits.reshape(18, -1)[1:]  # digit j of D in row j
+    j = np.arange(17, dtype=np.uint8)[:, None]
+    last = np.max((digits != 0) * j, axis=0)
+    dot = point[row]
+    digits += ord("0")
+    digits *= j <= np.maximum(last, dot)
+    out = np.take(template, row, axis=0)
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, _BODY][:, ::2] = digits.T
+    # no digit after the point: drop it (point 16 addresses the empty suffix)
+    whole = np.flatnonzero(last <= dot)
+    out[whole, _BODY.start + 2 * dot[whole] + 1] = 0
+    return out, certified
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """The text `_CSV_ROW * len(block) % tuple(block.ravel().tolist())`.
+
+    Rows whose values _slots certifies are laid out together and lose their
+    NUL padding in one bytes.translate; every other row is formatted by
+    _CSV_ROW.
+    """
+    out, certified = _slots(block.ravel())
+    rows = out.reshape(len(block), -1)
+    rows[:, -1] = ord("\n")
+
+    def text(part: np.ndarray) -> str:
+        return part.tobytes().translate(None, b"\0").decode("ascii")
+
+    pieces, start = [], 0
+    for i in np.flatnonzero(~certified.reshape(len(block), -1).all(axis=1)):
+        pieces += [text(rows[start:i]), _CSV_ROW % tuple(block[i].tolist())]
+        start = i + 1
+    pieces.append(text(rows[start:]))
+    return "".join(pieces)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:

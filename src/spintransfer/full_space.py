@@ -36,6 +36,7 @@ __all__ = [
     "spin_operators",
     "full_hamiltonian",
     "total_sz_diagonal",
+    "sz_commutator_max",
     "excitation_sector_indices",
     "FullSpaceModel",
 ]
@@ -146,6 +147,26 @@ def total_sz_diagonal(spec: ChainSpec) -> np.ndarray:
         m = site.spin.s - np.arange(d)
         diag = (diag[:, None] + m[None, :]).reshape(-1)
     return diag
+
+
+def sz_commutator_max(spec: ChainSpec) -> float:
+    """Largest |entry| of [H, Sz_total], from the local terms alone.
+
+    [H, Sz]_ab = H_ab (sz_b - sz_a), and a field term is diagonal.  Every
+    nonzero entry op[r, c] of a bond term changes the levels of both of its
+    sites, and no two bonds share both sites, so each nonzero off-diagonal H_ab
+    is one such entry.  The largest commutator entry is therefore the largest
+    |op[r, c] (m_c - m_r)|, m the bond's local Sz: O(bonds) work instead of a
+    dense dim x dim H, with no dimension cap.
+    """
+    levels = [site.spin.s - np.arange(site.spin.dim) for site in spec.sites]
+    worst = 0.0
+    for site, op in _local_terms(spec):
+        if op.shape[0] == levels[site].size:  # a field term
+            continue
+        m = np.add.outer(levels[site], levels[site + 1]).ravel()
+        worst = max(worst, float(np.max(np.abs(op * (m[None, :] - m[:, None])))))
+    return worst
 
 
 def excitation_sector_indices(spec: ChainSpec) -> list[int]:

@@ -250,9 +250,7 @@ def _check_full_space_equivalence() -> list[CheckResult]:
         expected[1:, 1:] = h.matrix()
         worst_block = max(worst_block, float(np.max(np.abs(block - expected))))
 
-        sz = full_space.total_sz_diagonal(spec)
-        comm = np.abs(full_space.full_hamiltonian(spec) * (sz[None, :] - sz[:, None]))
-        worst_comm = max(worst_comm, float(np.max(comm)))
+        worst_comm = max(worst_comm, full_space.sz_commutator_max(spec))
 
         # the (t, theta, phi) rows take the same draws as 60 scalar uniform calls
         t, theta, phi = rng.uniform([0.0, 0.0, 0.0], [20.0, math.pi, 2.0 * math.pi], (20, 3)).T

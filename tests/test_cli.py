@@ -11,11 +11,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spintransfer
 from spintransfer import cli, optimize
@@ -257,6 +258,93 @@ def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
         for got, want in ((gamma, rep.gamma), (delta, rep.gamma)):
             wrapped = (got - want + math.pi) % (2.0 * math.pi) - math.pi
             assert rep.abs_f * abs(wrapped) <= 1e-12
+
+
+def _percent_rows(block: np.ndarray) -> str:
+    """The CSV text of the rows of `block` by "%" formatting, one value at a time."""
+    return cli._CSV_ROW * len(block) % tuple(block.ravel().tolist())
+
+
+def _rows_of(values) -> np.ndarray:
+    """The values, padded with zeros to whole rows of eight."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.zeros(-len(values) % 8)]).reshape(-1, 8)
+
+
+def _blockwise(block: np.ndarray) -> str:
+    """cli._csv_rows over 1,024-row blocks, as `simulate` writes them."""
+    return "".join(cli._csv_rows(block[lo:lo + 1024]) for lo in range(0, len(block), 1024))
+
+
+class TestCsvFormatter:
+    """The vectorized formatter writes exactly the bytes of "%.17g"."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=5e-324)
+    @example(x=1.7976931348623157e308)
+    def test_equals_format_17g(self, x):
+        assert cli._csv_rows(np.full((1, 8), x)) == ",".join([format(x, ".17g")] * 8) + "\n"
+
+    def test_typical_and_extreme_values_are_certified(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 4000),
+                            rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.integers(-300, 300, 4000),
+                            [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]])
+        out, certified = cli._slots(x)
+        assert certified[-5:].all()
+        for value in x[~certified]:  # doubles in [1e14, 1e16) can be exact ties
+            digits = Decimal(value).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert certified.sum() >= len(x) - 5
+        for slot, value in zip(out[certified], x[certified]):
+            assert slot.tobytes().translate(None, b"\0") == format(value, ".17g").encode() + b","
+
+    def test_one_ulp_around_every_power_of_ten(self):
+        # log10 may name the wrong decade here; the decade guard sends these to "%"
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([powers, np.nextafter(powers, -math.inf),
+                            np.nextafter(powers, math.inf)])
+        block = _rows_of(np.concatenate([x, -x]))
+        assert _blockwise(block) == _percent_rows(block)
+
+    def test_exact_ties_round_half_to_even(self):
+        # j / 2^m for odd j has the 18 significant digits of j 5^m, the last a 5
+        rng = np.random.default_rng(6)
+        x = np.concatenate([(rng.integers(lo, hi, 200) | 1) / 2.0**m
+                            for m in range(2, 26)
+                            for lo, hi in [(-(-10**17 // 5**m), min(10**18 // 5**m, 2**53))]
+                            if lo < hi])
+        assert len(x) > 4000
+        for value in x:
+            digits = Decimal(value).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        block = _rows_of(np.concatenate([x, -x]))
+        assert _blockwise(block) == _percent_rows(block)
+
+    def test_fallback_rows_keep_their_place(self):
+        rng = np.random.default_rng(7)
+        block = rng.uniform(-1.0, 1.0, (2500, 8))
+        # a non-finite value, a power of ten and an exact tie, at the first and
+        # last rows and on both sides of the first 1,024-row boundary
+        fallbacks = {0: math.nan, 1023: 1.0, 1024: 131073 / 2**17, 2499: -math.inf}
+        for row, value in fallbacks.items():
+            block[row, row % 8] = value
+        _, certified = cli._slots(block.ravel())
+        assert np.flatnonzero(~certified.reshape(2500, 8).all(axis=1)).tolist() == [*fallbacks]
+        assert _blockwise(block) == _percent_rows(block)
+
+
+def test_import_builds_no_formatter_table():
+    src = Path(spintransfer.__file__).resolve().parents[1]
+    code = "import spintransfer.cli as cli; print(cli._format_tables.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def _refuse_grid(*args, **kwargs):

@@ -8,6 +8,7 @@ must match bit for bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from spintransfer.full_space import (
     excitation_sector_indices,
     full_hamiltonian,
     spin_operators,
+    sz_commutator_max,
     total_sz_diagonal,
 )
 
@@ -291,6 +293,28 @@ class TestAgainstKronOracle:
         sector = excitation_sector_indices(spec)
         block = oracle[np.ix_(sector, sector)]
         assert np.array_equal(_bits(FullSpaceModel(spec).block), _bits(block))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=mixed_chains(), seed=st.integers(0, 2**32 - 1))
+    def test_sz_commutator_max_equals_the_dense_commutator(self, spec, seed):
+        def dense() -> float:
+            sz = total_sz_diagonal(spec)
+            return float(np.max(np.abs(full_hamiltonian(spec) * (sz[None, :] - sz[:, None]))))
+
+        assert sz_commutator_max(spec) == dense()
+        # XX bonds conserve Sz, so both are 0 above.  Random entries that change
+        # the levels of both sites of a bond break it and must be found alike.
+        rng = np.random.default_rng(seed)
+        terms = []
+        for site, op in full_space._local_terms(spec):
+            if op.shape[0] > spec.sites[site].spin.dim:
+                level_a, level_b = np.divmod(np.arange(op.shape[0]),
+                                             spec.sites[site + 1].spin.dim)
+                both = np.not_equal.outer(level_a, level_a) & np.not_equal.outer(level_b, level_b)
+                op = op + both * (rng.normal(size=op.shape) + 1j * rng.normal(size=op.shape))
+            terms.append((site, op))
+        with mock.patch.object(full_space, "_local_terms", lambda _: terms):
+            assert sz_commutator_max(spec) == dense() > 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(spec=mixed_chains(),
