@@ -21,6 +21,7 @@ import numpy as np
 __all__ = [
     "ChainSpecError",
     "EmptyChainError",
+    "TooManySitesError",
     "NonFiniteError",
     "BadSpinError",
     "LengthMismatchError",
@@ -51,6 +52,10 @@ class ChainSpecError(ValueError):
 
 class EmptyChainError(ChainSpecError):
     """Fewer than two sites."""
+
+
+class TooManySitesError(ChainSpecError):
+    """More sites than the dense excitation block allows."""
 
 
 class NonFiniteError(ChainSpecError):
@@ -98,6 +103,12 @@ class SpinMagnitude:
         return int(round(2.0 * self.s)) + 1
 
 
+# The dense N x N excitation block takes 8 N^2 bytes (128 MiB at this cap,
+# 80 GB at 10^5 sites) and O(N^3) time to diagonalise; full_space.DIMENSION_CAP
+# is the same figure.
+_MAX_SITES = 4096
+
+
 SPIN_HALF = SpinMagnitude(0.5)
 SPIN_ONE = SpinMagnitude(1.0)
 
@@ -130,6 +141,9 @@ class ChainSpec:
         object.__setattr__(self, "sites", sites)
         if len(sites) < 2:
             raise EmptyChainError(f"a chain needs at least 2 sites, got {len(sites)}")
+        if len(sites) > _MAX_SITES:
+            raise TooManySitesError(f"a chain may have at most {_MAX_SITES} sites, "
+                                    f"got {len(sites)}")
         for site in sites:
             if not isinstance(site, SiteSpec):
                 raise ChainFormatError(f"sites must be SiteSpec instances, got {site!r}")

@@ -87,10 +87,7 @@ def _load_spec(args: argparse.Namespace) -> tuple[Any, str]:
         return spec, _sha256(raw)
     if args.preset is None:
         raise _UsageError("one of --chain or --preset is required")
-    try:
-        spec = preset(args.preset, args.J, args.B)
-    except ChainSpecError as exc:
-        raise _UsageError(str(exc)) from exc
+    spec = preset(args.preset, args.J, args.B)
     return spec, _sha256(dumps_chain(spec).encode("utf-8"))
 
 
@@ -137,7 +134,11 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     grid = np.linspace(0.0, args.t_max, args.steps)
     h = reduce(spec)
     f = synthesize_f(h, eigensolve(h), grid)
-    # Every |f| is checked here, before anything is written.
+    # f here, and every |f| in fidelity_report_blocks, is checked before anything is written.
+    overflow = ~np.isfinite(f)
+    if overflow.any():
+        raise _UsageError(f"f is not finite at t = {float(grid[overflow][0])}: the phases E t "
+                          f"overflow; lower --t-max or rescale the chain")
     reports = fidelity_report_blocks(grid, f)
     with _output(args.out) as stream:
         stream.write(CSV_HEADER + "\n")
@@ -312,11 +313,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_preset(args: argparse.Namespace) -> tuple[int, str]:
-    try:
-        spec = preset(args.name, args.J, args.B)
-    except ChainSpecError as exc:
-        raise _UsageError(str(exc)) from exc
-    text = dumps_chain(spec)
+    text = dumps_chain(preset(args.name, args.J, args.B))
     with _output(args.out) as stream:
         stream.write(text)
     return _EXIT_OK, _sha256(text.encode("utf-8"))

@@ -160,25 +160,24 @@ def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
     complex product per time and keeps the phase arguments small when the
     fields are large.  The terms are summed elementwise, in the order
     amplitudes() sums fn[N], not by a BLAS product whose order depends on
-    the shape, so a scalar time and the same time in an array give identical
-    bits, and at E0 = 0 so does amplitudes(h, eig, t).f.  Arrays are
-    evaluated in blocks of at most 1024 times.
+    the shape, so a time gives the same bits in an array of any length, and
+    at E0 = 0 so does amplitudes(h, eig, t).f.  A scalar time is evaluated as
+    a one-element array; arrays are evaluated in blocks of at most 1024 times.
     """
     weights = eig.end_weights
     levels = eig.values - h.vacuum_energy
     times = np.asarray(t, dtype=float)
-    if times.ndim == 0:
-        return complex((np.exp(-1j * float(times) * levels) * weights).sum())
-    if times.ndim != 1:
+    if times.ndim > 1:
         raise ValueError("times must be a scalar or one-dimensional")
-    f = np.empty(times.size, dtype=complex)
-    for lo in range(0, times.size, _TIME_BLOCK):
+    grid = times.reshape(-1)
+    f = np.empty(grid.size, dtype=complex)
+    for lo in range(0, grid.size, _TIME_BLOCK):
         # one (times x levels) buffer per block, updated in place
-        terms = np.multiply.outer(-1j * times[lo:lo + _TIME_BLOCK], levels)
+        terms = np.multiply.outer(-1j * grid[lo:lo + _TIME_BLOCK], levels)
         np.exp(terms, out=terms)
         terms *= weights
         f[lo:lo + _TIME_BLOCK] = terms.sum(axis=1)
-    return f
+    return complex(f[0]) if times.ndim == 0 else f
 
 
 def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:

@@ -46,6 +46,16 @@ def test_every_registered_check_ran(suite):
     assert set(results) == set(verification.CHECK_NAMES)
 
 
+def test_tolerance_is_the_pass_rule(suite):
+    results, _ = suite
+    untoleranced = {name for name, r in results.items() if r.tolerance is None}
+    assert untoleranced == {"field-impurity-strictly-lossy", "strong-coupling-fbar",
+                            "engineered-spin-impurity-report"}
+    for result in results.values():
+        if result.tolerance is not None:
+            assert result.passed == (result.measured <= result.tolerance), result.name
+
+
 def test_runtime_budget(suite):
     _, elapsed = suite
     print(f"check suite wall time: {elapsed:.1f} s (budget {_RUNTIME_BUDGET_S:.0f} s)")

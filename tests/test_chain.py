@@ -19,6 +19,7 @@ from spintransfer.chain import (
     SPIN_ONE,
     SiteSpec,
     SpinMagnitude,
+    TooManySitesError,
     UnknownPresetError,
     chain_to_dict,
     dumps_chain,
@@ -52,6 +53,14 @@ def test_coupling_length_mismatch():
 def test_single_site_rejected():
     with pytest.raises(EmptyChainError):
         ChainSpec(sites=(SiteSpec(SPIN_HALF, 0.0),), couplings=())
+
+
+def test_site_count_is_capped():
+    # the cap applies before any dense N x N block is built; nothing is solved here
+    site = SiteSpec(SPIN_HALF)
+    assert ChainSpec((site,) * 4096, (1.0,) * 4095).n_sites == 4096
+    with pytest.raises(TooManySitesError, match="at most 4096 sites, got 4097"):
+        ChainSpec((site,) * 4097, (1.0,) * 4096)
 
 
 def test_nonfinite_rejected():

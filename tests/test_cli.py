@@ -19,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spintransfer
-from spintransfer import cli, optimize
-from spintransfer.chain import (ChainSpec, SiteSpec, SpinMagnitude, load_chain, preset,
-                                save_chain)
+from spintransfer import cli, optimize, verification
+from spintransfer.chain import (PRESET_NAMES, ChainSpec, SiteSpec, SpinMagnitude, load_chain,
+                                preset, save_chain)
 from spintransfer.cli import CSV_HEADER, main
 from spintransfer.excitation import (amplitudes, eigensolve, reduce, synthesize_f,
                                      transfer_amplitude)
@@ -174,6 +174,17 @@ class TestSimulate:
                   "--out", str(out_path)])
         assert not out_path.exists()
 
+    def test_overflowing_phases_fail_before_the_file_exists(self, tmp_path, capsys):
+        # E t overflows at every t > 0, so f is NaN on all rows but the first
+        chain = tmp_path / "huge.json"
+        save_chain(ChainSpec((SiteSpec(SpinMagnitude(0.5)),) * 3, (1e308, 1e308)), chain)
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = _run(capsys, "simulate", "--chain", str(chain), "--t-max", "10",
+                              "--steps", "4", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: f is not finite at t = 3.3333333333333335")
+        assert not out_path.exists()
+
     def test_csv_is_locale_independent(self, capsys):
         code, out, _ = _run(
             capsys, "simulate", "--preset", "sec3-two-spin", "--J", "1", "--B", "0.5",
@@ -213,6 +224,19 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --t-max must be finite and nonnegative")
+
+    def test_chain_file_over_the_site_cap_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"sites": [{"spin": "half", "field": 0.0}] * 4097,
+                                    "couplings": [1.0] * 4096}), encoding="utf-8")
+        code, out, err = _run(capsys, "simulate", "--chain", str(path), "--t-max", "1.0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: a chain may have at most 4096 sites, got 4097\n"
+
+    def test_unknown_preset_is_a_usage_error(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--preset", "bogus", "--t-max", "1.0")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown preset 'bogus'; known: {', '.join(PRESET_NAMES)}\n"
 
     def test_missing_chain_source(self, capsys):
         code, _, err = _run(capsys, "simulate", "--t-max", "1.0")
@@ -608,6 +632,17 @@ class TestVerify:
         assert "FAIL  spectrum-sec2-two-spin" in out
         # the pure spin-1/2 system is untouched by this fault
         assert "PASS  spectrum-sec3-two-spin" in out
+
+    def test_group_short_of_outcomes_fails_under_each_name(self, monkeypatch):
+        # one outcome for two names: both fail, and the groups after it still run
+        spectra = [group for group in verification._REGISTRY
+                   if group[0][0].startswith("spectrum-")]
+        short = (("fake-first", "fake-second"), lambda: [(True, 1.0, 0.0, "")])
+        monkeypatch.setattr(verification, "_REGISTRY", [short, *spectra])
+        results = verification.run_all()
+        assert [r.name for r in results] == ["fake-first", "fake-second", *spectra[0][0]]
+        assert all(not r.passed and r.detail.startswith("error:") for r in results[:2])
+        assert all(r.passed for r in results[2:])
 
     def test_unmatched_filter(self, capsys):
         code, _, err = _run(capsys, "verify", "--only", "nonexistent-check")

@@ -250,7 +250,7 @@ class TestSynthesizeF:
         f = synthesize_f(h, eig, np.array(times))
         expected = np.array([amplitudes(h, eig, t).f for t in times])
         assert np.max(np.abs(f - expected)) <= 1e-12
-        # the scalar path sums the same terms in the same order
+        # a scalar time is a one-element array: the same terms in the same order
         assert all(synthesize_f(h, eig, t) == z for t, z in zip(times, f))
 
     def test_bitwise_equal_to_amplitudes_without_vacuum_energy(self):
