@@ -13,15 +13,15 @@ import numpy as np
 from spintransfer import (
     BlochState,
     SearchConfig,
+    average_fidelity,
     corrected_average_fidelity,
     critical_times,
     maximize_fidelity,
     preset,
     transfer_amplitude,
     tune_uniform_field,
-    verify_field_formula,
 )
-from spintransfer.closed_forms import PresetSystem
+from spintransfer.closed_forms import PresetSystem, critical_field, zero_field_critical_time
 from spintransfer.excitation import solve, synthesize_f
 from spintransfer.fidelity import fidelity_reports
 
@@ -60,6 +60,9 @@ print(f"closed-form B_c = pi / (2 t*) = {math.pi / (2 * T_STAR):.6f}")
 print()
 print("=== the printed (t_c, B_c) rules, checked numerically ===")
 for k in (0, 1):
+    t_c = zero_field_critical_time("sec2-two-spin", J, k)
+    parity = "even" if k % 2 == 0 else "odd"
     for l in (0, 1):
-        rep = verify_field_formula(PresetSystem("sec2-two-spin", J, 0.0), k, l)
-        print(f"  k={k} l={l}: t_c={rep.t_c:.4f} B_c={rep.b_c:.4f} -> Fbar={rep.fbar:.12f}")
+        b_c = critical_field(PresetSystem("sec2-two-spin", J, 0.0), t_c, parity, l)
+        fbar = average_fidelity(transfer_amplitude(preset("sec2-two-spin", J, b_c), t_c).f)
+        print(f"  k={k} l={l}: t_c={t_c:.4f} B_c={b_c:.4f} -> Fbar={fbar:.12f}")

@@ -46,7 +46,6 @@ from .optimize import (
     critical_times,
     maximize_fidelity,
     tune_uniform_field,
-    verify_field_formula,
 )
 
 __version__ = "0.1.0"
@@ -93,5 +92,4 @@ __all__ = [
     "critical_times",
     "maximize_fidelity",
     "tune_uniform_field",
-    "verify_field_formula",
 ]

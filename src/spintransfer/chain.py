@@ -90,7 +90,7 @@ class SpinMagnitude:
 
     def __post_init__(self) -> None:
         s = self.s
-        if not (isinstance(s, (int, float)) and math.isfinite(s)):
+        if isinstance(s, bool) or not (isinstance(s, (int, float)) and math.isfinite(s)):
             raise BadSpinError(f"spin magnitude must be a finite number, got {s!r}")
         object.__setattr__(self, "s", float(s))
         twice = 2.0 * self.s
@@ -113,6 +113,20 @@ SPIN_HALF = SpinMagnitude(0.5)
 SPIN_ONE = SpinMagnitude(1.0)
 
 
+def _finite(value: Any, what: str) -> float:
+    """value as a float.  A bool or a non-number is malformed; NaN, +-inf and
+    an int beyond the floats are not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ChainFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise NonFiniteError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class SiteSpec:
     """One lattice site: its spin magnitude and its local field (energy units)."""
@@ -123,10 +137,7 @@ class SiteSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.spin, SpinMagnitude):
             raise BadSpinError(f"spin must be a SpinMagnitude, got {self.spin!r}")
-        field = self.field
-        if not (isinstance(field, (int, float)) and math.isfinite(field)):
-            raise NonFiniteError(f"site field must be finite, got {field!r}")
-        object.__setattr__(self, "field", float(field))
+        object.__setattr__(self, "field", _finite(self.field, "site field"))
 
 
 @dataclass(frozen=True)
@@ -147,12 +158,7 @@ class ChainSpec:
         for site in sites:
             if not isinstance(site, SiteSpec):
                 raise ChainFormatError(f"sites must be SiteSpec instances, got {site!r}")
-        couplings = []
-        for j in self.couplings:
-            if not (isinstance(j, (int, float)) and math.isfinite(j)):
-                raise NonFiniteError(f"coupling must be finite, got {j!r}")
-            couplings.append(float(j))
-        object.__setattr__(self, "couplings", tuple(couplings))
+        object.__setattr__(self, "couplings", tuple(_finite(j, "coupling") for j in self.couplings))
         if len(self.couplings) != len(sites) - 1:
             raise LengthMismatchError(
                 f"{len(sites)} sites need {len(sites) - 1} couplings, "
@@ -214,13 +220,8 @@ def validate(raw: Mapping[str, Any]) -> ChainSpec:
             field_raw = entry["field"]
         except KeyError as missing:
             raise ChainFormatError(f"site entry is missing key {missing}") from None
-        if isinstance(field_raw, bool) or not isinstance(field_raw, (int, float)):
-            raise ChainFormatError(f"site field must be a number, got {field_raw!r}")
-        sites.append(SiteSpec(spin=_parse_spin(spin_raw), field=float(field_raw)))
-    for j in couplings_raw:
-        if isinstance(j, bool) or not isinstance(j, (int, float)):
-            raise ChainFormatError(f"coupling must be a number, got {j!r}")
-    return ChainSpec(sites=tuple(sites), couplings=tuple(float(j) for j in couplings_raw))
+        sites.append(SiteSpec(spin=_parse_spin(spin_raw), field=field_raw))
+    return ChainSpec(sites=tuple(sites), couplings=tuple(couplings_raw))
 
 
 def engineered_couplings(n_sites: int, lam: float) -> tuple[float, ...]:

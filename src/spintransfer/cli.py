@@ -133,7 +133,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
         raise _UsageError(f"--t-max must be finite and nonnegative, got {args.t_max}")
     grid = np.linspace(0.0, args.t_max, args.steps)
     h = reduce(spec)
-    f = synthesize_f(h, eigensolve(h), grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        f = synthesize_f(h, eigensolve(h), grid)
     # f here, and every |f| in fidelity_report_blocks, is checked before anything is written.
     overflow = ~np.isfinite(f)
     if overflow.any():

@@ -36,20 +36,17 @@ from typing import Callable
 
 import numpy as np
 
-from . import closed_forms, fidelity
-from .chain import ChainSpec, preset
-from .closed_forms import PresetSystem
-from .excitation import _TIME_BLOCK, amplitudes, solve, synthesize_f
+from . import fidelity
+from .chain import ChainSpec
+from .excitation import _TIME_BLOCK, solve, synthesize_f
 
 __all__ = [
     "GridBudgetError",
     "SearchConfig",
     "OptimizationResult",
-    "FieldTuningReport",
     "critical_times",
     "maximize_fidelity",
     "tune_uniform_field",
-    "verify_field_formula",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -81,9 +78,6 @@ _MAX_GRID_POINTS = 2**20
 
 # Golden-section steps per bracket, at most.
 _MAX_REFINE_ITERS = 200
-
-# verify_field_formula accepts a tuned pair whose Fbar reaches 1 minus this.
-_FIELD_TUNING_TOL = 1e-9
 
 
 class GridBudgetError(ValueError):
@@ -127,20 +121,6 @@ class OptimizationResult:
     abs_f: float
     evaluations: int
     bracket: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class FieldTuningReport:
-    """Outcome of checking one tuned (t_c, B_c) pair against the engine."""
-
-    system: str
-    k: int
-    l: int
-    t_c: float
-    b_c: float
-    abs_f: float
-    fbar: float
-    ok: bool
 
 
 def _level_spread(h, eig) -> float:
@@ -444,31 +424,3 @@ def tune_uniform_field(
                                   search.grid_error, cfg)
     best_b = float(tuned(best_t, search.f(best_t))[0])
     return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))
-
-
-def verify_field_formula(sys: PresetSystem, k: int, l: int) -> FieldTuningReport:
-    """Check that the printed (t_c, B_c) rules really give perfect transfer.
-
-    t_c is the k-th zero-field critical time of sys (its field value is
-    ignored), B_c the matching tuned field; the chain is rebuilt with B_c and
-    the engine evaluates the average fidelity at t_c.  ok is set when that
-    value reaches 1 - _FIELD_TUNING_TOL.  Raises NotTunableError for the
-    systems with no exact tuning.
-    """
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be nonnegative")
-    t_c = closed_forms.zero_field_critical_time(sys.name, sys.J, k)
-    parity = "even" if k % 2 == 0 else "odd"
-    b_c = closed_forms.critical_field(sys, t_c, parity, l)
-    f = amplitudes(*solve(preset(sys.name, sys.J, b_c)), t_c).f
-    fbar = fidelity.average_fidelity(f)
-    return FieldTuningReport(
-        system=sys.name,
-        k=k,
-        l=l,
-        t_c=t_c,
-        b_c=b_c,
-        abs_f=abs(f),
-        fbar=fbar,
-        ok=fbar >= 1.0 - _FIELD_TUNING_TOL,
-    )

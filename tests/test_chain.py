@@ -71,9 +71,21 @@ def test_nonfinite_rejected():
             sites=(SiteSpec(SPIN_HALF), SiteSpec(SPIN_HALF)),
             couplings=(float("inf"),),
         )
+    with pytest.raises(NonFiniteError):  # an int past the largest float
+        SiteSpec(SPIN_HALF, 10**400)
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, 0.3, 0.75, float("nan")])
+def test_bools_and_non_numbers_are_malformed():
+    # the rule validate applies to JSON input holds for the dataclasses too
+    with pytest.raises(ChainFormatError, match="site field must be a number, got True"):
+        SiteSpec(SPIN_HALF, True)
+    with pytest.raises(ChainFormatError, match="site field must be a number, got 'x'"):
+        SiteSpec(SPIN_HALF, "x")
+    with pytest.raises(ChainFormatError, match="coupling must be a number, got True"):
+        ChainSpec((SiteSpec(SPIN_HALF),) * 2, (True,))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 0.3, 0.75, float("nan"), True])
 def test_bad_spin_rejected(bad):
     with pytest.raises(BadSpinError):
         SpinMagnitude(bad)

@@ -233,6 +233,14 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: a chain may have at most 4096 sites, got 4097\n"
 
+    def test_chain_file_with_a_bool_field_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"sites": [{"spin": "half", "field": True}] * 2,
+                                    "couplings": [1.0]}), encoding="utf-8")
+        code, out, err = _run(capsys, "simulate", "--chain", str(path), "--t-max", "1.0")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: site field must be a number, got True\n"
+
     def test_unknown_preset_is_a_usage_error(self, capsys):
         code, out, err = _run(capsys, "simulate", "--preset", "bogus", "--t-max", "1.0")
         assert (code, out) == (2, "")
@@ -397,6 +405,19 @@ def test_module_entry_point_runs_the_cli():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+def test_overflowing_phases_print_only_the_error_line(tmp_path):
+    # numpy's overflow warnings from the phases E t stay off stderr
+    chain = tmp_path / "huge.json"
+    save_chain(ChainSpec((SiteSpec(SpinMagnitude(0.5)),) * 3, (1e308, 1e308)), chain)
+    env = {**os.environ, "PYTHONPATH": str(Path(spintransfer.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "spintransfer.cli", "simulate", "--chain",
+                           str(chain), "--t-max", "10", "--steps", "4"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: f is not finite at t = 3.3333333333333335: the phases E t "
+                           "overflow; lower --t-max or rescale the chain\n")
 
 
 def test_package_imports_without_scipy():

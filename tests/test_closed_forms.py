@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spintransfer.chain import PRESET_NAMES, UnknownPresetError
+from spintransfer.chain import PRESET_NAMES, UnknownPresetError, preset
 from spintransfer.closed_forms import (
     DegenerateSystemError,
     NotTunableError,
@@ -17,6 +17,7 @@ from spintransfer.closed_forms import (
     zero_field_critical_time,
 )
 from spintransfer.excitation import eigensolve, reduce, solve, synthesize_f, transfer_amplitude
+from spintransfer.fidelity import average_fidelity
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,6 +183,19 @@ class TestFieldTuningRules:
             critical_field(sys, 1.0, "sideways", 0)
         with pytest.raises(ValueError):
             critical_field(sys, 1.0, "even", -1)
+        with pytest.raises(ValueError):
+            zero_field_critical_time("sec2-two-spin", 1.0, -1)
+
+    @pytest.mark.parametrize("name", ["sec2-two-spin", "sec2-three-spin-center"])
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_tuned_pairs_are_perfect(self, name, k, l):
+        j = 1.3
+        t_c = zero_field_critical_time(name, j, k)
+        b_c = critical_field(PresetSystem(name, j, 0.0), t_c, "even" if k % 2 == 0 else "odd", l)
+        f = transfer_amplitude(preset(name, j, b_c), t_c).f
+        assert average_fidelity(f) == pytest.approx(1.0, abs=1e-9)
+        assert abs(f) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unknown_preset_system():

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from spintransfer import optimize
 from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, preset
-from spintransfer.closed_forms import NotTunableError, PresetSystem
 from spintransfer.excitation import solve, synthesize_f
 from spintransfer.fidelity import average_fidelities, average_fidelity, corrected_average_fidelity
 from spintransfer.optimize import (
@@ -18,7 +17,6 @@ from spintransfer.optimize import (
     critical_times,
     maximize_fidelity,
     tune_uniform_field,
-    verify_field_formula,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -290,25 +288,6 @@ class TestTunedOptimum:
             res = tune_uniform_field(spec, cfg, (-width / 2.0, width / 2.0))
             assert abs(res.fbar - corrected.fbar_corrected) <= 1e-9
             assert res.evaluations < 2 * corrected.evaluations + 1000
-
-
-class TestVerifyFieldFormula:
-    @pytest.mark.parametrize("name", ["sec2-two-spin", "sec2-three-spin-center"])
-    @pytest.mark.parametrize("k", [0, 1])
-    @pytest.mark.parametrize("l", [0, 1])
-    def test_tuned_pairs_are_perfect(self, name, k, l):
-        rep = verify_field_formula(PresetSystem(name, 1.3, 0.0), k, l)
-        assert rep.ok
-        assert rep.fbar == pytest.approx(1.0, abs=1e-9)
-        assert rep.abs_f == pytest.approx(1.0, abs=1e-9)
-
-    def test_not_tunable(self):
-        with pytest.raises(NotTunableError):
-            verify_field_formula(PresetSystem("sec3-two-spin", 1.0, 0.0), 0, 0)
-
-    def test_bad_indices(self):
-        with pytest.raises(ValueError):
-            verify_field_formula(PresetSystem("sec2-two-spin", 1.0, 0.0), -1, 0)
 
 
 class TestEvaluationCount:
