@@ -9,6 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from spintransfer import optimize
 from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, preset
+from spintransfer.closed_forms import (
+    NotTunableError,
+    PresetSystem,
+    critical_field,
+    zero_field_critical_time,
+)
 from spintransfer.excitation import solve, synthesize_f
 from spintransfer.fidelity import average_fidelities, average_fidelity, corrected_average_fidelity
 from spintransfer.optimize import (
@@ -288,6 +294,23 @@ class TestTunedOptimum:
             res = tune_uniform_field(spec, cfg, (-width / 2.0, width / 2.0))
             assert abs(res.fbar - corrected.fbar_corrected) <= 1e-9
             assert res.evaluations < 2 * corrected.evaluations + 1000
+
+
+class TestVerifyFieldFormula:
+    """The tuning rules that pick a (t_c, B_c) pair refuse what they cannot tune."""
+
+    def test_not_tunable(self):
+        with pytest.raises(NotTunableError):
+            zero_field_critical_time("sec3-two-spin", 1.0, 0)
+        with pytest.raises(NotTunableError):
+            critical_field(PresetSystem("sec3-two-spin", 1.0, 0.0), 1.0, "even", 0)
+
+    def test_bad_indices(self):
+        with pytest.raises(ValueError):
+            zero_field_critical_time("sec2-two-spin", 1.0, -1)
+        t_c = zero_field_critical_time("sec2-two-spin", 1.0, 0)
+        with pytest.raises(ValueError):
+            critical_field(PresetSystem("sec2-two-spin", 1.0, 0.0), t_c, "even", -1)
 
 
 class TestEvaluationCount:
