@@ -82,6 +82,20 @@ class ChainFormatError(ChainSpecError):
     """Raw chain description is structurally malformed."""
 
 
+def _finite(value: Any, what: str) -> float:
+    """value as a float.  A bool or a non-number is malformed; NaN, +-inf and
+    an int beyond the floats are not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ChainFormatError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise NonFiniteError(f"{what} must be finite, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class SpinMagnitude:
     """Spin quantum number of one site; 2s must be a positive integer."""
@@ -89,13 +103,14 @@ class SpinMagnitude:
     s: float
 
     def __post_init__(self) -> None:
-        s = self.s
-        if isinstance(s, bool) or not (isinstance(s, (int, float)) and math.isfinite(s)):
-            raise BadSpinError(f"spin magnitude must be a finite number, got {s!r}")
-        object.__setattr__(self, "s", float(s))
-        twice = 2.0 * self.s
-        if twice < 1.0 or twice != round(twice):
-            raise BadSpinError(f"2s must be a positive integer, got s = {s!r}")
+        raw = self.s
+        try:
+            s = _finite(raw, "spin magnitude")
+        except ChainSpecError as exc:
+            raise BadSpinError(str(exc)) from None
+        if s < 0.5 or not (2.0 * s).is_integer():
+            raise BadSpinError(f"2s must be a positive integer, got s = {raw!r}")
+        object.__setattr__(self, "s", s)
 
     @property
     def dim(self) -> int:
@@ -111,20 +126,6 @@ _MAX_SITES = 4096
 
 SPIN_HALF = SpinMagnitude(0.5)
 SPIN_ONE = SpinMagnitude(1.0)
-
-
-def _finite(value: Any, what: str) -> float:
-    """value as a float.  A bool or a non-number is malformed; NaN, +-inf and
-    an int beyond the floats are not finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ChainFormatError(f"{what} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise NonFiniteError(f"{what} must be finite, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def _parse_spin(value: Any) -> SpinMagnitude:
         raise ChainFormatError(
             f'spin must be "half", "one", or a number, got {value!r}'
         )
-    return SpinMagnitude(float(value))
+    return SpinMagnitude(value)
 
 
 def validate(raw: Mapping[str, Any]) -> ChainSpec:
@@ -232,9 +233,10 @@ def engineered_couplings(n_sites: int, lam: float) -> tuple[float, ...]:
     """
     if n_sites < 2:
         raise BadArgsError(f"need at least 2 sites, got {n_sites}")
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-        raise BadArgsError(f"scale must be positive and finite, got {lam!r}")
-    return tuple(float(lam) * math.sqrt(i * (n_sites - i)) for i in range(1, n_sites))
+    scale = _finite(lam, "scale")
+    if scale <= 0:
+        raise BadArgsError(f"scale must be positive, got {lam!r}")
+    return tuple(scale * math.sqrt(i * (n_sites - i)) for i in range(1, n_sites))
 
 
 def engineered_chain(
@@ -321,7 +323,9 @@ def dumps_chain(spec: ChainSpec) -> str:
 
 
 def loads_chain(text: str) -> ChainSpec:
-    return validate(json.loads(text))
+    """The chain of a JSON text.  Every number is parsed as a float, so an
+    integer literal beyond the floats is +-inf (and not finite), however long."""
+    return validate(json.loads(text, parse_int=float))
 
 
 def save_chain(spec: ChainSpec, path: str | Path) -> None:

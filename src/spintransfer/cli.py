@@ -4,7 +4,7 @@ Output contracts:
   simulate  CSV with header t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta,
             every value printed with 17 significant digits (round-trip safe):
             the bytes of "%.17g", written by a vectorized formatter that
-            falls back to "%" for any row it cannot certify.
+            falls back to "%" for any value it cannot certify.
   optimize  JSON of the OptimizationResult fields.
   preset    chain JSON in the external format.
   verify    one line per check plus an optional JSON report.
@@ -39,10 +39,6 @@ from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
 
 CSV_HEADER = "t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta"
-# "%.17g" % x is byte-identical to format(x, ".17g").  _csv_rows produces the
-# text of _CSV_ROW for a whole fidelity_report_blocks block at once and uses
-# _CSV_ROW itself only for the rows it cannot certify.
-_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
 # The decades floor(log10|x|) of the finite nonzero doubles, one table row each.
 _DECADES = range(-324, 309)
@@ -82,6 +78,8 @@ def _load_spec(args: argparse.Namespace) -> tuple[Any, str]:
             raise _UsageError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
         except json.JSONDecodeError as exc:
             raise _UsageError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise _UsageError(f"{path}: JSON nested too deeply") from exc
         except ChainSpecError as exc:
             raise _UsageError(f"{path}: {exc}") from exc
         return spec, _sha256(raw)
@@ -131,9 +129,10 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
                           f"{args.steps}; split a longer sweep over t into several runs")
     if not (math.isfinite(args.t_max) and args.t_max >= 0):
         raise _UsageError(f"--t-max must be finite and nonnegative, got {args.t_max}")
-    grid = np.linspace(0.0, args.t_max, args.steps)
     h = reduce(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        # only the last point of linspace can overflow, and linspace sets it to t_max
+        grid = np.linspace(0.0, args.t_max, args.steps)
         f = synthesize_f(h, eigensolve(h), grid)
     # f here, and every |f| in fidelity_report_blocks, is checked before anything is written.
     overflow = ~np.isfinite(f)
@@ -231,8 +230,8 @@ def _decimals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return row, d, certified
 
 
-def _slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of "%.17g" % v for every value v of x, and which are certified.
+def _slots(x: np.ndarray) -> np.ndarray:
+    """The bytes of "%.17g" % v for every value v of x.
 
     Returns a (len(x), _SLOT) uint8 array, one slot per value: its text padded
     with NUL bytes, then the separator ','.  Five vectorized steps:
@@ -250,7 +249,8 @@ def _slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     window below.  A value is certified when it is zero, or finite with
     |frac(P) - 1/2| > 1e-6, so dtoa's round-half-even is never needed, and
     1e16 + 16 <= p + lo <= 1e17 - 16, so log10 found the decade and D has 17
-    digits.  The slot of an uncertified value holds no valid text.
+    digits.  The slot of any other value gets the text of "%" itself, which
+    is at most 24 bytes and so fits before the separator.
     """
     *_, template, point = _format_tables()
     row, d, certified = _decimals(x)
@@ -273,29 +273,16 @@ def _slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # no digit after the point: drop it (point 16 addresses the empty suffix)
     whole = np.flatnonzero(last <= dot)
     out[whole, _BODY.start + 2 * dot[whole] + 1] = 0
-    return out, certified
+    for i in np.flatnonzero(~certified):
+        out[i, :-1] = np.frombuffer((b"%.17g" % x[i]).ljust(_SLOT - 1, b"\0"), np.uint8)
+    return out
 
 
 def _csv_rows(block: np.ndarray) -> str:
-    """The text `_CSV_ROW * len(block) % tuple(block.ravel().tolist())`.
-
-    Rows whose values _slots certifies are laid out together and lose their
-    NUL padding in one bytes.translate; every other row is formatted by
-    _CSV_ROW.
-    """
-    out, certified = _slots(block.ravel())
-    rows = out.reshape(len(block), -1)
+    """The values of `block` as "%.17g" text: ',' between them, '\\n' after each row."""
+    rows = _slots(block.ravel()).reshape(len(block), -1)
     rows[:, -1] = ord("\n")
-
-    def text(part: np.ndarray) -> str:
-        return part.tobytes().translate(None, b"\0").decode("ascii")
-
-    pieces, start = [], 0
-    for i in np.flatnonzero(~certified.reshape(len(block), -1).all(axis=1)):
-        pieces += [text(rows[start:i]), _CSV_ROW % tuple(block[i].tolist())]
-        start = i + 1
-    pieces.append(text(rows[start:]))
-    return "".join(pieces)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:

@@ -9,8 +9,7 @@ symmetric tridiagonal block with
     hopping[i] = J_i sqrt(s_i s_{i+1})
 
 The block is diagonalised by LAPACK (numpy.linalg.eigh).  Transfer
-amplitudes are evaluated by spectral synthesis, never by time stepping, so
-they are exact at any t:
+amplitudes are evaluated by spectral synthesis, never by time stepping:
 
     f0    = exp(-i E0 t)
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
@@ -24,6 +23,12 @@ synthesize_f evaluates this in O(N) per time, on a scalar time or a whole
 grid; amplitudes builds the full O(N^2) vector fn.  The phase of f, and every
 fidelity derived from it, is computed in the fidelity module.
 
+No error accumulates from step to step, but the phases eps t carry an error
+of about |eps| t 2^-53 (|eps| the largest energy of the chain), and the
+error of f grows like it, linearly in t.  Against a 60-digit mpmath
+synthesis from the same block, on engineered chains of 5 and 40 sites,
+|f - f_exact| is 5e-15 to 5e-14 at t = 1e2 and 7e-5 to 4e-4 at t = 1e12.
+
 All functions here are pure; a shared EigenSystem may be read concurrently
 (its end_weights are computed once, on first use).
 """
@@ -36,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, NonFiniteError
 
 __all__ = [
     "SingleExcitationHamiltonian",
@@ -112,15 +117,28 @@ def _hopping_scale(s_left: float, s_right: float) -> float:
 
 
 def reduce(spec: ChainSpec) -> SingleExcitationHamiltonian:
-    """Project a chain onto its zero-plus-single-excitation sector."""
+    """Project a chain onto its zero-plus-single-excitation sector.
+
+    Raises NonFiniteError, naming the entry, when an entry of the block
+    overflows the floats.
+    """
     spins = spec.spins()
     fields = spec.fields()
-    e0 = float(np.dot(fields, spins))
-    onsite = tuple(float(e0 - b) for b in fields)
-    hopping = tuple(
-        float(j * _hopping_scale(spins[i], spins[i + 1]))
-        for i, j in enumerate(spec.couplings)
-    )
+    with np.errstate(over="ignore"):  # refused below
+        e0 = float(np.dot(fields, spins))
+    if not math.isfinite(e0):
+        raise NonFiniteError("the vacuum energy sum_i B_i s_i is not finite")
+    # Python floats overflow to inf without a warning
+    onsite = tuple(e0 - b for b in fields.tolist())
+    s = spins.tolist()
+    hopping = tuple(j * _hopping_scale(s[i], s[i + 1]) for i, j in enumerate(spec.couplings))
+    for n, value in enumerate(onsite, 1):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"the flip energy E0 - B_{n} of site {n} is not finite")
+    for i, value in enumerate(hopping, 1):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"the hopping J_{i} sqrt(s_{i} s_{i + 1}) of bond {i} "
+                                 f"is not finite")
     return SingleExcitationHamiltonian(vacuum_energy=e0, onsite=onsite, hopping=hopping)
 
 

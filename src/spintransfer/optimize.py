@@ -419,7 +419,7 @@ def tune_uniform_field(
     t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values
     search = _Search(solved, lambda t, f: fidelity.average_fidelities(tuned(t, f)[1]), cfg,
                      (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
-                     (cfg.t_max, float(levels[-1] - levels[0])))
+                     (cfg.t_max, float(levels[-1]) - float(levels[0])))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,
                                   search.grid_error, cfg)
     best_b = float(tuned(best_t, search.f(best_t))[0])

@@ -85,7 +85,8 @@ def test_bools_and_non_numbers_are_malformed():
         ChainSpec((SiteSpec(SPIN_HALF),) * 2, (True,))
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.5, 0.3, 0.75, float("nan"), True])
+@pytest.mark.parametrize("bad", [0.0, -0.5, 0.3, 0.75, float("nan"), True,
+                                 pytest.param(10**400, id="10**400"), 1e308])
 def test_bad_spin_rejected(bad):
     with pytest.raises(BadSpinError):
         SpinMagnitude(bad)
@@ -127,6 +128,10 @@ def test_engineered_couplings_bad_args():
         engineered_couplings(4, 0.0)
     with pytest.raises(BadArgsError):
         engineered_couplings(4, -1.0)
+    with pytest.raises(NonFiniteError):  # an int past the largest float
+        engineered_couplings(4, 10**400)
+    with pytest.raises(ChainFormatError, match="scale must be a number, got True"):
+        engineered_couplings(3, True)
 
 
 def test_engineered_chain_impurity_placement():

@@ -1,7 +1,9 @@
 """Command-line interface: CSV/JSON contracts, exit codes, manifests."""
 
+import contextlib
 import errno
 import importlib
+import io
 import itertools
 import json
 import math
@@ -20,8 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import spintransfer
 from spintransfer import cli, optimize, verification
-from spintransfer.chain import (PRESET_NAMES, ChainSpec, SiteSpec, SpinMagnitude, load_chain,
-                                preset, save_chain)
+from spintransfer.chain import (PRESET_NAMES, SPIN_HALF, ChainSpec, ChainSpecError, SiteSpec,
+                                SpinMagnitude, load_chain, preset, save_chain)
 from spintransfer.cli import CSV_HEADER, main
 from spintransfer.excitation import (amplitudes, eigensolve, reduce, synthesize_f,
                                      transfer_amplitude)
@@ -292,9 +294,12 @@ def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
             assert rep.abs_f * abs(wrapped) <= 1e-12
 
 
+_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
+
+
 def _percent_rows(block: np.ndarray) -> str:
     """The CSV text of the rows of `block` by "%" formatting, one value at a time."""
-    return cli._CSV_ROW * len(block) % tuple(block.ravel().tolist())
+    return _CSV_ROW * len(block) % tuple(block.ravel().tolist())
 
 
 def _rows_of(values) -> np.ndarray:
@@ -325,14 +330,30 @@ class TestCsvFormatter:
         x = np.concatenate([rng.uniform(-1.0, 1.0, 4000),
                             rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.integers(-300, 300, 4000),
                             [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]])
-        out, certified = cli._slots(x)
+        certified = cli._decimals(x)[2]
         assert certified[-5:].all()
         for value in x[~certified]:  # doubles in [1e14, 1e16) can be exact ties
             digits = Decimal(value).as_tuple().digits
             assert len(digits) == 18 and digits[-1] == 5
         assert certified.sum() >= len(x) - 5
-        for slot, value in zip(out[certified], x[certified]):
+        for slot, value in zip(cli._slots(x), x):
             assert slot.tobytes().translate(None, b"\0") == format(value, ".17g").encode() + b","
+
+    def test_every_slot_holds_the_text_of_percent(self):
+        # the values the double-double cannot certify get the text of "%" in their own slot
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([np.nextafter(powers, -math.inf), powers, [131073 / 2**17],
+                            [math.nan, -math.nan, math.inf, -math.inf, -5e-324]])
+        x = np.concatenate([x, -x])
+        certified = cli._decimals(x)[2]
+        assert (~certified).sum() > 100
+        out = cli._slots(x)
+        assert out.shape == (len(x), cli._SLOT)
+        assert (out[:, -1] == ord(",")).all()
+        for slot, value in zip(out[~certified], x[~certified]):
+            text = b"%.17g" % value
+            assert slot[:len(text)].tobytes() == text
+            assert not slot[len(text):-1].any()
 
     def test_one_ulp_around_every_power_of_ten(self):
         # log10 may name the wrong decade here; the decade guard sends these to "%"
@@ -364,7 +385,7 @@ class TestCsvFormatter:
         fallbacks = {0: math.nan, 1023: 1.0, 1024: 131073 / 2**17, 2499: -math.inf}
         for row, value in fallbacks.items():
             block[row, row % 8] = value
-        _, certified = cli._slots(block.ravel())
+        certified = cli._decimals(block.ravel())[2]
         assert np.flatnonzero(~certified.reshape(2500, 8).all(axis=1)).tolist() == [*fallbacks]
         assert _blockwise(block) == _percent_rows(block)
 
@@ -418,6 +439,166 @@ def test_overflowing_phases_print_only_the_error_line(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("error: f is not finite at t = 3.3333333333333335: the phases E t "
                            "overflow; lower --t-max or rescale the chain\n")
+
+
+def _two_sites(spins, fields, coupling):
+    return json.dumps({"sites": [{"spin": s, "field": b} for s, b in zip(spins, fields)],
+                       "couplings": [coupling]})
+
+
+# Chain files the CLI must refuse with one line; {path} is the file's path.
+_OVERFLOWING_CHAIN_FILES = {
+    "401-digit-spin": (_two_sites([10**400, "half"], [0, 0], 1),
+                       "{path}: spin magnitude must be finite, got inf"),
+    "spin-1e308": (_two_sites([1e308, "half"], [0, 0], 1),
+                   "{path}: 2s must be a positive integer, got s = 1e+308"),
+    "5001-digit-field": (_two_sites(["half", "half"], [0, 0], 1).replace(
+        '"field": 0', '"field": 1' + "0" * 5000, 1), "{path}: site field must be finite, got inf"),
+    "nested-100000-deep": ('{"sites": ' + "[" * 100_000 + "]" * 100_000 + ', "couplings": []}',
+                           "{path}: JSON nested too deeply"),
+    "hopping-overflows": (_two_sites([1e200, 1e200], [0, 0], 1),
+                          "the hopping J_1 sqrt(s_1 s_2) of bond 1 is not finite"),
+    "vacuum-energy-overflows": (_two_sites(["one", "one"], [1e308, 1e308], 1),
+                                "the vacuum energy sum_i B_i s_i is not finite"),
+}
+
+
+@pytest.mark.parametrize("command", [["simulate", "--steps", "2"], ["optimize"],
+                                     ["optimize", "--tune-field", "0", "1"]],
+                         ids=["simulate", "optimize", "tune-field"])
+@pytest.mark.parametrize("name", _OVERFLOWING_CHAIN_FILES)
+def test_chain_file_beyond_the_floats_is_a_usage_error(tmp_path, capsys, name, command):
+    text, message = _OVERFLOWING_CHAIN_FILES[name]
+    path = tmp_path / "chain.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, command[0], "--chain", str(path), "--t-max", "1",
+                          *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: " + message.format(path=path) + "\n"
+
+
+def test_tuned_spread_that_overflows_prints_only_the_error_line(tmp_path, capsys):
+    # every entry of the block is finite, the spread of its levels is not
+    path = tmp_path / "chain.json"
+    save_chain(ChainSpec((SiteSpec(SPIN_HALF, 1e308), SiteSpec(SPIN_HALF, -1e308),
+                          SiteSpec(SPIN_HALF, 1e308)), (1e308, 1e308)), path)
+    code, out, err = _run(capsys, "optimize", "--chain", str(path), "--t-max", "1",
+                          "--tune-field", "0", "1")
+    assert (code, out) == (2, "")
+    assert err == ("error: t_max = 1.0 needs inf grid points (limit 1048576); the spread of "
+                   "the levels or the field box overflows\n")
+
+
+def _main_output(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stderr) of cli.main, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code: int, err: str, *, one_line: bool) -> None:
+    """Exit 0 writes nothing to stderr (the manifest goes to a file); exit 2
+    writes exactly one line that contains "error:", and nothing else when
+    `one_line` (argparse prints its usage lines before its error line)."""
+    lines = err.splitlines()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2
+        assert err.endswith("\n")
+        assert sum("error:" in line for line in lines) == 1
+        if one_line:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _simulate_chain_file(data: bytes) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.json"
+        path.write_bytes(data)
+        return _main_output(["simulate", "--chain", str(path), "--t-max", "1", "--steps", "2",
+                             "--out", str(Path(tmp) / "out.csv"),
+                             "--manifest", str(Path(tmp) / "manifest.json")])
+
+
+# Numbers where the floats end, JSON's NaN and Infinity literals (json.dumps
+# writes them for the non-finite floats), and bools or strings where numbers go.
+_WILD_NUMBERS = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from([10**400, -10**400, 1e308, -1e308, 1.7976931348623157e308, 1e200,
+                     "half", "one"]))
+_JSON_TREES = st.recursive(
+    _WILD_NUMBERS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["sites", "couplings", "spin", "field"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=16)
+
+
+@st.composite
+def _chain_trees(draw):
+    """Chain-shaped JSON of at most 8 sites, with any tree where a value goes."""
+    number = st.one_of(st.floats(-2.0, 2.0), _WILD_NUMBERS, _JSON_TREES)
+    spin = st.one_of(st.sampled_from(["half", "one", 0.5, 1, 1.5]), _WILD_NUMBERS, _JSON_TREES)
+    n = draw(st.integers(0, 8))
+    sites = [{"spin": draw(spin), "field": draw(number)} for _ in range(n)]
+    count = draw(st.one_of(st.just(max(n - 1, 0)), st.integers(0, 8)))
+    return {"sites": sites, "couplings": draw(st.lists(number, min_size=count, max_size=count))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=st.one_of(_chain_trees(), _JSON_TREES))
+@example(tree={"sites": [{"spin": 10**400, "field": 0}, {"spin": "half", "field": 0}],
+               "couplings": [1]})
+@example(tree={"sites": [{"spin": 1e200, "field": 0}] * 2, "couplings": [1]})
+def test_any_json_chain_exits_cleanly(tree):
+    code, err = _simulate_chain_file(json.dumps(tree).encode())
+    _assert_clean_exit(code, err, one_line=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=64))
+@example(data=b'{"sites": ' + b"[" * 100_000 + b"]" * 100_000 + b', "couplings": []}')
+@example(data=b'{"sites": [{"spin": "half", "field": 1' + b"0" * 5000 + b'}], "couplings": []}')
+def test_any_chain_file_bytes_exit_cleanly(data):
+    code, err = _simulate_chain_file(data)
+    _assert_clean_exit(code, err, one_line=True)
+
+
+# --steps text that int() can read is small; no other text holds a decimal digit
+_STEPS_TEXT = st.one_of(st.integers(-3, 64).map(str),
+                        st.text(st.characters(blacklist_categories=("Nd",)), max_size=6))
+_T_MAX_TEXT = st.one_of(st.floats().map(repr), st.text(max_size=8),
+                        st.sampled_from(["1e308", "-0", "nan", "-inf", "1_0", "-1e-3"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_max=_T_MAX_TEXT, steps=_STEPS_TEXT)
+@example(t_max="1.7976931348623157e+308", steps="25")  # linspace's last step overflows
+def test_any_horizon_and_step_text_exits_cleanly(t_max, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _main_output(["simulate", "--preset", "sec2-two-spin", "--t-max", t_max,
+                                  "--steps", steps, "--out", str(Path(tmp) / "out.csv"),
+                                  "--manifest", str(Path(tmp) / "manifest.json")])
+    _assert_clean_exit(code, err, one_line=False)
+
+
+_ANY_VALUE = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+                       st.complex_numbers(), st.lists(st.integers(), max_size=2),
+                       st.sampled_from([10**400, -10**400, 1e308, 0.5, 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spin=_ANY_VALUE, field=_ANY_VALUE,
+       sites=st.lists(st.one_of(st.just(SiteSpec(SPIN_HALF)), _ANY_VALUE), max_size=8),
+       couplings=st.lists(_ANY_VALUE, max_size=8))
+def test_chain_dataclasses_raise_only_chain_errors(spin, field, sites, couplings):
+    for build in (lambda: SpinMagnitude(spin), lambda: SiteSpec(SPIN_HALF, field),
+                  lambda: SiteSpec(spin, field), lambda: ChainSpec(tuple(sites), tuple(couplings))):
+        try:
+            build()
+        except ChainSpecError:
+            pass
 
 
 def test_package_imports_without_scipy():

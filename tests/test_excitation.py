@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spintransfer.chain import (
     ChainSpec,
+    NonFiniteError,
     SPIN_HALF,
     SPIN_ONE,
     SiteSpec,
@@ -71,6 +72,19 @@ class TestReduce:
         )
         ratio = reduce(mixed).hopping[0] / reduce(plain).hopping[0]
         assert ratio == pytest.approx(SQRT2, abs=1e-15)
+
+    @pytest.mark.parametrize("spins,fields,message", [
+        ((1e200, 1e200), (0.0, 0.0), "the hopping J_1 sqrt(s_1 s_2) of bond 1 is not finite"),
+        ((1.0, 1.0), (1e308, 1e308), "the vacuum energy sum_i B_i s_i is not finite"),
+        ((1.0, 0.5), (-1.7e308, 1e308), "the flip energy E0 - B_2 of site 2 is not finite"),
+    ], ids=["bond", "vacuum-energy", "flip-energy"])
+    def test_overflowing_entry_is_refused(self, spins, fields, message):
+        # each entry is finite in the chain; a RuntimeWarning would fail the test too
+        spec = ChainSpec(tuple(SiteSpec(SpinMagnitude(s), b) for s, b in zip(spins, fields)),
+                         (1.0,))
+        with pytest.raises(NonFiniteError) as info:
+            reduce(spec)
+        assert str(info.value) == message
 
 
 def _random_tridiagonal(rng, n):
