@@ -324,7 +324,7 @@ def dumps_chain(spec: ChainSpec) -> str:
 
 def loads_chain(text: str) -> ChainSpec:
     """The chain of a JSON text.  Every number is parsed as a float, so an
-    integer literal beyond the floats is +-inf (and not finite), however long."""
+    integer literal beyond the floats, however long, is +-inf."""
     return validate(json.loads(text, parse_int=float))
 
 
