@@ -287,6 +287,10 @@ def _csv_rows(block: np.ndarray) -> str:
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:
     spec, digest = _load_spec(args)
+    # rounding alone may give --steps samples one more step: a grid of --steps + 2 points
+    if not 16 <= args.steps <= optimize._MAX_GRID_POINTS - 2:
+        raise _UsageError(f"--steps must lie in [16, {optimize._MAX_GRID_POINTS - 2}], got "
+                          f"{args.steps}")
     try:  # a bad horizon, step count or field box, or a grid over the budget
         cfg = SearchConfig(t_max=args.t_max, n_samples=args.steps)
         if args.tune_field is not None:

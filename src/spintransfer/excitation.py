@@ -13,15 +13,13 @@ amplitudes are evaluated by spectral synthesis, never by time stepping:
 
     f0    = exp(-i E0 t)
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
-    f     = conj(f0) * fn[N]
+    f     = sum_k w_k exp(-i (eps_k - E0) t),   w_k = v_k[1] v_k[N]
 
-The end-to-end amplitude alone needs only the weights w_k = v_k[1] v_k[N]:
-
-    f     = sum_k w_k exp(-i (eps_k - E0) t)
-
-synthesize_f evaluates this in O(N) per time, on a scalar time or a whole
-grid; amplitudes builds the full O(N^2) vector fn.  The phase of f, and every
-fidelity derived from it, is computed in the fidelity module.
+synthesize_f is the one route to f, O(N) per time, on a scalar time or a
+whole grid.  f equals the phase-referenced tail conj(f0) fn[N] to rounding
+(bit for bit when E0 = 0); amplitudes adds fn, O(N^2), and f0 for the
+unitarity checks.  The phase of f, and every fidelity derived from it, is
+computed in the fidelity module.
 
 No error accumulates from step to step, but the phases eps t carry an error
 of about |eps| t 2^-53 (|eps| the largest energy of the chain), and the
@@ -69,7 +67,7 @@ class SingleExcitationHamiltonian:
     hopping: tuple[float, ...]
 
     def matrix(self) -> np.ndarray:
-        """Dense N x N excitation block (mainly for tests and cross-checks)."""
+        """Dense N x N excitation block, the matrix that eigensolve diagonalises."""
         m = np.diag(np.asarray(self.onsite, dtype=float))
         off = np.asarray(self.hopping, dtype=float)
         idx = np.arange(len(off))
@@ -102,8 +100,8 @@ class AmplitudeRecord:
     """Transfer amplitudes of one chain at one time.
 
     fn[n] is the amplitude for the excitation injected at site 1 to be found
-    at site n+1; f = conj(f0) * fn[-1] is the phase-referenced end-to-end
-    amplitude.
+    at site n+1; f = synthesize_f(h, eig, t) is the end-to-end amplitude,
+    conj(f0) * fn[-1] to rounding.
     """
 
     t: float
@@ -159,12 +157,11 @@ def solve(spec: ChainSpec) -> tuple[SingleExcitationHamiltonian, EigenSystem]:
 
 
 def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
-    """Evaluate f0, all fn, and f at one time from a precomputed spectrum."""
+    """f0, all fn, and f (from synthesize_f) at one time from a precomputed spectrum."""
     t = float(t)
     fn = (eig.vectors * eig.vectors[0] * np.exp(-1j * t * eig.values)).sum(axis=1)
     f0 = complex(np.exp(-1j * h.vacuum_energy * t))
-    f = complex(np.conj(f0) * fn[-1])
-    return AmplitudeRecord(t=t, f0=f0, fn=fn, f=f)
+    return AmplitudeRecord(t=t, f0=f0, fn=fn, f=synthesize_f(h, eig, t))
 
 
 def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
@@ -179,8 +176,8 @@ def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
     fields are large.  The terms are summed elementwise, in the order
     amplitudes() sums fn[N], not by a BLAS product whose order depends on
     the shape, so a time gives the same bits in an array of any length, and
-    at E0 = 0 so does amplitudes(h, eig, t).f.  A scalar time is evaluated as
-    a one-element array; arrays are evaluated in blocks of at most 1024 times.
+    at E0 = 0 so does conj(f0) * fn[N].  A scalar time is evaluated as a
+    one-element array; arrays are evaluated in blocks of at most 1024 times.
     """
     weights = eig.end_weights
     levels = eig.values - h.vacuum_energy

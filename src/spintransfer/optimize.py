@@ -98,6 +98,9 @@ class SearchConfig:
             raise GridBudgetError("t_max must be finite, got inf")
         if self.n_samples < 16:
             raise ValueError(f"n_samples must be at least 16, got {self.n_samples}")
+        if self.t_max / self.n_samples == 0.0:
+            raise ValueError(f"t_max = {self.t_max!r} is too small for {self.n_samples} "
+                             f"samples: their spacing underflows to 0")
 
     @property
     def refine_tol(self) -> float:
@@ -148,8 +151,13 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
         ends.append(t_end)
     total = sum(steps)  # the grid holds sum(ceil(steps)) + 1 points; total may be inf
     if not (total < _MAX_GRID_POINTS and sum(map(math.ceil, steps)) < _MAX_GRID_POINTS):
-        hint = (f"split the horizon into pieces of at most {(_MAX_GRID_POINTS - 1) / density:.6g}"
-                if density < math.inf else "the spread of the levels or the field box overflows")
+        if density == math.inf:
+            hint = "the spread of the levels or the field box overflows"
+        elif cfg.n_samples + 1 < _MAX_GRID_POINTS:
+            # a short enough piece takes at most n_samples + 1 steps, and fits
+            hint = f"split the horizon into pieces of at most {(_MAX_GRID_POINTS - 1) / density:.6g}"
+        else:  # no piece fits: each takes n_samples steps or more, whatever its length
+            hint = f"lower n_samples = {cfg.n_samples}"
         raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {total + 1:.4g} grid points "
                               f"(limit {_MAX_GRID_POINTS}); {hint}")
     return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]
@@ -412,7 +420,8 @@ def tune_uniform_field(
 
     def tuned(t, f):
         """Best field at time(s) t, given f at B_c there, and f at that field."""
-        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 keeps B_c
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # t = 0 keeps B_c;
+            # an angle over a tiny t overflows to +-inf, which the clip takes to a box edge
             b = np.clip(np.where(t > 0.0, b_c - np.angle(f) / t, b_c), b_lo, b_hi)
         return b, f * np.exp(1j * (b - b_c) * t)
 

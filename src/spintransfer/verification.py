@@ -106,7 +106,7 @@ def _check_field_tuning() -> list[_Outcome]:
             parity = "even" if k % 2 == 0 else "odd"
             for l in (0, 1):
                 b_c = closed_forms.critical_field(PresetSystem(name, j, 0.0), t_c, parity, l)
-                f = amplitudes(*solve(preset(name, j, b_c)), t_c).f
+                f = synthesize_f(*solve(preset(name, j, b_c)), t_c)
                 worst = max(worst, abs(1.0 - fidelity.average_fidelity(f)))
 
     rng = np.random.default_rng(47)
@@ -130,8 +130,7 @@ def _check_three_spin_impurity() -> list[_Outcome]:
     spec = preset("sec2-three-spin-center", j, 0.0)
     res = optimize.maximize_fidelity(spec, SearchConfig(t_max=4.0 * math.pi / j))
     t_c = math.pi / j
-    record = amplitudes(*solve(spec), t_c)
-    corrected, phase = fidelity.corrected_average_fidelity(record.f)
+    corrected, phase = fidelity.corrected_average_fidelity(synthesize_f(*solve(spec), t_c))
     return [
         _within(abs(res.fbar - 0.5), 1e-9, f"fbar={res.fbar:.12f} at t={res.best_t:.3e}"),
         _within(abs(corrected - 1.0), 1e-9,
@@ -198,8 +197,8 @@ def _check_closed_form_amplitudes() -> list[_Outcome]:
             b = rng.uniform(0.0, 3.0)
             t = rng.uniform(0.0, 50.0)
             sys = PresetSystem(name, j, b)
-            record = amplitudes(*solve(sys.chain()), t)
-            worst = max(worst, abs(record.f - closed_forms.analytic_f(sys, t)))
+            f = synthesize_f(*solve(sys.chain()), t)
+            worst = max(worst, abs(f - closed_forms.analytic_f(sys, t)))
         outcomes.append(_within(worst, 1e-10, "100 random (J, B, t)"))
     return outcomes
 

@@ -104,6 +104,8 @@ def test_malformed_raw_descriptions():
         validate({"sites": "oops", "couplings": []})
     with pytest.raises(ChainFormatError):
         validate({"sites": [{"spin": "half"}], "couplings": []})
+    with pytest.raises(ChainFormatError, match="each site must be an object"):
+        validate({"sites": ["half"], "couplings": []})
     with pytest.raises(ChainFormatError):
         validate({"sites": [{"spin": "two", "field": 0.0}] * 2, "couplings": [1.0]})
 

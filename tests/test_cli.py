@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -30,6 +31,12 @@ from spintransfer.excitation import (amplitudes, eigensolve, reduce, synthesize_
 from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report, fidelity_reports
 
 SQRT2 = math.sqrt(2.0)
+
+
+# Child interpreters run the package in src/ and fail on a RuntimeWarning, as
+# the filterwarnings setting of pyproject.toml makes this process do.
+_CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(spintransfer.__file__).resolve().parents[1]),
+              "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def _run(capsys, *argv):
@@ -133,6 +140,24 @@ class TestSimulate:
         assert row[5] == rep.fbar
         assert row[6] == rep.fbar_corrected
         assert row[7] == rep.gamma
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_rows_are_transfer_amplitude_bit_for_bit(self, tmp_path, capsys, name):
+        # B = 0.7 gives every preset a nonzero vacuum energy, so f must come
+        # from the same synthesis on both routes, not merely agree to round-off
+        out_path = tmp_path / "sweep.csv"
+        assert _run(capsys, "simulate", "--preset", name, "--J", "0.9", "--B", "0.7",
+                    "--t-max", "50", "--steps", "1001", "--out", str(out_path))[0] == 0
+        spec = preset(name, 0.9, 0.7)
+        assert reduce(spec).vacuum_energy != 0.0
+        lines = out_path.read_text().splitlines()[1:]
+        assert len(lines) == 1001
+        for line in lines:
+            t = float(line.partition(",")[0])
+            rep = fidelity_report(t, transfer_amplitude(spec, t).f)
+            values = (t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma, rep.fbar,
+                      rep.fbar_corrected, rep.gamma)
+            assert line == ",".join("%.17g" % v for v in values)  # round-trips every bit
 
     def test_rows_streamed_in_blocks_equal_the_whole_array_report(self, tmp_path, capsys):
         # 2,500 rows cross two boundaries of the 1,024-row output blocks
@@ -284,8 +309,8 @@ def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
         cells = line.split(",")
         assert all(cell == format(float(cell), ".17g") for cell in cells)
         t, re_f, im_f, abs_f, gamma, fbar, fbar_corr, delta = map(float, cells)
-        record = amplitudes(h, eig, t)
-        rep = fidelity_report(record.t, record.f)
+        record = amplitudes(h, eig, t)  # f by the O(N^2) route, conj(f0) fn[N]
+        rep = fidelity_report(record.t, complex(np.conj(record.f0) * record.fn[-1]))
         for got, want in ((re_f, rep.f.real), (im_f, rep.f.imag), (abs_f, rep.abs_f),
                           (fbar, rep.fbar), (fbar_corr, rep.fbar_corrected)):
             assert abs(got - want) <= 1e-12
@@ -391,10 +416,8 @@ class TestCsvFormatter:
 
 
 def test_import_builds_no_formatter_table():
-    src = Path(spintransfer.__file__).resolve().parents[1]
     code = "import spintransfer.cli as cli; print(cli._format_tables.cache_info().currsize)"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
@@ -413,10 +436,8 @@ def test_every_exported_name_resolves():
 
 
 def test_module_entry_point_runs_the_cli():
-    env = {**os.environ, "PYTHONPATH": str(Path(spintransfer.__file__).resolve().parents[1])}
-
     def run(*argv):
-        return subprocess.run([sys.executable, "-m", "spintransfer.cli", *argv], env=env,
+        return subprocess.run([sys.executable, "-m", "spintransfer.cli", *argv], env=_CHILD_ENV,
                               capture_output=True, text=True, timeout=120)
 
     proc = run("verify", "--only", "spectrum")
@@ -432,9 +453,8 @@ def test_overflowing_phases_print_only_the_error_line(tmp_path):
     # numpy's overflow warnings from the phases E t stay off stderr
     chain = tmp_path / "huge.json"
     save_chain(ChainSpec((SiteSpec(SpinMagnitude(0.5)),) * 3, (1e308, 1e308)), chain)
-    env = {**os.environ, "PYTHONPATH": str(Path(spintransfer.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "spintransfer.cli", "simulate", "--chain",
-                           str(chain), "--t-max", "10", "--steps", "4"], env=env,
+                           str(chain), "--t-max", "10", "--steps", "4"], env=_CHILD_ENV,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("error: f is not finite at t = 3.3333333333333335: the phases E t "
@@ -583,6 +603,37 @@ def test_any_horizon_and_step_text_exits_cleanly(t_max, steps):
     _assert_clean_exit(code, err, one_line=False)
 
 
+# optimize --steps: text int() cannot read, and integers below, inside and above
+# the valid range; a valid value stays at most 4,096, so no grid grows past
+# a few thousand points
+_OPTIMIZE_STEPS_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=6), st.floats().map(repr),
+    st.integers(max_value=15).map(str), st.integers(16, 4096).map(str),
+    st.integers(min_value=optimize._MAX_GRID_POINTS - 1).map(str))
+_OPTIMIZE_MODES = st.one_of(
+    st.just([]), st.just(["--corrected"]),
+    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(
+        lambda box: ["--tune-field", *map(repr, box)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), j=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0),
+       t_max=st.floats(0.0, 10.0), steps=_OPTIMIZE_STEPS_TEXT, mode=_OPTIMIZE_MODES)
+# the angle of f over a subnormal t overflows; the spacing of 256 samples underflows
+@example(name="sec2-two-spin", j=1.0, b=0.0, t_max=1e-310, steps="256",
+         mode=["--tune-field", "0", "1"])
+@example(name="sec2-two-spin", j=1.0, b=0.0, t_max=1e-322, steps="256", mode=[])
+def test_any_optimize_input_exits_cleanly(name, j, b, t_max, steps, mode):
+    # presets with |J|, |B| <= 2 and t_max <= 10 keep the grid at a few hundred points
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main_output(["optimize", "--preset", name, "--J", repr(j), "--B", repr(b),
+                                  "--t-max", repr(t_max), "--steps", steps, *mode,
+                                  "--out", str(Path(tmp) / "out.json"),
+                                  "--manifest", str(Path(tmp) / "manifest.json")])
+    _assert_clean_exit(code, err, one_line=False)
+
+
 _ANY_VALUE = st.one_of(st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=4),
                        st.complex_numbers(), st.lists(st.integers(), max_size=2),
                        st.sampled_from([10**400, -10**400, 1e308, 0.5, 1]))
@@ -603,11 +654,9 @@ def test_chain_dataclasses_raise_only_chain_errors(spin, field, sites, couplings
 
 def test_package_imports_without_scipy():
     # numpy is the only declared dependency
-    src = Path(spintransfer.__file__).resolve().parents[1]
     code = ("import sys, spintransfer, spintransfer.cli, spintransfer.verification; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -643,6 +692,24 @@ _README_TUNED_JSON = """\
   ]
 }
 """
+
+
+# optimize flags that no search may run with, and the error each prints
+_BAD_SEARCH_CONFIGS = {
+    ("--t-max", "0"): "t_max must be positive, got 0.0",
+    ("--t-max", "5", "--steps", "4"): "--steps must lie in [16, 1048574], got 4",
+    ("--t-max", "5", "--tune-field", "3", "0"):
+        "the field box needs B_lo < B_hi and a finite centre, got (3.0, 0.0)",
+    ("--t-max", "1", "--steps", "15"): "--steps must lie in [16, 1048574], got 15",
+    ("--t-max", "1", "--steps", "1048575"): "--steps must lie in [16, 1048574], got 1048575",
+    ("--t-max", "1", "--steps", "2000000"): "--steps must lie in [16, 1048574], got 2000000",
+    ("--t-max", "1", "--steps", "100000000000000000000"):
+        "--steps must lie in [16, 1048574], got 100000000000000000000",
+    ("--t-max", "1e-322"): "t_max = 1e-322 is too small for 256 samples: their spacing "
+                           "underflows to 0",
+    ("--t-max", "1e-322", "--tune-field", "0", "1"):
+        "t_max = 1e-322 is too small for 256 samples: their spacing underflows to 0",
+}
 
 
 class TestOptimize:
@@ -736,13 +803,12 @@ class TestOptimize:
         assert _run(capsys, "optimize", *argv, "--out", str(out))[0] == 0
         assert out.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("flags", [["--t-max", "0"], ["--t-max", "5", "--steps", "4"],
-                                       ["--t-max", "5", "--tune-field", "3", "0"]])
-    def test_bad_search_config_is_a_usage_error(self, capsys, flags):
+    @pytest.mark.parametrize("flags", [list(flags) for flags in _BAD_SEARCH_CONFIGS])
+    def test_bad_search_config_is_a_usage_error(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(np, "linspace", _refuse_grid)
         code, out, err = _run(capsys, "optimize", "--preset", "sec2-two-spin", *flags)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+        assert (code, out) == (2, "")
+        assert err == "error: " + _BAD_SEARCH_CONFIGS[tuple(flags)] + "\n"
 
 
 class TestNegativeNumbers:

@@ -137,8 +137,9 @@ class TestAnalyticSpectrum:
         assert np.max(np.abs(np.sort(values) - numeric)) <= 1e-12
 
     def test_degenerate_vectors_raise(self):
-        with pytest.raises(DegenerateSystemError):
-            analytic_spectrum(PresetSystem("sec3-two-spin", 0.0, 1.0))
+        for name in ("sec3-two-spin", "sec3-three-spin-center", "sec4-three-spin-center"):
+            with pytest.raises(DegenerateSystemError):
+                analytic_spectrum(PresetSystem(name, 0.0, 1.0))
 
 
 class TestFieldTuningRules:
@@ -185,6 +186,10 @@ class TestFieldTuningRules:
             critical_field(sys, 1.0, "even", -1)
         with pytest.raises(ValueError):
             zero_field_critical_time("sec2-two-spin", 1.0, -1)
+        with pytest.raises(DegenerateSystemError):
+            zero_field_critical_time("sec2-two-spin", 0.0, 0)
+        with pytest.raises(UnknownPresetError):
+            zero_field_critical_time("no-such-preset", 1.0, 0)
 
     @pytest.mark.parametrize("name", ["sec2-two-spin", "sec2-three-spin-center"])
     @pytest.mark.parametrize("k", [0, 1])

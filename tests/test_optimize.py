@@ -45,6 +45,8 @@ class TestSearchConfig:
             SearchConfig(t_max=0.0)
         with pytest.raises(ValueError):
             SearchConfig(t_max=1.0, n_samples=4)
+        with pytest.raises(ValueError, match="t_max = 1e-322 is too small for 256 samples"):
+            SearchConfig(t_max=1e-322)  # t_max / 256 underflows to 0
 
 
 class TestGridBudget:
@@ -72,6 +74,15 @@ class TestGridBudget:
         assert points > 1000 * optimize._MAX_GRID_POINTS
         with pytest.raises(GridBudgetError, match="split the horizon"):
             search(spec, cfg)
+
+    @pytest.mark.parametrize("n_samples", [optimize._MAX_GRID_POINTS, 10**20])
+    def test_sample_floor_over_the_budget_is_refused_without_a_split_hint(self, no_grid,
+                                                                          n_samples):
+        # every piece of the horizon takes n_samples steps, so no split can fit
+        with pytest.raises(GridBudgetError) as refused:
+            maximize_fidelity(preset("sec2-two-spin", 1.0, 0.0),
+                              SearchConfig(t_max=1.0, n_samples=n_samples))
+        assert str(refused.value).endswith(f"; lower n_samples = {n_samples}")
 
     def test_infinite_horizon_is_refused(self, no_grid):
         with pytest.raises(GridBudgetError):
