@@ -124,6 +124,11 @@ class SpinMagnitude:
 _MAX_SITES = 4096
 
 
+def _refuse_too_many_sites(n_sites: int) -> None:
+    if n_sites > _MAX_SITES:
+        raise TooManySitesError(f"a chain may have at most {_MAX_SITES} sites, got {n_sites}")
+
+
 SPIN_HALF = SpinMagnitude(0.5)
 SPIN_ONE = SpinMagnitude(1.0)
 
@@ -153,9 +158,7 @@ class ChainSpec:
         object.__setattr__(self, "sites", sites)
         if len(sites) < 2:
             raise EmptyChainError(f"a chain needs at least 2 sites, got {len(sites)}")
-        if len(sites) > _MAX_SITES:
-            raise TooManySitesError(f"a chain may have at most {_MAX_SITES} sites, "
-                                    f"got {len(sites)}")
+        _refuse_too_many_sites(len(sites))
         for site in sites:
             if not isinstance(site, SiteSpec):
                 raise ChainFormatError(f"sites must be SiteSpec instances, got {site!r}")
@@ -233,6 +236,7 @@ def engineered_couplings(n_sites: int, lam: float) -> tuple[float, ...]:
     """
     if n_sites < 2:
         raise BadArgsError(f"need at least 2 sites, got {n_sites}")
+    _refuse_too_many_sites(n_sites)  # before any coupling or site is built
     scale = _finite(lam, "scale")
     if scale <= 0:
         raise BadArgsError(f"scale must be positive, got {lam!r}")

@@ -125,8 +125,8 @@ def _output(out: str | None) -> Iterator[TextIO]:
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     spec, digest = _load_spec(args)
     if not 1 <= args.steps <= optimize._MAX_GRID_POINTS:  # checked before any row exists
-        raise _UsageError(f"--steps must lie in [1, {optimize._MAX_GRID_POINTS}], got "
-                          f"{args.steps}; split a longer sweep over t into several runs")
+        raise _UsageError(f"--steps must lie in [1, {optimize._MAX_GRID_POINTS}], "
+                          f"got {args.steps}")
     if not (math.isfinite(args.t_max) and args.t_max >= 0):
         raise _UsageError(f"--t-max must be finite and nonnegative, got {args.t_max}")
     h = reduce(spec)

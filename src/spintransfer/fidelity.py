@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -167,27 +167,25 @@ def average_fidelities(f, corrected: bool = False) -> np.ndarray:
     return _average(mag if corrected else f.real, mag)
 
 
-@lru_cache(maxsize=8)
-def _theta_rule(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre angles arccos(x_i) and weights, read-only; leggauss costs ms."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+@cache
+def _theta_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre angles arccos(x_i) and weights, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     rule = np.arccos(nodes), weights
     for array in rule:
         array.setflags(write=False)
     return rule
 
 
-def bloch_average_quadrature(f: complex, n_theta: int = 64) -> float:
+def bloch_average_quadrature(f: complex) -> float:
     """Numerical sphere average of fidelity(f, .) as an independent check.
 
-    Gauss-Legendre in cos(theta) with n_theta nodes, cached per n_theta.  The
-    integrand is a low-degree polynomial in cos(theta), so modest resolutions
-    are already exact to round-off.  It does not depend on phi, so the
-    average over phi is the integrand itself and needs no nodes.
+    A 64-node Gauss-Legendre rule in cos(theta), built on first use.  The
+    integrand is a polynomial of degree 2 in cos(theta), so the rule is exact
+    to round-off.  It does not depend on phi, so the average over phi is the
+    integrand itself and needs no nodes.
     """
-    if n_theta < 2:
-        raise ValueError("need at least 2 nodes in theta")
-    theta, weights = _theta_rule(n_theta)
+    theta, weights = _theta_rule()
     return float(weights @ fidelities(f, theta)) / 2.0
 
 

@@ -16,7 +16,8 @@ part of their images outside it, keeps the (N+1)x(N+1) block, and evolves
 exactly inside it.  Receiver densities are still traced out of the full
 product vectors, a batch of input states and times at once.  A model allows
 state vectors of up to STATE_CAP = 2^20 entries (20 spin-1/2 sites); the
-dense `full_hamiltonian` is capped at dimension DIMENSION_CAP = 4096.
+dense `full_hamiltonian`, and every bond's dense operator, is capped at
+dimension DIMENSION_CAP = 4096.
 """
 
 from __future__ import annotations
@@ -88,8 +89,13 @@ def _local_terms(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
 
     A bond term J_i (Sx_i Sx_{i+1} + Sy_i Sy_{i+1}) acts on sites i, i+1 (row
     index a' d_{i+1} + b' for levels a' of site i and b' of site i+1); a field
-    term B_i Sz_i acts on site i.
+    term B_i Sz_i acts on site i.  A bond of more than DIMENSION_CAP levels,
+    whose dense operator would outgrow a dense H, is refused before any is built.
     """
+    dims = [site.spin.dim for site in spec.sites]
+    widest = max(a * b for a, b in zip(dims, dims[1:]))
+    if widest > DIMENSION_CAP:
+        raise DimensionCapError(f"a bond of dimension {widest} exceeds the cap {DIMENSION_CAP}")
     ops = [spin_operators(site.spin) for site in spec.sites]
     terms = []
     for bond, j in enumerate(spec.couplings):
@@ -157,7 +163,7 @@ def sz_commutator_max(spec: ChainSpec) -> float:
     sites, and no two bonds share both sites, so each nonzero off-diagonal H_ab
     is one such entry.  The largest commutator entry is therefore the largest
     |op[r, c] (m_c - m_r)|, m the bond's local Sz: O(bonds) work instead of a
-    dense dim x dim H, with no dimension cap.
+    dense dim x dim H, capped per bond alone.
     """
     levels = [site.spin.s - np.arange(site.spin.dim) for site in spec.sites]
     worst = 0.0

@@ -31,6 +31,7 @@ every phase.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,8 +97,10 @@ class SearchConfig:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if self.t_max == math.inf:  # no grid of finitely many points covers it
             raise GridBudgetError("t_max must be finite, got inf")
-        if self.n_samples < 16:
-            raise ValueError(f"n_samples must be at least 16, got {self.n_samples}")
+        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 16:
+            raise ValueError(f"n_samples must be an integer >= 16, got {self.n_samples!r}")
+        if self.n_samples > _MAX_GRID_POINTS - 2:  # rounding may give one more step
+            raise GridBudgetError(f"n_samples must be at most {_MAX_GRID_POINTS - 2}")
         if self.t_max / self.n_samples == 0.0:
             raise ValueError(f"t_max = {self.t_max!r} is too small for {self.n_samples} "
                              f"samples: their spacing underflows to 0")
@@ -137,27 +140,20 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
     """(start, end, steps) pieces of a grid on [0, t_max], none of zero steps.
 
     pieces are (t_end, spread), t_end ascending to t_max; each is sampled at
-    spacing at most min(t_max / n_samples, pi / (10 * spread)).
+    spacing at most min(t_max / n_samples, pi / (10 * spread)).  Over the
+    budget, the hint is _MAX_GRID_POINTS - 1 - len(pieces) steps of the finest
+    spacing, a horizon that fits with a step to spare for its 12 digits.
     """
-    # density is steps per unit time, still finite when a step count overflows
-    ends, steps, density = [0.0], [], 0.0
-    for t_end, spread in pieces:
-        spacing = cfg.t_max / cfg.n_samples
-        if spread > 0.0:
-            spacing = min(spacing, math.pi / (10.0 * spread))
-        length = t_end - ends[-1]
-        steps.append(length / spacing if spacing > 0.0 else math.inf)  # spread overflowed
-        density += length / cfg.t_max / spacing if spacing > 0.0 else math.inf
-        ends.append(t_end)
+    floor = cfg.t_max / cfg.n_samples  # SearchConfig keeps n_samples steps within budget
+    spacings = [min(floor, math.pi / (10.0 * s)) if s > 0.0 else floor for _, s in pieces]
+    ends = [0.0] + [t_end for t_end, _ in pieces]
+    steps = [(hi - lo) / s if s > 0.0 else math.inf  # s is 0 where the spread overflowed
+             for lo, hi, s in zip(ends, ends[1:], spacings)]
     total = sum(steps)  # the grid holds sum(ceil(steps)) + 1 points; total may be inf
     if not (total < _MAX_GRID_POINTS and sum(map(math.ceil, steps)) < _MAX_GRID_POINTS):
-        if density == math.inf:
-            hint = "the spread of the levels or the field box overflows"
-        elif cfg.n_samples + 1 < _MAX_GRID_POINTS:
-            # a short enough piece takes at most n_samples + 1 steps, and fits
-            hint = f"split the horizon into pieces of at most {(_MAX_GRID_POINTS - 1) / density:.6g}"
-        else:  # no piece fits: each takes n_samples steps or more, whatever its length
-            hint = f"lower n_samples = {cfg.n_samples}"
+        finest = min(spacings)
+        hint = (f"lower t_max to at most {(_MAX_GRID_POINTS - 1 - len(pieces)) * finest:.12g}"
+                if finest > 0.0 else "the spread of the levels or the field box overflows")
         raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {total + 1:.4g} grid points "
                               f"(limit {_MAX_GRID_POINTS}); {hint}")
     return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]

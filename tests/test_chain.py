@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spintransfer import chain
 from spintransfer.chain import (
     BadArgsError,
     BadSpinError,
@@ -61,6 +62,20 @@ def test_site_count_is_capped():
     assert ChainSpec((site,) * 4096, (1.0,) * 4095).n_sites == 4096
     with pytest.raises(TooManySitesError, match="at most 4096 sites, got 4097"):
         ChainSpec((site,) * 4097, (1.0,) * 4096)
+
+
+@pytest.mark.parametrize("build", [engineered_couplings, engineered_chain])
+def test_engineered_chain_over_the_site_cap_is_refused_before_it_is_built(refuse_alloc, build):
+    refuse_alloc("sqrt", math)
+    refuse_alloc("SiteSpec", chain)
+    with pytest.raises(TooManySitesError, match="at most 4096 sites, got 1000000000"):
+        build(10**9, 1.0)
+
+
+def test_engineered_chain_site_cap_is_inclusive():
+    assert engineered_chain(4096).n_sites == 4096
+    with pytest.raises(TooManySitesError, match="got 4097"):
+        engineered_couplings(4097, 1.0)
 
 
 def test_nonfinite_rejected():

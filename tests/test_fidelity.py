@@ -204,35 +204,20 @@ class TestAverageFidelity:
 
 
 class TestQuadrature:
-    def test_dead_channel_exact_at_coarse_resolution(self):
-        assert bloch_average_quadrature(0.0, 2) == pytest.approx(0.5, abs=1e-15)
-
     def test_quarter_phase(self):
-        assert bloch_average_quadrature(-1j, 64) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert bloch_average_quadrature(-1j) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             f = math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform())
             direct = average_fidelity(f)
-            quad = bloch_average_quadrature(f, 64)
+            quad = bloch_average_quadrature(f)
             assert abs(direct - quad) <= 1e-10
 
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            bloch_average_quadrature(0.5, 1)
-
-    def test_cached_nodes_give_the_uncached_sum(self):
-        rng = np.random.default_rng(10)
-        for n_theta in (2, 64, 7, 64, 2):
-            f = complex(math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
-            nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-            c2, s2 = np.cos(np.arccos(nodes) / 2) ** 2, np.sin(np.arccos(nodes) / 2) ** 2
-            rings = c2 * (1 - abs(f) ** 2 * s2 + 2 * s2 * f.real) + abs(f) ** 2 * s2 * s2
-            assert bloch_average_quadrature(f, n_theta) == float(weights @ rings) / 2
-
     def test_cached_nodes_are_read_only(self):
-        theta, weights = fidelity_module._theta_rule(64)
+        theta, weights = fidelity_module._theta_rule()
+        assert theta.size == weights.size == 64
         for array in (theta, weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0

@@ -387,15 +387,29 @@ class TestLimits:
             f_sub = fidelity(amplitudes(h, eig, t).f, state)
             assert abs(model.fidelity(state, t) - f_sub) <= 1e-10
 
-    def test_state_cap_refused_before_any_vector(self, monkeypatch):
+    def test_state_cap_refused_before_any_vector(self, refuse_alloc):
         spec = ChainSpec(sites=(SiteSpec(SPIN_HALF),) * 21, couplings=(1.0,) * 20)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a state vector was allocated")
-
-        monkeypatch.setattr(np, "zeros", refuse)
+        refuse_alloc("zeros")
         with pytest.raises(DimensionCapError, match=str(2**21)):
             FullSpaceModel(spec)
+
+    @pytest.mark.parametrize("build", [FullSpaceModel, sz_commutator_max, full_hamiltonian])
+    def test_bond_over_the_dense_cap_refused_before_any_operator(self, refuse_alloc, build):
+        # 201^2 = 40,401 states fit STATE_CAP, but the bond's dense operator
+        # would take 16 * 201^4 bytes, about 26 GB
+        spec = ChainSpec(sites=(SiteSpec(SpinMagnitude(100.0)),) * 2, couplings=(1.0,))
+        for name in ("zeros", "multiply"):
+            refuse_alloc(name)
+        with pytest.raises(DimensionCapError, match="40401"):
+            build(spec)
+
+    def test_bond_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(full_space, "DIMENSION_CAP", 6)
+        half_one = ChainSpec(sites=(SiteSpec(SPIN_HALF), SiteSpec(SPIN_ONE)), couplings=(1.0,))
+        assert sz_commutator_max(half_one) == 0.0
+        assert FullSpaceModel(half_one).block.shape == (3, 3)
+        with pytest.raises(DimensionCapError, match="a bond of dimension 9"):
+            sz_commutator_max(ChainSpec(sites=(SiteSpec(SPIN_ONE),) * 2, couplings=(1.0,)))
 
     def test_state_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(full_space, "STATE_CAP", 8)

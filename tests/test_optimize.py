@@ -47,50 +47,94 @@ class TestSearchConfig:
             SearchConfig(t_max=1.0, n_samples=4)
         with pytest.raises(ValueError, match="t_max = 1e-322 is too small for 256 samples"):
             SearchConfig(t_max=1e-322)  # t_max / 256 underflows to 0
+        for n_samples in (15, -1, 256.0, "256", None):  # below the range, or not an integer
+            with pytest.raises(ValueError) as refused:
+                SearchConfig(t_max=1.0, n_samples=n_samples)
+            assert not isinstance(refused.value, GridBudgetError)
+
+    def test_sample_floor_range_is_inclusive(self):
+        for n_samples in (16, np.int64(16), optimize._MAX_GRID_POINTS - 2,
+                          np.int64(optimize._MAX_GRID_POINTS - 2)):
+            assert SearchConfig(t_max=1.0, n_samples=n_samples).n_samples == n_samples
+
+
+def _advised(refusal: GridBudgetError) -> float:
+    """The horizon a grid-budget refusal advises."""
+    return float(str(refusal).split("lower t_max to at most ")[1])
 
 
 class TestGridBudget:
     """A grid longer than _MAX_GRID_POINTS is refused before it is allocated."""
-
-    @pytest.fixture
-    def no_grid(self, monkeypatch):
-        # a regression must fail here, not allocate the runaway grid
-        def refuse(*args, **kwargs):
-            raise AssertionError("a search grid was allocated")
-
-        monkeypatch.setattr(np, "linspace", refuse)
 
     @pytest.mark.parametrize("search", [
         lambda spec, cfg: maximize_fidelity(spec, cfg),
         lambda spec, cfg: critical_times(spec, cfg),
         lambda spec, cfg: tune_uniform_field(spec, cfg, (0.0, 2.0)),
     ])
-    def test_runaway_horizon_is_refused(self, no_grid, search):
+    def test_runaway_horizon_is_refused(self, refuse_alloc, search):
+        refuse_alloc("linspace")
         spec = preset("sec2-two-spin", 1.0, 0.0)
         cfg = SearchConfig(t_max=1e9)
         h, eig = solve(spec)
         spread = max(eig.values[-1], h.vacuum_energy) - min(eig.values[0], h.vacuum_energy)
         points = math.ceil(cfg.t_max * 10.0 * spread / math.pi) + 1
         assert points > 1000 * optimize._MAX_GRID_POINTS
-        with pytest.raises(GridBudgetError, match="split the horizon"):
+        with pytest.raises(GridBudgetError, match="lower t_max to at most "):
             search(spec, cfg)
 
-    @pytest.mark.parametrize("n_samples", [optimize._MAX_GRID_POINTS, 10**20])
-    def test_sample_floor_over_the_budget_is_refused_without_a_split_hint(self, no_grid,
+    @pytest.mark.parametrize("n_samples", [
+        optimize._MAX_GRID_POINTS - 1, optimize._MAX_GRID_POINTS, 10**20,
+        pytest.param(10**400, id="10**400"),  # beyond the floats: t_max / n_samples overflows
+    ])
+    def test_sample_floor_over_the_budget_is_refused_without_a_split_hint(self, refuse_alloc,
                                                                           n_samples):
-        # every piece of the horizon takes n_samples steps, so no split can fit
+        # every horizon takes n_samples steps or more, so no lower t_max can fit
+        refuse_alloc("linspace")
         with pytest.raises(GridBudgetError) as refused:
-            maximize_fidelity(preset("sec2-two-spin", 1.0, 0.0),
-                              SearchConfig(t_max=1.0, n_samples=n_samples))
-        assert str(refused.value).endswith(f"; lower n_samples = {n_samples}")
+            SearchConfig(t_max=1.0, n_samples=n_samples)
+        assert str(refused.value) == f"n_samples must be at most {optimize._MAX_GRID_POINTS - 2}"
 
-    def test_infinite_horizon_is_refused(self, no_grid):
+    @pytest.mark.parametrize("corrected", [False, True], ids=["plain", "corrected"])
+    def test_advised_horizon_is_searched(self, monkeypatch, corrected):
+        monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 200)
+        spec = preset("sec2-two-spin", 1.0, 0.0)
+        with pytest.raises(GridBudgetError) as refused:
+            maximize_fidelity(spec, SearchConfig(t_max=1e3, n_samples=16), corrected)
+        advised = _advised(refused.value)
+        assert 0.0 < advised < 1e3
+        res = maximize_fidelity(spec, SearchConfig(t_max=advised, n_samples=16), corrected)
+        assert 0.0 <= res.best_t <= advised
+        with pytest.raises(GridBudgetError):  # the advice is within a few steps of the budget
+            maximize_fidelity(spec, SearchConfig(t_max=1.05 * advised, n_samples=16), corrected)
+
+    @pytest.mark.parametrize("n_samples", [256, optimize._MAX_GRID_POINTS - 2])
+    def test_advised_horizon_fits_the_full_budget(self, refuse_alloc, n_samples):
+        # the grid's step counts alone, at the real budget: no grid is built
+        refuse_alloc("linspace")
+        spec = preset("sec2-two-spin", 1.0, 0.0)
+        with pytest.raises(GridBudgetError) as refused:
+            maximize_fidelity(spec, SearchConfig(t_max=1e9, n_samples=n_samples))
+        advised = _advised(refused.value)
+        cfg = SearchConfig(t_max=advised, n_samples=n_samples)
+        pieces = optimize._time_grid(cfg, (advised, optimize._level_spread(*solve(spec))))
+        assert optimize._MAX_GRID_POINTS - 3 <= pieces[0][2] <= optimize._MAX_GRID_POINTS - 1
+
+    def test_advised_horizon_of_a_tuned_search_is_shorter(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 200)
+        with pytest.raises(GridBudgetError) as refused:
+            tune_uniform_field(preset("sec2-two-spin", 1.0, 0.0),
+                               SearchConfig(t_max=1e3, n_samples=16), (0.0, 2.0))
+        assert 0.0 < _advised(refused.value) < 1e3
+
+    def test_infinite_horizon_is_refused(self, refuse_alloc):
+        refuse_alloc("linspace")
         with pytest.raises(GridBudgetError):
             maximize_fidelity(preset("sec2-two-spin", 1.0, 0.0), SearchConfig(t_max=math.inf))
 
-    def test_box_too_wide_for_a_float_is_refused(self, no_grid):
+    def test_box_too_wide_for_a_float_is_refused(self, refuse_alloc):
         # the width 2e308 overflows to inf, and so does the grid's spread
-        with pytest.raises(GridBudgetError):
+        refuse_alloc("linspace")
+        with pytest.raises(GridBudgetError, match="overflows$"):
             tune_uniform_field(preset("sec2-two-spin", 1.0, 0.0), SearchConfig(t_max=5.0),
                                (-1e308, 1e308))
 
