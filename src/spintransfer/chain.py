@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -82,18 +83,38 @@ class ChainFormatError(ChainSpecError):
     """Raw chain description is structurally malformed."""
 
 
+def _shown(value: Any) -> str:
+    """repr(value), but an int of more than 128 bits by its size: its digits
+    would not fit a line, and past 4,300 of them Python refuses to print it."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _finite(value: Any, what: str) -> float:
     """value as a float.  A bool or a non-number is malformed; NaN, +-inf and
     an int beyond the floats are not finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ChainFormatError(f"{what} must be a number, got {value!r}")
+        raise ChainFormatError(f"{what} must be a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise NonFiniteError(f"{what} must be finite, got {value!r}")
+        raise NonFiniteError(f"{what} must be finite, got {_shown(value)}")
     return number
+
+
+def _count(value: Any, what: str, lo: int, hi: int, error: type[Exception],
+           over: type[Exception] | None = None) -> int:
+    """value as an int in [lo, hi], the one rule for every count: an Integral
+    but not a bool (np.int64 passes).  A non-integer or a value below lo
+    raises error, one above hi over (or error), naming the value by _shown."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integer and lo <= value <= hi:
+        return int(value)
+    refusal = over if integer and value > hi and over else error
+    raise refusal(f"{what} must be an integer in [{lo}, {hi}], got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +145,6 @@ class SpinMagnitude:
 _MAX_SITES = 4096
 
 
-def _refuse_too_many_sites(n_sites: int) -> None:
-    if n_sites > _MAX_SITES:
-        raise TooManySitesError(f"a chain may have at most {_MAX_SITES} sites, got {n_sites}")
-
-
 SPIN_HALF = SpinMagnitude(0.5)
 SPIN_ONE = SpinMagnitude(1.0)
 
@@ -142,7 +158,7 @@ class SiteSpec:
 
     def __post_init__(self) -> None:
         if not isinstance(self.spin, SpinMagnitude):
-            raise BadSpinError(f"spin must be a SpinMagnitude, got {self.spin!r}")
+            raise BadSpinError(f"spin must be a SpinMagnitude, got {_shown(self.spin)}")
         object.__setattr__(self, "field", _finite(self.field, "site field"))
 
 
@@ -156,12 +172,10 @@ class ChainSpec:
     def __post_init__(self) -> None:
         sites = tuple(self.sites)
         object.__setattr__(self, "sites", sites)
-        if len(sites) < 2:
-            raise EmptyChainError(f"a chain needs at least 2 sites, got {len(sites)}")
-        _refuse_too_many_sites(len(sites))
+        _count(len(sites), "the number of sites", 2, _MAX_SITES, EmptyChainError, TooManySitesError)
         for site in sites:
             if not isinstance(site, SiteSpec):
-                raise ChainFormatError(f"sites must be SiteSpec instances, got {site!r}")
+                raise ChainFormatError(f"sites must be SiteSpec instances, got {_shown(site)}")
         object.__setattr__(self, "couplings", tuple(_finite(j, "coupling") for j in self.couplings))
         if len(self.couplings) != len(sites) - 1:
             raise LengthMismatchError(
@@ -193,7 +207,7 @@ def _parse_spin(value: Any) -> SpinMagnitude:
         return SPIN_ONE
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ChainFormatError(
-            f'spin must be "half", "one", or a number, got {value!r}'
+            f'spin must be "half", "one", or a number, got {_shown(value)}'
         )
     return SpinMagnitude(value)
 
@@ -218,7 +232,7 @@ def validate(raw: Mapping[str, Any]) -> ChainSpec:
     sites = []
     for entry in sites_raw:
         if not isinstance(entry, Mapping):
-            raise ChainFormatError(f"each site must be an object, got {entry!r}")
+            raise ChainFormatError(f"each site must be an object, got {_shown(entry)}")
         try:
             spin_raw = entry["spin"]
             field_raw = entry["field"]
@@ -232,11 +246,10 @@ def engineered_couplings(n_sites: int, lam: float) -> tuple[float, ...]:
     """Couplings J_i = lam * sqrt(i * (N - i)), i = 1 .. N-1.
 
     The profile is exactly mirror symmetric, J_i = J_{N-i}, because the
-    integer product i * (N - i) is.
+    integer product i * (N - i) is.  n_sites is a count in [2, 4096]
+    (_count: BadArgsError below or for a non-integer, TooManySitesError above).
     """
-    if n_sites < 2:
-        raise BadArgsError(f"need at least 2 sites, got {n_sites}")
-    _refuse_too_many_sites(n_sites)  # before any coupling or site is built
+    n_sites = _count(n_sites, "n_sites", 2, _MAX_SITES, BadArgsError, TooManySitesError)
     scale = _finite(lam, "scale")
     if scale <= 0:
         raise BadArgsError(f"scale must be positive, got {lam!r}")
@@ -250,17 +263,15 @@ def engineered_chain(
 ) -> ChainSpec:
     """Zero-field chain with engineered couplings, all sites spin-1/2.
 
-    When spin_one_site is given (1-based), that site carries spin 1 instead,
-    which models a single spin impurity embedded in the engineered chain.
+    When spin_one_site is given, a count in [1, n_sites] (BadArgsError
+    otherwise), that site carries spin 1 instead, which models a single spin
+    impurity embedded in the engineered chain.
     """
     couplings = engineered_couplings(n_sites, lam)
     sites = [SiteSpec(spin=SPIN_HALF, field=0.0) for _ in range(n_sites)]
     if spin_one_site is not None:
-        if not 1 <= spin_one_site <= n_sites:
-            raise BadArgsError(
-                f"impurity site must be in 1..{n_sites}, got {spin_one_site}"
-            )
-        sites[spin_one_site - 1] = SiteSpec(spin=SPIN_ONE, field=0.0)
+        sites[_count(spin_one_site, "spin_one_site", 1, n_sites, BadArgsError) - 1] = SiteSpec(
+            spin=SPIN_ONE, field=0.0)
     return ChainSpec(sites=tuple(sites), couplings=couplings)
 
 

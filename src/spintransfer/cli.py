@@ -33,7 +33,7 @@ from typing import Any, Iterator, TextIO
 import numpy as np
 
 from . import __version__, optimize, verification
-from .chain import ChainSpecError, dumps_chain, loads_chain, preset
+from .chain import ChainSpecError, _count, dumps_chain, loads_chain, preset
 from .excitation import eigensolve, reduce, synthesize_f
 from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
@@ -124,9 +124,7 @@ def _output(out: str | None) -> Iterator[TextIO]:
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     spec, digest = _load_spec(args)
-    if not 1 <= args.steps <= optimize._MAX_GRID_POINTS:  # checked before any row exists
-        raise _UsageError(f"--steps must lie in [1, {optimize._MAX_GRID_POINTS}], "
-                          f"got {args.steps}")
+    _count(args.steps, "--steps", 1, optimize._MAX_GRID_POINTS, _UsageError)  # before any row
     if not (math.isfinite(args.t_max) and args.t_max >= 0):
         raise _UsageError(f"--t-max must be finite and nonnegative, got {args.t_max}")
     h = reduce(spec)
@@ -288,9 +286,7 @@ def _csv_rows(block: np.ndarray) -> str:
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:
     spec, digest = _load_spec(args)
     # rounding alone may give --steps samples one more step: a grid of --steps + 2 points
-    if not 16 <= args.steps <= optimize._MAX_GRID_POINTS - 2:
-        raise _UsageError(f"--steps must lie in [16, {optimize._MAX_GRID_POINTS - 2}], got "
-                          f"{args.steps}")
+    _count(args.steps, "--steps", 16, optimize._MAX_GRID_POINTS - 2, _UsageError)
     try:  # a bad horizon, step count or field box, or a grid over the budget
         cfg = SearchConfig(t_max=args.t_max, n_samples=args.steps)
         if args.tune_field is not None:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PRESET_NAMES, UnknownPresetError, preset
-from .chain import ChainSpec
+from .chain import PRESET_NAMES, ChainSpec, UnknownPresetError, _count, _finite, preset
 
 __all__ = [
     "DegenerateSystemError",
@@ -45,7 +44,8 @@ class NotTunableError(ValueError):
 
 @dataclass(frozen=True)
 class PresetSystem:
-    """One of the five reference systems with its coupling and field."""
+    """One of the five reference systems with its coupling and field; J and B
+    follow the chain's number rule, as in preset."""
 
     name: str
     J: float
@@ -56,8 +56,8 @@ class PresetSystem:
             raise UnknownPresetError(
                 f"unknown preset {self.name!r}; known: {', '.join(PRESET_NAMES)}"
             )
-        object.__setattr__(self, "J", float(self.J))
-        object.__setattr__(self, "B", float(self.B))
+        object.__setattr__(self, "J", _finite(self.J, "J"))
+        object.__setattr__(self, "B", _finite(self.B, "B"))
 
     def chain(self) -> ChainSpec:
         return preset(self.name, self.J, self.B)
@@ -190,11 +190,11 @@ def zero_field_critical_time(name: str, J: float, k: int = 0) -> float:
     """k-th time at which |f| peaks at unit magnitude when B = 0.
 
     Only the two spin-impurity systems reach |f| = 1; for the others no such
-    time exists and NotTunableError is raised.
+    time exists and NotTunableError is raised.  k is a count in [0, 2^52 - 1]
+    (ValueError otherwise) and J follows the chain's number rule.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if J == 0.0:
+    k = _count(k, "k", 0, 2**52 - 1, ValueError)  # so 2k + 1 < 2^53 is exact in a float
+    if _finite(J, "J") == 0.0:
         raise DegenerateSystemError("no critical time for an uncoupled chain")
     if name == "sec2-two-spin":
         return (2 * k + 1) * math.pi / (_SQRT2 * abs(J))
@@ -212,12 +212,12 @@ def critical_field(sys: PresetSystem, t_c: float, k_parity: str, l: int = 0) -> 
     time t_c = (2k+1)pi/(sqrt(2) J) of the two-site system, whose amplitude
     at t_c flips sign with that parity.  For the three-site system the sign
     is parity independent.  Raises NotTunableError for the systems where no
-    exact tuning exists.
+    exact tuning exists.  t_c follows the chain's number rule and must be
+    positive; l is a count in [0, 2^51 - 1] (ValueError otherwise).
     """
-    if t_c <= 0.0:
+    if _finite(t_c, "t_c") <= 0.0:
         raise ValueError(f"t_c must be positive, got {t_c!r}")
-    if l < 0:
-        raise ValueError(f"l must be nonnegative, got {l}")
+    l = _count(l, "l", 0, 2**51 - 1, ValueError)  # so 4l + 3 < 2^53 is exact in a float
     if k_parity not in ("even", "odd"):
         raise ValueError(f'k_parity must be "even" or "odd", got {k_parity!r}')
     if sys.name == "sec2-two-spin":

@@ -18,8 +18,9 @@ amplitudes are evaluated by spectral synthesis, never by time stepping:
 synthesize_f is the one route to f, O(N) per time, on a scalar time or a
 whole grid.  f equals the phase-referenced tail conj(f0) fn[N] to rounding
 (bit for bit when E0 = 0); amplitudes adds fn, O(N^2), and f0 for the
-unitarity checks.  The phase of f, and every fidelity derived from it, is
-computed in the fidelity module.
+unitarity checks.  The reported phase of f, and every fidelity derived from
+f, is computed in the fidelity module (the tuned search takes arg f only to
+choose its field).
 
 No error accumulates from step to step, but the phases eps t carry an error
 of about |eps| t 2^-53 (|eps| the largest energy of the chain), and the

@@ -15,9 +15,10 @@ A receiver-side gate diag{1, e^{-i vartheta}} with vartheta = arg(f) removes
 the phase penalty, raising the average to 1/2 + |f|/3 + |f|^2/6; no local
 gate can repair |f| < 1.
 
-The reports are the one place that computes the phase of f: gamma = vartheta
-= arg(f) on (-pi, pi], with 0 where |f| <= PHASE_DEGENERATE_TOL, below which
-the phase is numerically meaningless.
+The reports are the one place that computes the reported phase of f: gamma
+= vartheta = arg(f) on (-pi, pi], with 0 where |f| <= PHASE_DEGENERATE_TOL,
+below which the phase is numerically meaningless.  The tuned search
+(optimize.tune_uniform_field) takes arg(f) too, but only to choose its field.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, SpinMagnitude
+from .chain import ChainSpec, SpinMagnitude, _count
 from .fidelity import BlochState
 
 __all__ = [
@@ -78,9 +78,7 @@ def spin_operators(spin: SpinMagnitude) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _site_dims(spec: ChainSpec, cap: int) -> list[int]:
     dims = [site.spin.dim for site in spec.sites]
-    total = math.prod(dims)
-    if total > cap:
-        raise DimensionCapError(f"total dimension {total} exceeds the cap {cap}")
+    _count(math.prod(dims), "the total dimension", 1, cap, DimensionCapError)
     return dims
 
 
@@ -93,9 +91,8 @@ def _local_terms(spec: ChainSpec) -> list[tuple[int, np.ndarray]]:
     whose dense operator would outgrow a dense H, is refused before any is built.
     """
     dims = [site.spin.dim for site in spec.sites]
-    widest = max(a * b for a, b in zip(dims, dims[1:]))
-    if widest > DIMENSION_CAP:
-        raise DimensionCapError(f"a bond of dimension {widest} exceeds the cap {DIMENSION_CAP}")
+    _count(max(a * b for a, b in zip(dims, dims[1:])), "the widest bond's dimension", 1,
+           DIMENSION_CAP, DimensionCapError)
     ops = [spin_operators(site.spin) for site in spec.sites]
     terms = []
     for bond, j in enumerate(spec.couplings):
@@ -165,9 +162,10 @@ def sz_commutator_max(spec: ChainSpec) -> float:
     |op[r, c] (m_c - m_r)|, m the bond's local Sz: O(bonds) work instead of a
     dense dim x dim H, capped per bond alone.
     """
+    terms = _local_terms(spec)  # refuses a bond over the cap before any level is built
     levels = [site.spin.s - np.arange(site.spin.dim) for site in spec.sites]
     worst = 0.0
-    for site, op in _local_terms(spec):
+    for site, op in terms:
         if op.shape[0] == levels[site].size:  # a field term
             continue
         m = np.add.outer(levels[site], levels[site + 1]).ravel()

@@ -31,14 +31,13 @@ every phase.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import fidelity
-from .chain import ChainSpec
+from .chain import ChainSpec, _count
 from .excitation import _TIME_BLOCK, solve, synthesize_f
 
 __all__ = [
@@ -87,7 +86,11 @@ class GridBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search horizon and coarse-grid sample floor."""
+    """Search horizon and coarse-grid sample floor.
+
+    n_samples is a count in [16, _MAX_GRID_POINTS - 2] (_count: ValueError
+    below or for a non-integer, GridBudgetError above).
+    """
 
     t_max: float
     n_samples: int = 256
@@ -97,10 +100,8 @@ class SearchConfig:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if self.t_max == math.inf:  # no grid of finitely many points covers it
             raise GridBudgetError("t_max must be finite, got inf")
-        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 16:
-            raise ValueError(f"n_samples must be an integer >= 16, got {self.n_samples!r}")
-        if self.n_samples > _MAX_GRID_POINTS - 2:  # rounding may give one more step
-            raise GridBudgetError(f"n_samples must be at most {_MAX_GRID_POINTS - 2}")
+        # 2 below the budget: rounding may give n_samples one more step
+        _count(self.n_samples, "n_samples", 16, _MAX_GRID_POINTS - 2, ValueError, GridBudgetError)
         if self.t_max / self.n_samples == 0.0:
             raise ValueError(f"t_max = {self.t_max!r} is too small for {self.n_samples} "
                              f"samples: their spacing underflows to 0")
@@ -141,20 +142,30 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
 
     pieces are (t_end, spread), t_end ascending to t_max; each is sampled at
     spacing at most min(t_max / n_samples, pi / (10 * spread)).  Over the
-    budget, the hint is _MAX_GRID_POINTS - 1 - len(pieces) steps of the finest
-    spacing, a horizon that fits with a step to spare for its 12 digits.
+    budget, the hint is the longest horizon whose own grid fits: its pieces
+    cut at that horizon, each at its own spacing there.  The step count grows
+    with the horizon, so bisection finds it, and it is printed in full.
     """
-    floor = cfg.t_max / cfg.n_samples  # SearchConfig keeps n_samples steps within budget
-    spacings = [min(floor, math.pi / (10.0 * s)) if s > 0.0 else floor for _, s in pieces]
-    ends = [0.0] + [t_end for t_end, _ in pieces]
-    steps = [(hi - lo) / s if s > 0.0 else math.inf  # s is 0 where the spread overflowed
-             for lo, hi, s in zip(ends, ends[1:], spacings)]
-    total = sum(steps)  # the grid holds sum(ceil(steps)) + 1 points; total may be inf
-    if not (total < _MAX_GRID_POINTS and sum(map(math.ceil, steps)) < _MAX_GRID_POINTS):
-        finest = min(spacings)
-        hint = (f"lower t_max to at most {(_MAX_GRID_POINTS - 1 - len(pieces)) * finest:.12g}"
-                if finest > 0.0 else "the spread of the levels or the field box overflows")
-        raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {total + 1:.4g} grid points "
+    def grid(t_max: float) -> tuple[list[float], list[float], bool]:
+        """Piece ends and steps on [0, t_max], and whether they fit the budget."""
+        floor = t_max / cfg.n_samples
+        ends = [0.0] + [min(t_end, t_max) for t_end, _ in pieces]
+        spacings = [min(floor, math.pi / (10.0 * s)) if s > 0.0 else floor for _, s in pieces]
+        # s is 0 where the spread overflowed, or where floor underflowed
+        steps = [(hi - lo) / s if s > 0.0 else math.inf
+                 for lo, hi, s in zip(ends, ends[1:], spacings)]
+        # the grid holds sum(ceil(steps)) + 1 points; the sum may be inf
+        return ends, steps, (sum(steps) < _MAX_GRID_POINTS
+                             and sum(map(math.ceil, steps)) < _MAX_GRID_POINTS)
+
+    ends, steps, fits = grid(cfg.t_max)
+    if not fits:
+        lo, hi = 0.0, cfg.t_max  # lo fits (or is 0), hi does not
+        while lo < (mid := lo + (hi - lo) / 2.0) < hi:
+            lo, hi = (mid, hi) if grid(mid)[2] else (lo, mid)
+        hint = (f"lower t_max to at most {lo!r}" if lo > 0.0
+                else "the spread of the levels or the field box overflows")
+        raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {sum(steps) + 1:.4g} grid points "
                               f"(limit {_MAX_GRID_POINTS}); {hint}")
     return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]
 

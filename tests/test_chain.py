@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spintransfer import chain
 from spintransfer.chain import (
@@ -30,6 +31,8 @@ from spintransfer.chain import (
     preset,
     validate,
 )
+from spintransfer.closed_forms import PresetSystem, critical_field, zero_field_critical_time
+from spintransfer.optimize import SearchConfig
 
 
 def test_minimal_chain_is_valid():
@@ -60,22 +63,50 @@ def test_site_count_is_capped():
     # the cap applies before any dense N x N block is built; nothing is solved here
     site = SiteSpec(SPIN_HALF)
     assert ChainSpec((site,) * 4096, (1.0,) * 4095).n_sites == 4096
-    with pytest.raises(TooManySitesError, match="at most 4096 sites, got 4097"):
+    with pytest.raises(TooManySitesError) as refused:
         ChainSpec((site,) * 4097, (1.0,) * 4096)
+    assert str(refused.value) == "the number of sites must be an integer in [2, 4096], got 4097"
 
 
 @pytest.mark.parametrize("build", [engineered_couplings, engineered_chain])
 def test_engineered_chain_over_the_site_cap_is_refused_before_it_is_built(refuse_alloc, build):
     refuse_alloc("sqrt", math)
     refuse_alloc("SiteSpec", chain)
-    with pytest.raises(TooManySitesError, match="at most 4096 sites, got 1000000000"):
+    with pytest.raises(TooManySitesError) as refused:
         build(10**9, 1.0)
+    assert str(refused.value) == "n_sites must be an integer in [2, 4096], got 1000000000"
 
 
 def test_engineered_chain_site_cap_is_inclusive():
     assert engineered_chain(4096).n_sites == 4096
     with pytest.raises(TooManySitesError, match="got 4097"):
         engineered_couplings(4097, 1.0)
+
+
+# Each count parameter, the start of its refusal, and the classes it raises.
+_COUNT_PARAMETERS = [
+    (lambda n: engineered_couplings(n, 1.0), "n_sites", (BadArgsError, TooManySitesError)),
+    (lambda n: engineered_chain(5, spin_one_site=n), "spin_one_site", BadArgsError),
+    (lambda n: SearchConfig(1.0, n), "n_samples", ValueError),
+    (lambda n: zero_field_critical_time("sec2-two-spin", 1.0, n), "k", ValueError),
+    (lambda n: critical_field(PresetSystem("sec2-two-spin", 1.0, 0.0), 1.0, "even", n), "l",
+     ValueError),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(st.integers(), st.integers(-10, 5000), st.booleans(), st.floats(),
+                       st.integers(-2**63, 2**63 - 1).map(np.int64), st.text(max_size=4),
+                       st.none()))
+@example(value=10**5000)  # more digits than Python prints
+@example(value=-10**5000)
+def test_every_count_returns_or_raises_its_own_refusal(value):
+    for call, what, error in _COUNT_PARAMETERS:
+        try:
+            call(value)
+        except error as exc:
+            assert str(exc).startswith(f"{what} must be an integer in [")
+            assert "\n" not in str(exc) and len(str(exc)) < 100
 
 
 def test_nonfinite_rejected():

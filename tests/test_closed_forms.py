@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from spintransfer.chain import PRESET_NAMES, UnknownPresetError, preset
+from spintransfer.chain import (
+    PRESET_NAMES,
+    ChainFormatError,
+    NonFiniteError,
+    UnknownPresetError,
+    preset,
+)
 from spintransfer.closed_forms import (
     DegenerateSystemError,
     NotTunableError,
@@ -190,6 +196,31 @@ class TestFieldTuningRules:
             zero_field_critical_time("sec2-two-spin", 0.0, 0)
         with pytest.raises(UnknownPresetError):
             zero_field_critical_time("no-such-preset", 1.0, 0)
+        # numbers follow the engine's rule, as preset does
+        for bad, error in [(math.nan, NonFiniteError), (math.inf, NonFiniteError),
+                           ("1", ChainFormatError), (True, ChainFormatError)]:
+            with pytest.raises(error):
+                PresetSystem("sec2-two-spin", bad, 0.0)
+            with pytest.raises(error):
+                PresetSystem("sec2-two-spin", 1.0, bad)
+            with pytest.raises(error):
+                zero_field_critical_time("sec2-two-spin", bad, 0)
+            with pytest.raises(error):
+                critical_field(sys, bad, "even", 0)
+
+    def test_index_ranges_are_inclusive(self):
+        # 2k + 1 and 4l + 3 stay odd integers below 2^53, exact in a float
+        sys = PresetSystem("sec2-two-spin", 1.0, 0.0)
+        assert zero_field_critical_time("sec2-two-spin", 1.0, 2**52 - 1) == (
+            (2**53 - 1) * math.pi / SQRT2)
+        assert critical_field(sys, 1.0, "odd", 2**51 - 1) == (2**53 - 1) * math.pi / 2.0
+        with pytest.raises(ValueError) as refused:
+            zero_field_critical_time("sec2-two-spin", 1.0, 2**52)
+        assert str(refused.value) == ("k must be an integer in [0, 4503599627370495], "
+                                      "got 4503599627370496")
+        with pytest.raises(ValueError) as refused:
+            critical_field(sys, 1.0, "even", 0.5)
+        assert str(refused.value) == "l must be an integer in [0, 2251799813685247], got 0.5"
 
     @pytest.mark.parametrize("name", ["sec2-two-spin", "sec2-three-spin-center"])
     @pytest.mark.parametrize("k", [0, 1])

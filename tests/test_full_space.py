@@ -393,23 +393,43 @@ class TestLimits:
         with pytest.raises(DimensionCapError, match=str(2**21)):
             FullSpaceModel(spec)
 
+    def test_dimension_beyond_printable_digits_is_refused_by_its_size(self, refuse_alloc):
+        # (2e290 + 1)^20 has some 5,800 digits, more than Python prints
+        refuse_alloc("zeros")
+        spec = ChainSpec(sites=(SiteSpec(SpinMagnitude(1e290)),) * 20, couplings=(1.0,) * 19)
+        for build, refusal in [
+            (FullSpaceModel, "the total dimension must be an integer in [1, 1048576], "
+                             "got a 19288-bit integer"),
+            (full_hamiltonian, "the total dimension must be an integer in [1, 4096], "
+                               "got a 19288-bit integer"),
+            (sz_commutator_max, "the widest bond's dimension must be an integer in [1, 4096], "
+                                "got a 1929-bit integer"),
+        ]:
+            with pytest.raises(DimensionCapError) as refused:
+                build(spec)
+            assert str(refused.value) == refusal
+
     @pytest.mark.parametrize("build", [FullSpaceModel, sz_commutator_max, full_hamiltonian])
     def test_bond_over_the_dense_cap_refused_before_any_operator(self, refuse_alloc, build):
         # 201^2 = 40,401 states fit STATE_CAP, but the bond's dense operator
-        # would take 16 * 201^4 bytes, about 26 GB
-        spec = ChainSpec(sites=(SiteSpec(SpinMagnitude(100.0)),) * 2, couplings=(1.0,))
-        for name in ("zeros", "multiply"):
+        # would take 16 * 201^4 bytes, about 26 GB; the levels of a spin 1e9
+        # alone would take 16 GB
+        for name in ("zeros", "multiply", "arange"):
             refuse_alloc(name)
-        with pytest.raises(DimensionCapError, match="40401"):
-            build(spec)
+        for s, dim in [(100.0, 201), (1e9, 2 * 10**9 + 1)]:
+            spec = ChainSpec(sites=(SiteSpec(SpinMagnitude(s)),) * 2, couplings=(1.0,))
+            with pytest.raises(DimensionCapError, match=str(dim**2)):
+                build(spec)
 
     def test_bond_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(full_space, "DIMENSION_CAP", 6)
         half_one = ChainSpec(sites=(SiteSpec(SPIN_HALF), SiteSpec(SPIN_ONE)), couplings=(1.0,))
         assert sz_commutator_max(half_one) == 0.0
         assert FullSpaceModel(half_one).block.shape == (3, 3)
-        with pytest.raises(DimensionCapError, match="a bond of dimension 9"):
+        with pytest.raises(DimensionCapError) as refused:
             sz_commutator_max(ChainSpec(sites=(SiteSpec(SPIN_ONE),) * 2, couplings=(1.0,)))
+        assert str(refused.value) == ("the widest bond's dimension must be an integer in [1, 6], "
+                                      "got 9")
 
     def test_state_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(full_space, "STATE_CAP", 8)
