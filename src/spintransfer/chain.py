@@ -275,13 +275,24 @@ def engineered_chain(
     return ChainSpec(sites=tuple(sites), couplings=couplings)
 
 
-PRESET_NAMES = (
-    "sec2-two-spin",
-    "sec2-three-spin-center",
-    "sec3-two-spin",
-    "sec3-three-spin-center",
-    "sec4-three-spin-center",
-)
+# The five reference systems: name -> (site spins, the sites that carry the
+# field B); every bond has coupling J and every other site is bare.
+_PRESETS = {
+    "sec2-two-spin": ((SPIN_ONE, SPIN_HALF), (0, 1)),
+    "sec2-three-spin-center": ((SPIN_HALF, SPIN_ONE, SPIN_HALF), (0, 1, 2)),
+    "sec3-two-spin": ((SPIN_HALF, SPIN_HALF), (0,)),
+    "sec3-three-spin-center": ((SPIN_HALF, SPIN_HALF, SPIN_HALF), (1,)),
+    "sec4-three-spin-center": ((SPIN_HALF, SPIN_ONE, SPIN_HALF), (1,)),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def _known_preset(name: Any) -> str:
+    """name, if it names a preset; UnknownPresetError otherwise.  Membership is
+    tested on the tuple, so an unhashable name is refused, not a TypeError."""
+    if name not in PRESET_NAMES:
+        raise UnknownPresetError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    return name
 
 
 def preset(name: str, J: float, B: float) -> ChainSpec:
@@ -293,26 +304,9 @@ def preset(name: str, J: float, B: float) -> ChainSpec:
     sec3-three-spin-center:   three spin-1/2 sites, field B on the centre only.
     sec4-three-spin-center:   spin-1 central site carrying field B, edges bare.
     """
-    half = SPIN_HALF
-    one = SPIN_ONE
-    if name == "sec2-two-spin":
-        sites = (SiteSpec(one, B), SiteSpec(half, B))
-        couplings: tuple[float, ...] = (J,)
-    elif name == "sec2-three-spin-center":
-        sites = (SiteSpec(half, B), SiteSpec(one, B), SiteSpec(half, B))
-        couplings = (J, J)
-    elif name == "sec3-two-spin":
-        sites = (SiteSpec(half, B), SiteSpec(half, 0.0))
-        couplings = (J,)
-    elif name == "sec3-three-spin-center":
-        sites = (SiteSpec(half, 0.0), SiteSpec(half, B), SiteSpec(half, 0.0))
-        couplings = (J, J)
-    elif name == "sec4-three-spin-center":
-        sites = (SiteSpec(half, 0.0), SiteSpec(one, B), SiteSpec(half, 0.0))
-        couplings = (J, J)
-    else:
-        raise UnknownPresetError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    return ChainSpec(sites=sites, couplings=couplings)
+    spins, fielded = _PRESETS[_known_preset(name)]
+    sites = tuple(SiteSpec(s, B if n in fielded else 0.0) for n, s in enumerate(spins))
+    return ChainSpec(sites=sites, couplings=(J,) * (len(spins) - 1))
 
 
 def _spin_to_json(spin: SpinMagnitude) -> Any:

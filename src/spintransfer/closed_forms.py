@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PRESET_NAMES, ChainSpec, UnknownPresetError, _count, _finite, preset
+from .chain import ChainSpec, UnknownPresetError, _count, _finite, _known_preset, preset
 
 __all__ = [
     "DegenerateSystemError",
@@ -52,10 +52,7 @@ class PresetSystem:
     B: float
 
     def __post_init__(self) -> None:
-        if self.name not in PRESET_NAMES:
-            raise UnknownPresetError(
-                f"unknown preset {self.name!r}; known: {', '.join(PRESET_NAMES)}"
-            )
+        _known_preset(self.name)
         object.__setattr__(self, "J", _finite(self.J, "J"))
         object.__setattr__(self, "B", _finite(self.B, "B"))
 
@@ -200,9 +197,7 @@ def zero_field_critical_time(name: str, J: float, k: int = 0) -> float:
         return (2 * k + 1) * math.pi / (_SQRT2 * abs(J))
     if name == "sec2-three-spin-center":
         return (2 * k + 1) * math.pi / abs(J)
-    if name in PRESET_NAMES:
-        raise NotTunableError(f"{name} admits no unit-amplitude critical time")
-    raise UnknownPresetError(name)
+    raise NotTunableError(f"{_known_preset(name)} admits no unit-amplitude critical time")
 
 
 def critical_field(sys: PresetSystem, t_c: float, k_parity: str, l: int = 0) -> float:

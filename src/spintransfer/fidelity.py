@@ -52,7 +52,6 @@ PHASE_DEGENERATE_TOL = 1e-12
 # |f| may exceed 1 by at most this much (upstream round-off); beyond it the
 # input is treated as corrupt.
 _CLAMP_EXCESS = 1e-9
-_BOUNDARY_TOL = 1e-12
 # Rows per fidelity_report_blocks block: its eight columns stay near 64 kB.
 _REPORT_BLOCK = 1024
 
@@ -138,7 +137,7 @@ def _average(re, mag) -> np.ndarray:
     average fidelity falls below 1/6, so only the upper boundary is clipped.
     """
     value = 0.5 + re / 3.0 + mag * mag / 6.0
-    return np.minimum(value, 1.0, out=value, where=value <= 1.0 + _BOUNDARY_TOL)
+    return np.minimum(value, 1.0, out=value)
 
 
 def average_fidelity(f: complex) -> float:

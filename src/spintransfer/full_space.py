@@ -23,7 +23,7 @@ dimension DIMENSION_CAP = 4096.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -145,11 +145,8 @@ def full_hamiltonian(spec: ChainSpec) -> np.ndarray:
 def total_sz_diagonal(spec: ChainSpec) -> np.ndarray:
     """Diagonal of the total-Sz operator (it is diagonal in the product basis)."""
     dims = _site_dims(spec, STATE_CAP)
-    diag = np.zeros(1)
-    for site, d in zip(spec.sites, dims):
-        m = site.spin.s - np.arange(d)
-        diag = (diag[:, None] + m[None, :]).reshape(-1)
-    return diag
+    levels = [site.spin.s - np.arange(d) for site, d in zip(spec.sites, dims)]
+    return reduce(np.add.outer, levels, np.zeros(1)).ravel()
 
 
 def sz_commutator_max(spec: ChainSpec) -> float:
@@ -176,10 +173,7 @@ def sz_commutator_max(spec: ChainSpec) -> float:
 def excitation_sector_indices(spec: ChainSpec) -> list[int]:
     """Flat indices of (|0>, |1>, .., |N>) in the tensor-product basis."""
     dims = _site_dims(spec, STATE_CAP)
-    strides = np.ones(len(dims), dtype=int)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return [0] + [int(strides[n]) for n in range(len(dims))]
+    return [0] + [math.prod(dims[n + 1:]) for n in range(len(dims))]
 
 
 class FullSpaceModel:
