@@ -55,6 +55,6 @@ for t in np.linspace(0.0, 12.0, 7):
 print("\nreference system, receiver density matrix at the critical time:")
 spec2 = preset("sec2-two-spin", 1.0, 0.0)
 t_c = math.pi / math.sqrt(2.0)
-rho = FullSpaceModel(spec2).receiver_density(state, t_c)
+rho = FullSpaceModel(spec2).receiver_densities(state.theta, state.phi, t_c)[0]
 print(np.array_str(rho, precision=6, suppress_small=True))
 print("(populations 1/2, 1/2 and coherence magnitude 1/2: the f = -i channel)")

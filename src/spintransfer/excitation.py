@@ -105,7 +105,6 @@ class AmplitudeRecord:
     conj(f0) * fn[-1] to rounding.
     """
 
-    t: float
     f0: complex
     fn: np.ndarray
     f: complex
@@ -162,7 +161,7 @@ def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> Am
     t = float(t)
     fn = (eig.vectors * eig.vectors[0] * np.exp(-1j * t * eig.values)).sum(axis=1)
     f0 = complex(np.exp(-1j * h.vacuum_energy * t))
-    return AmplitudeRecord(t=t, f0=f0, fn=fn, f=synthesize_f(h, eig, t))
+    return AmplitudeRecord(f0=f0, fn=fn, f=synthesize_f(h, eig, t))
 
 
 def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):

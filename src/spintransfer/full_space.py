@@ -244,10 +244,6 @@ class FullSpaceModel:
             )
         return top
 
-    def receiver_density(self, state: BlochState, t: float) -> np.ndarray:
-        """Evolve and trace out everything but the last site's two reachable levels."""
-        return self.receiver_densities(state.theta, state.phi, t)[0]
-
     def fidelity(self, state: BlochState, t: float) -> float:
         return self.fidelities(state.theta, state.phi, t)[0].item()
 

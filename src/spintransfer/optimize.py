@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import fidelity
-from .chain import ChainSpec, _count
+from .chain import ChainSpec, _count, _finite
 from .excitation import _TIME_BLOCK, solve, synthesize_f
 
 __all__ = [
@@ -88,18 +88,22 @@ class GridBudgetError(ValueError):
 class SearchConfig:
     """Search horizon and coarse-grid sample floor.
 
-    n_samples is a count in [16, _MAX_GRID_POINTS - 2] (_count: ValueError
-    below or for a non-integer, GridBudgetError above).
+    t_max follows the chain's number rule (_finite), is stored as a float and
+    must be positive; inf raises GridBudgetError.  n_samples is a count in
+    [16, _MAX_GRID_POINTS - 2] (_count: ValueError below or for a
+    non-integer, GridBudgetError above).
     """
 
     t_max: float
     n_samples: int = 256
 
     def __post_init__(self) -> None:
-        if not self.t_max > 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if self.t_max == math.inf:  # no grid of finitely many points covers it
             raise GridBudgetError("t_max must be finite, got inf")
+        t_max = _finite(self.t_max, "t_max")
+        if not t_max > 0.0:
+            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        object.__setattr__(self, "t_max", t_max)
         # 2 below the budget: rounding may give n_samples one more step
         _count(self.n_samples, "n_samples", 16, _MAX_GRID_POINTS - 2, ValueError, GridBudgetError)
         if self.t_max / self.n_samples == 0.0:

@@ -46,6 +46,48 @@ def test_every_registered_check_ran(suite):
     assert set(results) == set(verification.CHECK_NAMES)
 
 
+# The verify contract: every check name in run order, and its tolerance.
+_CONTRACT = (
+    ("two-spin-impurity-max-fbar", 1e-9),
+    ("two-spin-impurity-peak-time", 1e-8),
+    ("field-tuning-perfect-fbar", 1e-9),
+    ("uniform-field-phase-law", 1e-12),
+    ("three-spin-impurity-bare-max", 1e-9),
+    ("three-spin-impurity-corrected", 1e-9),
+    ("field-impurity-amplitude-bound", 1e-6),
+    ("field-impurity-strictly-lossy", None),
+    ("corrected-peak-field-impurity", 5e-4),
+    ("corrected-peak-double-impurity", 5e-4),
+    ("strong-coupling-fbar", None),
+    ("closed-form-f-sec2-two-spin", 1e-10),
+    ("closed-form-f-sec2-three-spin-center", 1e-10),
+    ("closed-form-f-sec3-two-spin", 1e-10),
+    ("closed-form-f-sec3-three-spin-center", 1e-10),
+    ("closed-form-f-sec4-three-spin-center", 1e-10),
+    ("spectrum-sec2-two-spin", 1e-12),
+    ("spectrum-sec2-three-spin-center", 1e-12),
+    ("spectrum-sec3-two-spin", 1e-12),
+    ("spectrum-sec3-three-spin-center", 1e-12),
+    ("spectrum-sec4-three-spin-center", 1e-12),
+    ("excitation-block-embedding", 1e-13),
+    ("subspace-vs-full", 1e-10),
+    ("sz-conservation", 1e-13),
+    ("fbar-quadrature", 1e-10),
+    ("unitarity-excitation-norm", 1e-12),
+    ("unitarity-vacuum-phase", 1e-12),
+    ("engineered-chain-transfer", 1e-9),
+    ("engineered-spin-impurity-report", None),
+)
+
+
+def test_check_names_and_tolerances_are_the_contract(suite):
+    results, _ = suite
+    assert verification.CHECK_NAMES == tuple(name for name, _ in _CONTRACT)
+    assert tuple(results) == verification.CHECK_NAMES  # run_all reports in this order
+    for name, tolerance in _CONTRACT:
+        assert results[name].tolerance == tolerance, name
+
+
 def test_tolerance_is_the_pass_rule(suite):
     results, _ = suite
     untoleranced = {name for name, r in results.items() if r.tolerance is None}

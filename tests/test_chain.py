@@ -206,10 +206,37 @@ def test_preset_structures():
     )
     assert spec.couplings == (2.0 / 3.0, 2.0 / 3.0)
 
+    for b in (0.25, -0.75, -0.0):
+        half, one, bare = SPIN_HALF, SPIN_ONE, 0.0
+        expected = {
+            "sec2-two-spin": (SiteSpec(one, b), SiteSpec(half, b)),
+            "sec2-three-spin-center": (SiteSpec(half, b), SiteSpec(one, b), SiteSpec(half, b)),
+            "sec3-two-spin": (SiteSpec(half, b), SiteSpec(half, bare)),
+            "sec3-three-spin-center": (SiteSpec(half, bare), SiteSpec(half, b),
+                                       SiteSpec(half, bare)),
+            "sec4-three-spin-center": (SiteSpec(half, bare), SiteSpec(one, b),
+                                       SiteSpec(half, bare)),
+        }
+        assert tuple(expected) == PRESET_NAMES
+        for name, sites in expected.items():
+            spec = preset(name, -1.25, b)
+            assert spec.sites == sites
+            # 0.0 == -0.0, so compare signs too: B keeps its sign, a bare site is +0.0
+            assert ([math.copysign(1.0, site.field) for site in spec.sites]
+                    == [math.copysign(1.0, site.field) for site in sites])
+            assert spec.couplings == (-1.25,) * (len(sites) - 1)
+
 
 def test_unknown_preset():
     with pytest.raises(UnknownPresetError):
         preset("bogus", 1.0, 0.0)
+    for name in (["sec2-two-spin"], None):  # not a name, and unhashable or not a str
+        with pytest.raises(UnknownPresetError):
+            preset(name, 1, 0)
+        with pytest.raises(UnknownPresetError):
+            PresetSystem(name, 1, 0)
+        with pytest.raises(UnknownPresetError):
+            zero_field_critical_time(name, 1.0)
 
 
 def _random_spec(rng):

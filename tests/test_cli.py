@@ -127,7 +127,7 @@ class TestSimulate:
 
         # 17 significant digits round-trip to the exact in-memory doubles
         record = transfer_amplitude(spec, row[0])
-        rep = fidelity_report(record.t, record.f)
+        rep = fidelity_report(row[0], record.f)
         assert row[1] == rep.f.real
         assert row[2] == rep.f.imag
         assert row[3] == rep.abs_f
@@ -306,7 +306,7 @@ def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
         assert all(cell == format(float(cell), ".17g") for cell in cells)
         t, re_f, im_f, abs_f, gamma, fbar, fbar_corr, delta = map(float, cells)
         record = amplitudes(h, eig, t)  # f by the O(N^2) route, conj(f0) fn[N]
-        rep = fidelity_report(record.t, complex(np.conj(record.f0) * record.fn[-1]))
+        rep = fidelity_report(t, complex(np.conj(record.f0) * record.fn[-1]))
         for got, want in ((re_f, rep.f.real), (im_f, rep.f.imag), (abs_f, rep.abs_f),
                           (fbar, rep.fbar), (fbar_corr, rep.fbar_corrected)):
             assert abs(got - want) <= 1e-12

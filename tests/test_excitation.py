@@ -142,18 +142,20 @@ class TestEigensolve:
 
 class TestAmplitudes:
     def test_identity_at_t0(self):
-        rec = transfer_amplitude(preset("sec2-three-spin-center", 1.0, 0.7), 0.0)
+        t = 0.0
+        rec = transfer_amplitude(preset("sec2-three-spin-center", 1.0, 0.7), t)
         assert rec.f0 == pytest.approx(1.0, abs=1e-15)
         assert rec.fn == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
         assert rec.f == pytest.approx(0.0, abs=1e-14)
-        assert fidelity_report(rec.t, rec.f).gamma == 0.0
+        assert fidelity_report(t, rec.f).gamma == 0.0
 
     def test_two_spin_impurity_amplitude(self):
         # f = -i exp(iBt) sin(sqrt(2) J t / 2); at B=0, t = pi/(sqrt2 J) this is -i
         j = 1.3
-        rec = transfer_amplitude(preset("sec2-two-spin", j, 0.0), math.pi / (SQRT2 * j))
+        t = math.pi / (SQRT2 * j)
+        rec = transfer_amplitude(preset("sec2-two-spin", j, 0.0), t)
         assert rec.f == pytest.approx(-1j, abs=1e-12)
-        assert fidelity_report(rec.t, rec.f).gamma == pytest.approx(-math.pi / 2, abs=1e-12)
+        assert fidelity_report(t, rec.f).gamma == pytest.approx(-math.pi / 2, abs=1e-12)
 
     def test_tuned_three_spin_is_perfect(self):
         j = 1.0
@@ -172,9 +174,10 @@ class TestAmplitudes:
     def test_gamma_branch(self):
         # f real negative must report +pi, not -pi
         j = 1.0
-        rec = transfer_amplitude(preset("sec2-three-spin-center", j, 0.0), math.pi / j)
+        t = math.pi / j
+        rec = transfer_amplitude(preset("sec2-three-spin-center", j, 0.0), t)
         assert rec.f == pytest.approx(-1.0, abs=1e-12)
-        assert fidelity_report(rec.t, rec.f).gamma == pytest.approx(math.pi, abs=1e-12)
+        assert fidelity_report(t, rec.f).gamma == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestTimeSeries:

@@ -52,6 +52,21 @@ class TestSearchConfig:
                 SearchConfig(t_max=1.0, n_samples=n_samples)
             assert not isinstance(refused.value, GridBudgetError)
 
+    @pytest.mark.parametrize("t_max", [
+        "1", None, True, pytest.param(10**400, id="10**400"), math.nan, -1, 0, math.inf,
+    ])
+    def test_bad_horizon_is_a_one_line_value_error(self, t_max):
+        # a ValueError subclass, so neither TypeError nor OverflowError
+        with pytest.raises(ValueError) as refused:
+            SearchConfig(t_max=t_max)
+        assert "\n" not in str(refused.value) and len(str(refused.value)) < 80
+        assert isinstance(refused.value, GridBudgetError) == (t_max == math.inf)
+
+    def test_horizon_is_stored_as_a_float(self):
+        for t_max in (3, np.float64(2.5), 1.5):
+            cfg = SearchConfig(t_max=t_max)
+            assert type(cfg.t_max) is float and cfg.t_max == t_max
+
     def test_sample_floor_range_is_inclusive(self):
         for n_samples in (16, np.int64(16), optimize._MAX_GRID_POINTS - 2,
                           np.int64(optimize._MAX_GRID_POINTS - 2)):
