@@ -206,8 +206,8 @@ def test_preset_structures():
     )
     assert spec.couplings == (2.0 / 3.0, 2.0 / 3.0)
 
+    half, one, bare = SPIN_HALF, SPIN_ONE, 0.0
     for b in (0.25, -0.75, -0.0):
-        half, one, bare = SPIN_HALF, SPIN_ONE, 0.0
         expected = {
             "sec2-two-spin": (SiteSpec(one, b), SiteSpec(half, b)),
             "sec2-three-spin-center": (SiteSpec(half, b), SiteSpec(one, b), SiteSpec(half, b)),
