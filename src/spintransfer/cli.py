@@ -23,7 +23,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import sys
 import time
 from contextlib import contextmanager
@@ -107,19 +109,38 @@ def _write_manifest(args: argparse.Namespace, digest: str | None, started: float
             stream.write(text + "\n")
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    # Truncating a file that holds data on open (or renaming a new one over it)
+    # makes ext4 flush it on close: 35-100 ms a write on a 2-core VM with ext4
+    # mounted with discard, against 0.2 ms for writing over the old bytes.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 @contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """The file at `out`, or stdout; a path that cannot be opened is a usage error."""
+    """The file at `out`, or stdout; a path that cannot be opened is a usage error.
+
+    An existing regular file is written over in place and cut to what was
+    written when the body ends, however it ends.
+    """
     if out is None:
         yield sys.stdout
         return
     try:
         # newline="" keeps the contractual \n line endings on every platform
-        stream = open(out, "w", encoding="utf-8", newline="")
+        stream = open(out, "w", encoding="utf-8", newline="", opener=_open_in_place)
     except OSError as exc:
         raise _UsageError(f"{out}: {exc.strerror or exc}") from exc
     with stream:
-        yield stream
+        try:
+            yield stream
+        finally:
+            fd = stream.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null cannot be truncated
+                try:
+                    stream.flush()
+                finally:  # cut at what reached the file, even if the flush failed
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:

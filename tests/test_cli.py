@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 import spintransfer
 from spintransfer import cli, optimize, verification
 from spintransfer.chain import (PRESET_NAMES, SPIN_HALF, ChainSpec, ChainSpecError, SiteSpec,
-                                SpinMagnitude, load_chain, preset, save_chain)
+                                SpinMagnitude, dumps_chain, load_chain, preset, save_chain)
 from spintransfer.cli import CSV_HEADER, main
 from spintransfer.excitation import (amplitudes, eigensolve, reduce, synthesize_f,
                                      transfer_amplitude)
@@ -924,6 +924,98 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
     assert code == 2
     assert err.splitlines()[-1] == f"error: {path}: {os.strerror(errno.ENOENT)}"
     assert not path.parent.exists()
+
+
+_WRITERS = pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "sec2-two-spin", "--t-max", "1", "--steps", "30"],
+    ["optimize", "--preset", "sec2-two-spin", "--t-max", "2.8"],
+    ["preset", "sec2-two-spin", "--J", "1", "--B", "0"],
+    ["verify", "--only", "spectrum"],
+], ids=["simulate", "optimize", "preset", "verify"])
+
+
+@_WRITERS
+def test_device_output_paths_are_written(capsys, argv):
+    assert _run(capsys, *argv, "--out", os.devnull, "--manifest", os.devnull)[0] == 0
+
+
+@_WRITERS
+def test_output_over_a_longer_file_is_the_output_to_a_new_one(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # fixed durations, and the same paths in the manifest, give the same bytes twice
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    paths = [Path("out"), Path("manifest")]
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, *argv, "--out", "out", "--manifest", "manifest")[0] == 0
+    fresh = [path.read_bytes() for path in paths]
+    for path, new in zip(paths, fresh):
+        path.write_bytes(b"\xff" * (len(new) + 10_000))
+        path.chmod(0o200)  # write-only: the file is written without being read
+    assert _run(capsys, *argv, "--out", "out", "--manifest", "manifest")[0] == 0
+    for path, new in zip(paths, fresh):
+        path.chmod(0o600)
+        assert path.read_bytes() == new
+
+
+def test_a_failed_body_leaves_only_what_it_wrote(tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"old " * 10_000)
+    with pytest.raises(RuntimeError), cli._output(str(path)) as stream:
+        stream.write("new")
+        raise RuntimeError
+    assert path.read_bytes() == b"new"
+
+
+def test_a_flush_the_os_cuts_short_leaves_no_old_tail(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_bytes(b"x" * 65_536)
+    # The output stays in the stream's buffer until the flush at the end of the
+    # body, which the file size limit makes fail with EFBIG after 64 bytes.
+    code = ("import resource, signal; from spintransfer.cli import main; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64)); "
+            f"main(['preset', 'sec2-two-spin', '--J', '1', '--B', '0', '--out', {str(path)!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"OSError: [Errno {errno.EFBIG}] File too large"
+    assert path.read_text() == dumps_chain(preset("sec2-two-spin", 1.0, 0.0))[:64]
+
+
+@_WRITERS
+def test_an_existing_output_is_never_truncated_to_zero(tmp_path, capsys, monkeypatch, argv):
+    # Opening a file that holds data with "w" (O_TRUNC), cutting it to length 0,
+    # or renaming a new file over it triggers ext4's replace-by-truncate/rename
+    # flush on close: 35-100 ms a write on a 2-core VM with ext4 mounted with
+    # discard, where writing over the old bytes takes 0.2 ms. A timing test
+    # would flake, so this one checks the calls.
+    paths = [str(tmp_path / "out"), str(tmp_path / "manifest")]
+    for path in paths:
+        Path(path).write_text("old " * 10_000)
+    opened, lengths = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+
+    def spy_open(path, flags, *rest, **kwargs):
+        if path in paths:
+            opened.append(flags)
+        return real_open(path, flags, *rest, **kwargs)
+
+    def spy_ftruncate(fd, length):
+        lengths.append(length)
+        real_ftruncate(fd, length)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an output replaced or truncated by path")
+
+    monkeypatch.setattr(os, "open", spy_open)
+    monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
+    for name in ("truncate", "replace", "rename"):
+        monkeypatch.setattr(os, name, refuse)
+    assert _run(capsys, *argv, "--out", paths[0], "--manifest", paths[1])[0] == 0
+    assert len(opened) == 2
+    assert all(flags & (os.O_ACCMODE | os.O_CREAT | os.O_TRUNC) == os.O_WRONLY | os.O_CREAT
+               for flags in opened)
+    assert len(lengths) == 2 and 0 not in lengths
 
 
 class TestParserReuse:
