@@ -7,8 +7,7 @@ numerical engine, so the two paths cross-check each other.
 Shorthand used below (all for coupling J and field B):
 
     mu = sqrt(B^2 + J^2)      two spin-1/2 sites, field on the first
-    nu = sqrt(B^2 + 2 J^2)    three spin-1/2 sites, field on the centre
-    xi = sqrt(B^2 + 4 J^2)    spin-1 centre carrying the field
+    nu = sqrt(B^2 + 2c J^2)   spin-s centre carrying the field, c = 2s
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, UnknownPresetError, _count, _finite, _known_preset, preset
+from .chain import ChainSpec, _count, _finite, _known_preset, preset
 
 __all__ = [
     "DegenerateSystemError",
@@ -32,6 +31,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_R = 1.0 / _SQRT2
 
 
 class DegenerateSystemError(ValueError):
@@ -94,11 +94,35 @@ def analytic_f(sys: PresetSystem, t: float) -> complex:
         return -1j * cmath.exp(1j * b * t / 2.0) * (j / mu) * math.sin(mu * t / 2.0)
     if sys.name == "sec3-three-spin-center":
         return _split_level_amplitude(j, b, t)
-    if sys.name == "sec4-three-spin-center":
-        # Same kernel with j_eff = sqrt(2) J: the spin-1 centre rescales both
-        # bonds, mapping this system onto the previous one exactly.
-        return _split_level_amplitude(_SQRT2 * j, b, t)
-    raise UnknownPresetError(sys.name)
+    # sec4-three-spin-center, the last preset: the same kernel with
+    # j_eff = sqrt(2) J, as the spin-1 centre rescales both bonds.
+    return _split_level_amplitude(_SQRT2 * j, b, t)
+
+
+def _with_vacuum(e0: float, levels: list, vectors: list) -> tuple[np.ndarray, np.ndarray]:
+    """The excitation eigenpairs with the decoupled vacuum |0>, energy e0, in front."""
+    full = np.pad(np.array(vectors), ((1, 0), (1, 0)))
+    full[0, 0] = 1.0
+    return np.array([e0, *levels]), full
+
+
+def _centre_field(j: float, b: float, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a spin-s centre carrying B between two spin-1/2 ends; c = 2s
+    scales J^2.  The vacuum and the dark level sit at sB, the bright pair at
+    ((c - 1)B +- nu)/2.  The operations are grouped so that c = 1 and c = 2
+    evaluate each system's printed form step for step, to the bit."""
+    nu = math.sqrt(b * b + 2.0 * c * j * j)
+    if nu == 0.0 or j == 0.0:
+        raise DegenerateSystemError("printed eigenvectors degenerate when J = 0")
+    root_c = math.sqrt(c)
+    n_plus = math.sqrt(2.0 / c * nu * (nu - b))
+    n_minus = math.sqrt(2.0 / c * nu * (nu + b))
+    e0 = 0.5 * c * b
+    return _with_vacuum(e0, [e0, 0.5 * ((c - 1) * b + nu), 0.5 * ((c - 1) * b - nu)], [
+        [-_R, j / n_plus, j / n_minus],
+        [0.0, (nu - b) / (root_c * n_plus), -(b + nu) / (root_c * n_minus)],
+        [_R, j / n_plus, j / n_minus],
+    ])
 
 
 def analytic_spectrum(sys: PresetSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -109,78 +133,24 @@ def analytic_spectrum(sys: PresetSystem) -> tuple[np.ndarray, np.ndarray]:
     """
     j, b = sys.J, sys.B
     if sys.name == "sec2-two-spin":
-        values = np.array([1.5 * b, 0.5 * (b + _SQRT2 * j), 0.5 * (b - _SQRT2 * j)])
-        r = 1.0 / _SQRT2
-        vectors = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [0.0, r, -r],
-                [0.0, r, r],
-            ]
-        )
-        return values, vectors
+        return _with_vacuum(1.5 * b, [0.5 * (b + _SQRT2 * j), 0.5 * (b - _SQRT2 * j)],
+                            [[_R, -_R], [_R, _R]])
     if sys.name == "sec2-three-spin-center":
-        values = np.array([2.0 * b, b, b + j, b - j])
-        r = 1.0 / _SQRT2
-        vectors = np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, -r, 0.5, 0.5],
-                [0.0, 0.0, 0.5 * _SQRT2, -0.5 * _SQRT2],
-                [0.0, r, 0.5, 0.5],
-            ]
-        )
-        return values, vectors
+        h = 0.5 * _SQRT2
+        return _with_vacuum(2.0 * b, [b, b + j, b - j],
+                            [[-_R, 0.5, 0.5], [0.0, h, -h], [_R, 0.5, 0.5]])
     if sys.name == "sec3-two-spin":
         mu = math.hypot(b, j)
         if mu == 0.0 or j == 0.0:
             raise DegenerateSystemError("printed eigenvectors degenerate when J = 0")
-        values = np.array([0.5 * b, 0.5 * mu, -0.5 * mu])
         n_plus = math.sqrt(2.0 * mu * (mu + b))
         n_minus = math.sqrt(2.0 * mu * (mu - b))
-        vectors = np.array(
-            [
-                [1.0, 0.0, 0.0],
-                [0.0, j / n_plus, j / n_minus],
-                [0.0, (b + mu) / n_plus, (b - mu) / n_minus],
-            ]
-        )
-        return values, vectors
+        return _with_vacuum(0.5 * b, [0.5 * mu, -0.5 * mu],
+                            [[j / n_plus, j / n_minus], [(b + mu) / n_plus, (b - mu) / n_minus]])
     if sys.name == "sec3-three-spin-center":
-        nu = math.sqrt(b * b + 2.0 * j * j)
-        if nu == 0.0 or j == 0.0:
-            raise DegenerateSystemError("printed eigenvectors degenerate when J = 0")
-        values = np.array([0.5 * b, 0.5 * b, 0.5 * nu, -0.5 * nu])
-        r = 1.0 / _SQRT2
-        n_plus = math.sqrt(2.0 * nu * (nu - b))
-        n_minus = math.sqrt(2.0 * nu * (nu + b))
-        vectors = np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, -r, j / n_plus, j / n_minus],
-                [0.0, 0.0, (nu - b) / n_plus, -(b + nu) / n_minus],
-                [0.0, r, j / n_plus, j / n_minus],
-            ]
-        )
-        return values, vectors
-    if sys.name == "sec4-three-spin-center":
-        xi = math.sqrt(b * b + 4.0 * j * j)
-        if xi == 0.0 or j == 0.0:
-            raise DegenerateSystemError("printed eigenvectors degenerate when J = 0")
-        values = np.array([b, b, 0.5 * (b + xi), 0.5 * (b - xi)])
-        r = 1.0 / _SQRT2
-        n_plus = math.sqrt(xi * (xi - b))
-        n_minus = math.sqrt(xi * (xi + b))
-        vectors = np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, -r, j / n_plus, j / n_minus],
-                [0.0, 0.0, (xi - b) / (_SQRT2 * n_plus), -(b + xi) / (_SQRT2 * n_minus)],
-                [0.0, r, j / n_plus, j / n_minus],
-            ]
-        )
-        return values, vectors
-    raise UnknownPresetError(sys.name)
+        return _centre_field(j, b, 1)
+    # sec4-three-spin-center, the last preset: the spin-1 centre doubles J^2.
+    return _centre_field(j, b, 2)
 
 
 def zero_field_critical_time(name: str, J: float, k: int = 0) -> float:

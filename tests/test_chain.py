@@ -154,6 +154,9 @@ def test_malformed_raw_descriptions():
         validate({"sites": ["half"], "couplings": []})
     with pytest.raises(ChainFormatError):
         validate({"sites": [{"spin": "two", "field": 0.0}] * 2, "couplings": [1.0]})
+    for couplings in ("1.0", 1.0, {"a": 1}, None):
+        with pytest.raises(ChainFormatError, match='"couplings" must be a list'):
+            validate({"sites": [{"spin": "half", "field": 0.0}] * 2, "couplings": couplings})
 
 
 def test_engineered_couplings_values():

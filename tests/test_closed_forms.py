@@ -99,23 +99,31 @@ def test_engine_error_grows_linearly_in_t(name):
             assert error <= 8.0 * eps * t * 2.0**-53, (sys, t)
 
 
+# Both signs of J and of B, each larger than the other, with |B/J| <= 2: the
+# printed normalisations lose digits when |B| >> |J|.
+SIGNED_PAIRS = [(sj * x, sb * y) for x, y in ((1.1, 0.7), (0.7, 1.1))
+                for sj in (1.0, -1.0) for sb in (1.0, -1.0)]
+
+
 class TestAnalyticSpectrum:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_orthonormal_eigenvectors(self, name):
-        values, vectors = analytic_spectrum(PresetSystem(name, 1.1, 0.7))
-        gram = vectors.T @ vectors
-        assert np.max(np.abs(gram - np.eye(len(values)))) <= 1e-14
+        for j, b in SIGNED_PAIRS:
+            values, vectors = analytic_spectrum(PresetSystem(name, j, b))
+            gram = vectors.T @ vectors
+            assert np.max(np.abs(gram - np.eye(len(values)))) <= 1e-14, (j, b)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_eigen_equation_against_reduced_block(self, name):
-        sys = PresetSystem(name, 1.1, 0.7)
-        values, vectors = analytic_spectrum(sys)
-        h = reduce(sys.chain())
-        full = np.zeros((len(h.onsite) + 1, len(h.onsite) + 1))
-        full[0, 0] = h.vacuum_energy
-        full[1:, 1:] = h.matrix()
-        resid = full @ vectors - vectors * values
-        assert np.max(np.abs(resid)) <= 1e-12
+        for j, b in SIGNED_PAIRS:
+            sys = PresetSystem(name, j, b)
+            values, vectors = analytic_spectrum(sys)
+            h = reduce(sys.chain())
+            full = np.zeros((len(h.onsite) + 1, len(h.onsite) + 1))
+            full[0, 0] = h.vacuum_energy
+            full[1:, 1:] = h.matrix()
+            resid = full @ vectors - vectors * values
+            assert np.max(np.abs(resid)) <= 1e-12, (j, b)
 
     def test_two_spin_impurity_levels(self):
         j, b = 1.0, 0.4

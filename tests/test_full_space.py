@@ -357,6 +357,12 @@ class TestAgainstKronOracle:
             with pytest.raises(RuntimeError, match="out of the excitation sector"):
                 FullSpaceModel(spec)
 
+    def test_receiver_leak_is_refused(self):
+        model = FullSpaceModel(preset("sec4-three-spin-center", 1.0, 0.5))
+        model.eigenvectors = model.eigenvectors * (1 + 1e-6)
+        with pytest.raises(RuntimeError, match="leaked out of the receiver's reachable levels"):
+            model.receiver_densities(1.0, 0.5, 2.0)
+
     @pytest.mark.parametrize("bad", ["theta", "phi", "t"])
     def test_non_finite_inputs_are_refused(self, bad):
         model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))
