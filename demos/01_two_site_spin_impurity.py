@@ -16,6 +16,7 @@ from spintransfer import (
     average_fidelity,
     corrected_average_fidelity,
     critical_times,
+    fidelity_report,
     maximize_fidelity,
     preset,
     transfer_amplitude,
@@ -23,7 +24,6 @@ from spintransfer import (
 )
 from spintransfer.closed_forms import PresetSystem, critical_field, zero_field_critical_time
 from spintransfer.excitation import solve, synthesize_f
-from spintransfer.fidelity import fidelity_reports
 
 J = 1.0
 T_STAR = math.pi / (math.sqrt(2.0) * J)
@@ -32,7 +32,7 @@ print("=== bare channel (B = 0) ===")
 spec = preset("sec2-two-spin", J, 0.0)
 grid = np.linspace(0.0, 2.5 * T_STAR, 9)
 print("      t      |f|     gamma     Fbar")
-rep = fidelity_reports(grid, synthesize_f(*solve(spec), grid))
+rep = fidelity_report(grid, synthesize_f(*solve(spec), grid))
 for t, abs_f, gamma, fbar in zip(rep.t, rep.abs_f, rep.gamma, rep.fbar):
     print(f"  {t:7.3f}  {abs_f:.4f}  {gamma:+.4f}  {fbar:.4f}")
 

@@ -32,6 +32,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _R = 1.0 / _SQRT2
+# A printed normalisation is exactly 0 where J^2 is lost beside B^2 (J = 0, or
+# |B/J| above about 1e8); J = 0 is refused also where B^2 overflows.
+_DEGENERATE_VECTORS = "printed eigenvectors degenerate: J = 0 or |J| negligible beside |B|"
 
 
 class DegenerateSystemError(ValueError):
@@ -112,11 +115,11 @@ def _centre_field(j: float, b: float, c: int) -> tuple[np.ndarray, np.ndarray]:
     ((c - 1)B +- nu)/2.  The operations are grouped so that c = 1 and c = 2
     evaluate each system's printed form step for step, to the bit."""
     nu = math.sqrt(b * b + 2.0 * c * j * j)
-    if nu == 0.0 or j == 0.0:
-        raise DegenerateSystemError("printed eigenvectors degenerate when J = 0")
     root_c = math.sqrt(c)
     n_plus = math.sqrt(2.0 / c * nu * (nu - b))
     n_minus = math.sqrt(2.0 / c * nu * (nu + b))
+    if j == 0.0 or n_plus == 0.0 or n_minus == 0.0:
+        raise DegenerateSystemError(_DEGENERATE_VECTORS)
     e0 = 0.5 * c * b
     return _with_vacuum(e0, [e0, 0.5 * ((c - 1) * b + nu), 0.5 * ((c - 1) * b - nu)], [
         [-_R, j / n_plus, j / n_minus],
@@ -141,10 +144,10 @@ def analytic_spectrum(sys: PresetSystem) -> tuple[np.ndarray, np.ndarray]:
                             [[-_R, 0.5, 0.5], [0.0, h, -h], [_R, 0.5, 0.5]])
     if sys.name == "sec3-two-spin":
         mu = math.hypot(b, j)
-        if mu == 0.0 or j == 0.0:
-            raise DegenerateSystemError("printed eigenvectors degenerate when J = 0")
         n_plus = math.sqrt(2.0 * mu * (mu + b))
         n_minus = math.sqrt(2.0 * mu * (mu - b))
+        if j == 0.0 or n_plus == 0.0 or n_minus == 0.0:
+            raise DegenerateSystemError(_DEGENERATE_VECTORS)
         return _with_vacuum(0.5 * b, [0.5 * mu, -0.5 * mu],
                             [[j / n_plus, j / n_minus], [(b + mu) / n_plus, (b - mu) / n_minus]])
     if sys.name == "sec3-three-spin-center":

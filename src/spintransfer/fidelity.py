@@ -19,6 +19,13 @@ The reports are the one place that computes the reported phase of f: gamma
 = vartheta = arg(f) on (-pi, pi], with 0 where |f| <= PHASE_DEGENERATE_TOL,
 below which the phase is numerically meaningless.  The tuned search
 (optimize.tune_uniform_field) takes arg(f) too, but only to choose its field.
+
+Shape rule, as excitation.synthesize_f's for times: fidelity, average_fidelity,
+corrected_average_fidelity and fidelity_report give Python scalars for a scalar
+f and arrays for a 1-D f, entry i bit for bit the scalar result at f[i]; more
+dimensions raise ValueError.  fidelities and fidelity_report_blocks always give
+arrays; reduced_density and bloch_average_quadrature refuse an array.  An |f|
+above 1 + _CLAMP_EXCESS raises AmplitudeOutOfRangeError before any value.
 """
 
 from __future__ import annotations
@@ -40,10 +47,8 @@ __all__ = [
     "fidelities",
     "average_fidelity",
     "corrected_average_fidelity",
-    "average_fidelities",
     "bloch_average_quadrature",
     "fidelity_report",
-    "fidelity_reports",
     "fidelity_report_blocks",
 ]
 
@@ -82,15 +87,16 @@ class BlochState:
 
 
 def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
-    """(f, |f|) for a 1-D array of amplitudes, |f| in (1, 1 + _CLAMP_EXCESS] rescaled to 1.
+    """(f, |f|) as 1-D arrays, |f| in (1, 1 + _CLAMP_EXCESS] rescaled to 1.
 
     |f| is np.hypot(Re f, Im f), the libm hypot that Python's abs(complex)
     calls, so it equals abs(z) for every element z.  A rescaled row divides
     Re f and Im f by |f| separately, as Python's complex / float does, and
-    takes its |f| again.  Raises AmplitudeOutOfRangeError, before any row is
-    rescaled, when some |f| exceeds 1 + _CLAMP_EXCESS.
+    takes its |f| again.
     """
     f = np.array(f, dtype=complex, ndmin=1)  # a copy: rescaled in place, kept in reports
+    if f.ndim > 1:
+        raise ValueError(f"f must be a scalar or one-dimensional, got shape {f.shape}")
     mag = np.hypot(f.real, f.imag)
     peak = np.fmax.reduce(mag, initial=0.0)  # skips NaN, 0 for no rows
     if peak > 1.0 + _CLAMP_EXCESS:
@@ -104,25 +110,34 @@ def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
     return f, mag
 
 
+def _shaped(f, column: np.ndarray):
+    """A result column as the shape rule returns it for the amplitude argument f."""
+    return column if np.ndim(f) else column[0].item()
+
+
+def _one(f):
+    """f, refused with ValueError if it is an array rather than one amplitude."""
+    if np.ndim(f):
+        raise ValueError(f"f must be one amplitude, got shape {np.shape(f)}")
+    return f
+
+
 def reduced_density(f: complex, state: BlochState) -> np.ndarray:
     """2x2 receiver density matrix; Hermitian, trace one, positive semidefinite."""
-    f = complex(_checked_amplitudes(f)[0][0])
+    f = complex(_checked_amplitudes(_one(f))[0][0])
     pop = math.sin(state.theta / 2.0) ** 2 * abs(f) ** 2
     off = 0.5 * math.sin(state.theta) * cmath.exp(-1j * state.phi) * f.conjugate()
     return np.array([[1.0 - pop, off], [off.conjugate(), pop]], dtype=complex)
 
 
-def fidelity(f: complex, state: BlochState) -> float:
+def fidelity(f, state: BlochState) -> float | np.ndarray:
     """Overlap of the received state with the sent one for a single input."""
-    return fidelities(f, state.theta)[0].item()
+    return _shaped(f, fidelities(f, state.theta))
 
 
 def fidelities(f, theta) -> np.ndarray:
-    """fidelity on arrays: <in|rho|in> for amplitudes f and polar angles theta.
-
-    f and theta broadcast against each other; the azimuth phi drops out.
-    Raises AmplitudeOutOfRangeError as fidelity does.
-    """
+    """<in|rho|in> for amplitudes f and polar angles theta, broadcast against
+    each other; the azimuth phi drops out."""
     f, mag = _checked_amplitudes(f)
     half = np.asarray(theta) / 2.0
     c2, s2 = np.cos(half) ** 2, np.sin(half) ** 2
@@ -140,12 +155,14 @@ def _average(re, mag) -> np.ndarray:
     return np.minimum(value, 1.0, out=value)
 
 
-def average_fidelity(f: complex) -> float:
-    """Fidelity averaged uniformly over all pure input states."""
-    return average_fidelities(f)[0].item()
+def average_fidelity(f, corrected: bool = False) -> float | np.ndarray:
+    """Fidelity averaged uniformly over all pure input states; with corrected, after
+    the receiver's phase gate (corrected_average_fidelity's value, no phase computed)."""
+    f_checked, mag = _checked_amplitudes(f)
+    return _shaped(f, _average(mag if corrected else f_checked.real, mag))
 
 
-def corrected_average_fidelity(f: complex) -> tuple[float, float]:
+def corrected_average_fidelity(f) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Best average fidelity after the receiver's phase gate, and the gate phase.
 
     The gate diag{1, e^{-i vartheta}} with vartheta = arg(f) rotates f onto
@@ -153,18 +170,8 @@ def corrected_average_fidelity(f: complex) -> tuple[float, float]:
     evaluated at |f|.  Where |f| <= PHASE_DEGENERATE_TOL the phase is
     reported as 0.
     """
-    rep = fidelity_reports([0.0], [f])
-    return rep.fbar_corrected[0].item(), rep.gamma[0].item()
-
-
-def average_fidelities(f, corrected: bool = False) -> np.ndarray:
-    """average_fidelity, or the value of corrected_average_fidelity, on a 1-D array of f.
-
-    Raises AmplitudeOutOfRangeError as the scalar functions do.  No phase is
-    computed.
-    """
-    f, mag = _checked_amplitudes(f)
-    return _average(mag if corrected else f.real, mag)
+    rep = _reports(0.0, *_checked_amplitudes(f))
+    return _shaped(f, rep.fbar_corrected), _shaped(f, rep.gamma)
 
 
 @cache
@@ -186,12 +193,12 @@ def bloch_average_quadrature(f: complex) -> float:
     integrand itself and needs no nodes.
     """
     theta, weights = _theta_rule()
-    return float(weights @ fidelities(f, theta)) / 2.0
+    return float(weights @ fidelities(_one(f), theta)) / 2.0
 
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Average-fidelity summary of a channel amplitude at one time."""
+    """Average-fidelity summary of a channel amplitude at one time, or arrays over times."""
 
     t: float
     f: complex
@@ -201,36 +208,27 @@ class FidelityReport:
     fbar_corrected: float
 
 
-def fidelity_report(t: float, f: complex) -> FidelityReport:
-    """Bundle plain and corrected average fidelities for one (t, f) pair."""
-    rep = fidelity_reports([t], [f])
-    return FidelityReport(**{name: column[0].item() for name, column in vars(rep).items()})
-
-
-def fidelity_reports(t, f) -> FidelityReport:
-    """fidelity_report over 1-D arrays: one FidelityReport whose fields are arrays.
-
-    AmplitudeOutOfRangeError is raised before any row is computed.
-    """
-    f, mag = _checked_amplitudes(f)
-    return _reports(np.array(t, dtype=float), f, mag)
+def fidelity_report(t, f) -> FidelityReport:
+    """Plain and corrected average fidelities, |f| and the phase of f, at t broadcast to f."""
+    rep = _reports(t, *_checked_amplitudes(f))
+    return FidelityReport(**{name: _shaped(f, column) for name, column in vars(rep).items()})
 
 
 def fidelity_report_blocks(t, f) -> Iterator[FidelityReport]:
-    """fidelity_reports(t, f) as consecutive blocks of rows.
+    """fidelity_report(t, f) as consecutive blocks of rows, each an array report.
 
     Every |f| is checked, and AmplitudeOutOfRangeError raised, by the call
     itself, before the first block exists; each block is computed only when
     the iterator reaches it, so the whole report is never held at once.
     """
     f, mag = _checked_amplitudes(f)
-    t = np.asarray(t, dtype=float)
+    t = np.broadcast_to(t, f.shape)
     blocks = (slice(lo, lo + _REPORT_BLOCK) for lo in range(0, f.size, _REPORT_BLOCK))
-    return (_reports(t[b].copy(), f[b], mag[b]) for b in blocks)
+    return (_reports(t[b], f[b], mag[b]) for b in blocks)
 
 
 def _reports(t, f, mag) -> FidelityReport:
-    """The report columns for checked f and |f| from _checked_amplitudes.
+    """The report columns for checked f and |f| from _checked_amplitudes, at t.
 
     The phase is arg(f) on (-pi, pi]: arctan2 gives -pi for negative Re f
     when Im f is -0.0 or too small a negative to move the angle, and that
@@ -239,5 +237,6 @@ def _reports(t, f, mag) -> FidelityReport:
     phase = np.arctan2(f.imag, f.real)
     phase[phase == -np.pi] = np.pi
     phase[mag <= PHASE_DEGENERATE_TOL] = 0.0
-    return FidelityReport(t=t, f=f, abs_f=mag, gamma=phase,
-                          fbar=_average(f.real, mag), fbar_corrected=_average(mag, mag))
+    t = np.array(np.broadcast_to(t, f.shape), dtype=float)  # a copy: never the caller's t
+    return FidelityReport(t=t, f=f, abs_f=mag, gamma=phase, fbar=_average(f.real, mag),
+                          fbar_corrected=_average(mag, mag))

@@ -244,8 +244,12 @@ class FullSpaceModel:
             )
         return top
 
-    def fidelity(self, state: BlochState, t: float) -> float:
-        return self.fidelities(state.theta, state.phi, t)[0].item()
+    def fidelity(self, state: BlochState, t) -> float | np.ndarray:
+        """fidelities of one input at a scalar time (a float) or a 1-D array of times."""
+        if np.ndim(t) > 1:
+            raise ValueError("times must be a scalar or one-dimensional")
+        values = self.fidelities(state.theta, state.phi, t)
+        return values if np.ndim(t) else values[0].item()
 
 
 def _inputs(theta, phi, t) -> tuple[np.ndarray, np.ndarray]:

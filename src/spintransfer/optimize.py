@@ -398,7 +398,7 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     candidate within _TIE_TOL of the largest wins.
     """
     solved = solve(spec)
-    search = _Search(solved, lambda t, f: fidelity.average_fidelities(f, corrected), cfg,
+    search = _Search(solved, lambda t, f: fidelity.average_fidelity(f, corrected), cfg,
                      (cfg.t_max, _level_spread(*solved)))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,
                                   search.grid_error, cfg)
@@ -437,7 +437,7 @@ def tune_uniform_field(
         return b, f * np.exp(1j * (b - b_c) * t)
 
     t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values
-    search = _Search(solved, lambda t, f: fidelity.average_fidelities(tuned(t, f)[1]), cfg,
+    search = _Search(solved, lambda t, f: fidelity.average_fidelity(tuned(t, f)[1]), cfg,
                      (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
                      (cfg.t_max, float(levels[-1]) - float(levels[0])))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,

@@ -273,7 +273,7 @@ def _check_quadrature() -> list[_Outcome]:
     f = [math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
          for _ in range(100)]
     quad = [fidelity.bloch_average_quadrature(z) for z in f]
-    worst = float(np.max(np.abs(fidelity.average_fidelities(f) - quad)))
+    worst = float(np.max(np.abs(fidelity.average_fidelity(f) - quad)))
     return [_within(worst, 1e-10, "100 random f in the unit disk, 64 nodes in theta")]
 
 

@@ -28,7 +28,7 @@ from spintransfer.chain import (PRESET_NAMES, SPIN_HALF, ChainSpec, ChainSpecErr
 from spintransfer.cli import CSV_HEADER, main
 from spintransfer.excitation import (amplitudes, eigensolve, reduce, synthesize_f,
                                      transfer_amplitude)
-from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report, fidelity_reports
+from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,7 +163,7 @@ class TestSimulate:
         h = reduce(preset("sec3-two-spin", 1.0, 0.5))
         t = np.linspace(0.0, 30.0, 2500)
         f = synthesize_f(h, eigensolve(h), t)
-        rep = fidelity_reports(t, f)
+        rep = fidelity_report(t, f)
         columns = (rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
                    rep.fbar, rep.fbar_corrected, rep.gamma)
         rows = (",".join(format(x, ".17g") for x in row) for row in zip(*map(list, columns)))

@@ -155,6 +155,15 @@ class TestAnalyticSpectrum:
             with pytest.raises(DegenerateSystemError):
                 analytic_spectrum(PresetSystem(name, 0.0, 1.0))
 
+    @pytest.mark.parametrize("name", ["sec3-two-spin", "sec3-three-spin-center",
+                                      "sec4-three-spin-center"])
+    @pytest.mark.parametrize("j, b", [(1e-9, 1.0), (1e-300, -1.0)])
+    def test_vanishing_normalisation_raises(self, name, j, b):
+        # J^2 is lost beside B^2: mu or nu rounds to |B|, and one printed
+        # normalisation sqrt(2 mu (mu -+ B)) is exactly 0
+        with pytest.raises(DegenerateSystemError):
+            analytic_spectrum(PresetSystem(name, j, b))
+
 
 class TestFieldTuningRules:
     def test_two_spin_even_odd(self):

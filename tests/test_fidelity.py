@@ -11,7 +11,6 @@ from spintransfer import fidelity as fidelity_module
 from spintransfer.fidelity import (
     AmplitudeOutOfRangeError,
     BlochState,
-    average_fidelities,
     average_fidelity,
     bloch_average_quadrature,
     corrected_average_fidelity,
@@ -19,7 +18,6 @@ from spintransfer.fidelity import (
     fidelity,
     fidelity_report,
     fidelity_report_blocks,
-    fidelity_reports,
     reduced_density,
 )
 
@@ -265,19 +263,21 @@ class TestFidelityReports:
         return f
 
     def test_bitwise_equal_to_fidelity_report(self):
-        # fidelity_report is a size-1 call of fidelity_reports, so this holds by
+        # a scalar call runs the array code on one row, so this holds by
         # construction; the reference test below carries the guarantee
         f = self._amplitudes()
         t = np.linspace(0.0, 7.0, f.size)
-        reports = fidelity_reports(t, f)
-        for i in range(f.size):
-            row = fidelity_report(t[i], f[i])
+        reports = fidelity_report(t, f)
+        for i, (t_i, z) in enumerate(zip(t.tolist(), f.tolist())):
+            row = fidelity_report(t_i, z)
+            assert [type(v) for v in vars(row).values()] == [float, complex] + [float] * 4
             for name, value in vars(row).items():
-                assert getattr(reports, name)[i] == value, (i, name)
+                assert np.array(value).tobytes() == getattr(reports, name)[i:i + 1].tobytes(), \
+                    (i, name)
 
     def test_matches_the_reference(self):
         f = self._amplitudes()
-        reports = fidelity_reports(np.zeros(f.size), f)
+        reports = fidelity_report(0.0, f)
         for i, z in enumerate(f.tolist()):
             assert reports.fbar[i].hex() == _reference_average(z).hex(), i
             assert reports.fbar_corrected[i].hex() == _reference_average(z, True).hex(), i
@@ -306,12 +306,18 @@ class TestFidelityReports:
         f = self._amplitudes()
         f[-1] = 1.0 + 2e-9
         with pytest.raises(AmplitudeOutOfRangeError):
-            fidelity_reports(np.zeros(f.size), f)
+            fidelity_report(0.0, f)
+
+    def test_times_broadcast_to_the_amplitudes(self):
+        f = self._amplitudes()
+        assert np.array_equal(fidelity_report(0.5, f).t, np.full(f.size, 0.5))
+        with pytest.raises(ValueError):
+            fidelity_report(np.zeros(f.size - 1), f)
 
     def test_report_does_not_alias_its_input(self):
         f = self._amplitudes()
         t = np.linspace(0.0, 7.0, f.size)
-        reports = fidelity_reports(t, f)
+        reports = fidelity_report(t, f)
         kept = reports.f.copy(), reports.t.copy()
         f[:] = 0.25
         t[:] = -1.0
@@ -321,7 +327,7 @@ class TestFidelityReports:
         # 4,000 rows: three full 1,024-row blocks and a partial one
         f = self._amplitudes()
         t = np.linspace(0.0, 7.0, f.size)
-        whole = fidelity_reports(t, f)
+        whole = fidelity_report(t, f)
         blocks = list(fidelity_report_blocks(t, f))
         assert [len(b.t) for b in blocks] == [1024, 1024, 1024, 928]
         for name, column in vars(whole).items():
@@ -349,30 +355,67 @@ class TestAverageFidelities:
         f[606] = 1.0 + fidelity_module._CLAMP_EXCESS
         return f
 
-    # The scalar functions are size-1 calls of average_fidelities, so their
-    # agreement holds by construction; the reference carries the guarantee.
+    @staticmethod
+    def _assert_scalar_calls_are_the_entries(f, corrected, theta):
+        """Entry i of each array call is the scalar call at f[i] bit for bit, and
+        a scalar call gives Python floats."""
+        values = average_fidelity(f, corrected)
+        gated, phase = corrected_average_fidelity(f)
+        per_state = fidelity(f, BlochState(theta))
+        assert values.shape == gated.shape == phase.shape == per_state.shape == f.shape
+        for i, z in enumerate(f.tolist()):
+            scalars = (average_fidelity(z, corrected), *corrected_average_fidelity(z),
+                       fidelity(z, BlochState(theta)))
+            assert [type(x) for x in scalars] == [float] * 4, i
+            entries = (values[i], gated[i], phase[i], per_state[i])
+            assert [x.hex() for x in entries] == [x.hex() for x in scalars], i
+            assert scalars[0].hex() == _reference_average(z, corrected).hex(), i
+
+    # A scalar call runs the array code on one row, so the agreement holds by
+    # construction; the reference carries the guarantee.
     @pytest.mark.parametrize("corrected", [False, True])
     def test_bitwise_equal_to_the_scalar_functions(self, corrected):
         f = self._amplitudes()
         assert max(abs(z) for z in f.tolist()) == 1.0 + fidelity_module._CLAMP_EXCESS
-        values = average_fidelities(f, corrected)
-        for i, z in enumerate(f.tolist()):
-            expected = corrected_average_fidelity(z)[0] if corrected else average_fidelity(z)
-            assert float(values[i]).hex() == expected.hex(), i
-            assert expected.hex() == _reference_average(z, corrected).hex(), i
+        self._assert_scalar_calls_are_the_entries(f, corrected, 1.2)
 
     @settings(max_examples=50)
-    @given(f=st.lists(unit_disk, max_size=30), corrected=st.booleans())
-    def test_random_amplitudes(self, f, corrected):
-        values = average_fidelities(np.array(f, dtype=complex), corrected)
-        assert values.shape == (len(f),)
-        for value, z in zip(values.tolist(), f):
-            expected = corrected_average_fidelity(z)[0] if corrected else average_fidelity(z)
-            assert value.hex() == expected.hex() == _reference_average(z, corrected).hex()
+    @given(f=st.lists(unit_disk, max_size=30), corrected=st.booleans(),
+           theta=st.floats(min_value=0.0, max_value=math.pi))
+    def test_random_amplitudes(self, f, corrected, theta):
+        self._assert_scalar_calls_are_the_entries(np.array(f, dtype=complex), corrected, theta)
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_out_of_range_raises(self, corrected):
         f = self._amplitudes()
         f[-1] = 1.0 + 2e-9
         with pytest.raises(AmplitudeOutOfRangeError):
-            average_fidelities(f, corrected)
+            average_fidelity(f, corrected)
+
+
+_STATE = BlochState(1.0)
+# Every function that takes amplitudes, called on f alone.
+_SHAPE_RULE = {
+    "average_fidelity": average_fidelity,
+    "average_fidelity-corrected": lambda f: average_fidelity(f, True),
+    "corrected_average_fidelity": corrected_average_fidelity,
+    "fidelity": lambda f: fidelity(f, _STATE),
+    "fidelities": lambda f: fidelities(f, 1.0),
+    "fidelity_report": lambda f: fidelity_report(0.0, f),
+    "fidelity_report_blocks": lambda f: fidelity_report_blocks(0.0, f),
+}
+_ONE_AMPLITUDE = {
+    "reduced_density": lambda f: reduced_density(f, _STATE),
+    "bloch_average_quadrature": bloch_average_quadrature,
+}
+
+
+@pytest.mark.parametrize("call, f, message", [
+    *(pytest.param(call, np.full((2, 3), 0.5j), "scalar or one-dimensional", id=f"{name}-2d")
+      for name, call in _SHAPE_RULE.items()),
+    *(pytest.param(call, np.full(n, 0.5j), "one amplitude", id=f"{name}-{n}")
+      for name, call in _ONE_AMPLITUDE.items() for n in (2, 64)),
+])
+def test_refused_amplitude_shapes(call, f, message):
+    with pytest.raises(ValueError, match=message):
+        call(f)

@@ -333,6 +333,16 @@ class TestAgainstKronOracle:
             assert np.array_equal(_bits(rho[j]), _bits(alone))
             assert fid[j].hex() == model.fidelity(state, time).hex()
 
+    def test_fidelity_takes_a_scalar_or_one_dimensional_t(self):
+        model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))
+        state, t = BlochState(1.1, 0.4), np.array([0.5, 1.0, 2.0])
+        values = model.fidelity(state, t)
+        assert values.tobytes() == model.fidelities(state.theta, state.phi, t).tobytes()
+        alone = model.fidelity(state, 1.0)
+        assert type(alone) is float and alone.hex() == values[1].hex()
+        with pytest.raises(ValueError, match="one-dimensional"):
+            model.fidelity(state, t.reshape(3, 1))
+
     def test_batches_over_the_state_cap_give_the_same_bits(self, monkeypatch):
         spec = ChainSpec(sites=(SiteSpec(SPIN_HALF, 0.3), SiteSpec(SPIN_ONE, -0.4),
                                 SiteSpec(SPIN_HALF)), couplings=(1.0, 0.7))

@@ -16,7 +16,7 @@ from spintransfer.closed_forms import (
     zero_field_critical_time,
 )
 from spintransfer.excitation import solve, synthesize_f
-from spintransfer.fidelity import average_fidelities, average_fidelity, corrected_average_fidelity
+from spintransfer.fidelity import average_fidelity, corrected_average_fidelity
 from spintransfer.optimize import (
     GridBudgetError,
     SearchConfig,
@@ -540,7 +540,7 @@ class TestLockstepRefine:
             return corrected_average_fidelity(f)[0] if corrected else average_fidelity(f)
 
         def array(t):
-            return average_fidelities(synthesize_f(*solved, t), corrected)
+            return average_fidelity(synthesize_f(*solved, t), corrected)
 
         # the brackets _global_max refines, one around every grid minimum, and
         # one a single stencil step h wide
