@@ -32,8 +32,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _R = 1.0 / _SQRT2
-# A printed normalisation is exactly 0 where J^2 is lost beside B^2 (J = 0, or
-# |B/J| above about 1e8); J = 0 is refused also where B^2 overflows.
+# n+- is exactly 0 where J^2 is lost beside B^2; J = 0 is refused also where B^2 overflows.
 _DEGENERATE_VECTORS = "printed eigenvectors degenerate: J = 0 or |J| negligible beside |B|"
 
 

@@ -246,8 +246,6 @@ class FullSpaceModel:
 
     def fidelity(self, state: BlochState, t) -> float | np.ndarray:
         """fidelities of one input at a scalar time (a float) or a 1-D array of times."""
-        if np.ndim(t) > 1:
-            raise ValueError("times must be a scalar or one-dimensional")
         values = self.fidelities(state.theta, state.phi, t)
         return values if np.ndim(t) else values[0].item()
 
@@ -256,8 +254,8 @@ def _inputs(theta, phi, t) -> tuple[np.ndarray, np.ndarray]:
     """(k, 2) amplitudes on |0> and |1> of the Bloch states (theta, phi), and
     the k times, with theta, phi and t broadcast against each other."""
     theta, phi, t = np.broadcast_arrays(*np.atleast_1d(theta, phi, t))
-    if not np.all(np.isfinite(theta) & np.isfinite(phi) & np.isfinite(t)):
-        raise ValueError("theta, phi and t must be finite")
+    if t.ndim > 1 or not np.all(np.isfinite(theta) & np.isfinite(phi) & np.isfinite(t)):
+        raise ValueError("theta, phi and t must be finite, and scalars or one-dimensional")
     amps = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
     return amps, t
 
