@@ -394,7 +394,7 @@ class TestAverageFidelities:
 
 
 _STATE = BlochState(1.0)
-# Every function that takes amplitudes, called on f alone.
+# The functions under the shape rule, each called on f alone.
 _SHAPE_RULE = {
     "average_fidelity": average_fidelity,
     "average_fidelity-corrected": lambda f: average_fidelity(f, True),
