@@ -32,8 +32,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _R = 1.0 / _SQRT2
-# n+- is exactly 0 where J^2 is lost beside B^2; J = 0 is refused also where B^2 overflows.
-_DEGENERATE_VECTORS = "printed eigenvectors degenerate: J = 0 or |J| negligible beside |B|"
+# J = 0 is refused also where B^2 overflows and n+- is inf or NaN rather than 0.
+_DEGENERATE_VECTORS = ("printed eigenvectors degenerate: J = 0, or a printed normalisation "
+                       "n+- is 0 (J^2 lost beside B^2, or underflowed)")
 
 
 class DegenerateSystemError(ValueError):

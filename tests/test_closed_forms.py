@@ -157,11 +157,11 @@ class TestAnalyticSpectrum:
 
     @pytest.mark.parametrize("name", ["sec3-two-spin", "sec3-three-spin-center",
                                       "sec4-three-spin-center"])
-    @pytest.mark.parametrize("j, b", [(1e-9, 1.0), (1e-300, -1.0)])
+    @pytest.mark.parametrize("j, b", [(1e-9, 1.0), (1e-300, -1.0), (1e-300, 0.0)])
     def test_vanishing_normalisation_raises(self, name, j, b):
-        # J^2 is lost beside B^2: mu or nu rounds to |B|, and one printed
-        # normalisation sqrt(2 mu (mu -+ B)) is exactly 0
-        with pytest.raises(DegenerateSystemError):
+        # J^2 is lost beside B^2 (mu or nu rounds to |B|) or underflows, and one
+        # printed normalisation sqrt(2 mu (mu -+ B)) is exactly 0
+        with pytest.raises(DegenerateSystemError, match="normalisation"):
             analytic_spectrum(PresetSystem(name, j, b))
 
 

@@ -370,6 +370,7 @@ class TestAverageFidelities:
             entries = (values[i], gated[i], phase[i], per_state[i])
             assert [x.hex() for x in entries] == [x.hex() for x in scalars], i
             assert scalars[0].hex() == _reference_average(z, corrected).hex(), i
+            assert scalars[1].hex() == _reference_average(z, True).hex(), i
 
     # A scalar call runs the array code on one row, so the agreement holds by
     # construction; the reference carries the guarantee.
