@@ -35,6 +35,7 @@ _R = 1.0 / _SQRT2
 # J = 0 is refused also where B^2 overflows and n+- is inf or NaN rather than 0.
 _DEGENERATE_VECTORS = ("printed eigenvectors degenerate: J = 0, or a printed normalisation "
                        "n+- is 0 (J^2 lost beside B^2, or underflowed)")
+_OVERFLOW = "closed form not finite: a level or normalisation overflows (|B| or |J| too large)"
 
 
 class DegenerateSystemError(ValueError):
@@ -73,6 +74,8 @@ def _split_level_amplitude(j_eff: float, b: float, t: float) -> complex:
     w = math.sqrt(b * b + 2.0 * j_eff * j_eff)
     if w == 0.0:
         raise DegenerateSystemError("closed form undefined at J = B = 0")
+    if w == math.inf:
+        raise DegenerateSystemError(_OVERFLOW)
     w_minus = (w + b) / (4.0 * w)
     w_plus = (w - b) / (4.0 * w)
     return (
@@ -94,6 +97,8 @@ def analytic_f(sys: PresetSystem, t: float) -> complex:
         mu = math.hypot(b, j)
         if mu == 0.0:
             raise DegenerateSystemError("closed form undefined at J = B = 0")
+        if mu == math.inf:
+            raise DegenerateSystemError(_OVERFLOW)
         return -1j * cmath.exp(1j * b * t / 2.0) * (j / mu) * math.sin(mu * t / 2.0)
     if sys.name == "sec3-three-spin-center":
         return _split_level_amplitude(j, b, t)
@@ -109,6 +114,14 @@ def _with_vacuum(e0: float, levels: list, vectors: list) -> tuple[np.ndarray, np
     return np.array([e0, *levels]), full
 
 
+def _checked_normalisations(j: float, n_plus: float, n_minus: float) -> None:
+    """Refuse an n+- of 0, inf or NaN; a finite n+- has a finite root mu or nu, and levels."""
+    if j == 0.0 or n_plus == 0.0 or n_minus == 0.0:
+        raise DegenerateSystemError(_DEGENERATE_VECTORS)
+    if not (math.isfinite(n_plus) and math.isfinite(n_minus)):
+        raise DegenerateSystemError(_OVERFLOW)
+
+
 def _centre_field(j: float, b: float, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a spin-s centre carrying B between two spin-1/2 ends; c = 2s
     scales J^2.  The vacuum and the dark level sit at sB, the bright pair at
@@ -118,8 +131,7 @@ def _centre_field(j: float, b: float, c: int) -> tuple[np.ndarray, np.ndarray]:
     root_c = math.sqrt(c)
     n_plus = math.sqrt(2.0 / c * nu * (nu - b))
     n_minus = math.sqrt(2.0 / c * nu * (nu + b))
-    if j == 0.0 or n_plus == 0.0 or n_minus == 0.0:
-        raise DegenerateSystemError(_DEGENERATE_VECTORS)
+    _checked_normalisations(j, n_plus, n_minus)
     e0 = 0.5 * c * b
     return _with_vacuum(e0, [e0, 0.5 * ((c - 1) * b + nu), 0.5 * ((c - 1) * b - nu)], [
         [-_R, j / n_plus, j / n_minus],
@@ -146,8 +158,7 @@ def analytic_spectrum(sys: PresetSystem) -> tuple[np.ndarray, np.ndarray]:
         mu = math.hypot(b, j)
         n_plus = math.sqrt(2.0 * mu * (mu + b))
         n_minus = math.sqrt(2.0 * mu * (mu - b))
-        if j == 0.0 or n_plus == 0.0 or n_minus == 0.0:
-            raise DegenerateSystemError(_DEGENERATE_VECTORS)
+        _checked_normalisations(j, n_plus, n_minus)
         return _with_vacuum(0.5 * b, [0.5 * mu, -0.5 * mu],
                             [[j / n_plus, j / n_minus], [(b + mu) / n_plus, (b - mu) / n_minus]])
     if sys.name == "sec3-three-spin-center":

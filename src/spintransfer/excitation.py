@@ -177,7 +177,8 @@ def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
     amplitudes() sums fn[N], not by a BLAS product whose order depends on
     the shape, so a time gives the same bits in an array of any length, and
     at E0 = 0 so does conj(f0) * fn[N].  A scalar time is evaluated as a
-    one-element array; arrays are evaluated in blocks of at most 1024 times.
+    one-element array; arrays are evaluated in blocks of at most 1024 times,
+    and an array of at most 1024 is its own block.
     """
     weights = eig.end_weights
     levels = eig.values - h.vacuum_energy
@@ -185,14 +186,21 @@ def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
     if times.ndim > 1:
         raise ValueError("times must be a scalar or one-dimensional")
     grid = times.reshape(-1)
-    f = np.empty(grid.size, dtype=complex)
-    for lo in range(0, grid.size, _TIME_BLOCK):
-        # one (times x levels) buffer per block, updated in place
-        terms = np.multiply.outer(-1j * grid[lo:lo + _TIME_BLOCK], levels)
-        np.exp(terms, out=terms)
-        terms *= weights
-        f[lo:lo + _TIME_BLOCK] = terms.sum(axis=1)
+    if grid.size <= _TIME_BLOCK:
+        f = _block_f(grid, levels, weights)
+    else:
+        f = np.empty(grid.size, dtype=complex)
+        for lo in range(0, grid.size, _TIME_BLOCK):
+            f[lo:lo + _TIME_BLOCK] = _block_f(grid[lo:lo + _TIME_BLOCK], levels, weights)
     return complex(f[0]) if times.ndim == 0 else f
+
+
+def _block_f(times: np.ndarray, levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k w_k exp(-i lambda_k t) at each time, in one (times x levels) buffer."""
+    terms = np.multiply.outer(-1j * times, levels)
+    np.exp(terms, out=terms)
+    terms *= weights
+    return terms.sum(axis=1)
 
 
 def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:

@@ -14,13 +14,15 @@ refined or reported, comes from synthesize_f through the search, which counts
 each time point once.  Candidate brackets are refined by golden-section
 search in lockstep: each step evaluates f at one new time per bracket still
 open, in one array synthesis, and each bracket visits the same times a search
-on it alone would.  A final three-point parabolic correction sharpens each
-extremum past the floating-point tie plateau that makes raw golden-section
-comparisons uninformative on flat tops.  critical_times refines every peak of
-|f|.  The fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a
-bound on how far the objective can rise between grid points, plus twice the
-grid values' error stays more than 2 * _TIE_TOL below the best value found:
-it can neither win nor tie.  No randomness is used anywhere; identical inputs
+on it alone would.  A step costs that one objective call plus a few Python
+float operations per open bracket, whose ends, probes and values are Python
+floats.  A final three-point parabolic correction sharpens each extremum past
+the floating-point tie plateau that makes raw golden-section comparisons
+uninformative on flat tops.  critical_times refines every peak of |f|.  The
+fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a bound on
+how far the objective can rise between grid points, plus twice the grid
+values' error stays more than 2 * _TIE_TOL below the best value found: it can
+neither win nor tie.  No randomness is used anywhere; identical inputs
 give identical results, and the winner is the earliest candidate within
 _TIE_TOL of the largest.  Field tuning searches t alone: a uniform field b
 only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best field at
@@ -273,34 +275,44 @@ def _refine_brackets(
     objective maps an array of times to an array of values.  Golden-section
     steps run on all brackets in lockstep, one objective call per step on the
     new time of every bracket still wider than refine_tol, for at most
-    _MAX_REFINE_ITERS steps.  One three-point parabolic step of width h then
-    polishes every bracket wider than 2h: golden-section stalls once objective
-    differences drop below the resolution of a flat top, and a stencil wide
-    enough to see real curvature places the vertex far better.  Each bracket
-    visits the times, and takes the branches, of a search on it alone.
+    _MAX_REFINE_ITERS steps.  Each bracket's a, b, x1, x2, f1, f2 are Python
+    floats, whose IEEE arithmetic is that of float64 array elements, so a step
+    costs that one call plus a few float operations per open bracket.  One
+    three-point parabolic step of width h then polishes every bracket wider
+    than 2h: golden-section stalls once objective differences drop below the
+    resolution of a flat top, and a stencil wide enough to see real curvature
+    places the vertex far better.  Each bracket visits the times, and takes
+    the branches, of a search on it alone.
     """
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
-    a, b = los.copy(), his.copy()
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f12 = objective(np.concatenate([x1, x2]))
-    f1, f2 = f12[:a.size], f12[a.size:]
+    tol = cfg.refine_tol
+    a, b = los.tolist(), his.tolist()
+    x1 = [hi - _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
+    x2 = [lo + _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
+    f12 = objective(np.array(x1 + x2)).tolist()
+    f1, f2 = f12[:len(a)], f12[len(a):]
+    active = range(len(a))
     for _ in range(_MAX_REFINE_ITERS):
-        active = np.flatnonzero(b - a > cfg.refine_tol)
-        if not active.size:
+        active = [i for i in active if b[i] - a[i] > tol]
+        if not active:
             break
-        first = f1[active] > f2[active]
-        lower, upper = active[first], active[~first]  # keep [a, x2], or [x1, b]
-        b[lower], x2[lower], f2[lower] = x2[lower], x1[lower], f1[lower]
-        x1[lower] = b[lower] - _GOLDEN * (b[lower] - a[lower])
-        a[upper], x1[upper], f1[upper] = x1[upper], x2[upper], f2[upper]
-        x2[upper] = a[upper] + _GOLDEN * (b[upper] - a[upper])
-        new = objective(np.concatenate([x1[lower], x2[upper]]))
-        f1[lower], f2[upper] = new[:lower.size], new[lower.size:]
-    first = f1 > f2
+        lower = [i for i in active if f1[i] > f2[i]]  # keep [a, x2]
+        upper = [i for i in active if not f1[i] > f2[i]]  # keep [x1, b]
+        for i in lower:
+            b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
+            x1[i] = b[i] - _GOLDEN * (b[i] - a[i])
+        for i in upper:
+            a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+            x2[i] = a[i] + _GOLDEN * (b[i] - a[i])
+        new = objective(np.array([x1[i] for i in lower] + [x2[i] for i in upper])).tolist()
+        for i, value in zip(lower, new):
+            f1[i] = value
+        for i, value in zip(upper, new[len(lower):]):
+            f2[i] = value
+    first = np.greater(f1, f2)
     x, val = np.where(first, x1, x2), np.where(first, f1, f2)
 
-    h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
+    h = max(1e4 * tol, 1e-6 * cfg.t_max)
     wide = np.flatnonzero(his - los > 2.0 * h)
     left = np.minimum(np.maximum(x[wide] - h, los[wide]), his[wide] - 2.0 * h)
     xs = np.stack([left, left + h, left + 2.0 * h])
@@ -320,8 +332,7 @@ def _refine_brackets(
     take = v_val >= best_val
     x[wide], val[wide] = np.where(take, vertex, best_x), np.where(take, v_val, best_val)
 
-    brackets = zip(np.maximum(los, x - cfg.refine_tol).tolist(),
-                   np.minimum(his, x + cfg.refine_tol).tolist())
+    brackets = zip(np.maximum(los, x - tol).tolist(), np.minimum(his, x + tol).tolist())
     return list(zip(x.tolist(), val.tolist(), brackets))
 
 
@@ -432,8 +443,9 @@ def tune_uniform_field(
     def tuned(t, f):
         """Best field at time(s) t, given f at B_c there, and f at that field."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # t = 0 keeps B_c;
-            # an angle over a tiny t overflows to +-inf, which the clip takes to a box edge
-            b = np.clip(np.where(t > 0.0, b_c - np.angle(f) / t, b_c), b_lo, b_hi)
+            # an angle over a tiny t overflows to +-inf, which the clip takes to a box edge;
+            # arctan2 is np.angle's own, and clip np.clip's, which keeps a zero edge's sign
+            b = np.where(t > 0.0, b_c - np.arctan2(f.imag, f.real) / t, b_c).clip(b_lo, b_hi)
         return b, f * np.exp(1j * (b - b_c) * t)
 
     t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values

@@ -164,6 +164,23 @@ class TestAnalyticSpectrum:
         with pytest.raises(DegenerateSystemError, match="normalisation"):
             analytic_spectrum(PresetSystem(name, j, b))
 
+    @pytest.mark.parametrize("name, j, b, f_refused", [
+        ("sec3-two-spin", 1.0, 1.7e308, False),  # 2 mu overflows; f needs mu alone
+        ("sec3-two-spin", 1.7e308, 1.7e308, True),  # mu overflows
+        ("sec3-three-spin-center", 1.0, 1e160, True),  # B^2, so nu, overflows
+        ("sec4-three-spin-center", 1.0, 1e160, True),
+        ("sec3-three-spin-center", 1e150, -1.3e154, False),  # nu is finite, n+ is not
+    ])
+    def test_overflowing_closed_form_raises(self, name, j, b, f_refused):
+        sys = PresetSystem(name, j, b)
+        with pytest.raises(DegenerateSystemError, match="not finite"):
+            analytic_spectrum(sys)
+        if f_refused:
+            with pytest.raises(DegenerateSystemError, match="not finite"):
+                analytic_f(sys, 1.0)
+        else:
+            assert cmath.isfinite(analytic_f(sys, 1.0))
+
 
 class TestFieldTuningRules:
     def test_two_spin_even_odd(self):

@@ -17,6 +17,7 @@ from spintransfer.chain import (
     preset,
 )
 from spintransfer.excitation import (
+    _TIME_BLOCK,
     AmplitudeRecord,
     SingleExcitationHamiltonian,
     amplitudes,
@@ -288,7 +289,9 @@ class TestSynthesizeF:
             eig = eigensolve(h)
             times = np.linspace(0.0, 30.0, 2500)  # spans three blocks
             expected = np.array([_phase_referenced_tail(h, eig, t) for t in times])
-            assert np.array_equal(synthesize_f(h, eig, times), expected)
+            # the last 1 and _TIME_BLOCK times are one block, one more is two
+            for size in (1, _TIME_BLOCK, _TIME_BLOCK + 1, times.size):
+                assert np.array_equal(synthesize_f(h, eig, times[-size:]), expected[-size:])
 
     def test_scalar_returns_complex(self):
         spec = preset("sec2-two-spin", 1.3, 0.0)

@@ -572,6 +572,40 @@ class TestLockstepRefine:
         with mock.patch.object(optimize, "_MAX_REFINE_ITERS", max_iters):
             self._compare(spec, SearchConfig(t_max=t_max), corrected)
 
+    @staticmethod
+    def _scalar_brackets(objective, los, his, cfg):
+        """_refine_brackets by the scalar oracle, one bracket and one time at a time."""
+        def scalar(t):
+            return float(objective(np.array([t]))[0])
+
+        return [_scalar_refine(scalar, lo, hi, cfg)[0]
+                for lo, hi in zip(np.asarray(los).tolist(), np.asarray(his).tolist())]
+
+    # box edges at 0.0 and -0.0, each where the best field is that edge, and
+    # boxes centred off and on b_c = 0
+    @pytest.mark.parametrize("system, t_max, kind, box, best_field", [
+        (("sec3-three-spin-center", 0.9, 0.6), 25.0, "plain", None, None),
+        (("sec3-three-spin-center", 0.9, 0.6), 25.0, "corrected", None, None),
+        (("sec3-two-spin", 1.0, 0.5), 6.0, "tuned", (-1.0, 0.0), 0.0),
+        (("sec3-two-spin", 1.0, 0.5), 6.0, "tuned", (-1.0, -0.0), -0.0),
+        (("sec3-three-spin-center", 0.9, 0.6), 25.0, "tuned", (0.0, 2.0), None),
+        (("sec3-three-spin-center", 0.9, 0.6), 25.0, "tuned", (-1.0, 1.0), None),
+    ])
+    def test_searches_return_the_scalar_oracle_result(self, system, t_max, kind, box,
+                                                      best_field):
+        # every OptimizationResult field, evaluations included
+        def bits(res):
+            return [x.hex() if isinstance(x, float) else x
+                    for x in (res.best_t, res.best_field, res.fbar, res.fbar_corrected,
+                              res.abs_f, res.evaluations, *res.bracket)]
+
+        lockstep = _search(preset(*system), t_max, kind, box)
+        with mock.patch.object(optimize, "_refine_brackets", self._scalar_brackets):
+            oracle = _search(preset(*system), t_max, kind, box)
+        assert bits(lockstep) == bits(oracle)
+        if best_field is not None:  # np.clip keeps the sign of a zero edge
+            assert lockstep.best_field.hex() == best_field.hex()
+
 
 def _recording(name):
     """Patch optimize.<name> with a wrapper that records (args, result) of each call."""
