@@ -2,9 +2,11 @@
 
 Output contracts:
   simulate  CSV with header t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta,
-            every value printed with 17 significant digits (round-trip safe):
-            the bytes of "%.17g", written by a vectorized formatter that
-            falls back to "%" for any value it cannot certify.
+            one row per time of linspace(0, t_max, steps), f there from the
+            grid's block product (excitation._grid_f); every value printed
+            with 17 significant digits (round-trip safe): the bytes of
+            "%.17g", written by a vectorized formatter that falls back to "%"
+            for any value it cannot certify.
   optimize  JSON of the OptimizationResult fields.
   preset    chain JSON in the external format.
   verify    one line per check plus an optional JSON report.
@@ -36,11 +38,13 @@ import numpy as np
 
 from . import __version__, optimize, verification
 from .chain import ChainSpecError, _count, dumps_chain, loads_chain, preset
-from .excitation import eigensolve, reduce, synthesize_f
+from .excitation import _grid_f, eigensolve, reduce
 from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
 
 CSV_HEADER = "t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta"
+# The header's columns from the seven formatted ones: delta repeats gamma's text.
+_CSV_COLUMNS = [0, 1, 2, 3, 4, 5, 6, 4]
 
 # The decades floor(log10|x|) of the finite nonzero doubles, one table row each.
 _DECADES = range(-324, 309)
@@ -151,8 +155,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     h = reduce(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
         # only the last point of linspace can overflow, and linspace sets it to t_max
-        grid = np.linspace(0.0, args.t_max, args.steps)
-        f = synthesize_f(h, eigensolve(h), grid)
+        grid, f = _grid_f(h, eigensolve(h), [(0.0, args.t_max, args.steps - 1)])
     # f here, and every |f| in fidelity_report_blocks, is checked before anything is written.
     overflow = ~np.isfinite(f)
     if overflow.any():
@@ -163,8 +166,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
         stream.write(CSV_HEADER + "\n")
         for rep in reports:
             block = np.column_stack([rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
-                                     rep.fbar, rep.fbar_corrected, rep.gamma])
-            stream.write(_csv_rows(block))
+                                     rep.fbar, rep.fbar_corrected])
+            stream.write(_csv_rows(block, _CSV_COLUMNS))
     return _EXIT_OK, digest
 
 
@@ -297,9 +300,16 @@ def _slots(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csv_rows(block: np.ndarray) -> str:
-    """The values of `block` as "%.17g" text: ',' between them, '\\n' after each row."""
-    rows = _slots(block.ravel()).reshape(len(block), -1)
+def _csv_rows(block: np.ndarray, columns: list[int] | None = None) -> str:
+    """The values of `block` as "%.17g" text: ',' between them, '\\n' after each row.
+
+    columns, if given, picks the block's columns in output order; a column it
+    repeats is formatted once.
+    """
+    slots = _slots(block.ravel()).reshape(*block.shape, _SLOT)
+    if columns is not None:
+        slots = np.take(slots, columns, axis=1)  # C-ordered, unlike slots[:, columns]
+    rows = slots.reshape(len(block), -1)
     rows[:, -1] = ord("\n")
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 

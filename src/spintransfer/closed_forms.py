@@ -36,6 +36,7 @@ _R = 1.0 / _SQRT2
 _DEGENERATE_VECTORS = ("printed eigenvectors degenerate: J = 0, or a printed normalisation "
                        "n+- is 0 (J^2 lost beside B^2, or underflowed)")
 _OVERFLOW = "closed form not finite: a level or normalisation overflows (|B| or |J| too large)"
+_PHASE_OVERFLOW = "closed form not finite: a phase overflows (|B| t or |J| t too large)"
 
 
 class DegenerateSystemError(ValueError):
@@ -64,6 +65,13 @@ class PresetSystem:
         return preset(self.name, self.J, self.B)
 
 
+def _phase(x: float) -> float:
+    """x, a phase of analytic_f; one that overflowed to inf (or NaN) is refused."""
+    if not math.isfinite(x):
+        raise DegenerateSystemError(_PHASE_OVERFLOW)
+    return x
+
+
 def _split_level_amplitude(j_eff: float, b: float, t: float) -> complex:
     """Common kernel of the two centre-field three-site amplitudes.
 
@@ -79,27 +87,31 @@ def _split_level_amplitude(j_eff: float, b: float, t: float) -> complex:
     w_minus = (w + b) / (4.0 * w)
     w_plus = (w - b) / (4.0 * w)
     return (
-        w_minus * cmath.exp(1j * (b - w) * t / 2.0)
-        + w_plus * cmath.exp(1j * (b + w) * t / 2.0)
+        w_minus * cmath.exp(1j * _phase((b - w) * t / 2.0))
+        + w_plus * cmath.exp(1j * _phase((b + w) * t / 2.0))
         - 0.5
     )
 
 
 def analytic_f(sys: PresetSystem, t: float) -> complex:
-    """Exact end-to-end amplitude f(t) for a reference system."""
+    """Exact end-to-end amplitude f(t) for a reference system.
+
+    Raises DegenerateSystemError when a phase such as B t overflows.
+    """
     j, b = sys.J, sys.B
     t = float(t)
     if sys.name == "sec2-two-spin":
-        return -1j * cmath.exp(1j * b * t) * math.sin(_SQRT2 * j * t / 2.0)
+        return -1j * cmath.exp(1j * _phase(b * t)) * math.sin(_phase(_SQRT2 * j * t / 2.0))
     if sys.name == "sec2-three-spin-center":
-        return -cmath.exp(1j * b * t) * math.sin(j * t / 2.0) ** 2
+        return -cmath.exp(1j * _phase(b * t)) * math.sin(_phase(j * t / 2.0)) ** 2
     if sys.name == "sec3-two-spin":
         mu = math.hypot(b, j)
         if mu == 0.0:
             raise DegenerateSystemError("closed form undefined at J = B = 0")
         if mu == math.inf:
             raise DegenerateSystemError(_OVERFLOW)
-        return -1j * cmath.exp(1j * b * t / 2.0) * (j / mu) * math.sin(mu * t / 2.0)
+        return (-1j * cmath.exp(1j * _phase(b * t / 2.0)) * (j / mu)
+                * math.sin(_phase(mu * t / 2.0)))
     if sys.name == "sec3-three-spin-center":
         return _split_level_amplitude(j, b, t)
     # sec4-three-spin-center, the last preset: the same kernel with

@@ -15,12 +15,17 @@ amplitudes are evaluated by spectral synthesis, never by time stepping:
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
     f     = sum_k w_k exp(-i (eps_k - E0) t),   w_k = v_k[1] v_k[N]
 
-synthesize_f is the one route to f, O(N) per time, on a scalar time or a
-whole grid.  f equals the phase-referenced tail conj(f0) fn[N] to rounding
-(bit for bit when E0 = 0); amplitudes adds fn, O(N^2), and f0 for the
-unitarity checks.  The reported phase of f, and every fidelity derived from
-f, is computed in the fidelity module (the tuned search takes arg f only to
-choose its field).
+Two routes give f.  synthesize_f, O(N) per time on a scalar time or any
+array of times, is the reference: f equals the phase-referenced tail
+conj(f0) fn[N] to rounding (bit for bit when E0 = 0); amplitudes adds fn,
+O(N^2), and f0 for the unitarity checks.  _grid_f gives f on an evenly
+spaced grid (the searches' grids and the rows of `spintransfer simulate`) by
+block products: one complex exponential per level for each _GRID_BLOCK
+grid times, where synthesize_f takes one per level and time.  Its values
+lie within _grid_error of synthesize_f's, about 16 (|lambda|max t_max + N)
+2^-53 sum_k |w_k|.  The reported phase of f, and every fidelity derived
+from f, is computed in the fidelity module (the tuned search takes arg f
+only to choose its field).
 
 No error accumulates from step to step, but the phases eps t carry an error
 of about |eps| t 2^-53 (|eps| the largest energy of the chain), and the
@@ -55,8 +60,11 @@ __all__ = [
 ]
 
 # Times per block of synthesize_f's array path; bounds its (times x levels)
-# phase matrix at 1024 * N complex numbers.
+# phase matrix at 1024 * N complex numbers, and _grid_f's chunks.
 _TIME_BLOCK = 1024
+
+# Grid times per block of _grid_f's matrix product.
+_GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,61 @@ def _block_f(times: np.ndarray, levels: np.ndarray, weights: np.ndarray) -> np.n
     np.exp(terms, out=terms)
     terms *= weights
     return terms.sum(axis=1)
+
+
+def _grid_f(h: SingleExcitationHamiltonian, eig: EigenSystem,
+            pieces) -> tuple[np.ndarray, np.ndarray]:
+    """The times of an evenly spaced grid, and f there by block products.
+
+    pieces are (start, end, steps), each piece linspace(start, end, steps + 1)
+    and steps 0 giving the single time start; where two pieces share an end
+    point, the later piece's value is kept.  A block of _GRID_BLOCK points
+    from grid time t_b holds f(t_b + m dt) = sum_k [w_k e^{-i lambda_k t_b}]
+    e^{-i lambda_k m dt}, lambda_k = eps_k - E0: one (blocks x N) by
+    (N x _GRID_BLOCK) product.  dt is linspace's own step and every t_b a grid
+    time, so the times differ from the grid's by rounding alone (see
+    _grid_error).  Chunks of _TIME_BLOCK times keep the phase matrix within
+    the _TIME_BLOCK x N of synthesize_f.  f is NaN where a phase lambda_k t
+    overflows, the times at which synthesize_f's is; numpy warns of the
+    overflow.
+    """
+    weights, levels = eig.end_weights, eig.values - h.vacuum_energy
+    times = [np.linspace(start, end, steps + 1) for start, end, steps in pieces]
+    grid = np.concatenate([times[0]] + [piece[1:] for piece in times[1:]])
+    f = np.empty(grid.size, dtype=complex)
+    lo = 0
+    for start, end, steps in pieces:
+        hi, step = lo + steps, (end - start) / steps if steps else 0.0  # as linspace computes it
+        offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(_GRID_BLOCK) * step))
+        for first in range(lo, hi + 1, _TIME_BLOCK):
+            last = min(first + _TIME_BLOCK, hi + 1)
+            phases = np.multiply.outer(-1j * grid[first:last:_GRID_BLOCK], levels)
+            np.exp(phases, out=phases)
+            phases *= weights
+            f[first:last] = (phases @ offsets).ravel()[:last - first]
+        lo = hi
+    # a block from a finite phase can hold times whose own phase overflows, and
+    # synthesize_f's phase t lambda_k overflows for some k where t max|lambda_k| does
+    f[np.isinf(grid * np.max(np.abs(levels)))] = complex(math.nan, math.nan)
+    return grid, f
+
+
+def _grid_error(h: SingleExcitationHamiltonian, eig: EigenSystem, t_max: float) -> float:
+    """Bound on |_grid_f - synthesize_f| at every point of a grid on [0, t_max].
+
+    With u = 2^-53: a time t_b + m dt of the block product lies within
+    3 u t_max of a + m dt (a the start of its piece) and linspace's grid time
+    within 2 u t_max, so the two differ by at most 5 u t_max; rounding
+    lambda_k t in synthesize_f and in the block's two phase products adds
+    3 u |lambda_k| t_max, so each term's phase is off by at most
+    8 u |lambda_k| t_max.  The exponentials, the products with w_k and the two
+    sums over the N levels add at most (sqrt(2) (N + log2 N) + 9) u sum_k |w_k|,
+    less than 16 N u sum_k |w_k|.  The phase constant is doubled for the terms
+    of second order.
+    """
+    levels = eig.values - h.vacuum_energy
+    scale = 16.0 * float(np.max(np.abs(levels))) * t_max + 16.0 * levels.size
+    return eig.transfer_bound * scale * 2.0**-53
 
 
 def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:

@@ -4,11 +4,9 @@ Every search builds one _Search on the solved chain.  _time_grid splits
 [0, t_max] into (start, end, steps) pieces, each spaced for the spectral
 spread it covers: the objective is a trigonometric polynomial whose
 frequencies are level differences, so spacing pi / (10 * spread) cannot skip
-an oscillation.  _grid_f gives the grid times and f there by one matrix
-product per piece: with lambda_k = eps_k - E0 and blocks of _GRID_BLOCK
-points from grid time t_b on, f(t_b + m dt) = sum_k [w_k e^{-i lambda_k t_b}]
-e^{-i lambda_k m dt}, a (blocks x N) by (N x _GRID_BLOCK) product in place of
-an exponential per point and level.  These values lie within _grid_error of
+an oscillation.  excitation._grid_f, the block-product route to f on evenly
+spaced grids, gives the grid times and f there, one complex exponential per
+level for each block of 64 points; these values lie within _grid_error of
 synthesize_f's, which the pruning margin allows for; every other value of f,
 refined or reported, comes from synthesize_f through the search, which counts
 each time point once.  Candidate brackets are refined by golden-section
@@ -40,7 +38,7 @@ import numpy as np
 
 from . import fidelity
 from .chain import ChainSpec, _count, _finite
-from .excitation import _TIME_BLOCK, solve, synthesize_f
+from .excitation import _grid_error, _grid_f, solve, synthesize_f
 
 __all__ = [
     "GridBudgetError",
@@ -71,9 +69,6 @@ _TIE_TOL = 1e-12
 # step of at most pi / (10 Omega) the maximum exceeds the larger end by at
 # most |h''| step^2 / 8.
 _MAX_RISE = (1.0 / 3.0) * (math.pi / 10.0) ** 2 / 8.0
-
-# Grid points per block of _grid_f's matrix product.
-_GRID_BLOCK = 64
 
 # Longest search grid (the benchmark's largest holds about 4 000 points).
 _MAX_GRID_POINTS = 2**20
@@ -174,54 +169,6 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
         raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {sum(steps) + 1:.4g} grid points "
                               f"(limit {_MAX_GRID_POINTS}); {hint}")
     return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]
-
-
-def _grid_f(h, eig, pieces) -> tuple[np.ndarray, np.ndarray]:
-    """The grid times of _time_grid's pieces, and f there by block products.
-
-    Each piece is linspace(start, end, steps + 1), so a block of _GRID_BLOCK
-    points from grid time t_b holds f(t_b + m dt) = sum_k [w_k e^{-i lambda_k
-    t_b}] e^{-i lambda_k m dt}, lambda_k = eps_k - E0: one (blocks x N) by
-    (N x _GRID_BLOCK) product.  dt is linspace's own step and every t_b a grid
-    time, so the times differ from the grid's by rounding alone (see
-    _grid_error).  Where two pieces share an end point, the later piece's
-    value is kept.  Chunks of _TIME_BLOCK times keep the phase matrix within
-    the _TIME_BLOCK x N of synthesize_f.
-    """
-    weights, levels = eig.end_weights, eig.values - h.vacuum_energy
-    times = [np.linspace(start, end, steps + 1) for start, end, steps in pieces]
-    grid = np.concatenate([times[0]] + [piece[1:] for piece in times[1:]])
-    f = np.empty(grid.size, dtype=complex)
-    lo = 0
-    for start, end, steps in pieces:
-        hi, step = lo + steps, (end - start) / steps  # as linspace computes it
-        offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(_GRID_BLOCK) * step))
-        for first in range(lo, hi + 1, _TIME_BLOCK):
-            last = min(first + _TIME_BLOCK, hi + 1)
-            phases = np.multiply.outer(-1j * grid[first:last:_GRID_BLOCK], levels)
-            np.exp(phases, out=phases)
-            phases *= weights
-            f[first:last] = (phases @ offsets).ravel()[:last - first]
-        lo = hi
-    return grid, f
-
-
-def _grid_error(h, eig, t_max: float) -> float:
-    """Bound on |_grid_f - synthesize_f| at every point of a grid on [0, t_max].
-
-    With u = 2^-53: a time t_b + m dt of the block product lies within
-    3 u t_max of a + m dt (a the start of its piece) and linspace's grid time
-    within 2 u t_max, so the two differ by at most 5 u t_max; rounding
-    lambda_k t in synthesize_f and in the block's two phase products adds
-    3 u |lambda_k| t_max, so each term's phase is off by at most
-    8 u |lambda_k| t_max.  The exponentials, the products with w_k and the two
-    sums over the N levels add at most (sqrt(2) (N + log2 N) + 9) u sum_k |w_k|,
-    less than 16 N u sum_k |w_k|.  The phase constant is doubled for the terms
-    of second order.
-    """
-    levels = eig.values - h.vacuum_energy
-    scale = 16.0 * float(np.max(np.abs(levels))) * t_max + 16.0 * levels.size
-    return eig.transfer_bound * scale * 2.0**-53
 
 
 class _Search:

@@ -24,10 +24,11 @@ from hypothesis import example, given, settings, strategies as st
 import spintransfer
 from spintransfer import cli, optimize, verification
 from spintransfer.chain import (PRESET_NAMES, SPIN_HALF, ChainSpec, ChainSpecError, SiteSpec,
-                                SpinMagnitude, dumps_chain, load_chain, preset, save_chain)
+                                SpinMagnitude, dumps_chain, engineered_chain, load_chain, preset,
+                                save_chain)
 from spintransfer.cli import CSV_HEADER, main
-from spintransfer.excitation import (amplitudes, eigensolve, reduce, synthesize_f,
-                                     transfer_amplitude)
+from spintransfer.excitation import (_grid_error, _grid_f, amplitudes, eigensolve, reduce,
+                                     synthesize_f, transfer_amplitude)
 from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report
 
 SQRT2 = math.sqrt(2.0)
@@ -125,9 +126,15 @@ class TestSimulate:
         assert abs(row[3] - 1.0) <= 1e-6       # abs_f at the nearest grid point
         assert abs(row[5] - 2.0 / 3.0) <= 1e-6  # fbar
 
-        # 17 significant digits round-trip to the exact in-memory doubles
-        record = transfer_amplitude(spec, row[0])
-        rep = fidelity_report(row[0], record.f)
+        # 17 significant digits round-trip to the exact in-memory doubles of
+        # the grid's block product, within _grid_error of the engine's f
+        h = reduce(spec)
+        eig = eigensolve(h)
+        grid, f = _grid_f(h, eig, [(0.0, 4.5, 999)])
+        i = lines.index(best) - 1
+        assert grid[i] == row[0]
+        assert abs(f[i] - transfer_amplitude(spec, row[0]).f) <= _grid_error(h, eig, 4.5)
+        rep = fidelity_report(row[0], f[i])
         assert row[1] == rep.f.real
         assert row[2] == rep.f.imag
         assert row[3] == rep.abs_f
@@ -138,8 +145,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_rows_are_transfer_amplitude_bit_for_bit(self, tmp_path, capsys, name):
-        # B = 0.7 gives every preset a nonzero vacuum energy, so f must come
-        # from the same synthesis on both routes, not merely agree to round-off
+        # B = 0.7 gives every preset a nonzero vacuum energy, which both routes
+        # fold into the phases; the rows are the grid's block product to the
+        # bit, and within _grid_error of transfer_amplitude
         out_path = tmp_path / "sweep.csv"
         assert _run(capsys, "simulate", "--preset", name, "--J", "0.9", "--B", "0.7",
                     "--t-max", "50", "--steps", "1001", "--out", str(out_path))[0] == 0
@@ -147,12 +155,15 @@ class TestSimulate:
         assert reduce(spec).vacuum_energy != 0.0
         lines = out_path.read_text().splitlines()[1:]
         assert len(lines) == 1001
-        for line in lines:
-            t = float(line.partition(",")[0])
-            rep = fidelity_report(t, transfer_amplitude(spec, t).f)
+        h = reduce(spec)
+        eig = eigensolve(h)
+        bound = _grid_error(h, eig, 50.0)
+        for line, t, z in zip(lines, *_grid_f(h, eig, [(0.0, 50.0, 1000)])):
+            rep = fidelity_report(t, z)
             values = (t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma, rep.fbar,
                       rep.fbar_corrected, rep.gamma)
             assert line == ",".join("%.17g" % v for v in values)  # round-trips every bit
+            assert abs(z - transfer_amplitude(spec, t).f) <= bound
 
     def test_rows_streamed_in_blocks_equal_the_whole_array_report(self, tmp_path, capsys):
         # 2,500 rows cross two boundaries of the 1,024-row output blocks
@@ -161,8 +172,8 @@ class TestSimulate:
                 "--t-max", "30", "--steps", "2500"]
         assert _run(capsys, *argv, "--out", str(out_path))[0] == 0
         h = reduce(preset("sec3-two-spin", 1.0, 0.5))
-        t = np.linspace(0.0, 30.0, 2500)
-        f = synthesize_f(h, eigensolve(h), t)
+        t, f = _grid_f(h, eigensolve(h), [(0.0, 30.0, 2499)])
+        assert np.array_equal(t, np.linspace(0.0, 30.0, 2500))
         rep = fidelity_report(t, f)
         columns = (rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
                    rep.fbar, rep.fbar_corrected, rep.gamma)
@@ -184,12 +195,12 @@ class TestSimulate:
         assert np.any(gamma == math.pi)
 
     def test_out_of_range_amplitude_fails_before_the_file_exists(self, tmp_path, monkeypatch):
-        def corrupt_last(h, eig, t):
-            f = synthesize_f(h, eig, t)
+        def corrupt_last(h, eig, pieces):
+            grid, f = _grid_f(h, eig, pieces)
             f[-1] = 1.0 + 2e-9
-            return f
+            return grid, f
 
-        monkeypatch.setattr(cli, "synthesize_f", corrupt_last)
+        monkeypatch.setattr(cli, "_grid_f", corrupt_last)
         out_path = tmp_path / "sweep.csv"
         with pytest.raises(AmplitudeOutOfRangeError):
             main(["simulate", "--preset", "sec2-two-spin", "--t-max", "5.0", "--steps", "2500",
@@ -205,6 +216,24 @@ class TestSimulate:
                               "--steps", "4", "--out", str(out_path))
         assert (code, out) == (2, "")
         assert err.startswith("error: f is not finite at t = 3.3333333333333335")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("t_max, steps, first", [
+        ("25.5", "128", "25.5"),  # only the last row of a block overflows
+        ("40", "200", "25.527638190954775"),  # the first overflowing row is mid-block
+    ])
+    def test_overflow_is_refused_at_the_first_overflowing_row(self, tmp_path, capsys, t_max,
+                                                              steps, first):
+        # the levels +-sqrt(2) 5e306 overflow t lambda from t = 25.42 on; the block
+        # product alone gives those rows finite values, synthesize_f NaN
+        chain = tmp_path / "huge.json"
+        save_chain(ChainSpec((SiteSpec(SpinMagnitude(0.5)),) * 3, (1e307, 1e307)), chain)
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = _run(capsys, "simulate", "--chain", str(chain), "--t-max", t_max,
+                              "--steps", steps, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: f is not finite at t = {first}: the phases E t overflow; "
+                       f"lower --t-max or rescale the chain\n")
         assert not out_path.exists()
 
     def test_csv_is_locale_independent(self, capsys):
@@ -276,8 +305,8 @@ class TestSimulate:
 
 
 @st.composite
-def _chains(draw):
-    n = draw(st.integers(min_value=2, max_value=12))
+def _chains(draw, max_sites=12):
+    n = draw(st.integers(min_value=2, max_value=max_sites))
     values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     spins = draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))
     fields = draw(st.lists(values, min_size=n, max_size=n))
@@ -313,6 +342,42 @@ def test_simulate_csv_matches_fidelity_report(spec, t_max, steps):
         for got, want in ((gamma, rep.gamma), (delta, rep.gamma)):
             wrapped = (got - want + math.pi) % (2.0 * math.pi) - math.pi
             assert rep.abs_f * abs(wrapped) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_chains(max_sites=40), steps=st.sampled_from([1, 2, 63, 64, 65, 1024, 1025, 2500]),
+       t_max=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3)))
+def test_simulate_rows_stay_within_the_grid_error_of_synthesize_f(spec, steps, t_max):
+    # the rows come from the grid's block product: one exponential per level
+    # for each 64 rows, the last block cut short
+    with tempfile.TemporaryDirectory() as tmp:
+        chain, out = Path(tmp) / "chain.json", Path(tmp) / "out.csv"
+        save_chain(spec, chain)
+        assert main(["simulate", "--chain", str(chain), "--t-max", repr(t_max), "--steps",
+                     str(steps), "--out", str(out), "--manifest", os.devnull]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    t = np.linspace(0.0, t_max, steps)
+    assert np.array_equal(rows[:, 0], t)
+    h = reduce(spec)
+    eig = eigensolve(h)
+    gap = np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - synthesize_f(h, eig, t)))
+    assert gap <= _grid_error(h, eig, t_max)
+
+
+def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS that splits the block product, or eigh, across threads must not
+    # change a sum: the CSV is the same bytes under one or two threads
+    chain = tmp_path / "engineered-400.json"
+    save_chain(engineered_chain(400, spin_one_site=201), chain)
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "spintransfer.cli", "simulate", "--chain",
+                               str(chain), "--t-max", "500", "--steps", "3000", "--manifest",
+                               os.devnull], env={**_CHILD_ENV, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"

@@ -81,6 +81,15 @@ class TestAnalyticF:
             worst = max(worst, abs(analytic_f(sys, t) - transfer_amplitude(sys.chain(), t).f))
         assert worst <= 1e-10
 
+    @pytest.mark.parametrize("name, j, b, t", [
+        ("sec2-two-spin", 1e10, 0.0, 1e300),  # sqrt(2) J t / 2 overflows
+        ("sec3-two-spin", 1.0, 1e10, 1e300),  # B t / 2 and mu t / 2 overflow
+        ("sec2-three-spin-center", 1.0, 2.0, 1e308),  # B t overflows, J t / 2 does not
+    ])
+    def test_overflowing_phase_raises(self, name, j, b, t):
+        with pytest.raises(DegenerateSystemError, match="phase overflows"):
+            analytic_f(PresetSystem(name, j, b), t)
+
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_engine_error_grows_linearly_in_t(name):

@@ -165,7 +165,7 @@ class TestAmplitudes:
         assert rec.f == pytest.approx(1.0, abs=1e-12)
 
     def test_f_is_phase_referenced_tail(self):
-        # f comes from synthesize_f, the one route to it; with a vacuum energy
+        # the record's f comes from synthesize_f, the route at any time; with a vacuum energy
         # it equals the tail conj(f0) fn[N] to rounding (measured 1.1e-16 here)
         spec = preset("sec3-three-spin-center", 0.8, 0.3)
         rec = transfer_amplitude(spec, 2.5)
