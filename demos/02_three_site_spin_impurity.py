@@ -32,7 +32,7 @@ print(f"max Fbar over four periods = {best.fbar:.9f} (attained at t = {best.best
 
 grid = np.linspace(0.0, 2.0 * T_C, 9)
 print("      t      |f|     gamma     Fbar")
-rep = fidelity_report(grid, synthesize_f(*solve(spec), grid))
+rep = fidelity_report(grid, synthesize_f(solve(spec), grid))
 for t, abs_f, gamma, fbar in zip(rep.t, rep.abs_f, rep.gamma, rep.fbar):
     print(f"  {t:7.3f}  {abs_f:.4f}  {gamma:+.4f}  {fbar:.4f}")
 

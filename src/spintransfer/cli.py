@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, optimize, verification
 from .chain import ChainSpecError, _count, dumps_chain, loads_chain, preset
-from .excitation import _grid_f, eigensolve, reduce
+from .excitation import Spectrum, _grid_f, eigensolve, reduce
 from .fidelity import fidelity_report_blocks
 from .optimize import SearchConfig
 
@@ -155,7 +155,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     h = reduce(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
         # only the last point of linspace can overflow, and linspace sets it to t_max
-        grid, f = _grid_f(h, eigensolve(h), [(0.0, args.t_max, args.steps - 1)])
+        grid, f = _grid_f(Spectrum.of(h, eigensolve(h)), [(0.0, args.t_max, args.steps - 1)])
     # f here, and every |f| in fidelity_report_blocks, is checked before anything is written.
     overflow = ~np.isfinite(f)
     if overflow.any():

@@ -15,17 +15,18 @@ amplitudes are evaluated by spectral synthesis, never by time stepping:
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
     f     = sum_k w_k exp(-i (eps_k - E0) t),   w_k = v_k[1] v_k[N]
 
-Two routes give f.  synthesize_f, O(N) per time on a scalar time or any
-array of times, is the reference: f equals the phase-referenced tail
-conj(f0) fn[N] to rounding (bit for bit when E0 = 0); amplitudes adds fn,
-O(N^2), and f0 for the unitarity checks.  _grid_f gives f on an evenly
-spaced grid (the searches' grids and the rows of `spintransfer simulate`) by
-block products: one complex exponential per level for each _GRID_BLOCK
-grid times, where synthesize_f takes one per level and time.  Its values
-lie within _grid_error of synthesize_f's, about 16 (|lambda|max t_max + N)
-2^-53 sum_k |w_k|.  The reported phase of f, and every fidelity derived
-from f, is computed in the fidelity module (the tuned search takes arg f
-only to choose its field).
+Two routes give f from the Spectrum that solve returns (levels
+lambda_k = eps_k - E0 and weights w_k, no eigenvectors).  synthesize_f, O(N)
+per time on a scalar time or any array of finite times, is the reference: f
+equals the phase-referenced tail conj(f0) fn[N] to rounding (bit for bit
+when E0 = 0); amplitudes adds fn, O(N^2), and f0 for the unitarity checks.
+_grid_f gives f on an evenly spaced grid (the searches' grids and the rows
+of `spintransfer simulate`) by block products: one complex exponential per
+level for each _GRID_BLOCK grid times, where synthesize_f takes one per
+level and time.  Its values lie within _grid_error of synthesize_f's, about
+16 (|lambda|max t_max + N) 2^-53 sum_k |w_k|.  The reported phase of f, and
+every fidelity derived from f, is computed in the fidelity module (the tuned
+search takes arg f only to choose its field).
 
 No error accumulates from step to step, but the phases eps t carry an error
 of about |eps| t 2^-53 (|eps| the largest energy of the chain), and the
@@ -33,15 +34,13 @@ error of f grows like it, linearly in t.  Against a 60-digit mpmath
 synthesis from the same block, on engineered chains of 5 and 40 sites,
 |f - f_exact| is 5e-15 to 5e-14 at t = 1e2 and 7e-5 to 4e-4 at t = 1e12.
 
-All functions here are pure; a shared EigenSystem may be read concurrently
-(its end_weights are computed once, on first use).
+All functions here are pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .chain import ChainSpec, NonFiniteError
 __all__ = [
     "SingleExcitationHamiltonian",
     "EigenSystem",
+    "Spectrum",
     "AmplitudeRecord",
     "reduce",
     "eigensolve",
@@ -92,16 +92,29 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @cached_property
-    def end_weights(self) -> np.ndarray:
-        """w_k = v_k[1] v_k[N], the weight of level k in the end-to-end amplitude f."""
-        return self.vectors[0] * self.vectors[-1]
 
-    @property
-    def transfer_bound(self) -> float:
-        """sum_k |w_k|, a bound on |f| at every time: at most 1 (Cauchy-Schwarz on
-        the orthonormal eigenvectors), and 1 on mirror-symmetric chains."""
-        return float(np.abs(self.end_weights).sum())
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Levels lambda_k = eps_k - E0 and weights w_k = v_k[1] v_k[N] of f, for one chain.
+
+    spread is the width of the spectrum with the vacuum, band = eps_N - eps_1;
+    transfer_bound = sum_k |w_k| bounds |f| at every time: at most 1
+    (Cauchy-Schwarz on the orthonormal eigenvectors), 1 on mirror-symmetric chains.
+    """
+
+    levels: np.ndarray
+    weights: np.ndarray
+    spread: float
+    band: float
+    transfer_bound: float
+
+    @classmethod
+    def of(cls, h: SingleExcitationHamiltonian, eig: EigenSystem) -> Spectrum:
+        """The spectrum of f from an eigensolve of h; keeps none of eig's vectors."""
+        e0, lo, hi = h.vacuum_energy, float(eig.values[0]), float(eig.values[-1])
+        weights = eig.vectors[0] * eig.vectors[-1]
+        return cls(levels=eig.values - e0, weights=weights, spread=max(hi, e0) - min(lo, e0),
+                   band=hi - lo, transfer_bound=float(np.abs(weights).sum()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +122,7 @@ class AmplitudeRecord:
     """Transfer amplitudes of one chain at one time.
 
     fn[n] is the amplitude for the excitation injected at site 1 to be found
-    at site n+1; f = synthesize_f(h, eig, t) is the end-to-end amplitude,
+    at site n+1; f, from synthesize_f, is the end-to-end amplitude,
     conj(f0) * fn[-1] to rounding.
     """
 
@@ -158,24 +171,25 @@ def eigensolve(h: SingleExcitationHamiltonian) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def solve(spec: ChainSpec) -> tuple[SingleExcitationHamiltonian, EigenSystem]:
-    """Reduce a chain and diagonalise its excitation block."""
+def solve(spec: ChainSpec) -> Spectrum:
+    """Reduce a chain, diagonalise its excitation block, and keep the spectrum of f."""
     h = reduce(spec)
-    return h, eigensolve(h)
+    return Spectrum.of(h, eigensolve(h))
 
 
 def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
     """f0, all fn, and f (from synthesize_f) at one time from a precomputed spectrum."""
     t = float(t)
+    f = synthesize_f(Spectrum.of(h, eig), t)  # first: it refuses a time that is not finite
     fn = (eig.vectors * eig.vectors[0] * np.exp(-1j * t * eig.values)).sum(axis=1)
     f0 = complex(np.exp(-1j * h.vacuum_energy * t))
-    return AmplitudeRecord(f0=f0, fn=fn, f=synthesize_f(h, eig, t))
+    return AmplitudeRecord(f0=f0, fn=fn, f=f)
 
 
-def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
+def synthesize_f(spectrum: Spectrum, t):
     """End-to-end amplitude f at a scalar time (complex) or a 1-D array of times.
 
-    With the weights w_k = v_k[1] v_k[N] (eig.end_weights, computed once),
+    With the weights w_k = v_k[1] v_k[N] and levels of the spectrum,
 
         f(t) = conj(f0) * sum_k w_k exp(-i eps_k t) = sum_k w_k exp(-i (eps_k - E0) t),
 
@@ -186,14 +200,17 @@ def synthesize_f(h: SingleExcitationHamiltonian, eig: EigenSystem, t):
     the shape, so a time gives the same bits in an array of any length, and
     at E0 = 0 so does conj(f0) * fn[N].  A scalar time is evaluated as a
     one-element array; arrays are evaluated in blocks of at most 1024 times,
-    and an array of at most 1024 is its own block.
+    and an array of at most 1024 is its own block.  A time that is NaN or
+    infinite raises ValueError, before any exponential is taken.
     """
-    weights = eig.end_weights
-    levels = eig.values - h.vacuum_energy
+    levels, weights = spectrum.levels, spectrum.weights
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError("times must be a scalar or one-dimensional")
     grid = times.reshape(-1)
+    finite = np.isfinite(grid)
+    if not finite.all():
+        raise ValueError(f"times must be finite, got {float(grid[~finite][0])!r}")
     if grid.size <= _TIME_BLOCK:
         f = _block_f(grid, levels, weights)
     else:
@@ -211,8 +228,7 @@ def _block_f(times: np.ndarray, levels: np.ndarray, weights: np.ndarray) -> np.n
     return terms.sum(axis=1)
 
 
-def _grid_f(h: SingleExcitationHamiltonian, eig: EigenSystem,
-            pieces) -> tuple[np.ndarray, np.ndarray]:
+def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
     """The times of an evenly spaced grid, and f there by block products.
 
     pieces are (start, end, steps), each piece linspace(start, end, steps + 1)
@@ -227,7 +243,7 @@ def _grid_f(h: SingleExcitationHamiltonian, eig: EigenSystem,
     overflows, the times at which synthesize_f's is; numpy warns of the
     overflow.
     """
-    weights, levels = eig.end_weights, eig.values - h.vacuum_energy
+    levels, weights = spectrum.levels, spectrum.weights
     times = [np.linspace(start, end, steps + 1) for start, end, steps in pieces]
     grid = np.concatenate([times[0]] + [piece[1:] for piece in times[1:]])
     f = np.empty(grid.size, dtype=complex)
@@ -248,7 +264,7 @@ def _grid_f(h: SingleExcitationHamiltonian, eig: EigenSystem,
     return grid, f
 
 
-def _grid_error(h: SingleExcitationHamiltonian, eig: EigenSystem, t_max: float) -> float:
+def _grid_error(spectrum: Spectrum, t_max: float) -> float:
     """Bound on |_grid_f - synthesize_f| at every point of a grid on [0, t_max].
 
     With u = 2^-53: a time t_b + m dt of the block product lies within
@@ -261,12 +277,12 @@ def _grid_error(h: SingleExcitationHamiltonian, eig: EigenSystem, t_max: float) 
     less than 16 N u sum_k |w_k|.  The phase constant is doubled for the terms
     of second order.
     """
-    levels = eig.values - h.vacuum_energy
-    scale = 16.0 * float(np.max(np.abs(levels))) * t_max + 16.0 * levels.size
-    return eig.transfer_bound * scale * 2.0**-53
+    scale = 16.0 * float(np.max(np.abs(spectrum.levels))) * t_max + 16.0 * spectrum.levels.size
+    return spectrum.transfer_bound * scale * 2.0**-53
 
 
 def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:
     """One-shot convenience: reduce, diagonalise, evaluate at a single time."""
-    return amplitudes(*solve(spec), t)
+    h = reduce(spec)
+    return amplitudes(h, eigensolve(h), t)
 

@@ -1,6 +1,7 @@
 """Deterministic search for critical times, peak fidelities, and tuned fields.
 
-Every search builds one _Search on the solved chain.  _time_grid splits
+Every search builds one _Search on the Spectrum that excitation.solve returns:
+the levels and weights of f and their widths, no eigenvector.  _time_grid splits
 [0, t_max] into (start, end, steps) pieces, each spaced for the spectral
 spread it covers: the objective is a trigonometric polynomial whose
 frequencies are level differences, so spacing pi / (10 * spread) cannot skip
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import fidelity
 from .chain import ChainSpec, _count, _finite
-from .excitation import _grid_error, _grid_f, solve, synthesize_f
+from .excitation import Spectrum, _grid_error, _grid_f, solve, synthesize_f
 
 __all__ = [
     "GridBudgetError",
@@ -131,13 +132,6 @@ class OptimizationResult:
     bracket: tuple[float, float]
 
 
-def _level_spread(h, eig) -> float:
-    """Spread of the full zero-plus-one-excitation spectrum, vacuum included."""
-    lo = min(float(eig.values[0]), h.vacuum_energy)
-    hi = max(float(eig.values[-1]), h.vacuum_energy)
-    return hi - lo
-
-
 def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[float, float, int]]:
     """(start, end, steps) pieces of a grid on [0, t_max], none of zero steps.
 
@@ -172,33 +166,33 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
 
 
 class _Search:
-    """One search on a solved chain: its grid, the objective value(t, f) there,
-    and every time point at which f is evaluated, each counted once.
+    """One search on a chain's spectrum: its grid, the objective value(t, f)
+    there, and every time point at which f is evaluated, each counted once.
 
     The grid values of f come from _grid_f, within grid_error of synthesize_f,
     which gives f everywhere else.
     """
 
-    def __init__(self, solved, value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    def __init__(self, spectrum: Spectrum, value: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  cfg: SearchConfig, *pieces: tuple[float, float]) -> None:
-        self.solved, self.value = solved, value
-        self.grid, grid_f = _grid_f(*solved, _time_grid(cfg, *pieces))
+        self.spectrum, self.value = spectrum, value
+        self.grid, grid_f = _grid_f(spectrum, _time_grid(cfg, *pieces))
         self.values = value(self.grid, grid_f)
-        self.grid_error = _grid_error(*solved, cfg.t_max)
+        self.grid_error = _grid_error(spectrum, cfg.t_max)
         self.count = self.grid.size
 
-    def f(self, t, solved=None):
-        """f at time(s) t on the searched chain, or on solved if given."""
+    def f(self, t, spectrum: Spectrum | None = None):
+        """f at time(s) t on the searched chain, or on spectrum if given."""
         self.count += np.size(t)
-        return synthesize_f(*(solved or self.solved), t)
+        return synthesize_f(spectrum or self.spectrum, t)
 
     def objective(self, t: np.ndarray) -> np.ndarray:
         return self.value(t, self.f(t))
 
     def result(self, best_t: float, bracket: tuple[float, float], best_field: float | None = None,
-               solved=None) -> OptimizationResult:
-        """The result at best_t, its values from f on solved if given."""
-        f = self.f(best_t, solved)
+               spectrum: Spectrum | None = None) -> OptimizationResult:
+        """The result at best_t, its values from f on spectrum if given."""
+        f = self.f(best_t, spectrum)
         rep = fidelity.fidelity_report(best_t, f)
         return OptimizationResult(
             best_t=best_t,
@@ -295,10 +289,10 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     Returns an empty list when the channel is dead (|f| identically zero,
     for instance with all couplings zero).
     """
-    solved = solve(spec)
+    spectrum = solve(spec)
     # np.hypot is bit for bit Python's abs(complex)
-    search = _Search(solved, lambda t, f: np.hypot(f.real, f.imag), cfg,
-                     (cfg.t_max, _level_spread(*solved)))
+    search = _Search(spectrum, lambda t, f: np.hypot(f.real, f.imag), cfg,
+                     (cfg.t_max, spectrum.spread))
     peaks = _interior_peaks(search.values)
     peaks = peaks[search.values[peaks] > _PEAK_FLOOR]
     grid = search.grid
@@ -355,9 +349,9 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     than 2 * _TIE_TOL below the best value (see _global_max).  The earliest
     candidate within _TIE_TOL of the largest wins.
     """
-    solved = solve(spec)
-    search = _Search(solved, lambda t, f: fidelity.average_fidelity(f, corrected), cfg,
-                     (cfg.t_max, _level_spread(*solved)))
+    spectrum = solve(spec)
+    search = _Search(spectrum, lambda t, f: fidelity.average_fidelity(f, corrected), cfg,
+                     (cfg.t_max, spectrum.spread))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,
                                   search.grid_error, cfg)
     return search.result(best_t, bracket)
@@ -385,7 +379,7 @@ def tune_uniform_field(
     b_c = (b_lo + b_hi) / 2.0
     if not (b_lo < b_hi and math.isfinite(b_c)):
         raise ValueError(f"the field box needs B_lo < B_hi and a finite centre, got {b_range!r}")
-    solved = solve(base.with_uniform_field(b_c))
+    spectrum = solve(base.with_uniform_field(b_c))
 
     def tuned(t, f):
         """Best field at time(s) t, given f at B_c there, and f at that field."""
@@ -395,10 +389,10 @@ def tune_uniform_field(
             b = np.where(t > 0.0, b_c - np.arctan2(f.imag, f.real) / t, b_c).clip(b_lo, b_hi)
         return b, f * np.exp(1j * (b - b_c) * t)
 
-    t_aligned, levels = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), solved[1].values
-    search = _Search(solved, lambda t, f: fidelity.average_fidelity(tuned(t, f)[1]), cfg,
-                     (t_aligned, _level_spread(*solved) + (b_hi - b_lo) / 2.0),
-                     (cfg.t_max, float(levels[-1]) - float(levels[0])))
+    t_aligned = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo))
+    search = _Search(spectrum, lambda t, f: fidelity.average_fidelity(tuned(t, f)[1]), cfg,
+                     (t_aligned, spectrum.spread + (b_hi - b_lo) / 2.0),
+                     (cfg.t_max, spectrum.band))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,
                                   search.grid_error, cfg)
     best_b = float(tuned(best_t, search.f(best_t))[0])

@@ -32,7 +32,7 @@ from .chain import (
     preset,
 )
 from .closed_forms import PresetSystem
-from .excitation import amplitudes, solve, synthesize_f
+from .excitation import Spectrum, amplitudes, eigensolve, reduce, solve, synthesize_f
 from .optimize import SearchConfig
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
@@ -106,7 +106,7 @@ def _check_field_tuning() -> list[_Outcome]:
             parity = "even" if k % 2 == 0 else "odd"
             for l in (0, 1):
                 b_c = closed_forms.critical_field(PresetSystem(name, j, 0.0), t_c, parity, l)
-                f = synthesize_f(*solve(preset(name, j, b_c)), t_c)
+                f = synthesize_f(solve(preset(name, j, b_c)), t_c)
                 worst = max(worst, abs(1.0 - fidelity.average_fidelity(f)))
 
     rng = np.random.default_rng(47)
@@ -114,8 +114,8 @@ def _check_field_tuning() -> list[_Outcome]:
     worst_law = 0.0
     for spec in specs + [_random_chain(rng, 12) for _ in range(4)]:
         b, times = float(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 50.0, 20)
-        rotated = synthesize_f(*solve(spec), times) * np.exp(1j * b * times)
-        direct = synthesize_f(*solve(spec.with_uniform_field(b)), times)
+        rotated = synthesize_f(solve(spec), times) * np.exp(1j * b * times)
+        direct = synthesize_f(solve(spec.with_uniform_field(b)), times)
         worst_law = max(worst_law, float(np.max(np.abs(direct - rotated))))
     return [
         _within(worst, 1e-9, "8 (system, k, l) combinations"),
@@ -130,7 +130,7 @@ def _check_three_spin_impurity() -> list[_Outcome]:
     spec = preset("sec2-three-spin-center", j, 0.0)
     res = optimize.maximize_fidelity(spec, SearchConfig(t_max=4.0 * math.pi / j))
     t_c = math.pi / j
-    corrected, phase = fidelity.corrected_average_fidelity(synthesize_f(*solve(spec), t_c))
+    corrected, phase = fidelity.corrected_average_fidelity(synthesize_f(solve(spec), t_c))
     return [
         _within(abs(res.fbar - 0.5), 1e-9, f"fbar={res.fbar:.12f} at t={res.best_t:.3e}"),
         _within(abs(corrected - 1.0), 1e-9,
@@ -197,7 +197,7 @@ def _check_closed_form_amplitudes() -> list[_Outcome]:
             b = rng.uniform(0.0, 3.0)
             t = rng.uniform(0.0, 50.0)
             sys = PresetSystem(name, j, b)
-            f = synthesize_f(*solve(sys.chain()), t)
+            f = synthesize_f(solve(sys.chain()), t)
             worst = max(worst, abs(f - closed_forms.analytic_f(sys, t)))
         outcomes.append(_within(worst, 1e-10, "100 random (J, B, t)"))
     return outcomes
@@ -211,8 +211,8 @@ def _check_spectra() -> list[_Outcome]:
     for name in PRESET_NAMES:
         sys = PresetSystem(name, j, b)
         values, _ = closed_forms.analytic_spectrum(sys)
-        h, eig = solve(sys.chain())
-        numeric = np.sort(np.append(eig.values, h.vacuum_energy))
+        h = reduce(sys.chain())
+        numeric = np.sort(np.append(eigensolve(h).values, h.vacuum_energy))
         worst = float(np.max(np.abs(np.sort(values) - numeric)))
         outcomes.append(_within(worst, 1e-12, f"J={j}, B={b}"))
     return outcomes
@@ -243,7 +243,7 @@ def _check_full_space_equivalence() -> list[_Outcome]:
     worst_comm = 0.0
     for spec in specs:
         model = full_space.FullSpaceModel(spec)
-        h, eig = solve(spec)
+        h = reduce(spec)
 
         block = model.block.real
         expected = np.zeros_like(block)
@@ -255,7 +255,7 @@ def _check_full_space_equivalence() -> list[_Outcome]:
 
         # the (t, theta, phi) rows take the same draws as 60 scalar uniform calls
         t, theta, phi = rng.uniform([0.0, 0.0, 0.0], [20.0, math.pi, 2.0 * math.pi], (20, 3)).T
-        f_sub = fidelity.fidelities(synthesize_f(h, eig, t), theta)
+        f_sub = fidelity.fidelities(synthesize_f(Spectrum.of(h, eigensolve(h)), t), theta)
         f_full = model.fidelities(theta, phi, t)
         worst_fid = max(worst_fid, float(np.max(np.abs(f_full - f_sub))))
 
@@ -285,7 +285,8 @@ def _check_unitarity() -> list[_Outcome]:
     worst_vac = 0.0
     for _ in range(200):
         spec = _random_chain(rng, 12)
-        record = amplitudes(*solve(spec), float(rng.uniform(0.0, 50.0)))
+        h = reduce(spec)
+        record = amplitudes(h, eigensolve(h), float(rng.uniform(0.0, 50.0)))
         worst_norm = max(worst_norm, abs(float(np.sum(np.abs(record.fn) ** 2)) - 1.0))
         worst_vac = max(worst_vac, abs(abs(record.f0) - 1.0))
     return [
@@ -323,7 +324,7 @@ def _check_engineered_impurity_report() -> list[_Outcome]:
             spec = engineered_chain(n, lam=1.0, spin_one_site=k)
             res = optimize.maximize_fidelity(spec, SearchConfig(t_max=60.0 * math.pi),
                                              corrected=True)
-            bound = solve(spec)[1].transfer_bound
+            bound = solve(spec).transfer_bound
             details.append(f"N={n} k={k}: max|f|={res.abs_f:.6f} at t={res.best_t:.4f} "
                            f"bound={bound:.6f}")
     return [(True, None, None, "; ".join(details))]

@@ -28,7 +28,7 @@ from spintransfer.chain import (PRESET_NAMES, SPIN_HALF, ChainSpec, ChainSpecErr
                                 save_chain)
 from spintransfer.cli import CSV_HEADER, main
 from spintransfer.excitation import (_grid_error, _grid_f, amplitudes, eigensolve, reduce,
-                                     synthesize_f, transfer_amplitude)
+                                     solve, synthesize_f, transfer_amplitude)
 from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report
 
 SQRT2 = math.sqrt(2.0)
@@ -128,12 +128,11 @@ class TestSimulate:
 
         # 17 significant digits round-trip to the exact in-memory doubles of
         # the grid's block product, within _grid_error of the engine's f
-        h = reduce(spec)
-        eig = eigensolve(h)
-        grid, f = _grid_f(h, eig, [(0.0, 4.5, 999)])
+        spectrum = solve(spec)
+        grid, f = _grid_f(spectrum, [(0.0, 4.5, 999)])
         i = lines.index(best) - 1
         assert grid[i] == row[0]
-        assert abs(f[i] - transfer_amplitude(spec, row[0]).f) <= _grid_error(h, eig, 4.5)
+        assert abs(f[i] - transfer_amplitude(spec, row[0]).f) <= _grid_error(spectrum, 4.5)
         rep = fidelity_report(row[0], f[i])
         assert row[1] == rep.f.real
         assert row[2] == rep.f.imag
@@ -155,10 +154,9 @@ class TestSimulate:
         assert reduce(spec).vacuum_energy != 0.0
         lines = out_path.read_text().splitlines()[1:]
         assert len(lines) == 1001
-        h = reduce(spec)
-        eig = eigensolve(h)
-        bound = _grid_error(h, eig, 50.0)
-        for line, t, z in zip(lines, *_grid_f(h, eig, [(0.0, 50.0, 1000)])):
+        spectrum = solve(spec)
+        bound = _grid_error(spectrum, 50.0)
+        for line, t, z in zip(lines, *_grid_f(spectrum, [(0.0, 50.0, 1000)])):
             rep = fidelity_report(t, z)
             values = (t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma, rep.fbar,
                       rep.fbar_corrected, rep.gamma)
@@ -171,8 +169,7 @@ class TestSimulate:
         argv = ["simulate", "--preset", "sec3-two-spin", "--J", "1", "--B", "0.5",
                 "--t-max", "30", "--steps", "2500"]
         assert _run(capsys, *argv, "--out", str(out_path))[0] == 0
-        h = reduce(preset("sec3-two-spin", 1.0, 0.5))
-        t, f = _grid_f(h, eigensolve(h), [(0.0, 30.0, 2499)])
+        t, f = _grid_f(solve(preset("sec3-two-spin", 1.0, 0.5)), [(0.0, 30.0, 2499)])
         assert np.array_equal(t, np.linspace(0.0, 30.0, 2500))
         rep = fidelity_report(t, f)
         columns = (rep.t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma,
@@ -195,8 +192,8 @@ class TestSimulate:
         assert np.any(gamma == math.pi)
 
     def test_out_of_range_amplitude_fails_before_the_file_exists(self, tmp_path, monkeypatch):
-        def corrupt_last(h, eig, pieces):
-            grid, f = _grid_f(h, eig, pieces)
+        def corrupt_last(spectrum, pieces):
+            grid, f = _grid_f(spectrum, pieces)
             f[-1] = 1.0 + 2e-9
             return grid, f
 
@@ -358,10 +355,9 @@ def test_simulate_rows_stay_within_the_grid_error_of_synthesize_f(spec, steps, t
         rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     t = np.linspace(0.0, t_max, steps)
     assert np.array_equal(rows[:, 0], t)
-    h = reduce(spec)
-    eig = eigensolve(h)
-    gap = np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - synthesize_f(h, eig, t)))
-    assert gap <= _grid_error(h, eig, t_max)
+    spectrum = solve(spec)
+    gap = np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - synthesize_f(spectrum, t)))
+    assert gap <= _grid_error(spectrum, t_max)
 
 
 def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

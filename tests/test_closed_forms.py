@@ -22,7 +22,8 @@ from spintransfer.closed_forms import (
     critical_field,
     zero_field_critical_time,
 )
-from spintransfer.excitation import eigensolve, reduce, solve, synthesize_f, transfer_amplitude
+from spintransfer.excitation import (Spectrum, eigensolve, reduce, synthesize_f,
+                                     transfer_amplitude)
 from spintransfer.fidelity import average_fidelity
 
 SQRT2 = math.sqrt(2.0)
@@ -101,10 +102,11 @@ def test_engine_error_grows_linearly_in_t(name):
     rng = np.random.default_rng(29)
     for _ in range(20):
         sys = PresetSystem(name, rng.uniform(0.2, 3.0), rng.uniform(-3.0, 3.0))
-        h, eig = solve(sys.chain())
+        h = reduce(sys.chain())
+        eig = eigensolve(h)
         eps = max(float(np.max(np.abs(eig.values))), abs(h.vacuum_energy))
         for t in 10.0 ** rng.uniform(3.0, 9.0, 7):
-            error = abs(synthesize_f(h, eig, t) - analytic_f(sys, t))
+            error = abs(synthesize_f(Spectrum.of(h, eig), t) - analytic_f(sys, t))
             assert error <= 8.0 * eps * t * 2.0**-53, (sys, t)
 
 

@@ -1,6 +1,7 @@
 """Single-excitation reduction, eigensolver, and transfer amplitudes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spintransfer.excitation import (
     _TIME_BLOCK,
     AmplitudeRecord,
     SingleExcitationHamiltonian,
+    Spectrum,
     amplitudes,
     eigensolve,
     reduce,
@@ -169,7 +171,7 @@ class TestAmplitudes:
         # it equals the tail conj(f0) fn[N] to rounding (measured 1.1e-16 here)
         spec = preset("sec3-three-spin-center", 0.8, 0.3)
         rec = transfer_amplitude(spec, 2.5)
-        assert rec.f == synthesize_f(*solve(spec), 2.5)
+        assert rec.f == synthesize_f(solve(spec), 2.5)
         assert rec.f == pytest.approx(complex(np.conj(rec.f0) * rec.fn[-1]), abs=1e-15)
 
     def test_gamma_branch(self):
@@ -185,16 +187,16 @@ class TestTimeSeries:
     """synthesize_f on whole time grids, from a single eigensolve."""
 
     def test_single_point(self):
-        solved = solve(preset("sec2-two-spin", 1.0, 0.0))
-        f = synthesize_f(*solved, [0.0])
+        spectrum = solve(preset("sec2-two-spin", 1.0, 0.0))
+        f = synthesize_f(spectrum, [0.0])
         assert f.shape == (1,)
-        assert f[0] == synthesize_f(*solved, 0.0)
+        assert f[0] == synthesize_f(spectrum, 0.0)
         assert f[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_oscillation_matches_closed_form(self):
         j = 1.0
         grid = np.linspace(0.0, 4 * math.pi / j, 1000)
-        f = synthesize_f(*solve(preset("sec2-two-spin", j, 0.0)), grid)
+        f = synthesize_f(solve(preset("sec2-two-spin", j, 0.0)), grid)
         expected = np.abs(np.sin(SQRT2 * j * grid / 2))
         got = np.abs(f)
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -205,7 +207,7 @@ class TestTimeSeries:
         j = b = 1.0
         mu = math.hypot(j, b)
         grid = np.linspace(0.0, 6 * math.pi / mu, 20001)
-        peak = np.abs(synthesize_f(*solve(preset("sec3-two-spin", j, b)), grid)).max()
+        peak = np.abs(synthesize_f(solve(preset("sec3-two-spin", j, b)), grid)).max()
         assert peak == pytest.approx(1.0 / SQRT2, abs=1e-6)
 
 
@@ -274,11 +276,11 @@ class TestSynthesizeF:
         st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=40))
     def test_array_path_matches_amplitudes(self, h, times):
         eig = eigensolve(h)
-        f = synthesize_f(h, eig, np.array(times))
+        f = synthesize_f(Spectrum.of(h, eig), np.array(times))
         expected = np.array([_phase_referenced_tail(h, eig, t) for t in times])
         assert np.max(np.abs(f - expected)) <= 1e-12
         # a scalar time is a one-element array: the same terms in the same order
-        assert all(synthesize_f(h, eig, t) == z for t, z in zip(times, f))
+        assert all(synthesize_f(Spectrum.of(h, eig), t) == z for t, z in zip(times, f))
 
     def test_bitwise_equal_to_amplitudes_without_vacuum_energy(self):
         # E0 = 0: the folded and the referenced phase are the same numbers
@@ -287,25 +289,39 @@ class TestSynthesizeF:
             h = SingleExcitationHamiltonian(0.0, tuple(rng.uniform(-2, 2, n)),
                                             tuple(rng.uniform(-2, 2, n - 1)))
             eig = eigensolve(h)
+            spectrum = Spectrum.of(h, eig)
             times = np.linspace(0.0, 30.0, 2500)  # spans three blocks
             expected = np.array([_phase_referenced_tail(h, eig, t) for t in times])
             # the last 1 and _TIME_BLOCK times are one block, one more is two
             for size in (1, _TIME_BLOCK, _TIME_BLOCK + 1, times.size):
-                assert np.array_equal(synthesize_f(h, eig, times[-size:]), expected[-size:])
+                assert np.array_equal(synthesize_f(spectrum, times[-size:]), expected[-size:])
 
     def test_scalar_returns_complex(self):
         spec = preset("sec2-two-spin", 1.3, 0.0)
         h = reduce(spec)
-        f = synthesize_f(h, eigensolve(h), math.pi / (SQRT2 * 1.3))
+        f = synthesize_f(Spectrum.of(h, eigensolve(h)), math.pi / (SQRT2 * 1.3))
         assert isinstance(f, complex)
         assert f == pytest.approx(-1j, abs=1e-12)
 
     def test_empty_grid_and_bad_shape(self):
         h = reduce(preset("sec2-two-spin", 1.0, 0.0))
         eig = eigensolve(h)
-        assert synthesize_f(h, eig, np.array([])).shape == (0,)
+        assert synthesize_f(Spectrum.of(h, eig), np.array([])).shape == (0,)
         with pytest.raises(ValueError):
-            synthesize_f(h, eig, np.zeros((2, 2)))
+            synthesize_f(Spectrum.of(h, eig), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_refused_before_any_exponential(self, bad):
+        spec = preset("sec2-two-spin", 1.0, 0.5)
+        spectrum = solve(spec)
+        refusal = f"times must be finite, got {re.escape(repr(bad))}$"
+        other = math.inf if math.isnan(bad) else math.nan
+        with np.errstate(all="raise"):
+            for times in (bad, np.array([0.0, 1.5, bad, other, 2.0])):
+                with pytest.raises(ValueError, match=refusal):
+                    synthesize_f(spectrum, times)
+            with pytest.raises(ValueError, match=refusal):
+                transfer_amplitude(spec, bad)
 
     @settings(max_examples=30, deadline=None)
     @given(half=random_block(max_sites=20),
@@ -319,7 +335,7 @@ class TestSynthesizeF:
             half.hopping + (0.0,) + half.hopping,
         )
         eig = eigensolve(h)
-        f = synthesize_f(h, eig, np.linspace(0.0, t_max, 200))
+        f = synthesize_f(Spectrum.of(h, eig), np.linspace(0.0, t_max, 200))
         assert np.max(np.abs(f)) <= 1e-12
 
 
@@ -333,8 +349,8 @@ def test_uniform_field_only_rotates_f(parts, b, times):
     t = np.array(times)
     h0 = _block(spins, fields, couplings)
     hb = _block(spins, [x + b for x in fields], couplings)
-    rotated = synthesize_f(h0, eigensolve(h0), t) * np.exp(1j * b * t)
-    assert np.max(np.abs(synthesize_f(hb, eigensolve(hb), t) - rotated)) <= 1e-12
+    rotated = synthesize_f(Spectrum.of(h0, eigensolve(h0)), t) * np.exp(1j * b * t)
+    assert np.max(np.abs(synthesize_f(Spectrum.of(hb, eigensolve(hb)), t) - rotated)) <= 1e-12
 
 
 class TestEigensolveProperties:
@@ -350,7 +366,29 @@ class TestEigensolveProperties:
 
 
 class TestTransferBound:
-    """EigenSystem.transfer_bound = sum_k |v_k[1] v_k[N]|."""
+    """Spectrum.transfer_bound = sum_k |v_k[1] v_k[N]|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=random_chain())
+    def test_spectrum_has_the_bits_of_the_eigensystem(self, spec):
+        # the expressions each consumer of f evaluated on the eigensystem
+        # before the Spectrum held them
+        h = reduce(spec)
+        eig = eigensolve(h)
+        e0, values = h.vacuum_energy, eig.values
+        weights = eig.vectors[0] * eig.vectors[-1]
+        expected = {
+            "levels": values - e0,
+            "weights": weights,
+            "spread": max(float(values[-1]), e0) - min(float(values[0]), e0),
+            "band": float(values[-1]) - float(values[0]),
+            "transfer_bound": float(np.abs(weights).sum()),
+        }
+        spectrum = solve(spec)
+        for name, value in expected.items():
+            got = getattr(spectrum, name)
+            assert type(got) is type(value), name
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), name
 
     @settings(max_examples=60, deadline=None)
     @given(half=st.lists(st.tuples(st.sampled_from([SPIN_HALF, SPIN_ONE]), st.floats(-2.0, 2.0),
@@ -365,8 +403,8 @@ class TestTransferBound:
         spec = ChainSpec(sites=tuple(sites + middle + sites[::-1]),
                          couplings=tuple(couplings[:-1] + [couplings[-1]] * (1 + bool(middle))
                                          + couplings[:-1][::-1]))
-        assert abs(solve(spec)[1].transfer_bound - 1.0) <= 1e-12
+        assert abs(solve(spec).transfer_bound - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n, site", [(4, 2), (5, 2), (6, 3), (8, 2), (8, 4)])
     def test_below_one_with_an_off_centre_spin_one(self, n, site):
-        assert solve(engineered_chain(n, 1.0, spin_one_site=site))[1].transfer_bound < 1.0 - 1e-3
+        assert solve(engineered_chain(n, 1.0, spin_one_site=site)).transfer_bound < 1.0 - 1e-3

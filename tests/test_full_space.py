@@ -391,14 +391,15 @@ class TestLimits:
             full_hamiltonian(spec)
         theta, phi, t = np.array([(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
                                    rng.uniform(0, 20)) for _ in range(5)]).T
-        f_sub = fidelities(synthesize_f(*solve(spec), t), theta)
+        f_sub = fidelities(synthesize_f(solve(spec), t), theta)
         assert np.max(np.abs(FullSpaceModel(spec).fidelities(theta, phi, t) - f_sub)) <= 1e-10
 
     def test_engineered_sixteen_site_chain(self):
         spec = engineered_chain(16, lam=1.0)
         model = FullSpaceModel(spec)
         assert model.sector[-1] == 1 and model.dims == [2] * 16
-        h, eig = solve(spec)
+        h = reduce(spec)
+        eig = eigensolve(h)
         for t, theta, phi in [(1.3, 0.4, 2.0), (math.pi, math.pi / 2, 1.0), (7.9, 2.9, 5.5)]:
             state = BlochState(theta, phi)
             f_sub = fidelity(amplitudes(h, eig, t).f, state)
@@ -463,7 +464,7 @@ class TestSpectra:
         spins, fields, couplings = parts
         spec = _chain(spins, fields, couplings)
         mirror = _chain(spins[::-1], fields[::-1], couplings[::-1])
-        assert abs(synthesize_f(*solve(spec), t) - synthesize_f(*solve(mirror), t)) <= 1e-12
+        assert abs(synthesize_f(solve(spec), t) - synthesize_f(solve(mirror), t)) <= 1e-12
         rho = FullSpaceModel(spec).receiver_densities(state.theta, state.phi, t)[0]
         rho_mirror = FullSpaceModel(mirror).receiver_densities(state.theta, state.phi, t)[0]
         assert np.max(np.abs(rho - rho_mirror)) <= 1e-12
@@ -475,5 +476,5 @@ class TestSpectra:
         # two identical halves joined by a weak bond: every level is split by O(eps)
         spins, fields, couplings = half
         spec = _chain(spins * 2, fields * 2, couplings + [eps] + couplings)
-        f_sub = fidelity(synthesize_f(*solve(spec), t), state)
+        f_sub = fidelity(synthesize_f(solve(spec), t), state)
         assert abs(FullSpaceModel(spec).fidelity(state, t) - f_sub) <= 1e-10

@@ -1,13 +1,15 @@
 """Critical-time search, fidelity maximization, field tuning."""
 
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spintransfer import optimize
+from spintransfer import excitation, fidelity, optimize
 from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, preset
 from spintransfer.closed_forms import (
     NotTunableError,
@@ -15,7 +17,7 @@ from spintransfer.closed_forms import (
     critical_field,
     zero_field_critical_time,
 )
-from spintransfer.excitation import solve, synthesize_f
+from spintransfer.excitation import eigensolve, reduce, solve, synthesize_f
 from spintransfer.fidelity import average_fidelity, corrected_average_fidelity
 from spintransfer.optimize import (
     GridBudgetError,
@@ -90,7 +92,8 @@ class TestGridBudget:
         refuse_alloc("linspace")
         spec = preset("sec2-two-spin", 1.0, 0.0)
         cfg = SearchConfig(t_max=1e9)
-        h, eig = solve(spec)
+        h = reduce(spec)
+        eig = eigensolve(h)
         spread = max(eig.values[-1], h.vacuum_energy) - min(eig.values[0], h.vacuum_energy)
         points = math.ceil(cfg.t_max * 10.0 * spread / math.pi) + 1
         assert points > 1000 * optimize._MAX_GRID_POINTS
@@ -137,7 +140,7 @@ class TestGridBudget:
             maximize_fidelity(spec, SearchConfig(t_max=1e9, n_samples=n_samples))
         advised = _advised(refused.value)
         cfg = SearchConfig(t_max=advised, n_samples=n_samples)
-        pieces = optimize._time_grid(cfg, (advised, optimize._level_spread(*solve(spec))))
+        pieces = optimize._time_grid(cfg, (advised, solve(spec).spread))
         assert pieces[0][2] == optimize._MAX_GRID_POINTS - 1  # the advice fills the budget
 
     def test_infinite_horizon_is_refused(self, refuse_alloc):
@@ -156,17 +159,17 @@ class TestGridBudget:
         # spread 1: spacing pi / 10, so t_max = 6.4 pi needs exactly 65 points
         monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 65)
         cfg = SearchConfig(t_max=6.4 * math.pi, n_samples=16)
-        solved = solve(preset("sec2-two-spin", 1.0, 0.0))
+        spectrum = solve(preset("sec2-two-spin", 1.0, 0.0))
         pieces = optimize._time_grid(cfg, (cfg.t_max, 1.0))
         assert pieces == [(0.0, cfg.t_max, 64)]
-        assert optimize._grid_f(*solved, pieces)[0].size == 65
+        assert optimize._grid_f(spectrum, pieces)[0].size == 65
         with pytest.raises(GridBudgetError):
             optimize._time_grid(cfg, (cfg.t_max, 1.01))
         # pieces of 40 steps (spacing pi / 20) and 44 (pi / 10) share a point
         monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 85)
         pieces = optimize._time_grid(cfg, (2.0 * math.pi, 2.0), (cfg.t_max, 1.0))
         assert pieces == [(0.0, 2.0 * math.pi, 40), (2.0 * math.pi, cfg.t_max, 44)]
-        grid, _ = optimize._grid_f(*solved, pieces)
+        grid, _ = optimize._grid_f(spectrum, pieces)
         assert grid.size == 85
         assert grid[0] == 0.0 and grid[40] == 2.0 * math.pi and grid[-1] == cfg.t_max
         assert np.all(np.diff(grid) > 0.0)
@@ -318,7 +321,7 @@ def _brute_force_max(spec, t_max, b_lo, b_hi, n_t=4001, n_b=41):
     t = np.linspace(0.0, t_max, n_t)
     best = -math.inf
     for b in np.linspace(b_lo, b_hi, n_b):
-        f = synthesize_f(*solve(spec.with_uniform_field(b)), t)
+        f = synthesize_f(solve(spec.with_uniform_field(b)), t)
         best = max(best, float(np.max(0.5 + f.real / 3.0 + np.abs(f) ** 2 / 6.0)))
     return best
 
@@ -331,7 +334,7 @@ class TestTunedOptimum:
         t_max, box = 4.455717774085757, (-0.29725379021842846, 3.1160026099689166)
         res = tune_uniform_field(spec, SearchConfig(t_max=t_max), box)
         t = np.linspace(0.0, t_max, 2**17 + 1)
-        mag = np.abs(synthesize_f(*solve(spec), t))
+        mag = np.abs(synthesize_f(solve(spec), t))
         sampled = float(np.max(0.5 + mag / 3.0 + mag**2 / 6.0))
         assert abs(res.fbar - sampled) <= 1e-9
         assert box[0] <= res.best_field <= box[1]
@@ -350,7 +353,7 @@ class TestTunedOptimum:
         assert 0.0 <= res.best_t <= t_max
         assert res.fbar >= _brute_force_max(spec, t_max, b_lo, b_hi) - 1e-9
         # the reported values belong to the tuned chain at (best_t, best_field)
-        f = synthesize_f(*solve(spec.with_uniform_field(res.best_field)), res.best_t)
+        f = synthesize_f(solve(spec.with_uniform_field(res.best_field)), res.best_t)
         assert res.fbar == average_fidelity(f)
 
     def test_wide_box_gives_the_corrected_optimum(self):
@@ -392,12 +395,12 @@ class TestEvaluationCount:
         points = []
         real, real_grid = optimize.synthesize_f, optimize._grid_f
 
-        def counting(h, eig, t):
+        def counting(spectrum, t):
             points.append(np.size(t))
-            return real(h, eig, t)
+            return real(spectrum, t)
 
-        def counting_grid(h, eig, pieces):
-            grid, f = real_grid(h, eig, pieces)
+        def counting_grid(spectrum, pieces):
+            grid, f = real_grid(spectrum, pieces)
             points.append(grid.size)
             return grid, f
 
@@ -434,6 +437,35 @@ class TestEvaluationCount:
     def test_pruned_count(self, synthesized, system, t_max, corrected, count):
         res = maximize_fidelity(preset(*system), SearchConfig(t_max=t_max), corrected=corrected)
         assert res.evaluations == sum(synthesized) == count
+
+
+class TestSpectrumOnly:
+    """A search keeps the levels and weights of f, not the N x N eigenvectors."""
+
+    @pytest.mark.parametrize("search", [
+        lambda spec, cfg: maximize_fidelity(spec, cfg),
+        lambda spec, cfg: maximize_fidelity(spec, cfg, corrected=True),
+        lambda spec, cfg: tune_uniform_field(spec, cfg, (0.0, 2.0)),
+    ], ids=["plain", "corrected", "tuned"])
+    def test_no_eigensystem_outlives_its_solve(self, monkeypatch, search):
+        solved, calls = [], []
+        real_eigensolve, real_fbar = excitation.eigensolve, fidelity.average_fidelity
+
+        def recording(h):
+            eig = real_eigensolve(h)
+            solved.append(weakref.ref(eig))
+            return eig
+
+        def objective(f, corrected=False):
+            gc.collect()
+            assert solved and all(ref() is None for ref in solved)
+            calls.append(np.size(f))
+            return real_fbar(f, corrected)
+
+        monkeypatch.setattr(excitation, "eigensolve", recording)
+        monkeypatch.setattr(fidelity, "average_fidelity", objective)
+        search(preset("sec2-two-spin", 1.0, 0.0), SearchConfig(t_max=2.8))
+        assert len(calls) > 1  # the grid and the refinements
 
 
 def _interior_peaks_loop(values):
@@ -533,19 +565,19 @@ class TestLockstepRefine:
 
     @staticmethod
     def _compare(spec, cfg, corrected):
-        solved = solve(spec)
+        spectrum = solve(spec)
 
         def scalar(t):
-            f = synthesize_f(*solved, t)
+            f = synthesize_f(spectrum, t)
             return corrected_average_fidelity(f)[0] if corrected else average_fidelity(f)
 
         def array(t):
-            return average_fidelity(synthesize_f(*solved, t), corrected)
+            return average_fidelity(synthesize_f(spectrum, t), corrected)
 
         # the brackets _global_max refines, one around every grid minimum, and
         # one a single stencil step h wide
-        pieces = optimize._time_grid(cfg, (cfg.t_max, optimize._level_spread(*solved)))
-        grid, _ = optimize._grid_f(*solved, pieces)
+        pieces = optimize._time_grid(cfg, (cfg.t_max, spectrum.spread))
+        grid, _ = optimize._grid_f(spectrum, pieces)
         values = array(grid)
         inner = np.concatenate([optimize._interior_peaks(values), optimize._interior_peaks(-values)])
         h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
@@ -637,11 +669,12 @@ class TestPruning:
     def _pieces(spec, kind, box):
         """(t_end, Omega) pieces: Omega bounds every frequency of the objective there."""
         if kind != "tuned":
-            h, eig = solve(spec)
-            nu = eig.values - h.vacuum_energy
+            h = reduce(spec)
+            nu = eigensolve(h).values - h.vacuum_energy
             return [(math.inf, max(np.max(np.abs(nu)), np.ptp(nu)))]
         width = box[1] - box[0]
-        h, eig = solve(spec.with_uniform_field((box[0] + box[1]) / 2.0))
+        h = reduce(spec.with_uniform_field((box[0] + box[1]) / 2.0))
+        eig = eigensolve(h)
         nu = eig.values - h.vacuum_energy  # a field b shifts them by b - b_c
         return [(2.0 * math.pi / width, max(np.max(np.abs(nu)) + width / 2.0, np.ptp(nu))),
                 (math.inf, np.ptp(eig.values))]  # centred levels after the phase is aligned
@@ -738,38 +771,38 @@ class TestGridProduct:
         patch, grids = _recording("_grid_f")
         with patch:
             _search(spec, t_max, kind, box)
-        ((h, eig, pieces), (grid, fast)), = grids
+        ((spectrum, pieces), (grid, fast)), = grids
         # a tuned grid has a second piece when some t < t_max aligns every phase
         two = kind == "tuned" and 2.0 * math.pi / (box[1] - box[0]) < t_max
         assert len(pieces) == (2 if two else 1)
-        gap = np.max(np.abs(fast - synthesize_f(h, eig, grid)))
-        assert gap <= optimize._grid_error(h, eig, t_max)
+        gap = np.max(np.abs(fast - synthesize_f(spectrum, grid)))
+        assert gap <= optimize._grid_error(spectrum, t_max)
 
     def test_empty_piece(self):
         # a field box narrower than 2 pi / t_max aligns every phase only at
         # t_max: the second piece holds no step, and it is dropped
-        h, eig = solve(preset("sec2-three-spin-center", 1.0, 0.0))
+        spectrum = solve(preset("sec2-three-spin-center", 1.0, 0.0))
         cfg = SearchConfig(t_max=3.0)
         pieces = optimize._time_grid(cfg, (cfg.t_max, 2.0), (cfg.t_max, 1.0))
         one_piece = optimize._time_grid(cfg, (cfg.t_max, 2.0))
         assert pieces == one_piece and len(pieces) == 1
         with np.errstate(all="raise"):
-            grid, fast = optimize._grid_f(h, eig, pieces)
-        assert np.array_equal(fast, optimize._grid_f(h, eig, one_piece)[1])
-        gap = np.max(np.abs(fast - synthesize_f(h, eig, grid)))
-        assert gap <= optimize._grid_error(h, eig, cfg.t_max)
+            grid, fast = optimize._grid_f(spectrum, pieces)
+        assert np.array_equal(fast, optimize._grid_f(spectrum, one_piece)[1])
+        gap = np.max(np.abs(fast - synthesize_f(spectrum, grid)))
+        assert gap <= optimize._grid_error(spectrum, cfg.t_max)
 
     def test_a_shared_end_point_takes_the_later_piece(self):
         # the point where two pieces meet is the first of the later piece's
         # blocks, not the last point of the earlier one's
-        h, eig = solve(preset("sec3-three-spin-center", 0.9, 0.6))
+        spectrum = solve(preset("sec3-three-spin-center", 0.9, 0.6))
         cfg = SearchConfig(t_max=12.0)
         pieces = optimize._time_grid(cfg, (5.0, 3.0), (cfg.t_max, 1.0))
-        grid, fast = optimize._grid_f(h, eig, pieces)
+        grid, fast = optimize._grid_f(spectrum, pieces)
         shared = pieces[0][2]
         assert grid[shared] == 5.0
-        assert fast[shared] == optimize._grid_f(h, eig, pieces[1:])[1][0]
-        assert np.array_equal(fast[:shared], optimize._grid_f(h, eig, pieces[:1])[1][:-1])
+        assert fast[shared] == optimize._grid_f(spectrum, pieces[1:])[1][0]
+        assert np.array_equal(fast[:shared], optimize._grid_f(spectrum, pieces[:1])[1][:-1])
 
     @settings(max_examples=60, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 200.0),
@@ -779,9 +812,9 @@ class TestGridProduct:
         fast_peaks = critical_times(spec, SearchConfig(t_max=t_max))
         real = optimize._grid_f
 
-        def exact_grid_f(h, eig, pieces):
-            grid, _ = real(h, eig, pieces)
-            return grid, synthesize_f(h, eig, grid)
+        def exact_grid_f(spectrum, pieces):
+            grid, _ = real(spectrum, pieces)
+            return grid, synthesize_f(spectrum, grid)
 
         with mock.patch.object(optimize, "_grid_f", exact_grid_f):
             exact = _search(spec, t_max, kind, box)
@@ -801,7 +834,7 @@ class TestGridProduct:
 @settings(max_examples=40, deadline=None)
 @given(spec=_chains(), t_max=st.floats(1.0, 60.0), corrected=st.booleans())
 def test_no_amplitude_found_exceeds_the_transfer_bound(spec, t_max, corrected):
-    bound = solve(spec)[1].transfer_bound
+    bound = solve(spec).transfer_bound
     cfg = SearchConfig(t_max=t_max)
     assert maximize_fidelity(spec, cfg, corrected=corrected).abs_f <= bound + 1e-12
     assert all(mag <= bound + 1e-12 for _, mag in critical_times(spec, cfg))
