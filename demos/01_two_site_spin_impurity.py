@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from spintransfer import (
-    BlochState,
     SearchConfig,
     average_fidelity,
     corrected_average_fidelity,

@@ -9,8 +9,6 @@ allows, and J >> B pushes the ceiling back toward 1.
 
 import math
 
-import numpy as np
-
 from spintransfer import (
     SearchConfig,
     maximize_fidelity,

@@ -10,10 +10,14 @@ spaced grids, gives the grid times and f there, one complex exponential per
 level for each block of 64 points; these values lie within _grid_error of
 synthesize_f's, which the pruning margin allows for; every other value of f,
 refined or reported, comes from synthesize_f through the search, which counts
-each time point once.  Candidate brackets are refined by golden-section
-search in lockstep: each step evaluates f at one new time per bracket still
-open, in one array synthesis, and each bracket visits the same times a search
-on it alone would.  A step costs that one objective call plus a few Python
+each time point it visits once.  Candidate brackets are refined by
+golden-section search in lockstep: each step evaluates f at one new time per
+bracket still open, in one array synthesis, and each bracket visits the same
+times a search on it alone would.  While few brackets are open, one call looks
+d steps ahead: it evaluates every candidate time of the next d steps, one per
+outcome of the comparisons not yet known, and the steps are replayed on those
+values; the candidates never visited are the search's probes, not counted in
+evaluations.  A step costs its share of an objective call plus a few Python
 float operations per open bracket, whose ends, probes and values are Python
 floats.  A final three-point parabolic correction sharpens each extremum past
 the floating-point tie plateau that makes raw golden-section comparisons
@@ -77,6 +81,16 @@ _MAX_GRID_POINTS = 2**20
 # Golden-section steps per bracket, at most.
 _MAX_REFINE_ITERS = 200
 
+# Most candidate times one lookahead call of the refine evaluates: with n
+# brackets open it looks d steps ahead, the largest d with (2**d - 1) * n at
+# most this, or d = 1, one plain step.  On a 2-core x86-64 VM an objective
+# call costs 8-27 us for one time and 10-31 us for 31, while a lookahead's
+# Python work costs 0.2-0.7 us a candidate.  32 lets one bracket take 5 steps
+# a call and keeps d = 1 from 11 open brackets on.  On the benchmark's
+# optimize and tune-field inputs 16-64 were within 4 % of each other, 32
+# fastest; 8 and 128 were slower.
+_LOOKAHEAD_PROBES = 32
+
 
 class GridBudgetError(ValueError):
     """The search grid on [0, t_max] would hold more than _MAX_GRID_POINTS times."""
@@ -118,9 +132,11 @@ class SearchConfig:
 class OptimizationResult:
     """Best point found, its fidelities, and search diagnostics.
 
-    evaluations is the number of time points at which f was evaluated, grid
-    points included, each counted once; brackets that are never refined
-    add nothing.
+    evaluations is the number of time points the search visited, each
+    counted once: the grid, the golden-section path and the parabolic polish
+    of every refined bracket, and best_t.  The refine's lookahead probes that
+    no step visited are not counted; brackets that are never refined add
+    nothing.
     """
 
     best_t: float
@@ -179,7 +195,7 @@ class _Search:
         self.grid, grid_f = _grid_f(spectrum, _time_grid(cfg, *pieces))
         self.values = value(self.grid, grid_f)
         self.grid_error = _grid_error(spectrum, cfg.t_max)
-        self.count = self.grid.size
+        self.count, self.probes = self.grid.size, 0
 
     def f(self, t, spectrum: Spectrum | None = None):
         """f at time(s) t on the searched chain, or on spectrum if given."""
@@ -188,6 +204,10 @@ class _Search:
 
     def objective(self, t: np.ndarray) -> np.ndarray:
         return self.value(t, self.f(t))
+
+    def discard(self, n: int) -> None:
+        """Count n of the times evaluated as lookahead probes the search never visited."""
+        self.count, self.probes = self.count - n, self.probes + n
 
     def result(self, best_t: float, bracket: tuple[float, float], best_field: float | None = None,
                spectrum: Spectrum | None = None) -> OptimizationResult:
@@ -205,20 +225,76 @@ class _Search:
         )
 
 
+def _lookahead(objective: Callable[[np.ndarray], np.ndarray], active: list[int],
+               state: tuple[list[float], ...], depth: int, tol: float) -> int:
+    """Up to depth golden-section steps on each open bracket, in one objective call.
+
+    state holds the refine's lists a, b, x1, x2, f1, f2, which the steps
+    update in place; returns how many candidates were evaluated but never
+    visited.  A bracket's candidates are the nodes of a heap: node 1 is the
+    first step's time, whose branch is known (f1 > f2), and node j's children
+    are the next step's times after keeping [a, x2] (2j) or [x1, b] (2j + 1),
+    2**depth - 1 in all.  The steps are then replayed on the returned values,
+    by the float operations of a plain step, so each bracket visits the same
+    times and takes the same branches, and stops where a plain step would.
+    """
+    a, b, x1, x2, f1, f2 = state
+    size, times = 2**depth - 1, []
+    for i in active:
+        lo, hi, p1, p2 = a[i], b[i], x1[i], x2[i]
+        if f1[i] > f2[i]:
+            nodes = [(lo, p2, p2 - _GOLDEN * (p2 - lo), p1)]
+            times.append(nodes[0][2])
+        else:
+            nodes = [(p1, hi, p2, p1 + _GOLDEN * (hi - p1))]
+            times.append(nodes[0][3])
+        for k in range(size // 2):  # the nodes with children, in heap order
+            lo, hi, p1, p2 = nodes[k]
+            nodes += (lo, p2, p2 - _GOLDEN * (p2 - lo), p1), (p1, hi, p2, p1 + _GOLDEN * (hi - p1))
+            times += nodes[-2][2], nodes[-1][3]
+    values = objective(np.array(times)).tolist()
+    visited = 0
+    for base, i in zip(range(-1, len(times), size), active):
+        lo, hi, p1, p2, v1, v2 = a[i], b[i], x1[i], x2[i], f1[i], f2[i]
+        node = 0
+        for _ in range(depth):
+            if not hi - lo > tol:
+                break
+            if v1 > v2:  # keep [a, x2]
+                hi, p2, v2 = p2, p1, v1
+                p1 = hi - _GOLDEN * (hi - lo)
+                node = 2 * node or 1
+                v1 = values[base + node]
+            else:  # keep [x1, b]
+                lo, p1, v1 = p1, p2, v2
+                p2 = lo + _GOLDEN * (hi - lo)
+                node = 2 * node + 1
+                v2 = values[base + node]
+            visited += 1
+        a[i], b[i], x1[i], x2[i], f1[i], f2[i] = lo, hi, p1, p2, v1, v2
+    return len(times) - visited
+
+
 def _refine_brackets(
     objective: Callable[[np.ndarray], np.ndarray],
     los: np.ndarray,
     his: np.ndarray,
     cfg: SearchConfig,
+    discard: Callable[[int], object] = lambda n: None,
 ) -> list[tuple[float, float, tuple[float, float]]]:
     """Refine every bracket [los[i], his[i]] at once; (t, value, bracket) for each.
 
     objective maps an array of times to an array of values.  Golden-section
-    steps run on all brackets in lockstep, one objective call per step on the
-    new time of every bracket still wider than refine_tol, for at most
-    _MAX_REFINE_ITERS steps.  Each bracket's a, b, x1, x2, f1, f2 are Python
-    floats, whose IEEE arithmetic is that of float64 array elements, so a step
-    costs that one call plus a few float operations per open bracket.  One
+    steps run on all brackets in lockstep, on every bracket still wider than
+    refine_tol, for at most _MAX_REFINE_ITERS steps.  With n brackets open the
+    refine looks d steps ahead, the largest d with (2**d - 1) * n at most
+    _LOOKAHEAD_PROBES, capped by the steps left: one objective call evaluates
+    each bracket's 2**d - 1 candidate times of the next d steps (_lookahead),
+    and discard is told how many of them no step visited.  At d = 1 a step is
+    one call on the new time of every open bracket.  Each bracket's a, b, x1,
+    x2, f1, f2 are Python floats, whose IEEE arithmetic is that of float64
+    array elements, and objective must give a time the same value in an array
+    of any length, as synthesize_f and the searches' objectives do.  One
     three-point parabolic step of width h then polishes every bracket wider
     than 2h: golden-section stalls once objective differences drop below the
     resolution of a flat top, and a stencil wide enough to see real curvature
@@ -232,11 +308,17 @@ def _refine_brackets(
     x2 = [lo + _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
     f12 = objective(np.array(x1 + x2)).tolist()
     f1, f2 = f12[:len(a)], f12[len(a):]
-    active = range(len(a))
-    for _ in range(_MAX_REFINE_ITERS):
+    active, steps = range(len(a)), 0
+    while steps < _MAX_REFINE_ITERS:
         active = [i for i in active if b[i] - a[i] > tol]
         if not active:
             break
+        depth = min(max(1, (_LOOKAHEAD_PROBES // len(active) + 1).bit_length() - 1),
+                    _MAX_REFINE_ITERS - steps)
+        steps += depth
+        if depth > 1:
+            discard(_lookahead(objective, active, (a, b, x1, x2, f1, f2), depth, tol))
+            continue
         lower = [i for i in active if f1[i] > f2[i]]  # keep [a, x2]
         upper = [i for i in active if not f1[i] > f2[i]]  # keep [x1, b]
         for i in lower:
@@ -296,13 +378,15 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     peaks = _interior_peaks(search.values)
     peaks = peaks[search.values[peaks] > _PEAK_FLOOR]
     grid = search.grid
-    refined = _refine_brackets(search.objective, grid[peaks - 1], grid[peaks + 1], cfg)
+    refined = _refine_brackets(search.objective, grid[peaks - 1], grid[peaks + 1], cfg,
+                               discard=search.discard)
     return sorted(((t, val) for t, val, _ in refined), key=lambda pair: pair[0])
 
 
 def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
-                values: np.ndarray, grid_error: float,
-                cfg: SearchConfig) -> tuple[float, tuple[float, float]]:
+                values: np.ndarray, grid_error: float, cfg: SearchConfig,
+                discard: Callable[[int], object] = lambda n: None,
+                ) -> tuple[float, tuple[float, float]]:
     """Time and bracket of the earliest candidate within _TIE_TOL of the largest.
 
     values are the objective's values on grid, from an f within grid_error of
@@ -316,7 +400,7 @@ def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     with round-off its value cannot come within _TIE_TOL of best.  best is
     first the largest grid value, then the largest candidate value; should
     the refined values fall short of the grid, the brackets the lower best
-    admits are refined in a second pass.
+    admits are refined in a second pass.  discard is passed to _refine_brackets.
     """
     peaks = _interior_peaks(values)
     los = np.concatenate([[0, grid.size - 2], peaks - 1])
@@ -331,7 +415,8 @@ def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 if i not in refined]
         if not todo:
             break
-        refined.update(zip(todo, _refine_brackets(objective, grid[los[todo]], grid[his[todo]], cfg)))
+        refined.update(zip(todo, _refine_brackets(objective, grid[los[todo]], grid[his[todo]],
+                                                  cfg, discard=discard)))
         best = max(val for _, val, _ in ends + list(refined.values()))
 
     candidates = ends + [refined[i] for i in sorted(refined)]
@@ -353,7 +438,7 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     search = _Search(spectrum, lambda t, f: fidelity.average_fidelity(f, corrected), cfg,
                      (cfg.t_max, spectrum.spread))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,
-                                  search.grid_error, cfg)
+                                  search.grid_error, cfg, discard=search.discard)
     return search.result(best_t, bracket)
 
 
@@ -394,6 +479,6 @@ def tune_uniform_field(
                      (t_aligned, spectrum.spread + (b_hi - b_lo) / 2.0),
                      (cfg.t_max, spectrum.band))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,
-                                  search.grid_error, cfg)
+                                  search.grid_error, cfg, discard=search.discard)
     best_b = float(tuned(best_t, search.f(best_t))[0])
     return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))

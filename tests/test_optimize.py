@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -386,14 +387,21 @@ class TestVerifyFieldFormula:
 
 
 class TestEvaluationCount:
-    """`evaluations` counts every time point at which f is evaluated, once."""
+    """`evaluations` counts every time point the search visits, once; the
+    lookahead probes it evaluates but never visits are its `probes`."""
 
     @pytest.fixture
     def synthesized(self, monkeypatch):
         # f reaches the search by two routes: the grid's block products and
-        # synthesize_f everywhere else
-        points = []
+        # synthesize_f everywhere else; returns the sizes of those calls and
+        # a function giving the probes of every search so far
+        points, searches = [], []
         real, real_grid = optimize.synthesize_f, optimize._grid_f
+
+        class Recorded(optimize._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
 
         def counting(spectrum, t):
             points.append(np.size(t))
@@ -406,19 +414,34 @@ class TestEvaluationCount:
 
         monkeypatch.setattr(optimize, "synthesize_f", counting)
         monkeypatch.setattr(optimize, "_grid_f", counting_grid)
-        return points
+        monkeypatch.setattr(optimize, "_Search", Recorded)
+        return points, lambda: sum(search.probes for search in searches)
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_maximize_fidelity(self, synthesized, corrected):
+        points, probes = synthesized
         res = maximize_fidelity(preset("sec2-three-spin-center", 1.0, 0.0),
                                 SearchConfig(t_max=3.8), corrected=corrected)
-        assert res.evaluations == sum(synthesized)
-        assert len(synthesized) > 1  # one grid call plus the refinements
+        assert res.evaluations + probes() == sum(points)
+        assert len(points) > 1  # one grid call plus the refinements
+        assert probes() > 0  # few brackets: the refine looked ahead
 
     def test_tune_uniform_field(self, synthesized):
+        points, probes = synthesized
         res = tune_uniform_field(preset("sec2-two-spin", 1.0, 0.0),
                                  SearchConfig(t_max=2.8), (0.0, 2.0))
-        assert res.evaluations == sum(synthesized)
+        assert res.evaluations + probes() == sum(points)
+        assert probes() > 0
+
+    @pytest.mark.parametrize("kind", ["plain", "corrected", "tuned"])
+    def test_many_brackets(self, synthesized, kind):
+        # unpruned, 43-45 brackets of about one width, which close together:
+        # every step runs at d = 1, with nothing to discard
+        points, probes = synthesized
+        with mock.patch.object(optimize, "_MAX_RISE", math.inf):
+            res = _search(preset("sec3-three-spin-center", 0.9, 0.6), 200.0, kind, (0.0, 2.0))
+        assert res.evaluations + probes() == sum(points)
+        assert probes() == 0
 
     @pytest.mark.parametrize("corrected, count", [(False, 343), (True, 387)])
     def test_count_is_that_of_the_scalar_search(self, corrected, count):
@@ -435,8 +458,9 @@ class TestEvaluationCount:
         (("sec3-three-spin-center", 0.942809, 1.0), 200.0, True, 2006),
     ])
     def test_pruned_count(self, synthesized, system, t_max, corrected, count):
+        points, probes = synthesized
         res = maximize_fidelity(preset(*system), SearchConfig(t_max=t_max), corrected=corrected)
-        assert res.evaluations == sum(synthesized) == count
+        assert res.evaluations == sum(points) - probes() == count
 
 
 class TestSpectrumOnly:
@@ -568,11 +592,16 @@ class TestLockstepRefine:
         spectrum = solve(spec)
 
         def scalar(t):
+            visited[float(t).hex()] += 1
             f = synthesize_f(spectrum, t)
             return corrected_average_fidelity(f)[0] if corrected else average_fidelity(f)
 
         def array(t):
             return average_fidelity(synthesize_f(spectrum, t), corrected)
+
+        def counted(t):
+            evaluated.update(x.hex() for x in np.asarray(t, dtype=float).ravel().tolist())
+            return array(t)
 
         # the brackets _global_max refines, one around every grid minimum, and
         # one a single stencil step h wide
@@ -583,9 +612,18 @@ class TestLockstepRefine:
         h = max(1e4 * cfg.refine_tol, 1e-6 * cfg.t_max)
         los = np.concatenate([[grid[0], grid[-2]], grid[inner - 1], [grid[3]]])
         his = np.concatenate([[grid[1], grid[-1]], grid[inner + 1], [grid[3] + h]])
-        refined = optimize._refine_brackets(array, los, his, cfg)
+        evaluated, visited, discarded = Counter(), Counter(), []
+        refined = optimize._refine_brackets(counted, los, his, cfg, discard=discarded.append)
         oracle = [_scalar_refine(scalar, lo, hi, cfg) for lo, hi in zip(los, his)]
         assert [_bits(c) for c in refined] == [_bits(c) for c, _, _ in oracle]
+        # every time the scalar search visits, to the bit, is evaluated, and
+        # the rest are the discarded probes
+        assert visited <= evaluated
+        assert evaluated.total() - sum(discarded) == visited.total()
+        # alone, a bracket looks further ahead and still gets the same bits
+        for k in range(0, los.size, max(1, los.size // 4)):
+            alone, = optimize._refine_brackets(array, los[k:k + 1], his[k:k + 1], cfg)
+            assert _bits(alone) == _bits(oracle[k][0])
         return [(steps, polish) for _, steps, polish in oracle]
 
     @pytest.mark.parametrize("corrected", [False, True])
@@ -599,13 +637,38 @@ class TestLockstepRefine:
 
     @settings(max_examples=30, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 30.0), corrected=st.booleans(),
-           max_iters=st.sampled_from([4, 200]))
-    def test_random_chains(self, spec, t_max, corrected, max_iters):
-        with mock.patch.object(optimize, "_MAX_REFINE_ITERS", max_iters):
+           max_iters=st.sampled_from([1, 2, 3, 4, 7, 200]),
+           probes=st.sampled_from([1, 3, optimize._LOOKAHEAD_PROBES, 100]))
+    def test_random_chains(self, spec, t_max, corrected, max_iters, probes):
+        with mock.patch.object(optimize, "_MAX_REFINE_ITERS", max_iters), \
+                mock.patch.object(optimize, "_LOOKAHEAD_PROBES", probes):
             self._compare(spec, SearchConfig(t_max=t_max), corrected)
 
+    @pytest.mark.parametrize("n, depth", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (10, 2),
+                                          (11, 1), (40, 1)])
+    def test_depth_follows_the_open_brackets(self, n, depth):
+        # brackets of one width close together, so n stay open to the end
+        assert optimize._LOOKAHEAD_PROBES == 32
+        sizes, discarded = [], []
+
+        def objective(t):
+            sizes.append(np.size(t))
+            return np.cos(2.0 * np.pi * np.asarray(t))
+
+        cfg = SearchConfig(t_max=float(n))
+        los = np.arange(n) - 0.25
+        refined = optimize._refine_brackets(objective, los, los + 0.5, cfg,
+                                            discard=discarded.append)
+        assert [c[0] for c in refined] == pytest.approx(np.arange(n), abs=1e-8)
+        calls = sizes[1:-2]  # the first probes, then the steps; the polish last
+        if depth == 1:  # today's step: one call per step on the n new times
+            assert not discarded and set(calls) == {n}
+        else:
+            assert calls[0] == n * (2**depth - 1) <= optimize._LOOKAHEAD_PROBES
+            assert len(calls) < optimize._MAX_REFINE_ITERS / depth
+
     @staticmethod
-    def _scalar_brackets(objective, los, his, cfg):
+    def _scalar_brackets(objective, los, his, cfg, discard=None):
         """_refine_brackets by the scalar oracle, one bracket and one time at a time."""
         def scalar(t):
             return float(objective(np.array([t]))[0])
@@ -644,8 +707,8 @@ def _recording(name):
     calls = []
     real = getattr(optimize, name)
 
-    def record(*args):
-        out = real(*args)
+    def record(*args, **kwargs):
+        out = real(*args, **kwargs)
         calls.append((args, out))
         return out
 
@@ -660,6 +723,34 @@ def _search(spec, t_max, kind, box):
 
 
 _boxes = st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 10.0)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+class TestLookahead:
+    """Looking ahead changes no bit of any search result, evaluations included."""
+
+    @staticmethod
+    def _results(spec, t_max, box):
+        def bits(res):
+            return [x.hex() if isinstance(x, float) else x
+                    for x in (res.best_t, res.best_field, res.fbar, res.fbar_corrected,
+                              res.abs_f, res.evaluations, *res.bracket)]
+
+        peaks = critical_times(spec, SearchConfig(t_max=t_max))
+        return ([bits(_search(spec, t_max, kind, box)) for kind in ("plain", "corrected", "tuned")],
+                [(t.hex(), value.hex()) for t, value in peaks])
+
+    # horizons from one bracket to hundreds, each refine step capped inside a
+    # lookahead at 1, 2, 3 and 7 steps
+    @settings(max_examples=40, deadline=None)
+    @given(spec=_chains(), t_max=st.floats(1.0, 80.0), box=_boxes,
+           max_iters=st.sampled_from([1, 2, 3, 7, 200]))
+    def test_searches_return_the_scalar_oracle_result(self, spec, t_max, box, max_iters):
+        with mock.patch.object(optimize, "_MAX_REFINE_ITERS", max_iters):
+            lookahead = self._results(spec, t_max, box)
+            with mock.patch.object(optimize, "_refine_brackets",
+                                   TestLockstepRefine._scalar_brackets):
+                oracle = self._results(spec, t_max, box)
+        assert lookahead == oracle
 
 
 class TestPruning:
