@@ -11,12 +11,13 @@ level for each block of 64 points; these values lie within _grid_error of
 synthesize_f's, which the pruning margin allows for; every other value of f,
 refined or reported, comes from synthesize_f through the search, which counts
 each time point it visits once.  Candidate brackets are refined by
-golden-section search in lockstep: each step evaluates f at one new time per
-bracket still open, in one array synthesis, and each bracket visits the same
-times a search on it alone would.  While few brackets are open, one call looks
-d steps ahead: it evaluates every candidate time of the next d steps, one per
-outcome of the comparisons not yet known, and the steps are replayed on those
-values; the candidates never visited are the search's probes, not counted in
+golden-section search in lockstep: each pass takes, on every bracket still
+open, the step whose branch is known and evaluates the new times in one array
+synthesis, and each bracket visits the same times a search on it alone would.
+While few brackets are open the same call also evaluates, for each bracket,
+the candidate times of the next steps, one per outcome of the comparisons not
+yet known, and those steps are read off the stored candidates; the
+candidates never visited are the search's probes, not counted in
 evaluations.  A step costs its share of an objective call plus a few Python
 float operations per open bracket, whose ends, probes and values are Python
 floats.  A final three-point parabolic correction sharpens each extremum past
@@ -83,12 +84,12 @@ _MAX_REFINE_ITERS = 200
 
 # Most candidate times one lookahead call of the refine evaluates: with n
 # brackets open it looks d steps ahead, the largest d with (2**d - 1) * n at
-# most this, or d = 1, one plain step.  On a 2-core x86-64 VM an objective
-# call costs 8-27 us for one time and 10-31 us for 31, while a lookahead's
-# Python work costs 0.2-0.7 us a candidate.  32 lets one bracket take 5 steps
-# a call and keeps d = 1 from 11 open brackets on.  On the benchmark's
-# optimize and tune-field inputs 16-64 were within 4 % of each other, 32
-# fastest; 8 and 128 were slower.
+# most this; at d = 1 the step alone, no tree.  On a 2-core x86-64 VM an
+# objective call costs 8-27 us for one time and 10-31 us for 31, while a
+# lookahead's Python work costs 0.2-0.7 us a candidate.  32 lets one bracket
+# take 5 steps a call and keeps d = 1 from 11 open brackets on.  On the
+# benchmark's optimize and tune-field inputs 16-64 were within 4 % of each
+# other, 32 fastest; 8 and 128 were slower.
 _LOOKAHEAD_PROBES = 32
 
 
@@ -134,9 +135,9 @@ class OptimizationResult:
 
     evaluations is the number of time points the search visited, each
     counted once: the grid, the golden-section path and the parabolic polish
-    of every refined bracket, and best_t.  The refine's lookahead probes that
-    no step visited are not counted; brackets that are never refined add
-    nothing.
+    of every refined bracket, and best_t.  The candidate times of the
+    refine's lookahead trees that no step visited are not counted (they are
+    the search's probes); brackets that are never refined add nothing.
     """
 
     best_t: float
@@ -206,7 +207,7 @@ class _Search:
         return self.value(t, self.f(t))
 
     def discard(self, n: int) -> None:
-        """Count n of the times evaluated as lookahead probes the search never visited."""
+        """Move n evaluated times, tree candidates no refine step visited, from count to probes."""
         self.count, self.probes = self.count - n, self.probes + n
 
     def result(self, best_t: float, bracket: tuple[float, float], best_field: float | None = None,
@@ -225,56 +226,6 @@ class _Search:
         )
 
 
-def _lookahead(objective: Callable[[np.ndarray], np.ndarray], active: list[int],
-               state: tuple[list[float], ...], depth: int, tol: float) -> int:
-    """Up to depth golden-section steps on each open bracket, in one objective call.
-
-    state holds the refine's lists a, b, x1, x2, f1, f2, which the steps
-    update in place; returns how many candidates were evaluated but never
-    visited.  A bracket's candidates are the nodes of a heap: node 1 is the
-    first step's time, whose branch is known (f1 > f2), and node j's children
-    are the next step's times after keeping [a, x2] (2j) or [x1, b] (2j + 1),
-    2**depth - 1 in all.  The steps are then replayed on the returned values,
-    by the float operations of a plain step, so each bracket visits the same
-    times and takes the same branches, and stops where a plain step would.
-    """
-    a, b, x1, x2, f1, f2 = state
-    size, times = 2**depth - 1, []
-    for i in active:
-        lo, hi, p1, p2 = a[i], b[i], x1[i], x2[i]
-        if f1[i] > f2[i]:
-            nodes = [(lo, p2, p2 - _GOLDEN * (p2 - lo), p1)]
-            times.append(nodes[0][2])
-        else:
-            nodes = [(p1, hi, p2, p1 + _GOLDEN * (hi - p1))]
-            times.append(nodes[0][3])
-        for k in range(size // 2):  # the nodes with children, in heap order
-            lo, hi, p1, p2 = nodes[k]
-            nodes += (lo, p2, p2 - _GOLDEN * (p2 - lo), p1), (p1, hi, p2, p1 + _GOLDEN * (hi - p1))
-            times += nodes[-2][2], nodes[-1][3]
-    values = objective(np.array(times)).tolist()
-    visited = 0
-    for base, i in zip(range(-1, len(times), size), active):
-        lo, hi, p1, p2, v1, v2 = a[i], b[i], x1[i], x2[i], f1[i], f2[i]
-        node = 0
-        for _ in range(depth):
-            if not hi - lo > tol:
-                break
-            if v1 > v2:  # keep [a, x2]
-                hi, p2, v2 = p2, p1, v1
-                p1 = hi - _GOLDEN * (hi - lo)
-                node = 2 * node or 1
-                v1 = values[base + node]
-            else:  # keep [x1, b]
-                lo, p1, v1 = p1, p2, v2
-                p2 = lo + _GOLDEN * (hi - lo)
-                node = 2 * node + 1
-                v2 = values[base + node]
-            visited += 1
-        a[i], b[i], x1[i], x2[i], f1[i], f2[i] = lo, hi, p1, p2, v1, v2
-    return len(times) - visited
-
-
 def _refine_brackets(
     objective: Callable[[np.ndarray], np.ndarray],
     los: np.ndarray,
@@ -286,20 +237,25 @@ def _refine_brackets(
 
     objective maps an array of times to an array of values.  Golden-section
     steps run on all brackets in lockstep, on every bracket still wider than
-    refine_tol, for at most _MAX_REFINE_ITERS steps.  With n brackets open the
-    refine looks d steps ahead, the largest d with (2**d - 1) * n at most
-    _LOOKAHEAD_PROBES, capped by the steps left: one objective call evaluates
-    each bracket's 2**d - 1 candidate times of the next d steps (_lookahead),
-    and discard is told how many of them no step visited.  At d = 1 a step is
-    one call on the new time of every open bracket.  Each bracket's a, b, x1,
-    x2, f1, f2 are Python floats, whose IEEE arithmetic is that of float64
-    array elements, and objective must give a time the same value in an array
-    of any length, as synthesize_f and the searches' objectives do.  One
-    three-point parabolic step of width h then polishes every bracket wider
-    than 2h: golden-section stalls once objective differences drop below the
-    resolution of a flat top, and a stencil wide enough to see real curvature
-    places the vertex far better.  Each bracket visits the times, and takes
-    the branches, of a search on it alone.
+    refine_tol, for at most _MAX_REFINE_ITERS steps.  Each pass takes, on
+    every open bracket, the step whose branch is known (f1 > f2).  With n
+    brackets open a pass covers d steps, the largest d with (2**d - 1) * n at
+    most _LOOKAHEAD_PROBES, capped by the steps left.  At d >= 2 the pass also
+    builds, from each bracket's state after that step, the tree of the d - 1
+    steps below it: node 0 is that state, and node k's children are 2k + 1
+    (keep [a, x2]) and 2k + 2 (keep [x1, b]), 2**d - 2 candidate times in
+    all.  One objective call evaluates the new times and the candidates; each
+    tree is replayed on the returned values by reading its stored nodes, up
+    to a node no wider than refine_tol, and discard is told how many
+    candidates no step visited.  At d = 1 no tree is built.  Each bracket's a,
+    b, x1, x2, f1, f2 are Python floats, whose IEEE arithmetic is that of
+    float64 array elements, and objective must give a time the same value in
+    an array of any length, as synthesize_f and the searches' objectives do.
+    One three-point parabolic step of width h then polishes every bracket
+    wider than 2h: golden-section stalls once objective differences drop
+    below the resolution of a flat top, and a stencil wide enough to see real
+    curvature places the vertex far better.  Each bracket visits the times,
+    and takes the branches, of a search on it alone.
     """
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     tol = cfg.refine_tol
@@ -316,22 +272,47 @@ def _refine_brackets(
         depth = min(max(1, (_LOOKAHEAD_PROBES // len(active) + 1).bit_length() - 1),
                     _MAX_REFINE_ITERS - steps)
         steps += depth
-        if depth > 1:
-            discard(_lookahead(objective, active, (a, b, x1, x2, f1, f2), depth, tol))
+        size, times, nodes, filled = 2**depth - 1, [], [], []
+        for i in active:  # the step whose branch is known
+            if f1[i] > f2[i]:  # keep [a, x2]
+                b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
+                x1[i] = t = b[i] - _GOLDEN * (b[i] - a[i])
+                filled.append(f1)
+            else:  # keep [x1, b]
+                a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+                x2[i] = t = a[i] + _GOLDEN * (b[i] - a[i])
+                filled.append(f2)
+            times.append(t)
+            if size > 1:  # the tree of the depth - 1 steps below it
+                base = len(nodes)
+                nodes.append((a[i], b[i], x1[i], x2[i]))
+                for k in range(base, base + size // 2):  # the nodes with children
+                    lo, hi, p1, p2 = nodes[k]
+                    left, right = p2 - _GOLDEN * (p2 - lo), p1 + _GOLDEN * (hi - p1)
+                    nodes += (lo, p2, left, p1), (p1, hi, p2, right)
+                    times += left, right
+        values = objective(np.array(times)).tolist()
+        for f, i, value in zip(filled, active, values[::size]):
+            f[i] = value
+        if size == 1:
             continue
-        lower = [i for i in active if f1[i] > f2[i]]  # keep [a, x2]
-        upper = [i for i in active if not f1[i] > f2[i]]  # keep [x1, b]
-        for i in lower:
-            b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
-            x1[i] = b[i] - _GOLDEN * (b[i] - a[i])
-        for i in upper:
-            a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
-            x2[i] = a[i] + _GOLDEN * (b[i] - a[i])
-        new = objective(np.array([x1[i] for i in lower] + [x2[i] for i in upper])).tolist()
-        for i, value in zip(lower, new):
-            f1[i] = value
-        for i, value in zip(upper, new[len(lower):]):
-            f2[i] = value
+        visited = 0
+        for base, i in zip(range(0, len(values), size), active):  # replay each tree
+            k, v1, v2 = 0, f1[i], f2[i]
+            for _ in range(depth - 1):
+                node = nodes[base + k]
+                if not node[1] - node[0] > tol:
+                    break
+                if v1 > v2:  # keep [a, x2]
+                    k, v2 = 2 * k + 1, v1
+                    v1 = values[base + k]
+                else:  # keep [x1, b]
+                    k, v1 = 2 * k + 2, v2
+                    v2 = values[base + k]
+                visited += 1
+            a[i], b[i], x1[i], x2[i] = nodes[base + k]
+            f1[i], f2[i] = v1, v2
+        discard(len(values) - len(active) - visited)
     first = np.greater(f1, f2)
     x, val = np.where(first, x1, x2), np.where(first, f1, f2)
 

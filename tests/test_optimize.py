@@ -644,28 +644,36 @@ class TestLockstepRefine:
                 mock.patch.object(optimize, "_LOOKAHEAD_PROBES", probes):
             self._compare(spec, SearchConfig(t_max=t_max), corrected)
 
+    # 115 brackets, as in a many-bracket search of the benchmark's optimize
+    # inputs, whose largest searches hold 161-182 at seeds 1-3
     @pytest.mark.parametrize("n, depth", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (10, 2),
-                                          (11, 1), (40, 1)])
+                                          (11, 1), (40, 1), (115, 1)])
     def test_depth_follows_the_open_brackets(self, n, depth):
         # brackets of one width close together, so n stay open to the end
         assert optimize._LOOKAHEAD_PROBES == 32
-        sizes, discarded = [], []
+        events = []
 
         def objective(t):
-            sizes.append(np.size(t))
+            events.append(("call", np.size(t)))
             return np.cos(2.0 * np.pi * np.asarray(t))
 
         cfg = SearchConfig(t_max=float(n))
         los = np.arange(n) - 0.25
         refined = optimize._refine_brackets(objective, los, los + 0.5, cfg,
-                                            discard=discarded.append)
+                                            discard=lambda k: events.append(("discard", k)))
         assert [c[0] for c in refined] == pytest.approx(np.arange(n), abs=1e-8)
-        calls = sizes[1:-2]  # the first probes, then the steps; the polish last
-        if depth == 1:  # today's step: one call per step on the n new times
-            assert not discarded and set(calls) == {n}
+        # the first probes, then the steps; the polish last
+        calls = [size for kind, size in events if kind == "call"][1:-2]
+        # each discard follows its pass's call, one of more than the n new times
+        discards = [(before, k) for before, (kind, k) in zip(events, events[1:])
+                    if kind == "discard"]
+        assert all(before[0] == "call" and before[1] > n and k >= 0 for before, k in discards)
+        if depth == 1:  # one call per step on the n new times
+            assert not discards and set(calls) == {n}
         else:
             assert calls[0] == n * (2**depth - 1) <= optimize._LOOKAHEAD_PROBES
             assert len(calls) < optimize._MAX_REFINE_ITERS / depth
+            assert len(discards) == len(calls)
 
     @staticmethod
     def _scalar_brackets(objective, los, his, cfg, discard=None):
