@@ -18,7 +18,6 @@ from spintransfer import (
     fidelity_report,
     maximize_fidelity,
     preset,
-    transfer_amplitude,
     tune_uniform_field,
 )
 from spintransfer.closed_forms import PresetSystem, critical_field, zero_field_critical_time
@@ -45,9 +44,9 @@ print(f"max Fbar = {best.fbar:.9f} at t = {best.best_t:.9f}  (2/3 = {2 / 3:.9f})
 print()
 print("=== receiver-side phase gate instead of a field ===")
 # at t*, f = -i: the gate diag{1, e^{i pi/2}} (an S gate) makes it real
-rec = transfer_amplitude(spec, T_STAR)
-corrected, phase = corrected_average_fidelity(rec.f)
-print(f"f(t*) = {rec.f:.4f}; gate phase = {phase:+.4f} (-pi/2 means an S gate)")
+f = synthesize_f(solve(spec), T_STAR)
+corrected, phase = corrected_average_fidelity(f)
+print(f"f(t*) = {f:.4f}; gate phase = {phase:+.4f} (-pi/2 means an S gate)")
 print(f"corrected Fbar = {corrected:.9f}")
 
 print()
@@ -63,5 +62,5 @@ for k in (0, 1):
     parity = "even" if k % 2 == 0 else "odd"
     for l in (0, 1):
         b_c = critical_field(PresetSystem("sec2-two-spin", J, 0.0), t_c, parity, l)
-        fbar = average_fidelity(transfer_amplitude(preset("sec2-two-spin", J, b_c), t_c).f)
+        fbar = average_fidelity(synthesize_f(solve(preset("sec2-two-spin", J, b_c)), t_c))
         print(f"  k={k} l={l}: t_c={t_c:.4f} B_c={b_c:.4f} -> Fbar={fbar:.12f}")

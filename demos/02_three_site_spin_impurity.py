@@ -17,7 +17,6 @@ from spintransfer import (
     fidelity_report,
     maximize_fidelity,
     preset,
-    transfer_amplitude,
     tune_uniform_field,
 )
 from spintransfer.excitation import solve, synthesize_f
@@ -38,9 +37,9 @@ for t, abs_f, gamma, fbar in zip(rep.t, rep.abs_f, rep.gamma, rep.fbar):
 
 print()
 print("=== a Z gate at the receiver rescues it ===")
-rec = transfer_amplitude(spec, T_C)
-corrected, phase = corrected_average_fidelity(rec.f)
-print(f"f(t_c) = {rec.f:.6f}, gate phase = {phase:+.6f} (|phase| = pi: a Z gate)")
+f = synthesize_f(solve(spec), T_C)
+corrected, phase = corrected_average_fidelity(f)
+print(f"f(t_c) = {f:.6f}, gate phase = {phase:+.6f} (|phase| = pi: a Z gate)")
 print(f"corrected Fbar at t_c = pi/J: {corrected:.12f}")
 
 print()
@@ -49,6 +48,6 @@ res = tune_uniform_field(spec, SearchConfig(t_max=1.3 * T_C), (0.0, 2.0))
 print(f"tuned optimum: Fbar = {res.fbar:.9f} at t = {res.best_t:.6f}, B = {res.best_field:.6f}")
 
 tuned = preset("sec2-three-spin-center", J, math.pi / T_C)
-rec = transfer_amplitude(tuned, T_C)
-print(f"closed-form check at B = pi/t_c: f(t_c) = {rec.f:.6f} -> Fbar = "
-      f"{average_fidelity(rec.f):.12f}")
+f = synthesize_f(solve(tuned), T_C)
+print(f"closed-form check at B = pi/t_c: f(t_c) = {f:.6f} -> Fbar = "
+      f"{average_fidelity(f):.12f}")

@@ -16,8 +16,8 @@ from spintransfer import (
     analytic_f,
     maximize_fidelity,
     preset,
-    transfer_amplitude,
 )
+from spintransfer.excitation import solve, synthesize_f
 
 SQRT2 = math.sqrt(2.0)
 B = 1.0
@@ -37,7 +37,7 @@ print()
 print("=== engine agreement on the double-impurity chain ===")
 spec = preset("sec4-three-spin-center", j, B)
 for t in (1.0, 5.0, 17.3):
-    engine = transfer_amplitude(spec, t).f
+    engine = synthesize_f(solve(spec), t)
     closed = analytic_f(PresetSystem("sec4-three-spin-center", j, B), t)
     print(f"  t = {t:5.1f}: engine {engine:+.9f}  closed form {closed:+.9f}")
 

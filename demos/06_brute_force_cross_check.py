@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from spintransfer import BlochState, FullSpaceModel, full_hamiltonian, preset, transfer_amplitude
+from spintransfer import BlochState, FullSpaceModel, full_hamiltonian, preset
 from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec
 from spintransfer.fidelity import fidelity
 from spintransfer.full_space import excitation_sector_indices, total_sz_diagonal
-from spintransfer.excitation import reduce
+from spintransfer.excitation import reduce, solve, synthesize_f
 
 rng = np.random.default_rng(2)
 
@@ -48,7 +48,7 @@ state = BlochState(math.pi / 2, 1.0)
 model = FullSpaceModel(spec)
 print("      t    F (subspace)   F (full)      |diff|")
 for t in np.linspace(0.0, 12.0, 7):
-    f_sub = fidelity(transfer_amplitude(spec, t).f, state)
+    f_sub = fidelity(synthesize_f(solve(spec), t), state)
     f_full = model.fidelity(state, t)
     print(f"  {t:6.2f}   {f_sub:.10f}  {f_full:.10f}  {abs(f_sub - f_full):.2e}")
 

@@ -60,7 +60,7 @@ class TooManySitesError(ChainSpecError):
 
 
 class NonFiniteError(ChainSpecError):
-    """A field or coupling is NaN or infinite."""
+    """A number that must be finite (a field, a coupling, a time) is not."""
 
 
 class BadSpinError(ChainSpecError):
@@ -96,13 +96,20 @@ def _finite(value: Any, what: str) -> float:
     an int beyond the floats are not finite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ChainFormatError(f"{what} must be a number, got {_shown(value)}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+    number = float(_floats(value))
     if not math.isfinite(number):
         raise NonFiniteError(f"{what} must be finite, got {_shown(value)}")
     return number
+
+
+def _floats(values: Any) -> np.ndarray:
+    """np.asarray(values, dtype=float), but an int beyond the floats as an infinity of its sign."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        if np.ndim(values):
+            return np.array([_floats(value) for value in values])
+        return np.asarray(math.inf if values > 0 else -math.inf)
 
 
 def _count(value: Any, what: str, lo: int, hi: int, error: type[Exception],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _count, _finite, _known_preset, preset
+from .chain import ChainSpec, _count, _finite, _floats, _known_preset, preset
 
 __all__ = [
     "DegenerateSystemError",
@@ -99,7 +99,7 @@ def analytic_f(sys: PresetSystem, t: float) -> complex:
     Raises DegenerateSystemError when a phase such as B t overflows.
     """
     j, b = sys.J, sys.B
-    t = float(t)
+    t = float(_floats(t))  # an int beyond the floats as an infinity, whose phases overflow
     if sys.name == "sec2-two-spin":
         return -1j * cmath.exp(1j * _phase(b * t)) * math.sin(_phase(_SQRT2 * j * t / 2.0))
     if sys.name == "sec2-three-spin-center":

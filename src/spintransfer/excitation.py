@@ -15,18 +15,18 @@ amplitudes are evaluated by spectral synthesis, never by time stepping:
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
     f     = sum_k w_k exp(-i (eps_k - E0) t),   w_k = v_k[1] v_k[N]
 
-Two routes give f from the Spectrum that solve returns (levels
-lambda_k = eps_k - E0 and weights w_k, no eigenvectors).  synthesize_f, O(N)
-per time on a scalar time or any array of finite times, is the reference: f
-equals the phase-referenced tail conj(f0) fn[N] to rounding (bit for bit
-when E0 = 0); amplitudes adds fn, O(N^2), and f0 for the unitarity checks.
-_grid_f gives f on an evenly spaced grid (the searches' grids and the rows
-of `spintransfer simulate`) by block products: one complex exponential per
-level for each _GRID_BLOCK grid times, where synthesize_f takes one per
-level and time.  Its values lie within _grid_error of synthesize_f's, about
-16 (|lambda|max t_max + N) 2^-53 sum_k |w_k|.  The reported phase of f, and
-every fidelity derived from f, is computed in the fidelity module (the tuned
-search takes arg f only to choose its field).
+One route gives f, from the Spectrum that solve returns (levels
+lambda_k = eps_k - E0 and weights w_k, no eigenvectors): synthesize_f, O(N)
+per time on a scalar time or any array of finite times, and _grid_f on an
+evenly spaced grid (the searches' grids and the rows of `spintransfer
+simulate`), by block products with one complex exponential per level for
+each _GRID_BLOCK grid times, within _grid_error of synthesize_f's, about
+16 (|lambda|max t_max + N) 2^-53 sum_k |w_k|.  f equals the phase-referenced
+tail conj(f0) fn[N] of amplitudes, which gives f0 and fn, O(N^2), for the
+unitarity checks, to rounding (bit for bit when E0 = 0); _terms forms the
+terms of all three.  The reported phase of f, and every fidelity derived
+from f, is computed in the fidelity module (the tuned search takes arg f
+only to choose its field).
 
 No error accumulates from step to step, but the phases eps t carry an error
 of about |eps| t 2^-53 (|eps| the largest energy of the chain), and the
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, NonFiniteError
+from .chain import ChainSpec, NonFiniteError, _finite, _floats
 
 __all__ = [
     "SingleExcitationHamiltonian",
@@ -119,16 +119,12 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeRecord:
-    """Transfer amplitudes of one chain at one time.
-
-    fn[n] is the amplitude for the excitation injected at site 1 to be found
-    at site n+1; f, from synthesize_f, is the end-to-end amplitude,
-    conj(f0) * fn[-1] to rounding.
-    """
+    """f0 = exp(-i E0 t) and fn[n], the amplitude for the excitation injected at
+    site 1 to be found at site n+1, at one time; f is synthesize_f's, conj(f0) *
+    fn[-1] to rounding.  The unitarity checks read this record."""
 
     f0: complex
     fn: np.ndarray
-    f: complex
 
 
 def _hopping_scale(s_left: float, s_right: float) -> float:
@@ -178,12 +174,10 @@ def solve(spec: ChainSpec) -> Spectrum:
 
 
 def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
-    """f0, all fn, and f (from synthesize_f) at one time from a precomputed spectrum."""
-    t = float(t)
-    f = synthesize_f(Spectrum.of(h, eig), t)  # first: it refuses a time that is not finite
-    fn = (eig.vectors * eig.vectors[0] * np.exp(-1j * t * eig.values)).sum(axis=1)
-    f0 = complex(np.exp(-1j * h.vacuum_energy * t))
-    return AmplitudeRecord(f0=f0, fn=fn, f=f)
+    """f0 and all fn at one finite time (refused as by synthesize_f) from an eigensolve."""
+    t = _finite(t if type(t) is int else float(t), "times")
+    fn = _terms(t, eig.values, eig.vectors * eig.vectors[0]).sum(axis=1)
+    return AmplitudeRecord(f0=complex(np.exp(-1j * h.vacuum_energy * t)), fn=fn)
 
 
 def synthesize_f(spectrum: Spectrum, t):
@@ -195,37 +189,37 @@ def synthesize_f(spectrum: Spectrum, t):
 
     O(N) per time.  Folding the vacuum phase into the exponents saves a
     complex product per time and keeps the phase arguments small when the
-    fields are large.  The terms are summed elementwise, in the order
-    amplitudes() sums fn[N], not by a BLAS product whose order depends on
-    the shape, so a time gives the same bits in an array of any length, and
-    at E0 = 0 so does conj(f0) * fn[N].  A scalar time is evaluated as a
-    one-element array; arrays are evaluated in blocks of at most 1024 times,
-    and an array of at most 1024 is its own block.  A time that is NaN or
-    infinite raises ValueError, before any exponential is taken.
+    fields are large.  The terms, from _terms as amplitudes' are, are summed
+    elementwise, not by a BLAS product whose order depends on the shape, so a
+    time gives the same bits in an array of any length, and at E0 = 0 so does
+    conj(f0) * fn[N].  A scalar time is evaluated as a one-element array;
+    arrays are evaluated in blocks of at most 1024 times, and an array of at
+    most 1024 is its own block.  A time that is NaN, infinite or an int beyond
+    the floats raises ValueError, naming it, before any exponential is taken.
     """
     levels, weights = spectrum.levels, spectrum.weights
-    times = np.asarray(t, dtype=float)
+    times = _floats(t)
     if times.ndim > 1:
         raise ValueError("times must be a scalar or one-dimensional")
     grid = times.reshape(-1)
-    finite = np.isfinite(grid)
-    if not finite.all():
-        raise ValueError(f"times must be finite, got {float(grid[~finite][0])!r}")
+    if not np.isfinite(grid).all():  # _finite names the first such time, an int by its size
+        given = np.asarray(t, dtype=object).reshape(-1)[np.isfinite(grid).argmin()]
+        _finite(given if type(given) is int else float(given), "times")
     if grid.size <= _TIME_BLOCK:
-        f = _block_f(grid, levels, weights)
+        f = _terms(grid, levels, weights).sum(axis=1)
     else:
         f = np.empty(grid.size, dtype=complex)
         for lo in range(0, grid.size, _TIME_BLOCK):
-            f[lo:lo + _TIME_BLOCK] = _block_f(grid[lo:lo + _TIME_BLOCK], levels, weights)
+            f[lo:lo + _TIME_BLOCK] = _terms(grid[lo:lo + _TIME_BLOCK], levels, weights).sum(axis=1)
     return complex(f[0]) if times.ndim == 0 else f
 
 
-def _block_f(times: np.ndarray, levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k w_k exp(-i lambda_k t) at each time, in one (times x levels) buffer."""
+def _terms(times, levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """w_k exp(-i lambda_k t) in one (times x levels) buffer, multiplied in place;
+    a weight matrix (a row per site) against one time gives a new array."""
     terms = np.multiply.outer(-1j * times, levels)
     np.exp(terms, out=terms)
-    terms *= weights
-    return terms.sum(axis=1)
+    return np.multiply(terms, weights, out=terms) if weights.ndim == 1 else weights * terms
 
 
 def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +247,8 @@ def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
         offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(_GRID_BLOCK) * step))
         for first in range(lo, hi + 1, _TIME_BLOCK):
             last = min(first + _TIME_BLOCK, hi + 1)
-            phases = np.multiply.outer(-1j * grid[first:last:_GRID_BLOCK], levels)
-            np.exp(phases, out=phases)
-            phases *= weights
-            f[first:last] = (phases @ offsets).ravel()[:last - first]
+            f[first:last] = (_terms(grid[first:last:_GRID_BLOCK], levels, weights)
+                             @ offsets).ravel()[:last - first]
         lo = hi
     # a block from a finite phase can hold times whose own phase overflows, and
     # synthesize_f's phase t lambda_k overflows for some k where t max|lambda_k| does
@@ -282,7 +274,7 @@ def _grid_error(spectrum: Spectrum, t_max: float) -> float:
 
 
 def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:
-    """One-shot convenience: reduce, diagonalise, evaluate at a single time."""
+    """reduce, eigensolve and amplitudes at one time; f is synthesize_f(solve(spec), t)."""
     h = reduce(spec)
     return amplitudes(h, eigensolve(h), t)
 

@@ -28,7 +28,7 @@ from spintransfer.chain import (PRESET_NAMES, SPIN_HALF, ChainSpec, ChainSpecErr
                                 save_chain)
 from spintransfer.cli import CSV_HEADER, main
 from spintransfer.excitation import (_grid_error, _grid_f, amplitudes, eigensolve, reduce,
-                                     solve, synthesize_f, transfer_amplitude)
+                                     solve, synthesize_f)
 from spintransfer.fidelity import AmplitudeOutOfRangeError, fidelity_report
 
 SQRT2 = math.sqrt(2.0)
@@ -132,7 +132,7 @@ class TestSimulate:
         grid, f = _grid_f(spectrum, [(0.0, 4.5, 999)])
         i = lines.index(best) - 1
         assert grid[i] == row[0]
-        assert abs(f[i] - transfer_amplitude(spec, row[0]).f) <= _grid_error(spectrum, 4.5)
+        assert abs(f[i] - synthesize_f(spectrum, row[0])) <= _grid_error(spectrum, 4.5)
         rep = fidelity_report(row[0], f[i])
         assert row[1] == rep.f.real
         assert row[2] == rep.f.imag
@@ -146,7 +146,7 @@ class TestSimulate:
     def test_rows_are_transfer_amplitude_bit_for_bit(self, tmp_path, capsys, name):
         # B = 0.7 gives every preset a nonzero vacuum energy, which both routes
         # fold into the phases; the rows are the grid's block product to the
-        # bit, and within _grid_error of transfer_amplitude
+        # bit, and within _grid_error of synthesize_f
         out_path = tmp_path / "sweep.csv"
         assert _run(capsys, "simulate", "--preset", name, "--J", "0.9", "--B", "0.7",
                     "--t-max", "50", "--steps", "1001", "--out", str(out_path))[0] == 0
@@ -161,7 +161,7 @@ class TestSimulate:
             values = (t, rep.f.real, rep.f.imag, rep.abs_f, rep.gamma, rep.fbar,
                       rep.fbar_corrected, rep.gamma)
             assert line == ",".join("%.17g" % v for v in values)  # round-trips every bit
-            assert abs(z - transfer_amplitude(spec, t).f) <= bound
+            assert abs(z - synthesize_f(spectrum, t)) <= bound
 
     def test_rows_streamed_in_blocks_equal_the_whole_array_report(self, tmp_path, capsys):
         # 2,500 rows cross two boundaries of the 1,024-row output blocks

@@ -1,5 +1,6 @@
 """Single-excitation reduction, eigensolver, and transfer amplitudes."""
 
+import dataclasses
 import math
 import re
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spintransfer import excitation
 from spintransfer.chain import (
     ChainSpec,
     NonFiniteError,
@@ -14,6 +16,7 @@ from spintransfer.chain import (
     SPIN_ONE,
     SiteSpec,
     SpinMagnitude,
+    _shown,
     engineered_chain,
     preset,
 )
@@ -146,41 +149,58 @@ class TestEigensolve:
 class TestAmplitudes:
     def test_identity_at_t0(self):
         t = 0.0
-        rec = transfer_amplitude(preset("sec2-three-spin-center", 1.0, 0.7), t)
+        spec = preset("sec2-three-spin-center", 1.0, 0.7)
+        rec = transfer_amplitude(spec, t)
+        f = synthesize_f(solve(spec), t)
         assert rec.f0 == pytest.approx(1.0, abs=1e-15)
         assert rec.fn == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
-        assert rec.f == pytest.approx(0.0, abs=1e-14)
-        assert fidelity_report(t, rec.f).gamma == 0.0
+        assert f == pytest.approx(0.0, abs=1e-14)
+        assert fidelity_report(t, f).gamma == 0.0
 
     def test_two_spin_impurity_amplitude(self):
         # f = -i exp(iBt) sin(sqrt(2) J t / 2); at B=0, t = pi/(sqrt2 J) this is -i
         j = 1.3
         t = math.pi / (SQRT2 * j)
-        rec = transfer_amplitude(preset("sec2-two-spin", j, 0.0), t)
-        assert rec.f == pytest.approx(-1j, abs=1e-12)
-        assert fidelity_report(t, rec.f).gamma == pytest.approx(-math.pi / 2, abs=1e-12)
+        f = synthesize_f(solve(preset("sec2-two-spin", j, 0.0)), t)
+        assert f == pytest.approx(-1j, abs=1e-12)
+        assert fidelity_report(t, f).gamma == pytest.approx(-math.pi / 2, abs=1e-12)
 
     def test_tuned_three_spin_is_perfect(self):
         j = 1.0
         t_c = math.pi / j
-        rec = transfer_amplitude(preset("sec2-three-spin-center", j, math.pi / t_c), t_c)
-        assert rec.f == pytest.approx(1.0, abs=1e-12)
+        f = synthesize_f(solve(preset("sec2-three-spin-center", j, math.pi / t_c)), t_c)
+        assert f == pytest.approx(1.0, abs=1e-12)
 
     def test_f_is_phase_referenced_tail(self):
-        # the record's f comes from synthesize_f, the route at any time; with a vacuum energy
-        # it equals the tail conj(f0) fn[N] to rounding (measured 1.1e-16 here)
+        # with a vacuum energy f equals the record's tail conj(f0) fn[N] to rounding
+        # (measured 1.1e-16 here)
         spec = preset("sec3-three-spin-center", 0.8, 0.3)
         rec = transfer_amplitude(spec, 2.5)
-        assert rec.f == synthesize_f(solve(spec), 2.5)
-        assert rec.f == pytest.approx(complex(np.conj(rec.f0) * rec.fn[-1]), abs=1e-15)
+        f = synthesize_f(solve(spec), 2.5)
+        assert f == pytest.approx(complex(np.conj(rec.f0) * rec.fn[-1]), abs=1e-15)
+
+    def test_synthesize_f_is_the_only_route_to_f(self, monkeypatch):
+        # the record keeps what the unitarity checks read; amplitudes builds no
+        # Spectrum and calls no synthesize_f
+        assert [field.name for field in dataclasses.fields(AmplitudeRecord)] == ["f0", "fn"]
+        spec = preset("sec3-three-spin-center", 0.8, 0.3)
+        expected = transfer_amplitude(spec, 2.5)
+
+        def second_route(*args):
+            raise AssertionError("amplitudes took a second route to f")
+
+        monkeypatch.setattr(excitation.Spectrum, "of", second_route)
+        monkeypatch.setattr(excitation, "synthesize_f", second_route)
+        rec = transfer_amplitude(spec, 2.5)
+        assert rec.f0 == expected.f0 and np.array_equal(rec.fn, expected.fn)
 
     def test_gamma_branch(self):
         # f real negative must report +pi, not -pi
         j = 1.0
         t = math.pi / j
-        rec = transfer_amplitude(preset("sec2-three-spin-center", j, 0.0), t)
-        assert rec.f == pytest.approx(-1.0, abs=1e-12)
-        assert fidelity_report(t, rec.f).gamma == pytest.approx(math.pi, abs=1e-12)
+        f = synthesize_f(solve(preset("sec2-three-spin-center", j, 0.0)), t)
+        assert f == pytest.approx(-1.0, abs=1e-12)
+        assert fidelity_report(t, f).gamma == pytest.approx(math.pi, abs=1e-12)
 
 
 class TestTimeSeries:
@@ -310,12 +330,13 @@ class TestSynthesizeF:
         with pytest.raises(ValueError):
             synthesize_f(Spectrum.of(h, eig), np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="int-beyond-floats")])
     def test_non_finite_time_is_refused_before_any_exponential(self, bad):
         spec = preset("sec2-two-spin", 1.0, 0.5)
         spectrum = solve(spec)
-        refusal = f"times must be finite, got {re.escape(repr(bad))}$"
-        other = math.inf if math.isnan(bad) else math.nan
+        refusal = f"times must be finite, got {re.escape(_shown(bad))}$"
+        other = math.inf if bad != bad else math.nan
         with np.errstate(all="raise"):
             for times in (bad, np.array([0.0, 1.5, bad, other, 2.0])):
                 with pytest.raises(ValueError, match=refusal):

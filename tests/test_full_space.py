@@ -24,8 +24,7 @@ from spintransfer.chain import (
     engineered_chain,
     preset,
 )
-from spintransfer.excitation import (amplitudes, eigensolve, reduce, solve, synthesize_f,
-                                     transfer_amplitude)
+from spintransfer.excitation import reduce, solve, synthesize_f
 from spintransfer.fidelity import BlochState, fidelities, fidelity
 from spintransfer.full_space import (
     DimensionCapError,
@@ -78,8 +77,8 @@ def dense_receiver_density(spec: ChainSpec, state: BlochState, t: float) -> np.n
 def subspace_gap(model: FullSpaceModel, spec: ChainSpec, state: BlochState,
                  t: float) -> float:
     """|F_full - F_subspace| for one input and time, with the subspace fidelity
-    taken from fidelity(transfer_amplitude(spec, t).f, state)."""
-    return abs(model.fidelity(state, t) - fidelity(transfer_amplitude(spec, t).f, state))
+    taken from fidelity(synthesize_f(solve(spec), t), state)."""
+    return abs(model.fidelity(state, t) - fidelity(synthesize_f(solve(spec), t), state))
 
 
 def bondwise_apply(terms, dims, states):
@@ -237,12 +236,11 @@ class TestCrossCheck:
         for name in ("sec2-two-spin", "sec3-three-spin-center", "sec4-three-spin-center"):
             spec = preset(name, 1.2, 0.6)
             model = FullSpaceModel(spec)
-            h = reduce(spec)
-            eig = eigensolve(h)
+            spectrum = solve(spec)
             for _ in range(20):
                 t = float(rng.uniform(0, 20))
                 state = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-                f_sub = fidelity(amplitudes(h, eig, t).f, state)
+                f_sub = fidelity(synthesize_f(spectrum, t), state)
                 assert abs(model.fidelity(state, t) - f_sub) <= 1e-10
 
     def test_vacuum_input_exact(self):
@@ -266,8 +264,7 @@ class TestCrossCheck:
         spec = preset("sec2-two-spin", j, 0.0)
         state = BlochState(math.pi / 2, 0.0)
         rho_full = FullSpaceModel(spec).receiver_densities(state.theta, state.phi, t_c)[0]
-        record = amplitudes(reduce(spec), eigensolve(reduce(spec)), t_c)
-        rho_sub = reduced_density(record.f, state)
+        rho_sub = reduced_density(synthesize_f(solve(spec), t_c), state)
         assert np.max(np.abs(rho_full - rho_sub)) <= 1e-12
 
 
@@ -377,9 +374,13 @@ class TestAgainstKronOracle:
     def test_non_finite_inputs_are_refused(self, bad):
         model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))
         draws = {"theta": np.array([1.0, 2.0]), "phi": np.array([0.5, 0.5]), "t": 3.0}
-        draws[bad] = np.array([1.0, math.nan]) if bad != "t" else math.inf
-        with pytest.raises(ValueError, match="must be finite"):
-            model.receiver_densities(**draws)
+        # an int beyond the floats is refused as an infinity is
+        values = (np.array([1.0, math.nan]), [1.0, 10**400]) if bad != "t" else (math.inf, 10**400)
+        for value in values:
+            draws[bad] = value
+            for method in (model.receiver_densities, model.fidelities):
+                with pytest.raises(ValueError, match="must be finite"):
+                    method(**draws)
 
 
 class TestLimits:
@@ -398,11 +399,10 @@ class TestLimits:
         spec = engineered_chain(16, lam=1.0)
         model = FullSpaceModel(spec)
         assert model.sector[-1] == 1 and model.dims == [2] * 16
-        h = reduce(spec)
-        eig = eigensolve(h)
+        spectrum = solve(spec)
         for t, theta, phi in [(1.3, 0.4, 2.0), (math.pi, math.pi / 2, 1.0), (7.9, 2.9, 5.5)]:
             state = BlochState(theta, phi)
-            f_sub = fidelity(amplitudes(h, eig, t).f, state)
+            f_sub = fidelity(synthesize_f(spectrum, t), state)
             assert abs(model.fidelity(state, t) - f_sub) <= 1e-10
 
     def test_state_cap_refused_before_any_vector(self, refuse_alloc):

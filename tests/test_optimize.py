@@ -248,11 +248,10 @@ class TestMaximizeFidelity:
         cfg = SearchConfig(t_max=1.25 * math.pi / (SQRT2 * j))
         spec = preset("sec2-two-spin", j, 0.0)
         res = maximize_fidelity(spec, cfg)
-        from spintransfer.excitation import transfer_amplitude
         from spintransfer.fidelity import average_fidelity
 
         for dt in (-10 * cfg.refine_tol, 10 * cfg.refine_tol):
-            nearby = average_fidelity(transfer_amplitude(spec, res.best_t + dt).f)
+            nearby = average_fidelity(synthesize_f(solve(spec), res.best_t + dt))
             assert nearby <= res.fbar + 1e-12
 
     def test_deterministic(self):
