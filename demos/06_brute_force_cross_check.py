@@ -48,8 +48,8 @@ state = BlochState(math.pi / 2, 1.0)
 model = FullSpaceModel(spec)
 print("      t    F (subspace)   F (full)      |diff|")
 for t in np.linspace(0.0, 12.0, 7):
-    f_sub = fidelity(synthesize_f(solve(spec), t), state)
-    f_full = model.fidelity(state, t)
+    f_sub = fidelity(synthesize_f(solve(spec), t), state.theta)
+    f_full = model.fidelity(state.theta, state.phi, t)
     print(f"  {t:6.2f}   {f_sub:.10f}  {f_full:.10f}  {abs(f_sub - f_full):.2e}")
 
 print("\nreference system, receiver density matrix at the critical time:")

@@ -175,7 +175,7 @@ def solve(spec: ChainSpec) -> Spectrum:
 
 def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
     """f0 and all fn at one finite time (refused as by synthesize_f) from an eigensolve."""
-    t = _finite(t if type(t) is int else float(t), "times")
+    t = _finite(t if type(t) is int else float(_floats(t)), "times")
     fn = _terms(t, eig.values, eig.vectors * eig.vectors[0]).sum(axis=1)
     return AmplitudeRecord(f0=complex(np.exp(-1j * h.vacuum_energy * t)), fn=fn)
 
@@ -193,9 +193,9 @@ def synthesize_f(spectrum: Spectrum, t):
     elementwise, not by a BLAS product whose order depends on the shape, so a
     time gives the same bits in an array of any length, and at E0 = 0 so does
     conj(f0) * fn[N].  A scalar time is evaluated as a one-element array;
-    arrays are evaluated in blocks of at most 1024 times, and an array of at
-    most 1024 is its own block.  A time that is NaN, infinite or an int beyond
-    the floats raises ValueError, naming it, before any exponential is taken.
+    arrays are evaluated in blocks of at most 1024 times.  A time that is NaN,
+    infinite or a number beyond the floats raises ValueError (NonFiniteError),
+    naming it, before any exponential is taken.
     """
     levels, weights = spectrum.levels, spectrum.weights
     times = _floats(t)
@@ -204,13 +204,10 @@ def synthesize_f(spectrum: Spectrum, t):
     grid = times.reshape(-1)
     if not np.isfinite(grid).all():  # _finite names the first such time, an int by its size
         given = np.asarray(t, dtype=object).reshape(-1)[np.isfinite(grid).argmin()]
-        _finite(given if type(given) is int else float(given), "times")
-    if grid.size <= _TIME_BLOCK:
-        f = _terms(grid, levels, weights).sum(axis=1)
-    else:
-        f = np.empty(grid.size, dtype=complex)
-        for lo in range(0, grid.size, _TIME_BLOCK):
-            f[lo:lo + _TIME_BLOCK] = _terms(grid[lo:lo + _TIME_BLOCK], levels, weights).sum(axis=1)
+        _finite(given if type(given) is int else float(_floats(given)), "times")
+    f = np.empty(grid.size, dtype=complex)
+    for lo in range(0, grid.size, _TIME_BLOCK):
+        f[lo:lo + _TIME_BLOCK] = _terms(grid[lo:lo + _TIME_BLOCK], levels, weights).sum(axis=1)
     return complex(f[0]) if times.ndim == 0 else f
 
 

@@ -20,12 +20,14 @@ The reports are the one place that computes the reported phase of f: gamma
 below which the phase is numerically meaningless.  The tuned search
 (optimize.tune_uniform_field) takes arg(f) too, but only to choose its field.
 
-Shape rule, as excitation.synthesize_f's for times: fidelity, average_fidelity,
+Shape rule, as excitation.synthesize_f's for times: average_fidelity,
 corrected_average_fidelity and fidelity_report give Python scalars for a scalar
 f and arrays for a 1-D f, entry i bit for bit the scalar result at f[i]; more
-dimensions raise ValueError.  fidelities and fidelity_report_blocks always give
-arrays; reduced_density and bloch_average_quadrature refuse an array.  An |f|
-above 1 + _CLAMP_EXCESS raises AmplitudeOutOfRangeError before any value.
+dimensions raise ValueError.  fidelity broadcasts f against the polar angle
+theta, and gives a Python float only when both are scalars.
+fidelity_report_blocks always gives arrays; reduced_density and
+bloch_average_quadrature refuse an array.  An |f| above 1 + _CLAMP_EXCESS
+raises AmplitudeOutOfRangeError before any value.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "FidelityReport",
     "reduced_density",
     "fidelity",
-    "fidelities",
     "average_fidelity",
     "corrected_average_fidelity",
     "bloch_average_quadrature",
@@ -130,19 +131,17 @@ def reduced_density(f: complex, state: BlochState) -> np.ndarray:
     return np.array([[1.0 - pop, off], [off.conjugate(), pop]], dtype=complex)
 
 
-def fidelity(f, state: BlochState) -> float | np.ndarray:
-    """Overlap of the received state with the sent one for a single input."""
-    return _shaped(f, fidelities(f, state.theta))
-
-
-def fidelities(f, theta) -> np.ndarray:
-    """<in|rho|in> for amplitudes f and polar angles theta, broadcast against
-    each other; the azimuth phi drops out."""
-    f, mag = _checked_amplitudes(f)
-    half = np.asarray(theta) / 2.0
+def fidelity(f, theta) -> float | np.ndarray:
+    """<in|rho|in>, the overlap of the received state with the sent one, for
+    amplitudes f and polar angles theta broadcast against each other; the
+    azimuth phi drops out.  A float when f and theta are both scalars: the
+    array code on one row, so each entry of an array is the scalar call's bits."""
+    f_checked, mag = _checked_amplitudes(f)
+    half = np.atleast_1d(theta) / 2.0
     c2, s2 = np.cos(half) ** 2, np.sin(half) ** 2
     mag2 = mag * mag
-    return c2 * (1.0 - mag2 * s2 + 2.0 * s2 * f.real) + mag2 * s2 * s2
+    value = c2 * (1.0 - mag2 * s2 + 2.0 * s2 * f_checked.real) + mag2 * s2 * s2
+    return value if np.ndim(f) or np.ndim(theta) else value[0].item()
 
 
 def _average(re, mag) -> np.ndarray:
@@ -193,7 +192,7 @@ def bloch_average_quadrature(f: complex) -> float:
     integrand itself and needs no nodes.
     """
     theta, weights = _theta_rule()
-    return float(weights @ fidelities(_one(f), theta)) / 2.0
+    return float(weights @ fidelity(_one(f), theta)) / 2.0
 
 
 @dataclass(frozen=True)

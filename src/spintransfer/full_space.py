@@ -6,18 +6,19 @@ slowest-varying index of the tensor product.  H is only ever applied to
 product basis states, so each local term is index arithmetic: it moves a
 basis state to the states that differ from it in the term's sites, with the
 term's matrix elements as weights.  Nothing here uses the single-excitation
-reduction or its sqrt(s_i s_{i+1}) hopping rule: every matrix element comes
-from the spin matrices.
+reduction or its sqrt(s_i s_{i+1}) hopping rule, and nothing but the chain
+description (`chain`) comes from the package: every matrix element comes from
+the spin matrices.
 
 `FullSpaceModel` applies H to the N+1 product states with at most one site
 lowered by one level (the vacuum and the single excitations).  Total Sz is
 conserved, so these states span an invariant subspace; the model measures the
 part of their images outside it, keeps the (N+1)x(N+1) block, and evolves
-exactly inside it.  Receiver densities are still traced out of the full
-product vectors, a batch of input states and times at once.  A model allows
-state vectors of up to STATE_CAP = 2^20 entries (20 spin-1/2 sites); the
-dense `full_hamiltonian`, and every bond's dense operator, is capped at
-dimension DIMENSION_CAP = 4096.
+exactly inside it.  Receiver densities, and the fidelities read from them, are
+still traced out of the full product vectors, a batch of input states and
+times at once.  A model allows state vectors of up to STATE_CAP = 2^20
+entries (20 spin-1/2 sites); the dense `full_hamiltonian`, and every bond's
+dense operator, is capped at dimension DIMENSION_CAP = 4096.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .chain import ChainSpec, SpinMagnitude, _count, _floats
-from .fidelity import BlochState
 
 __all__ = [
     "DIMENSION_CAP",
@@ -210,11 +210,13 @@ class FullSpaceModel:
         """
         return self._densities(*_inputs(theta, phi, t))
 
-    def fidelities(self, theta, phi, t) -> np.ndarray:
-        """<in|rho|in> for the inputs and times of receiver_densities."""
-        amps, t = _inputs(theta, phi, t)
-        rho = self._densities(amps, t)
-        return (amps.conj()[:, None, :] @ rho @ amps[:, :, None])[:, 0, 0].real
+    def fidelity(self, theta, phi, t) -> float | np.ndarray:
+        """<in|rho|in> for the inputs and times of receiver_densities; a float
+        when theta, phi and t are all scalars, else an array of k values."""
+        amps, times = _inputs(theta, phi, t)
+        rho = self._densities(amps, times)
+        values = (amps.conj()[:, None, :] @ rho @ amps[:, :, None])[:, 0, 0].real
+        return values if np.ndim(theta) or np.ndim(phi) or np.ndim(t) else values[0].item()
 
     def _densities(self, amps: np.ndarray, t: np.ndarray) -> np.ndarray:
         """receiver_densities for the rows of _inputs.
@@ -243,11 +245,6 @@ class FullSpaceModel:
                 f"population {leak:.3e} leaked out of the receiver's reachable levels"
             )
         return top
-
-    def fidelity(self, state: BlochState, t) -> float | np.ndarray:
-        """fidelities of one input at a scalar time (a float) or a 1-D array of times."""
-        values = self.fidelities(state.theta, state.phi, t)
-        return values if np.ndim(t) else values[0].item()
 
 
 def _inputs(theta, phi, t) -> tuple[np.ndarray, np.ndarray]:

@@ -255,8 +255,8 @@ def _check_full_space_equivalence() -> list[_Outcome]:
 
         # the (t, theta, phi) rows take the same draws as 60 scalar uniform calls
         t, theta, phi = rng.uniform([0.0, 0.0, 0.0], [20.0, math.pi, 2.0 * math.pi], (20, 3)).T
-        f_sub = fidelity.fidelities(synthesize_f(Spectrum.of(h, eigensolve(h)), t), theta)
-        f_full = model.fidelities(theta, phi, t)
+        f_sub = fidelity.fidelity(synthesize_f(Spectrum.of(h, eigensolve(h)), t), theta)
+        f_full = model.fidelity(theta, phi, t)
         worst_fid = max(worst_fid, float(np.max(np.abs(f_full - f_sub))))
 
     return [

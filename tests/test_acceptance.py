@@ -9,10 +9,11 @@ import dataclasses
 import json
 import re
 import time
+from unittest import mock
 
 import pytest
 
-from spintransfer import verification
+from spintransfer import fidelity, full_space, verification
 
 _RUNTIME_BUDGET_S = 60.0
 
@@ -126,3 +127,17 @@ def test_impurity_peaks_stay_below_the_transfer_bound(suite):
     assert len(entries) == 7
     for peak, bound in entries:
         assert float(peak) <= float(bound) + 1e-12
+
+
+@pytest.mark.parametrize("only, through_the_model", [("subspace-vs-full", True),
+                                                      ("fbar-quadrature", False)])
+def test_checks_take_each_fidelity_from_the_one_function(only, through_the_model):
+    # the traced benchmark counts fidelity.fidelity and FullSpaceModel.fidelity;
+    # a batched twin beside either would do these checks' work unseen
+    model = full_space.FullSpaceModel
+    with mock.patch.object(fidelity, "fidelity", wraps=fidelity.fidelity) as per_state, \
+            mock.patch.object(model, "fidelity", autospec=True,
+                              side_effect=model.fidelity) as full:
+        results = verification.run_all(only=only)
+    assert results and all(r.passed for r in results)
+    assert per_state.called and full.called == through_the_model

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,11 +332,16 @@ class TestSynthesizeF:
             synthesize_f(Spectrum.of(h, eig), np.zeros((2, 2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
-                                     pytest.param(10**400, id="int-beyond-floats")])
+                                     pytest.param(10**400, id="int-beyond-floats"),
+                                     pytest.param(Fraction(10**400), id="fraction-beyond-floats"),
+                                     pytest.param(Fraction(-10**400), id="fraction-below-floats")])
     def test_non_finite_time_is_refused_before_any_exponential(self, bad):
         spec = preset("sec2-two-spin", 1.0, 0.5)
         spectrum = solve(spec)
-        refusal = f"times must be finite, got {re.escape(_shown(bad))}$"
+        # a non-int number is named by the float it rounds to, an infinity
+        infinity = math.inf if bad > 0 else -math.inf
+        shown = _shown(bad) if isinstance(bad, (int, float)) else repr(infinity)
+        refusal = f"times must be finite, got {re.escape(shown)}$"
         other = math.inf if bad != bad else math.nan
         with np.errstate(all="raise"):
             for times in (bad, np.array([0.0, 1.5, bad, other, 2.0])):

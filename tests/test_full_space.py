@@ -25,7 +25,7 @@ from spintransfer.chain import (
     preset,
 )
 from spintransfer.excitation import reduce, solve, synthesize_f
-from spintransfer.fidelity import BlochState, fidelities, fidelity
+from spintransfer.fidelity import BlochState, fidelity
 from spintransfer.full_space import (
     DimensionCapError,
     FullSpaceModel,
@@ -77,8 +77,9 @@ def dense_receiver_density(spec: ChainSpec, state: BlochState, t: float) -> np.n
 def subspace_gap(model: FullSpaceModel, spec: ChainSpec, state: BlochState,
                  t: float) -> float:
     """|F_full - F_subspace| for one input and time, with the subspace fidelity
-    taken from fidelity(synthesize_f(solve(spec), t), state)."""
-    return abs(model.fidelity(state, t) - fidelity(synthesize_f(solve(spec), t), state))
+    taken from fidelity(synthesize_f(solve(spec), t), state.theta)."""
+    f_sub = fidelity(synthesize_f(solve(spec), t), state.theta)
+    return abs(model.fidelity(state.theta, state.phi, t) - f_sub)
 
 
 def bondwise_apply(terms, dims, states):
@@ -239,9 +240,9 @@ class TestCrossCheck:
             spectrum = solve(spec)
             for _ in range(20):
                 t = float(rng.uniform(0, 20))
-                state = BlochState(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-                f_sub = fidelity(synthesize_f(spectrum, t), state)
-                assert abs(model.fidelity(state, t) - f_sub) <= 1e-10
+                theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+                f_sub = fidelity(synthesize_f(spectrum, t), theta)
+                assert abs(model.fidelity(theta, phi, t) - f_sub) <= 1e-10
 
     def test_vacuum_input_exact(self):
         spec = preset("sec2-two-spin", 1.0, 0.3)
@@ -322,23 +323,25 @@ class TestAgainstKronOracle:
         theta, phi, t = (np.array(column) for column in zip(
             *[(state.theta, state.phi, time) for state, time in draws]))
         rho = model.receiver_densities(theta, phi, t)
-        fid = model.fidelities(theta, phi, t)
+        fid = model.fidelity(theta, phi, t)
         assert rho.shape == (len(draws), 2, 2) and fid.shape == (len(draws),)
         for j, (state, time) in enumerate(draws):
             assert np.max(np.abs(rho[j] - dense_receiver_density(spec, state, time))) <= 1e-12
             alone = model.receiver_densities(state.theta, state.phi, time)[0]
             assert np.array_equal(_bits(rho[j]), _bits(alone))
-            assert fid[j].hex() == model.fidelity(state, time).hex()
+            assert fid[j].hex() == model.fidelity(state.theta, state.phi, time).hex()
 
     def test_fidelity_takes_a_scalar_or_one_dimensional_t(self):
         model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))
-        state, t = BlochState(1.1, 0.4), np.array([0.5, 1.0, 2.0])
-        values = model.fidelity(state, t)
-        assert values.tobytes() == model.fidelities(state.theta, state.phi, t).tobytes()
-        alone = model.fidelity(state, 1.0)
-        assert type(alone) is float and alone.hex() == values[1].hex()
+        theta, phi, t = 1.1, 0.4, np.array([0.5, 1.0, 2.0])
+        values = model.fidelity(theta, phi, t)
+        alone = model.fidelity(theta, phi, 1.0)
+        assert values.shape == (3,) and type(alone) is float and alone.hex() == values[1].hex()
+        # a float only when all three are scalars
+        for args in ((np.array([theta]), phi, 1.0), (theta, [phi], 1.0)):
+            assert model.fidelity(*args).tobytes() == np.array([alone]).tobytes()
         with pytest.raises(ValueError, match="one-dimensional"):
-            model.fidelity(state, t.reshape(3, 1))
+            model.fidelity(theta, phi, t.reshape(3, 1))
 
     def test_batches_over_the_state_cap_give_the_same_bits(self, monkeypatch):
         spec = ChainSpec(sites=(SiteSpec(SPIN_HALF, 0.3), SiteSpec(SPIN_ONE, -0.4),
@@ -378,7 +381,7 @@ class TestAgainstKronOracle:
         values = (np.array([1.0, math.nan]), [1.0, 10**400]) if bad != "t" else (math.inf, 10**400)
         for value in values:
             draws[bad] = value
-            for method in (model.receiver_densities, model.fidelities):
+            for method in (model.receiver_densities, model.fidelity):
                 with pytest.raises(ValueError, match="must be finite"):
                     method(**draws)
 
@@ -392,8 +395,8 @@ class TestLimits:
             full_hamiltonian(spec)
         theta, phi, t = np.array([(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
                                    rng.uniform(0, 20)) for _ in range(5)]).T
-        f_sub = fidelities(synthesize_f(solve(spec), t), theta)
-        assert np.max(np.abs(FullSpaceModel(spec).fidelities(theta, phi, t) - f_sub)) <= 1e-10
+        f_sub = fidelity(synthesize_f(solve(spec), t), theta)
+        assert np.max(np.abs(FullSpaceModel(spec).fidelity(theta, phi, t) - f_sub)) <= 1e-10
 
     def test_engineered_sixteen_site_chain(self):
         spec = engineered_chain(16, lam=1.0)
@@ -401,9 +404,8 @@ class TestLimits:
         assert model.sector[-1] == 1 and model.dims == [2] * 16
         spectrum = solve(spec)
         for t, theta, phi in [(1.3, 0.4, 2.0), (math.pi, math.pi / 2, 1.0), (7.9, 2.9, 5.5)]:
-            state = BlochState(theta, phi)
-            f_sub = fidelity(synthesize_f(spectrum, t), state)
-            assert abs(model.fidelity(state, t) - f_sub) <= 1e-10
+            f_sub = fidelity(synthesize_f(spectrum, t), theta)
+            assert abs(model.fidelity(theta, phi, t) - f_sub) <= 1e-10
 
     def test_state_cap_refused_before_any_vector(self, refuse_alloc):
         spec = ChainSpec(sites=(SiteSpec(SPIN_HALF),) * 21, couplings=(1.0,) * 20)
@@ -476,5 +478,5 @@ class TestSpectra:
         # two identical halves joined by a weak bond: every level is split by O(eps)
         spins, fields, couplings = half
         spec = _chain(spins * 2, fields * 2, couplings + [eps] + couplings)
-        f_sub = fidelity(synthesize_f(solve(spec), t), state)
-        assert abs(FullSpaceModel(spec).fidelity(state, t) - f_sub) <= 1e-10
+        f_sub = fidelity(synthesize_f(solve(spec), t), state.theta)
+        assert abs(FullSpaceModel(spec).fidelity(state.theta, state.phi, t) - f_sub) <= 1e-10

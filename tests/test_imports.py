@@ -1,5 +1,6 @@
 """No module in src/, tests/ or demos/ imports a name at module level that it never uses,
-and no module in src/ defines a private function that nothing refers to.
+no module in src/ defines a private function that nothing refers to, and the
+brute-force validator (full_space) imports nothing of the package but chain.
 
 Names listed in a module's __all__ are exempt, and so is every import of
 spintransfer/__init__.py, whose imports are the package's re-exports.  A
@@ -135,3 +136,28 @@ def test_the_function_scan_sees_what_it_should():
     others = _referenced(ast.parse("from m import _elsewhere\n"))
     assert dead_private_functions(source, others) == [("_dead", 1)]
     assert dead_private_functions(source, set()) == [("_dead", 1), ("_elsewhere", 7)]
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of spintransfer that source imports anywhere, by name in the package."""
+    dotted = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "spintransfer." * bool(node.level) + (node.module or "")
+            dotted |= {f"{base.rstrip('.')}.{alias.name}" for alias in node.names}
+    return {name.split(".")[1] for name in dotted if name.startswith("spintransfer.")}
+
+
+def test_the_validator_imports_only_the_chain_description():
+    # full_space checks the engine's reduction, so it must share none of its code
+    validator = ROOT / "src" / "spintransfer" / "full_space.py"
+    assert package_imports(validator.read_text(encoding="utf-8")) == {"chain"}
+    source = ("import numpy as np\n"
+              "from . import chain\n"
+              "from .fidelity import BlochState\n"
+              "from spintransfer import excitation as ex\n"
+              "def f():\n"
+              "    import spintransfer.optimize\n")
+    assert package_imports(source) == {"chain", "fidelity", "excitation", "optimize"}
