@@ -92,24 +92,29 @@ def _shown(value: Any) -> str:
 
 
 def _finite(value: Any, what: str) -> float:
-    """value as a float.  A bool or a non-number is malformed; NaN, +-inf and
-    an int beyond the floats are not finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """value as a float, the one rule for every real number given: a numbers.Real, not a
+    bool, else ChainFormatError; NaN, +-inf or beyond the floats, NonFiniteError."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):  # slow ABC last
         raise ChainFormatError(f"{what} must be a number, got {_shown(value)}")
-    number = float(_floats(value))
+    try:
+        number = float(value)
+    except OverflowError:  # an int or Fraction beyond the floats
+        number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
-        raise NonFiniteError(f"{what} must be finite, got {_shown(value)}")
+        raise NonFiniteError(f"{what} must be finite, got "
+                             f"{_shown(value if isinstance(value, int) else number)}")
     return number
 
 
-def _floats(values: Any) -> np.ndarray:
-    """np.asarray(values, dtype=float), but an int beyond the floats as an infinity of its sign."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        if np.ndim(values):
-            return np.array([_floats(value) for value in values])
-        return np.asarray(math.inf if values > 0 else -math.inf)
+def _finites(values: Any, what: str) -> np.ndarray:
+    """values, a number or a 1-D sequence of them, as floats of its ndim by _finite: a
+    float, int or uint array by one np.isfinite, else entry by entry, naming the first bad."""
+    array = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if array.ndim > 1:
+        raise ValueError(f"{what} must be a scalar or one-dimensional")
+    if array.dtype.kind in "fiu" and np.isfinite(array := array.astype(float, copy=False)).all():
+        return array
+    return np.array([_finite(entry, what) for entry in array.flat], float).reshape(array.shape)
 
 
 def _count(value: Any, what: str, lo: int, hi: int, error: type[Exception],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _count, _finite, _floats, _known_preset, preset
+from .chain import ChainSpec, _count, _finite, _known_preset, preset
 
 __all__ = [
     "DegenerateSystemError",
@@ -94,12 +94,11 @@ def _split_level_amplitude(j_eff: float, b: float, t: float) -> complex:
 
 
 def analytic_f(sys: PresetSystem, t: float) -> complex:
-    """Exact end-to-end amplitude f(t) for a reference system.
+    """Exact end-to-end amplitude f(t) for a reference system, t by the number rule.
 
     Raises DegenerateSystemError when a phase such as B t overflows.
     """
-    j, b = sys.J, sys.B
-    t = float(_floats(t))  # an int beyond the floats as an infinity, whose phases overflow
+    j, b, t = sys.J, sys.B, _finite(t, "t")
     if sys.name == "sec2-two-spin":
         return -1j * cmath.exp(1j * _phase(b * t)) * math.sin(_phase(_SQRT2 * j * t / 2.0))
     if sys.name == "sec2-three-spin-center":
@@ -206,7 +205,7 @@ def critical_field(sys: PresetSystem, t_c: float, k_parity: str, l: int = 0) -> 
     exact tuning exists.  t_c follows the chain's number rule and must be
     positive; l is a count in [0, 2^51 - 1] (ValueError otherwise).
     """
-    if _finite(t_c, "t_c") <= 0.0:
+    if (t_c := _finite(t_c, "t_c")) <= 0.0:
         raise ValueError(f"t_c must be positive, got {t_c!r}")
     l = _count(l, "l", 0, 2**51 - 1, ValueError)  # so 4l + 3 < 2^53 is exact in a float
     if k_parity not in ("even", "odd"):

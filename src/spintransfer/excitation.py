@@ -17,16 +17,16 @@ amplitudes are evaluated by spectral synthesis, never by time stepping:
 
 One route gives f, from the Spectrum that solve returns (levels
 lambda_k = eps_k - E0 and weights w_k, no eigenvectors): synthesize_f, O(N)
-per time on a scalar time or any array of finite times, and _grid_f on an
-evenly spaced grid (the searches' grids and the rows of `spintransfer
-simulate`), by block products with one complex exponential per level for
-each _GRID_BLOCK grid times, within _grid_error of synthesize_f's, about
-16 (|lambda|max t_max + N) 2^-53 sum_k |w_k|.  f equals the phase-referenced
-tail conj(f0) fn[N] of amplitudes, which gives f0 and fn, O(N^2), for the
-unitarity checks, to rounding (bit for bit when E0 = 0); _terms forms the
-terms of all three.  The reported phase of f, and every fidelity derived
-from f, is computed in the fidelity module (the tuned search takes arg f
-only to choose its field).
+per time on a scalar time or a 1-D array of times, each judged by the
+chain's number rule (chain._finite), and _grid_f on an evenly spaced grid
+(the searches' grids and the rows of `spintransfer simulate`), by block
+products with one complex exponential per level for each _GRID_BLOCK grid
+times, within _grid_error of synthesize_f's, about 16 (|lambda|max t_max +
+N) 2^-53 sum_k |w_k|.  f equals the phase-referenced tail conj(f0) fn[N] of
+amplitudes, which gives f0 and fn, O(N^2), for the unitarity checks, to
+rounding (bit for bit when E0 = 0); _terms forms the terms of all three.
+The reported phase of f, and every fidelity derived from f, is computed in
+the fidelity module (the tuned search takes arg f only to choose its field).
 
 No error accumulates from step to step, but the phases eps t carry an error
 of about |eps| t 2^-53 (|eps| the largest energy of the chain), and the
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, NonFiniteError, _finite, _floats
+from .chain import ChainSpec, NonFiniteError, _finite, _finites
 
 __all__ = [
     "SingleExcitationHamiltonian",
@@ -174,8 +174,8 @@ def solve(spec: ChainSpec) -> Spectrum:
 
 
 def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
-    """f0 and all fn at one finite time (refused as by synthesize_f) from an eigensolve."""
-    t = _finite(t if type(t) is int else float(_floats(t)), "times")
+    """f0 and all fn at one time (by the chain's number rule, _finite) from an eigensolve."""
+    t = _finite(t, "times")
     fn = _terms(t, eig.values, eig.vectors * eig.vectors[0]).sum(axis=1)
     return AmplitudeRecord(f0=complex(np.exp(-1j * h.vacuum_energy * t)), fn=fn)
 
@@ -193,18 +193,13 @@ def synthesize_f(spectrum: Spectrum, t):
     elementwise, not by a BLAS product whose order depends on the shape, so a
     time gives the same bits in an array of any length, and at E0 = 0 so does
     conj(f0) * fn[N].  A scalar time is evaluated as a one-element array;
-    arrays are evaluated in blocks of at most 1024 times.  A time that is NaN,
-    infinite or a number beyond the floats raises ValueError (NonFiniteError),
-    naming it, before any exponential is taken.
+    arrays are evaluated in blocks of at most 1024 times.  The times follow
+    the chain's number rule (_finites), which names the first bad one, before
+    any exponential is taken.
     """
     levels, weights = spectrum.levels, spectrum.weights
-    times = _floats(t)
-    if times.ndim > 1:
-        raise ValueError("times must be a scalar or one-dimensional")
+    times = _finites(t, "times")
     grid = times.reshape(-1)
-    if not np.isfinite(grid).all():  # _finite names the first such time, an int by its size
-        given = np.asarray(t, dtype=object).reshape(-1)[np.isfinite(grid).argmin()]
-        _finite(given if type(given) is int else float(_floats(given)), "times")
     f = np.empty(grid.size, dtype=complex)
     for lo in range(0, grid.size, _TIME_BLOCK):
         f[lo:lo + _TIME_BLOCK] = _terms(grid[lo:lo + _TIME_BLOCK], levels, weights).sum(axis=1)

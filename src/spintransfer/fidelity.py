@@ -24,10 +24,11 @@ Shape rule, as excitation.synthesize_f's for times: average_fidelity,
 corrected_average_fidelity and fidelity_report give Python scalars for a scalar
 f and arrays for a 1-D f, entry i bit for bit the scalar result at f[i]; more
 dimensions raise ValueError.  fidelity broadcasts f against the polar angle
-theta, and gives a Python float only when both are scalars.
+theta, and gives a Python float only when both are scalars; theta and the
+reports' t go by the chain's number rule (chain._finites), as times do.
 fidelity_report_blocks always gives arrays; reduced_density and
-bloch_average_quadrature refuse an array.  An |f| above 1 + _CLAMP_EXCESS
-raises AmplitudeOutOfRangeError before any value.
+bloch_average_quadrature refuse an array.  A NaN |f| or one above
+1 + _CLAMP_EXCESS raises AmplitudeOutOfRangeError before any value.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from functools import cache
 from typing import Iterator
 
 import numpy as np
+
+from .chain import _finite, _finites
 
 __all__ = [
     "AmplitudeOutOfRangeError",
@@ -63,21 +66,24 @@ _REPORT_BLOCK = 1024
 
 
 class AmplitudeOutOfRangeError(ValueError):
-    """|f| exceeds 1 by more than round-off can explain."""
+    """|f| is NaN, or exceeds 1 by more than round-off can explain."""
 
 
 @dataclass(frozen=True)
 class BlochState:
-    """A pure qubit state by its polar and azimuthal Bloch angles."""
+    """A pure qubit state by its Bloch angles: floats by the chain's number rule, in range."""
 
     theta: float
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
+        theta, phi = _finite(self.theta, "theta"), _finite(self.phi, "phi")
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {theta!r}")
+        if not 0.0 <= phi < 2.0 * math.pi:
+            raise ValueError(f"phi must lie in [0, 2*pi), got {phi!r}")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     def amplitudes(self) -> tuple[complex, complex]:
         """(amplitude on |0>, amplitude on |1>)."""
@@ -88,7 +94,7 @@ class BlochState:
 
 
 def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
-    """(f, |f|) as 1-D arrays, |f| in (1, 1 + _CLAMP_EXCESS] rescaled to 1.
+    """(f, |f|) as 1-D arrays, |f| in (1, 1 + _CLAMP_EXCESS] rescaled to 1, NaN or more refused.
 
     |f| is np.hypot(Re f, Im f), the libm hypot that Python's abs(complex)
     calls, so it equals abs(z) for every element z.  A rescaled row divides
@@ -99,9 +105,10 @@ def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
     if f.ndim > 1:
         raise ValueError(f"f must be a scalar or one-dimensional, got shape {f.shape}")
     mag = np.hypot(f.real, f.imag)
-    peak = np.fmax.reduce(mag, initial=0.0)  # skips NaN, 0 for no rows
-    if peak > 1.0 + _CLAMP_EXCESS:
-        raise AmplitudeOutOfRangeError(f"|f| = {float(peak)!r} exceeds 1 beyond "
+    peak = np.max(mag, initial=0.0)  # NaN if any |f| is, 0 for no rows
+    if not peak <= 1.0 + _CLAMP_EXCESS:
+        raise AmplitudeOutOfRangeError("|f| is nan: the amplitude is not a number" if peak != peak
+                                       else f"|f| = {float(peak)!r} exceeds 1 beyond "
                                        f"the round-off allowance {_CLAMP_EXCESS}")
     if peak > 1.0:
         over = mag > 1.0
@@ -137,11 +144,12 @@ def fidelity(f, theta) -> float | np.ndarray:
     azimuth phi drops out.  A float when f and theta are both scalars: the
     array code on one row, so each entry of an array is the scalar call's bits."""
     f_checked, mag = _checked_amplitudes(f)
+    theta = _finites(theta, "theta")
     half = np.atleast_1d(theta) / 2.0
     c2, s2 = np.cos(half) ** 2, np.sin(half) ** 2
     mag2 = mag * mag
     value = c2 * (1.0 - mag2 * s2 + 2.0 * s2 * f_checked.real) + mag2 * s2 * s2
-    return value if np.ndim(f) or np.ndim(theta) else value[0].item()
+    return value if np.ndim(f) or theta.ndim else value[0].item()
 
 
 def _average(re, mag) -> np.ndarray:
@@ -209,19 +217,19 @@ class FidelityReport:
 
 def fidelity_report(t, f) -> FidelityReport:
     """Plain and corrected average fidelities, |f| and the phase of f, at t broadcast to f."""
-    rep = _reports(t, *_checked_amplitudes(f))
+    rep = _reports(_finites(t, "t"), *_checked_amplitudes(f))
     return FidelityReport(**{name: _shaped(f, column) for name, column in vars(rep).items()})
 
 
 def fidelity_report_blocks(t, f) -> Iterator[FidelityReport]:
     """fidelity_report(t, f) as consecutive blocks of rows, each an array report.
 
-    Every |f| is checked, and AmplitudeOutOfRangeError raised, by the call
-    itself, before the first block exists; each block is computed only when
-    the iterator reaches it, so the whole report is never held at once.
+    Every t and |f| is checked, and the refusal raised, by the call itself,
+    before the first block exists; each block is computed only when the
+    iterator reaches it, so the whole report is never held at once.
     """
     f, mag = _checked_amplitudes(f)
-    t = np.broadcast_to(t, f.shape)
+    t = np.broadcast_to(_finites(t, "t"), f.shape)
     blocks = (slice(lo, lo + _REPORT_BLOCK) for lo in range(0, f.size, _REPORT_BLOCK))
     return (_reports(t[b], f[b], mag[b]) for b in blocks)
 

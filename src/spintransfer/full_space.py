@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .chain import ChainSpec, SpinMagnitude, _count, _floats
+from .chain import ChainSpec, SpinMagnitude, _count, _finites
 
 __all__ = [
     "DIMENSION_CAP",
@@ -248,11 +248,10 @@ class FullSpaceModel:
 
 
 def _inputs(theta, phi, t) -> tuple[np.ndarray, np.ndarray]:
-    """(k, 2) amplitudes on |0> and |1> of the Bloch states (theta, phi), and
-    the k times, with theta, phi and t broadcast against each other."""
-    theta, phi, t = np.broadcast_arrays(*np.atleast_1d(*map(_floats, (theta, phi, t))))
-    if t.ndim > 1 or not np.all(np.isfinite(theta) & np.isfinite(phi) & np.isfinite(t)):
-        raise ValueError("theta, phi and t must be finite, and scalars or one-dimensional")
+    """(k, 2) amplitudes on |0> and |1> of the Bloch states (theta, phi), and the k
+    times: theta, phi and t, by the chain's number rule (_finites), broadcast."""
+    theta, phi, t = np.broadcast_arrays(*np.atleast_1d(
+        _finites(theta, "theta"), _finites(phi, "phi"), _finites(t, "t")))
     amps = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=-1)
     return amps, t
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +34,15 @@ from spintransfer.chain import (
     preset,
     validate,
 )
-from spintransfer.closed_forms import PresetSystem, critical_field, zero_field_critical_time
+from spintransfer.closed_forms import (
+    PresetSystem,
+    analytic_f,
+    critical_field,
+    zero_field_critical_time,
+)
+from spintransfer.excitation import solve, synthesize_f, transfer_amplitude
+from spintransfer.fidelity import BlochState, fidelity, fidelity_report, fidelity_report_blocks
+from spintransfer.full_space import FullSpaceModel
 from spintransfer.optimize import SearchConfig
 
 
@@ -107,6 +118,89 @@ def test_every_count_returns_or_raises_its_own_refusal(value):
         except error as exc:
             assert str(exc).startswith(f"{what} must be an integer in [")
             assert "\n" not in str(exc) and len(str(exc)) < 100
+
+
+# Levels +-1/4, so no phase of a finite time overflows and every finite number returns.
+_SPEC = preset("sec3-two-spin", 0.5, 0.0)
+_MODEL = FullSpaceModel(_SPEC)
+_INPUT = {"theta": 0.5, "phi": 0.5, "t": 0.5}
+# Each time or angle parameter, the name its refusal gives, and the starts of
+# the refusals of its own range (after the number rule).
+_REAL_PARAMETERS = [
+    (lambda x: synthesize_f(solve(_SPEC), x), "times", ()),
+    (lambda x: transfer_amplitude(_SPEC, x), "times", ()),
+    (lambda x: analytic_f(PresetSystem("sec3-two-spin", 0.5, 0.0), x), "t", ()),
+    *((lambda x, method=method, name=name: getattr(_MODEL, method)(**{**_INPUT, name: x}),
+       name, ()) for method in ("receiver_densities", "fidelity") for name in _INPUT),
+    (lambda x: fidelity(0.5, x), "theta", ()),
+    (lambda x: fidelity_report(x, 0.5), "t", ()),
+    (lambda x: fidelity_report_blocks(x, 0.5), "t", ()),
+    (lambda x: BlochState(x), "theta", ("theta must lie in [0, pi], got ",)),
+    (lambda x: BlochState(0.5, x), "phi", ("phi must lie in [0, 2*pi), got ",)),
+    (lambda x: SearchConfig(x), "t_max", ("t_max must be positive, got ", "t_max = ")),
+    (lambda x: critical_field(PresetSystem("sec2-two-spin", 1.0, 0.0), x, "even"), "t_c",
+     ("t_c must be positive, got ",)),
+    (lambda x: SiteSpec(SPIN_HALF, x), "site field", ()),
+]
+_NUMBER_RULE = ("must be a number, got ", "must be finite, got ",
+                "must be a scalar or one-dimensional")
+_REALS = st.one_of(st.floats(), st.integers(), st.integers(-10**5000, 10**5000), st.booleans(),
+                   st.none(), st.text(max_size=4), st.complex_numbers(), st.fractions(),
+                   st.decimals(min_value=-10**6, max_value=10**6, places=2),
+                   st.just(Decimal("nan")), st.floats(width=32).map(np.float32),
+                   st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+def _rule_refusals(value) -> tuple[str, ...]:
+    """The number rule's refusals that value may get: none for a finite real,
+    only "not finite" for another real, only "not a number" for anything else,
+    and for a list also its shape."""
+    if isinstance(value, list):
+        return _NUMBER_RULE[0], _NUMBER_RULE[2]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return _NUMBER_RULE[:1]
+    try:
+        return () if math.isfinite(value) else _NUMBER_RULE[1:2]
+    except OverflowError:  # an int or Fraction beyond the floats
+        return _NUMBER_RULE[1:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_REALS | st.lists(st.lists(st.sampled_from([0, 0.5, math.nan, None]),
+                                        min_size=1, max_size=2), min_size=1, max_size=2))
+@example(value=10**400)  # analytic_f once refused it as an overflowing phase
+@example(value=Fraction(-10**400, 3))  # beyond the floats, named by the float it rounds to
+@example(value=[[1.0, 2.0], [3.0, 4.0]])
+def test_every_real_number_returns_or_raises_its_own_refusal(value):
+    for call, what, own in _REAL_PARAMETERS:
+        try:
+            call(value)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(tuple(f"{what} {rule}" for rule in _rule_refusals(value))
+                                      + own), message
+            assert "\n" not in message and len(message) < 100
+
+
+@pytest.mark.parametrize("values, refusal", [
+    ([1.0, None, math.nan], "x must be a number, got None"),
+    ((0.5, 10**400, math.inf), "x must be finite, got a 1329-bit integer"),
+    (np.array([1.0, -math.inf, math.nan]), "x must be finite, got -inf"),
+    ((0.5, True, 1 + 1j), "x must be a number, got True"),
+    (np.zeros((1, 2)), "x must be a scalar or one-dimensional"),
+])
+def test_the_first_bad_entry_is_named(values, refusal):
+    with pytest.raises(ValueError) as refused:
+        chain._finites(values, "x")
+    assert str(refused.value) == refusal
+
+
+def test_numbers_become_floats_of_the_same_ndim():
+    for values in (np.float32(0.5), Fraction(1, 2), np.array(0.5), [0.5], (0.5,),
+                   np.array([0.5], dtype=np.float32), np.array([1], dtype=np.uint8)):
+        array = chain._finites(values, "x")
+        assert array.dtype == float and array.ndim == np.ndim(values)
+        assert array.tolist() == np.asarray(values, dtype=float).tolist()
 
 
 def test_nonfinite_rejected():

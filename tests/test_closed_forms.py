@@ -85,7 +85,6 @@ class TestAnalyticF:
         ("sec2-two-spin", 1e10, 0.0, 1e300),  # sqrt(2) J t / 2 overflows
         ("sec3-two-spin", 1.0, 1e10, 1e300),  # B t / 2 and mu t / 2 overflow
         ("sec2-three-spin-center", 1.0, 2.0, 1e308),  # B t overflows, J t / 2 does not
-        pytest.param("sec3-three-spin-center", 1.0, 0.5, 10**400, id="int-beyond-floats"),
     ])
     def test_overflowing_phase_raises(self, name, j, b, t):
         with pytest.raises(DegenerateSystemError, match="phase overflows"):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spintransfer import fidelity as fidelity_module
+from spintransfer.chain import preset
+from spintransfer.excitation import solve, synthesize_f
 from spintransfer.fidelity import (
     AmplitudeOutOfRangeError,
     BlochState,
@@ -421,3 +423,14 @@ _ONE_AMPLITUDE = {
 def test_refused_amplitude_shapes(call, f, message):
     with pytest.raises(ValueError, match=message):
         call(f)
+
+
+@pytest.mark.parametrize("name", [*_SHAPE_RULE, *_ONE_AMPLITUDE])
+def test_nan_amplitude_is_refused(name):
+    with np.errstate(invalid="ignore", over="ignore"):  # B t overflows at a finite time
+        f = synthesize_f(solve(preset("sec3-two-spin", 1.0, 1e300)), 1e10)
+    assert f != f
+    call = {**_SHAPE_RULE, **_ONE_AMPLITUDE}[name]
+    for value in (f, np.array([0.5, f])) if name in _SHAPE_RULE else (f,):
+        with pytest.raises(AmplitudeOutOfRangeError, match=r"^\|f\| is nan"):
+            call(value)

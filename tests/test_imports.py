@@ -1,6 +1,8 @@
 """No module in src/, tests/ or demos/ imports a name at module level that it never uses,
-no module in src/ defines a private function that nothing refers to, and the
-brute-force validator (full_space) imports nothing of the package but chain.
+no module in src/ defines a private function that nothing refers to, the
+brute-force validator (full_space) imports nothing of the package but chain,
+and no module in src/ uses a name that numpy added in 2.0, below the floor
+(numpy 1.24) that pyproject.toml declares.
 
 Names listed in a module's __all__ are exempt, and so is every import of
 spintransfer/__init__.py, whose imports are the package's re-exports.  A
@@ -161,3 +163,45 @@ def test_the_validator_imports_only_the_chain_description():
               "def f():\n"
               "    import spintransfer.optimize\n")
     assert package_imports(source) == {"chain", "fidelity", "excitation", "optimize"}
+
+
+# numpy 2.0 names: the array API aliases, and functions new or renamed in 2.0.
+_NUMPY_2_ONLY = {"isdtype", "concat", "unstack", "permute_dims", "matrix_transpose", "astype",
+                 "trapezoid", "bitwise_count", "vecdot", "cumulative_sum"}
+
+
+def numpy_2_uses(source: str) -> list[tuple[str, int]]:
+    """(use, line) of each numpy-2-only name in source: np.<name> or numpy.<name>,
+    a from-numpy import of it, and asarray's copy argument."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _NUMPY_2_ONLY
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((f"np.{node.attr}", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(f"np.{alias.name}", node.lineno)
+                      for alias in node.names if alias.name in _NUMPY_2_ONLY]
+        elif (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "asarray"
+                and any(keyword.arg == "copy" for keyword in node.keywords)):
+            found.append(("asarray(copy=)", node.lineno))
+    return sorted(found, key=lambda use: use[1])
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_needs_numpy_2(path):
+    assert numpy_2_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_numpy_scan_sees_what_it_should():
+    source = ("import numpy as np\n"
+              "from numpy import concat, stack\n"
+              "a = np.asarray([1.0], dtype=float)\n"
+              "b = a.astype(float, copy=False)\n"  # the array method is as old as numpy
+              "c = np.isdtype(a.dtype, 'real floating')\n"
+              "d = numpy.trapezoid(a)\n"
+              "e = np.asarray(a, copy=False)\n"
+              "f = np.linalg.norm(np.astype(a, int))\n")
+    assert numpy_2_uses(source) == [("np.concat", 2), ("np.isdtype", 5), ("np.trapezoid", 6),
+                                    ("asarray(copy=)", 7), ("np.astype", 8)]
