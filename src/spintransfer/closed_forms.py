@@ -203,7 +203,8 @@ def critical_field(sys: PresetSystem, t_c: float, k_parity: str, l: int = 0) -> 
     at t_c flips sign with that parity.  For the three-site system the sign
     is parity independent.  Raises NotTunableError for the systems where no
     exact tuning exists.  t_c follows the chain's number rule and must be
-    positive; l is a count in [0, 2^51 - 1] (ValueError otherwise).
+    positive; l is a count in [0, 2^51 - 1] (ValueError otherwise).  A
+    field that overflows to inf or underflows to 0 is refused, naming t_c.
     """
     if (t_c := _finite(t_c, "t_c")) <= 0.0:
         raise ValueError(f"t_c must be positive, got {t_c!r}")
@@ -211,9 +212,11 @@ def critical_field(sys: PresetSystem, t_c: float, k_parity: str, l: int = 0) -> 
     if k_parity not in ("even", "odd"):
         raise ValueError(f'k_parity must be "even" or "odd", got {k_parity!r}')
     if sys.name == "sec2-two-spin":
-        if k_parity == "even":
-            return (4 * l + 1) * math.pi / (2.0 * t_c)
-        return (4 * l + 3) * math.pi / (2.0 * t_c)
-    if sys.name == "sec2-three-spin-center":
-        return (2 * l + 1) * math.pi / t_c
-    raise NotTunableError(f"{sys.name} cannot be tuned to perfect transfer")
+        field = (4 * l + (1 if k_parity == "even" else 3)) * math.pi / (2.0 * t_c)
+    elif sys.name == "sec2-three-spin-center":
+        field = (2 * l + 1) * math.pi / t_c
+    else:
+        raise NotTunableError(f"{sys.name} cannot be tuned to perfect transfer")
+    if not 0.0 < field < math.inf:
+        raise ValueError(f"t_c = {t_c!r} gives no finite nonzero field, got {field!r}")
+    return field

@@ -25,7 +25,8 @@ corrected_average_fidelity and fidelity_report give Python scalars for a scalar
 f and arrays for a 1-D f, entry i bit for bit the scalar result at f[i]; more
 dimensions raise ValueError.  fidelity broadcasts f against the polar angle
 theta, and gives a Python float only when both are scalars; theta and the
-reports' t go by the chain's number rule (chain._finites), as times do.
+reports' t go by the chain's number rule (chain._finites), as times do, and
+a reports' t that does not broadcast to f is refused, naming both shapes.
 fidelity_report_blocks always gives arrays; reduced_density and
 bloch_average_quadrature refuse an array.  A NaN |f| or one above
 1 + _CLAMP_EXCESS raises AmplitudeOutOfRangeError before any value.
@@ -215,21 +216,34 @@ class FidelityReport:
     fbar_corrected: float
 
 
+def _checked_rows(t, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, f, |f|) for the reports: t by the number rule, then f as
+    _checked_amplitudes gives it, then t broadcast to f's rows; a t of
+    another shape is refused, naming both shapes, before any value."""
+    t = _finites(t, "t")
+    f_checked, mag = _checked_amplitudes(f)
+    try:
+        return np.broadcast_to(t, f_checked.shape), f_checked, mag
+    except ValueError:
+        raise ValueError(f"t of shape {t.shape} does not broadcast to f of shape "
+                         f"{np.shape(f)}") from None
+
+
 def fidelity_report(t, f) -> FidelityReport:
     """Plain and corrected average fidelities, |f| and the phase of f, at t broadcast to f."""
-    rep = _reports(_finites(t, "t"), *_checked_amplitudes(f))
+    rep = _reports(*_checked_rows(t, f))
     return FidelityReport(**{name: _shaped(f, column) for name, column in vars(rep).items()})
 
 
 def fidelity_report_blocks(t, f) -> Iterator[FidelityReport]:
     """fidelity_report(t, f) as consecutive blocks of rows, each an array report.
 
-    Every t and |f| is checked, and the refusal raised, by the call itself,
-    before the first block exists; each block is computed only when the
-    iterator reaches it, so the whole report is never held at once.
+    Every t, |f| and the shape of t is checked, and the refusal raised, by
+    the call itself, before the first block exists; each block is computed
+    only when the iterator reaches it, so the whole report is never held at
+    once.
     """
-    f, mag = _checked_amplitudes(f)
-    t = np.broadcast_to(_finites(t, "t"), f.shape)
+    t, f, mag = _checked_rows(t, f)
     blocks = (slice(lo, lo + _REPORT_BLOCK) for lo in range(0, f.size, _REPORT_BLOCK))
     return (_reports(t[b], f[b], mag[b]) for b in blocks)
 

@@ -206,7 +206,8 @@ class FullSpaceModel:
         (theta[j], phi[j]) on site 1, read out at time t[j].  Each input is
         evolved in the sector, scattered into the full product vector, and
         traced over everything but the last site's two reachable levels;
-        RuntimeError if any of them leaks population out of those levels.
+        RuntimeError if any of them leaks population out of those levels, and
+        ValueError, naming the time, if a phase E t overflows.
         """
         return self._densities(*_inputs(theta, phi, t))
 
@@ -229,7 +230,8 @@ class FullSpaceModel:
         coeffs = np.zeros((len(amps), self.sector.size), dtype=complex)
         coeffs[:, :2] = amps
         coeffs = np.matmul(vectors.conj().T, coeffs[..., None])[..., 0]
-        coeffs *= np.exp(-1j * np.multiply.outer(t, self.eigenvalues))
+        with np.errstate(over="ignore", invalid="ignore"):  # the leak test refuses a NaN row
+            coeffs *= np.exp(-1j * np.multiply.outer(t, self.eigenvalues))
         coeffs = np.matmul(vectors, coeffs[..., None])[..., 0]
         total, d = math.prod(self.dims), self.dims[-1]
         top = np.empty((len(amps), 2, 2), dtype=complex)
@@ -239,8 +241,12 @@ class FullSpaceModel:
             psi[:, self.sector] = batch
             blocks = psi.reshape(len(batch), -1, d)
             top[rows] = (blocks.transpose(0, 2, 1) @ blocks.conj())[:, :2, :2]
-        leak = np.max(np.abs(np.trace(top, axis1=1, axis2=2).real - 1.0), initial=0.0)
-        if leak > _LEAKAGE_TOL:
+        leaks = np.abs(np.trace(top, axis1=1, axis2=2).real - 1.0)
+        leak = np.max(leaks, initial=0.0)  # NaN if any row's is
+        if not leak <= _LEAKAGE_TOL:
+            if leak != leak:
+                raise ValueError(f"the state is not finite at t = {float(t[np.isnan(leaks)][0])!r}"
+                                 f": the phases E t overflow; lower t or rescale the chain")
             raise RuntimeError(
                 f"population {leak:.3e} leaked out of the receiver's reachable levels"
             )

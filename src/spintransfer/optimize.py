@@ -26,7 +26,10 @@ uninformative on flat tops.  critical_times refines every peak of |f|.  The
 fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a bound on
 how far the objective can rise between grid points, plus twice the grid
 values' error stays more than 2 * _TIE_TOL below the best value found: it can
-neither win nor tie.  No randomness is used anywhere; identical inputs
+neither win nor tie.  Where the weighted levels are commensurate, so that
+the objective has a period T to within _TIE_TOL / 4 on [0, t_max] (_period),
+maximize_fidelity also skips every bracket that starts at or after T: it can
+only tie an earlier one.  No randomness is used anywhere; identical inputs
 give identical results, and the winner is the earliest candidate within
 _TIE_TOL of the largest.  Field tuning searches t alone: a uniform field b
 only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best field at
@@ -138,7 +141,9 @@ class OptimizationResult:
     counted once: the grid, the golden-section path and the parabolic polish
     of every refined bracket, and best_t.  The candidate times of the
     refine's lookahead trees that no step visited are not counted (they are
-    the search's probes); brackets that are never refined add nothing.
+    the search's probes); brackets that are never refined add nothing: the
+    pruned ones and, in maximize_fidelity, those that start after the first
+    period of a periodic objective.
     """
 
     best_t: float
@@ -365,16 +370,52 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     return sorted(((t, val) for t, val, _ in refined), key=lambda pair: pair[0])
 
 
+def _period(spectrum: Spectrum, corrected: bool, t_max: float) -> float:
+    """A period T of the fidelity objective on [0, t_max], or inf where none is found.
+
+    The objective is a function of g(t) = sum_k w_k e^{-i lambda_k t} over the
+    weighted levels (w_k != 0): the corrected one of |g| alone, so level
+    differences suffice; the plain one of Re g too, so the vacuum level 0
+    joins them.  omega is the least gap of those levels, n_k = round(d_k /
+    omega) for each offset d_k from the lowest, omega is refitted to every
+    d_k by least squares, and T = 2 pi / omega.  A shift by m T <= t_max moves
+    each phase d_k t by 2 pi n_k m plus r_k m T, r_k = d_k - n_k omega, so with
+    S = transfer_bound and r = max |r_k| it changes |g| by at most S r t_max
+    and g, the vacuum's phase included, by at most 2 S r t_max.  A fidelity
+    moves by at most 2/3 of a change in g, so the objective moves by at most
+    (2/3) S r t_max corrected and (4/3) S r t_max plain, both below drift =
+    2 S r t_max, and T is returned only when drift <= _TIE_TOL / 4.  Two
+    levels have r = 0.  inf is returned where the test fails, and where T
+    could not fall below t_max (the refitted omega is at most 1.5 gaps),
+    which also keeps every n_k small.
+    """
+    levels = {lam for lam, w in zip(spectrum.levels.tolist(), spectrum.weights.tolist()) if w}
+    levels = sorted(levels if corrected else levels | {0.0})
+    gap = min((hi - lo for lo, hi in zip(levels, levels[1:])), default=0.0)
+    if not gap * t_max > math.pi:
+        return math.inf
+    offsets = [lam - levels[0] for lam in levels[1:]]
+    n = [round(d / gap) for d in offsets]
+    omega = sum(k * d for k, d in zip(n, offsets)) / sum(k * k for k in n)
+    residual = max(abs(d - k * omega) for k, d in zip(n, offsets))
+    drift = 2.0 * spectrum.transfer_bound * residual * t_max
+    return 2.0 * math.pi / omega if drift <= _TIE_TOL / 4.0 else math.inf
+
+
 def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 values: np.ndarray, grid_error: float, cfg: SearchConfig,
-                discard: Callable[[int], object] = lambda n: None,
+                discard: Callable[[int], object] = lambda n: None, period: float = math.inf,
                 ) -> tuple[float, tuple[float, float]]:
     """Time and bracket of the earliest candidate within _TIE_TOL of the largest.
 
     values are the objective's values on grid, from an f within grid_error of
     synthesize_f's; objective gives every other value.  The candidates are
     both ends of the grid and the refined brackets around both end intervals
-    and every interior peak.  No point of a bracket lies more than _MAX_RISE
+    and every interior peak that start before period.  A bracket that starts
+    at or after period covers a translate of an earlier stretch of the
+    objective, moved by at most _period's drift, so it can only tie an
+    earlier candidate, and the earliest tie wins; with the default inf every
+    bracket is a candidate.  No point of a bracket lies more than _MAX_RISE
     above the bracket's grid peak, and a fidelity objective moves by at most
     2/3 of a change in f, so a bracket whose peak plus _MAX_RISE plus
     2 * (2/3) * grid_error (its own grid values and best may each be off by
@@ -391,9 +432,10 @@ def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + margin
     ends = [(0.0, float(values[0]), (0.0, 0.0)),
             (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
+    first = grid[los] < period
     refined, best = {}, float(values.max())
     while True:
-        todo = [i for i in np.flatnonzero(bound >= best - 2.0 * _TIE_TOL).tolist()
+        todo = [i for i in np.flatnonzero(first & (bound >= best - 2.0 * _TIE_TOL)).tolist()
                 if i not in refined]
         if not todo:
             break
@@ -413,14 +455,17 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     Candidates are both endpoints and the brackets around both end intervals
     and every interior grid peak.  A bracket is refined by golden-section
     plus a parabolic polish unless its grid peak plus _MAX_RISE stays more
-    than 2 * _TIE_TOL below the best value (see _global_max).  The earliest
-    candidate within _TIE_TOL of the largest wins.
+    than 2 * _TIE_TOL below the best value (see _global_max).  Where the
+    objective is periodic (_period), only the brackets that start within its
+    first period are candidates.  The earliest candidate within _TIE_TOL of
+    the largest wins.
     """
     spectrum = solve(spec)
     search = _Search(spectrum, lambda t, f: fidelity.average_fidelity(f, corrected), cfg,
                      (cfg.t_max, spectrum.spread))
     best_t, bracket = _global_max(search.objective, search.grid, search.values,
-                                  search.grid_error, cfg, discard=search.discard)
+                                  search.grid_error, cfg, discard=search.discard,
+                                  period=_period(spectrum, corrected, cfg.t_max))
     return search.result(best_t, bracket)
 
 

@@ -139,7 +139,7 @@ _REAL_PARAMETERS = [
     (lambda x: BlochState(0.5, x), "phi", ("phi must lie in [0, 2*pi), got ",)),
     (lambda x: SearchConfig(x), "t_max", ("t_max must be positive, got ", "t_max = ")),
     (lambda x: critical_field(PresetSystem("sec2-two-spin", 1.0, 0.0), x, "even"), "t_c",
-     ("t_c must be positive, got ",)),
+     ("t_c must be positive, got ", "t_c = ")),
     (lambda x: SiteSpec(SPIN_HALF, x), "site field", ()),
 ]
 _NUMBER_RULE = ("must be a number, got ", "must be finite, got ",
@@ -171,6 +171,8 @@ def _rule_refusals(value) -> tuple[str, ...]:
 @example(value=10**400)  # analytic_f once refused it as an overflowing phase
 @example(value=Fraction(-10**400, 3))  # beyond the floats, named by the float it rounds to
 @example(value=[[1.0, 2.0], [3.0, 4.0]])
+@example(value=5e-324)  # critical_field's field once overflowed to inf here
+@example(value=1.7e308)  # and underflowed to 0 here
 def test_every_real_number_returns_or_raises_its_own_refusal(value):
     for call, what, own in _REAL_PARAMETERS:
         try:

@@ -12,6 +12,7 @@ import pkgutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 import warnings
 from decimal import Decimal
@@ -713,6 +714,28 @@ def test_package_imports_without_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_runs_import_no_numpy_ma(tmp_path):
+    # numpy.ma, which np.unique imports on its first call, adds 0.6-1 MB to a
+    # run's peak memory; no command needs it
+    preset = ["--preset", "sec2-two-spin", "--J", "1", "--B", "0"]
+    runs = [["optimize", *preset, "--t-max", "50"],
+            ["optimize", *preset, "--t-max", "50", "--corrected"],
+            ["optimize", *preset, "--t-max", "3.8", "--tune-field", "0", "3"],
+            ["simulate", *preset, "--t-max", "4.5", "--steps", "100"],
+            ["verify", "--out", str(tmp_path / "report.json")]]
+    code = textwrap.dedent("""\
+        import contextlib, io, json, sys
+        from spintransfer.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in json.loads(sys.argv[1])]
+        print(codes, "numpy.ma" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=_CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] False"
 
 
 # The two optimize examples of the README, byte for byte.

@@ -226,6 +226,12 @@ class TestFieldTuningRules:
             3 * math.pi / j, abs=0
         )
 
+    @pytest.mark.parametrize("t_c, field", [(5e-324, "inf"), (1.7e308, "0.0")])
+    def test_a_field_beyond_the_floats_is_refused(self, t_c, field):
+        with pytest.raises(ValueError) as refused:
+            critical_field(PresetSystem("sec2-two-spin", 1.0, 0.0), t_c, "even")
+        assert str(refused.value) == f"t_c = {t_c!r} gives no finite nonzero field, got {field}"
+
     def test_argument_validation(self):
         sys = PresetSystem("sec2-two-spin", 1.0, 0.0)
         with pytest.raises(ValueError):

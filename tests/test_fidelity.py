@@ -425,6 +425,17 @@ def test_refused_amplitude_shapes(call, f, message):
         call(f)
 
 
+@pytest.mark.parametrize("report", [fidelity_report, fidelity_report_blocks])
+@pytest.mark.parametrize("t, f, message", [
+    ([1.0, 2.0], 0.5, "t of shape (2,) does not broadcast to f of shape ()"),
+    (np.zeros(3), np.full(2, 0.5j), "t of shape (3,) does not broadcast to f of shape (2,)"),
+])
+def test_a_time_that_does_not_broadcast_names_both_shapes(report, t, f, message):
+    with pytest.raises(ValueError) as refused:
+        report(t, f)  # the call, not iteration, raises
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("name", [*_SHAPE_RULE, *_ONE_AMPLITUDE])
 def test_nan_amplitude_is_refused(name):
     with np.errstate(invalid="ignore", over="ignore"):  # B t overflows at a finite time

@@ -373,6 +373,15 @@ class TestAgainstKronOracle:
         with pytest.raises(RuntimeError, match="leaked out of the receiver's reachable levels"):
             model.receiver_densities(1.0, 0.5, 2.0)
 
+    def test_overflowing_phase_is_refused(self):
+        # E t overflows at a finite t: the state is NaN, which passes no leak test
+        model = FullSpaceModel(preset("sec2-two-spin", 10.0, 0.0))
+        for method in (model.receiver_densities, model.fidelity):
+            for t in (1.7e308, [1.0, 1.7e308]):
+                with pytest.raises(ValueError, match=r"^the state is not finite at t = 1\.7e\+308: "
+                                                     r"the phases E t overflow"):
+                    method(0.5, 0.5, t)
+
     @pytest.mark.parametrize("bad", ["theta", "phi", "t"])
     def test_non_finite_inputs_are_refused(self, bad):
         model = FullSpaceModel(preset("sec2-two-spin", 1.0, 0.0))

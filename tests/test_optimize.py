@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spintransfer import excitation, fidelity, optimize
-from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, preset
+from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, engineered_chain, preset
 from spintransfer.closed_forms import (
     NotTunableError,
     PresetSystem,
@@ -856,6 +856,84 @@ class TestPruning:
         best_t, _ = optimize._global_max(objective, grid, objective(grid), 0.0,
                                          SearchConfig(t_max=10.0))
         assert abs(best_t - 5.0) < 0.35
+
+
+@st.composite
+def _periodic_chains(draw):
+    """Chains whose f lies on two levels, or on equally spaced ones."""
+    kind = draw(st.sampled_from(["two-level", "sec2-three-spin-center", "engineered"]))
+    if kind == "engineered":
+        return engineered_chain(draw(st.integers(2, 9)), draw(st.floats(0.2, 2.0)))
+    name = draw(st.sampled_from(["sec2-two-spin", "sec3-two-spin"])) if kind == "two-level" else kind
+    return preset(name, draw(st.floats(0.2, 2.0)), draw(st.floats(-2.0, 2.0)))
+
+
+def _unfolded():
+    """A patch under which maximize_fidelity finds no period and refines every bracket."""
+    return mock.patch.object(optimize, "_period", lambda *args: math.inf)
+
+
+class TestPeriodicFold:
+    """Refining only the first period of a periodic objective changes nothing but `evaluations`."""
+
+    @staticmethod
+    def _bits(res):
+        return np.array([res.best_t, res.fbar, res.fbar_corrected, res.abs_f, *res.bracket]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_periodic_chains(), periods=st.floats(2.0, 300.0), corrected=st.booleans())
+    def test_folded_search_is_bit_identical(self, spec, periods, corrected):
+        levels = solve(spec).levels
+        cfg = SearchConfig(t_max=periods * 2.0 * math.pi / np.min(np.diff(levels)))
+        folded = maximize_fidelity(spec, cfg, corrected)
+        with _unfolded():
+            full = maximize_fidelity(spec, cfg, corrected)
+        assert self._bits(folded) == self._bits(full)
+        assert folded.evaluations <= full.evaluations
+
+    def test_two_level_count(self):
+        # a benchmark input: 115 of 117 candidate brackets lie after the first period
+        spec = preset("sec2-two-spin", 1.8852983559908165, 1.1230681777994065)
+        cfg = SearchConfig(t_max=270.81564036525845)
+        folded = maximize_fidelity(spec, cfg, corrected=True)
+        with _unfolded():
+            full = maximize_fidelity(spec, cfg, corrected=True)
+        assert (full.evaluations, folded.evaluations) == (6901, 2341)
+        assert self._bits(folded) == self._bits(full)
+
+    def test_nearly_commensurate_levels_are_not_folded(self):
+        # the README example: offsets 4 : 5 to a residual of 8.6e-9, which
+        # drifts by 3e-6 over t_max = 200; at J = 2 sqrt(2) / 3 they are exact
+        cfg = SearchConfig(t_max=200.0)
+        near = preset("sec3-three-spin-center", 0.942809, 1.0)
+        exact = preset("sec3-three-spin-center", 2.0 * SQRT2 / 3.0, 1.0)
+        assert optimize._period(solve(near), True, cfg.t_max) == math.inf
+        assert maximize_fidelity(near, cfg, corrected=True).evaluations == 2006
+        assert optimize._period(solve(exact), True, cfg.t_max) == pytest.approx(6.0 * math.pi)
+        folded = maximize_fidelity(exact, cfg, corrected=True)
+        with _unfolded():
+            full = maximize_fidelity(exact, cfg, corrected=True)
+        assert folded.evaluations < full.evaluations
+        assert self._bits(folded) == self._bits(full)
+
+    def test_random_chains_are_not_folded(self):
+        # TestPruning's chains: mixed spins and site fields put f on
+        # incommensurate levels, so those tests cover the unfolded search; only
+        # two sites give two levels, and a corrected objective with a period
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            spec = ChainSpec(
+                sites=tuple(SiteSpec(SPIN_ONE if rng.random() < 0.5 else SPIN_HALF,
+                                     float(rng.uniform(-2.0, 2.0))) for _ in range(n)),
+                couplings=tuple(rng.uniform(0.2, 2.0, n - 1).tolist()))
+            spectrum, t_max = solve(spec), float(rng.uniform(1.0, 60.0))
+            assert optimize._period(spectrum, False, t_max) == math.inf
+            period = optimize._period(spectrum, True, t_max)
+            if n > 2 or np.ptp(spectrum.levels) * t_max <= math.pi:
+                assert period == math.inf
+            else:
+                assert period == 2.0 * math.pi / np.ptp(spectrum.levels)
 
 
 class TestGridProduct:
