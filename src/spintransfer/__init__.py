@@ -26,7 +26,6 @@ from .chain import (
 from .closed_forms import PresetSystem, analytic_f, analytic_spectrum, critical_field
 from .excitation import (
     AmplitudeRecord,
-    EigenSystem,
     SingleExcitationHamiltonian,
     transfer_amplitude,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "analytic_spectrum",
     "critical_field",
     "AmplitudeRecord",
-    "EigenSystem",
     "SingleExcitationHamiltonian",
     "transfer_amplitude",
     "BlochState",

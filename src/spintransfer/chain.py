@@ -343,10 +343,18 @@ def dumps_chain(spec: ChainSpec) -> str:
     return json.dumps(chain_to_dict(spec), indent=2, allow_nan=False) + "\n"
 
 
-def loads_chain(text: str) -> ChainSpec:
-    """The chain of a JSON text.  Every number is parsed as a float, so an
-    integer literal beyond the floats, however long, is +-inf."""
-    return validate(json.loads(text, parse_int=float))
+def loads_chain(text: str | bytes) -> ChainSpec:
+    """A chain, or a ChainSpecError for any content: bytes not UTF-8, text not JSON or nested
+    too deeply give ChainFormatError.  Numbers parse as floats, a huge integer as +-inf."""
+    try:
+        return validate(json.loads(text.decode("utf-8") if isinstance(text, bytes) else text,
+                                   parse_int=float))
+    except UnicodeDecodeError as exc:
+        raise ChainFormatError(f"not UTF-8 at byte {exc.start}: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise ChainFormatError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise ChainFormatError("JSON nested too deeply") from None
 
 
 def save_chain(spec: ChainSpec, path: str | Path) -> None:
@@ -354,4 +362,4 @@ def save_chain(spec: ChainSpec, path: str | Path) -> None:
 
 
 def load_chain(path: str | Path) -> ChainSpec:
-    return loads_chain(Path(path).read_text(encoding="utf-8"))
+    return loads_chain(Path(path).read_bytes())

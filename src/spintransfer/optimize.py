@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import fidelity
-from .chain import ChainSpec, NonFiniteError, _count, _finite
+from .chain import ChainSpec, NonFiniteError, _count, _finite, _finites
 from .excitation import Spectrum, _grid_error, _grid_f, solve, synthesize_f
 
 __all__ = [
@@ -168,7 +168,8 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
         """Piece ends and steps on [0, t_max], and whether they fit the budget."""
         floor = t_max / cfg.n_samples
         ends = [0.0] + [min(t_end, t_max) for t_end, _ in pieces]
-        spacings = [min(floor, math.pi / (10.0 * s)) if s > 0.0 else floor for _, s in pieces]
+        spacings = [min(floor, math.pi / (10.0 * s) or math.pi / 10.0 / s) if s > 0.0 else floor
+                    for _, s in pieces]  # pi / 10 / s where 10 s overflows (s past 1.8e307)
         # s is 0 where the spread overflowed, or where floor underflowed
         steps = [(hi - lo) / s if s > 0.0 else math.inf
                  for lo, hi, s in zip(ends, ends[1:], spacings)]
@@ -376,23 +377,25 @@ def _period(spectrum: Spectrum, corrected: bool, t_max: float) -> float:
     The objective is a function of g(t) = sum_k w_k e^{-i lambda_k t} over the
     weighted levels (w_k != 0): the corrected one of |g| alone, so level
     differences suffice; the plain one of Re g too, so the vacuum level 0
-    joins them.  omega is the least gap of those levels, n_k = round(d_k /
-    omega) for each offset d_k from the lowest, omega is refitted to every
-    d_k by least squares, and T = 2 pi / omega.  A shift by m T <= t_max moves
+    joins them.  omega is the least of their gaps that exceeds pi / t_max (a
+    smaller one, say the round-off residue of a level equal to the vacuum's,
+    is left to the drift test), n_k = round(d_k / omega) for each offset d_k
+    from the lowest, omega is refitted to every d_k by least squares, and
+    T = 2 pi / omega.  A shift by m T <= t_max moves
     each phase d_k t by 2 pi n_k m plus r_k m T, r_k = d_k - n_k omega, so with
     S = transfer_bound and r = max |r_k| it changes |g| by at most S r t_max
     and g, the vacuum's phase included, by at most 2 S r t_max.  A fidelity
     moves by at most 2/3 of a change in g, so the objective moves by at most
     (2/3) S r t_max corrected and (4/3) S r t_max plain, both below drift =
     2 S r t_max, and T is returned only when drift <= _TIE_TOL / 4.  Two
-    levels have r = 0.  inf is returned where the test fails, and where T
-    could not fall below t_max (the refitted omega is at most 1.5 gaps),
-    which also keeps every n_k small.
+    levels have r = 0.  inf is returned where the test fails, and where no gap
+    exceeds pi / t_max: T could not fall below t_max (the refitted omega is at
+    most 1.5 gaps), which also keeps every n_k small.
     """
     levels = {lam for lam, w in zip(spectrum.levels.tolist(), spectrum.weights.tolist()) if w}
     levels = sorted(levels if corrected else levels | {0.0})
-    gap = min((hi - lo for lo, hi in zip(levels, levels[1:])), default=0.0)
-    if not gap * t_max > math.pi:
+    gap = min((b - a for a, b in zip(levels, levels[1:]) if (b - a) * t_max > math.pi), default=0)
+    if not gap:
         return math.inf
     offsets = [lam - levels[0] for lam in levels[1:]]
     n = [round(d / gap) for d in offsets]
@@ -485,12 +488,15 @@ def tune_uniform_field(
     the grid's spread up to t = 2 pi / W; from there on every phase is aligned
     and the objective, the corrected Fbar, oscillates only at differences of
     excitation levels.  The reported values come from a solve of the tuned
-    chain.
+    chain.  b_range is (B_lo, B_hi) by the number rule (_finites), B_lo < B_hi, else ValueError.
     """
-    b_lo, b_hi = float(b_range[0]), float(b_range[1])
+    box = _finites(b_range, "the field box")
+    if box.shape != (2,):
+        raise ValueError(f"the field box must hold two numbers (B_lo, B_hi), got {box.size}")
+    b_lo, b_hi = box.tolist()
     b_c = (b_lo + b_hi) / 2.0
     if not (b_lo < b_hi and math.isfinite(b_c)):
-        raise ValueError(f"the field box needs B_lo < B_hi and a finite centre, got {b_range!r}")
+        raise ValueError(f"the field box needs B_lo < B_hi and a finite centre, got {b_lo, b_hi}")
     spectrum = solve(base.with_uniform_field(b_c))
 
     def tuned(t, f):

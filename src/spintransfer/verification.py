@@ -212,7 +212,7 @@ def _check_spectra() -> list[_Outcome]:
         sys = PresetSystem(name, j, b)
         values, _ = closed_forms.analytic_spectrum(sys)
         h = reduce(sys.chain())
-        numeric = np.sort(np.append(eigensolve(h).values, h.vacuum_energy))
+        numeric = np.sort(np.append(eigensolve(h)[0], h.vacuum_energy))
         worst = float(np.max(np.abs(np.sort(values) - numeric)))
         outcomes.append(_within(worst, 1e-12, f"J={j}, B={b}"))
     return outcomes

@@ -3,8 +3,10 @@
 import json
 import math
 import numbers
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from spintransfer.chain import (
     BadSpinError,
     ChainFormatError,
     ChainSpec,
+    ChainSpecError,
     EmptyChainError,
     LengthMismatchError,
     NonFiniteError,
@@ -30,6 +33,7 @@ from spintransfer.chain import (
     dumps_chain,
     engineered_chain,
     engineered_couplings,
+    load_chain,
     loads_chain,
     preset,
     validate,
@@ -43,7 +47,7 @@ from spintransfer.closed_forms import (
 from spintransfer.excitation import solve, synthesize_f, transfer_amplitude
 from spintransfer.fidelity import BlochState, fidelity, fidelity_report, fidelity_report_blocks
 from spintransfer.full_space import FullSpaceModel
-from spintransfer.optimize import SearchConfig
+from spintransfer.optimize import SearchConfig, tune_uniform_field
 
 
 def test_minimal_chain_is_valid():
@@ -141,6 +145,10 @@ _REAL_PARAMETERS = [
     (lambda x: critical_field(PresetSystem("sec2-two-spin", 1.0, 0.0), x, "even"), "t_c",
      ("t_c must be positive, got ", "t_c = ")),
     (lambda x: SiteSpec(SPIN_HALF, x), "site field", ()),
+    (lambda x: tune_uniform_field(_SPEC, SearchConfig(1.0), (x, 3.0)), "the field box",
+     ("the field box needs B_lo < B_hi",)),
+    (lambda x: tune_uniform_field(_SPEC, SearchConfig(1.0), (-3.0, x)), "the field box",
+     ("the field box needs B_lo < B_hi",)),
 ]
 _NUMBER_RULE = ("must be a number, got ", "must be finite, got ",
                 "must be a scalar or one-dimensional")
@@ -173,6 +181,8 @@ def _rule_refusals(value) -> tuple[str, ...]:
 @example(value=[[1.0, 2.0], [3.0, 4.0]])
 @example(value=5e-324)  # critical_field's field once overflowed to inf here
 @example(value=1.7e308)  # and underflowed to 0 here
+@example(value=-1.7976931348623157e308)  # a field box whose 10 x half-width overflows
+@example(value=True)  # an end of the field box once read as 1.0
 def test_every_real_number_returns_or_raises_its_own_refusal(value):
     for call, what, own in _REAL_PARAMETERS:
         try:
@@ -356,6 +366,34 @@ def test_json_round_trip_is_identity():
         assert again == spec
         # a second pass through text stays bit-identical
         assert dumps_chain(again) == dumps_chain(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=64) | st.text(max_size=64))
+@example(data="[" * 100_000)
+@example(data=b'{"sites": ' + b"[" * 100_000 + b"]" * 100_000 + b', "couplings": []}')
+@example(data=b'{"sites": [{"spin": "half", "field": 1' + b"0" * 5000 + b'}], "couplings": []}')
+@example(data=b"\xef\xbb\xbf{}")  # a byte-order mark
+def test_any_content_gives_a_chain_or_a_chain_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "chain.json"
+        path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        for load, source in ((loads_chain, data), (load_chain, path)):
+            try:
+                assert isinstance(load(source), ChainSpec)
+            except ChainSpecError as refusal:
+                assert "\n" not in str(refusal)
+
+
+@pytest.mark.parametrize("data, refusal", [
+    (b'{"sites": \xff}', "not UTF-8 at byte 10: invalid start byte"),
+    ('{"sites": [}', "invalid JSON at offset 11: Expecting value"),
+    ("[" * 100_000, "JSON nested too deeply"),
+], ids=["not-utf8", "not-json", "nested-100000-deep"])
+def test_malformed_text_is_a_format_error(data, refusal):
+    with pytest.raises(ChainFormatError) as refused:
+        loads_chain(data)
+    assert str(refused.value) == refusal
 
 
 def test_spin_json_encoding():

@@ -231,7 +231,7 @@ class TestSimulate:
                               "--steps", steps, "--out", str(out_path))
         assert (code, out) == (2, "")
         assert err == (f"error: f is not finite at t = {first}: the phases E t overflow; "
-                       f"lower --t-max or rescale the chain\n")
+                       f"lower t_max or rescale the chain\n")
         assert not out_path.exists()
 
     def test_csv_is_locale_independent(self, capsys):
@@ -512,7 +512,7 @@ def test_overflowing_phases_print_only_the_error_line(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("error: f is not finite at t = 3.3333333333333335: the phases E t "
-                           "overflow; lower --t-max or rescale the chain\n")
+                           "overflow; lower t_max or rescale the chain\n")
 
 
 def _two_sites(spins, fields, coupling):
@@ -822,6 +822,17 @@ class TestOptimize:
         assert abs(res["fbar"] - 1.0) <= 1e-5
         # any field of the (2l+1) pi / t_c family is an exact tuning here
         assert min(abs(res["best_field"] - b) for b in (1.0, 3.0)) <= 1e-3
+
+    def test_corrected_with_tune_field_is_a_usage_error(self, tmp_path, capsys):
+        # the tuned objective aligns the phase itself: --corrected would be ignored
+        manifest = tmp_path / "manifest.json"
+        code, out, err = _run(capsys, "optimize", "--preset", "sec2-three-spin-center",
+                              "--t-max", "3.8", "--tune-field", "0", "3", "--corrected",
+                              "--manifest", str(manifest))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(
+            "error: argument --corrected: not allowed with argument --tune-field")
+        assert not manifest.exists()
 
     def test_zero_coupling_chain(self, tmp_path, capsys):
         chain = tmp_path / "dead.json"

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from spintransfer.chain import (
 )
 from spintransfer.excitation import (
     _TIME_BLOCK,
+    _grid_f,
     AmplitudeRecord,
     SingleExcitationHamiltonian,
     Spectrum,
@@ -107,44 +109,44 @@ class TestEigensolve:
         rng = np.random.default_rng(5)
         for n in (1, 2, 3, 5, 8, 13, 40):
             h = _random_tridiagonal(rng, n)
-            eig = eigensolve(h)
+            values, _ = eigensolve(h)
             expected = np.linalg.eigvalsh(h.matrix())
-            assert eig.values == pytest.approx(expected, abs=1e-12 * max(1, n))
+            assert values == pytest.approx(expected, abs=1e-12 * max(1, n))
 
     def test_orthonormal_and_residual(self):
         rng = np.random.default_rng(6)
         for n in (2, 7, 25, 80):
             h = _random_tridiagonal(rng, n)
-            eig = eigensolve(h)
-            gram = eig.vectors.T @ eig.vectors
+            values, vectors = eigensolve(h)
+            gram = vectors.T @ vectors
             assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
             m = h.matrix()
-            resid = m @ eig.vectors - eig.vectors * eig.values
+            resid = m @ vectors - vectors * values
             assert np.max(np.abs(resid)) <= 1e-11 * max(1.0, np.max(np.abs(m)))
 
     def test_two_spin_impurity_spectrum(self):
         j, b = 1.0, 0.6
-        eig = eigensolve(reduce(preset("sec2-two-spin", j, b)))
+        values, _ = eigensolve(reduce(preset("sec2-two-spin", j, b)))
         expected = sorted([(b - SQRT2 * j) / 2, (b + SQRT2 * j) / 2])
-        assert eig.values == pytest.approx(expected, abs=1e-14)
+        assert values == pytest.approx(expected, abs=1e-14)
 
     def test_double_impurity_spectrum(self):
         j, b = 0.9, 0.5
         xi = math.sqrt(b * b + 4 * j * j)
-        eig = eigensolve(reduce(preset("sec4-three-spin-center", j, b)))
+        values, _ = eigensolve(reduce(preset("sec4-three-spin-center", j, b)))
         expected = sorted([(b - xi) / 2, b, (b + xi) / 2])
-        assert eig.values == pytest.approx(expected, abs=1e-14)
+        assert values == pytest.approx(expected, abs=1e-14)
 
     def test_diagonal_matrix(self):
         h = SingleExcitationHamiltonian(0.0, (3.0, -1.0, 2.0), (0.0, 0.0))
-        eig = eigensolve(h)
-        assert eig.values == pytest.approx([-1.0, 2.0, 3.0], abs=0)
+        values, _ = eigensolve(h)
+        assert values == pytest.approx([-1.0, 2.0, 3.0], abs=0)
 
     def test_degenerate_levels(self):
         h = SingleExcitationHamiltonian(0.0, (1.0, 1.0, 1.0), (0.0, 0.0))
-        eig = eigensolve(h)
-        assert eig.values == pytest.approx([1.0, 1.0, 1.0], abs=0)
-        assert np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(3))) <= 1e-12
+        values, vectors = eigensolve(h)
+        assert values == pytest.approx([1.0, 1.0, 1.0], abs=0)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(3))) <= 1e-12
 
 
 class TestAmplitudes:
@@ -380,15 +382,52 @@ def test_uniform_field_only_rotates_f(parts, b, times):
     assert np.max(np.abs(synthesize_f(Spectrum.of(hb, eigensolve(hb)), t) - rotated)) <= 1e-12
 
 
+class TestGridF:
+    """_grid_f returns only finite f: a grid that meets an overflow is refused
+    at its first bad row, with no numpy warning."""
+
+    @pytest.mark.parametrize("t_max, steps, first", [
+        (25.5, 127, "25.5"),  # only the last row of a block overflows
+        (40.0, 199, "25.527638190954775"),  # the first overflowing row is mid-block
+    ])
+    def test_refused_at_the_first_overflowing_row(self, t_max, steps, first):
+        # the levels +-sqrt(2) 5e306 overflow t lambda from t = 25.42 on; the block
+        # product alone gives those rows finite values, synthesize_f NaN
+        spectrum = solve(ChainSpec((SiteSpec(SPIN_HALF),) * 3, (1e307, 1e307)))
+        with pytest.raises(NonFiniteError) as refused:
+            _grid_f(spectrum, [(0.0, t_max, steps)])
+        assert str(refused.value) == (f"f is not finite at t = {first}: the phases E t overflow; "
+                                      f"lower t_max or rescale the chain")
+
+    @settings(max_examples=100, deadline=None)
+    @given(coupling=st.floats(1e300, 1.7e308), t_max=st.floats(0.0, 1e9),
+           steps=st.integers(0, 300))
+    def test_never_returns_a_non_finite_f(self, coupling, t_max, steps):
+        spectrum = solve(ChainSpec((SiteSpec(SPIN_HALF),) * 3, (coupling, coupling)))
+        grid = np.linspace(0.0, t_max, steps + 1)
+        with np.errstate(over="ignore"):
+            overflow = grid[np.isinf(grid * np.max(np.abs(spectrum.levels)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                times, f = _grid_f(spectrum, [(0.0, t_max, steps)])
+            except NonFiniteError as refusal:
+                t = float(re.fullmatch(r"f is not finite at t = (\S+): .*", str(refusal))[1])
+                assert t in grid and (overflow.size == 0 or t <= overflow[0])
+            else:
+                assert overflow.size == 0 and np.isfinite(f).all()
+                assert np.array_equal(times, grid)
+
+
 class TestEigensolveProperties:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=400), seed=st.integers(0, 2**32 - 1))
     def test_ascending_and_reconstructs(self, n, seed):
         h = _random_tridiagonal(np.random.default_rng(seed), n)
-        eig = eigensolve(h)
-        assert np.all(np.diff(eig.values) >= 0.0)
+        values, vectors = eigensolve(h)
+        assert np.all(np.diff(values) >= 0.0)
         m = h.matrix()
-        rebuilt = (eig.vectors * eig.values) @ eig.vectors.T
+        rebuilt = (vectors * values) @ vectors.T
         assert np.max(np.abs(rebuilt - m)) <= 1e-12 * np.linalg.norm(m, 2)
 
 
@@ -401,9 +440,9 @@ class TestTransferBound:
         # the expressions each consumer of f evaluated on the eigensystem
         # before the Spectrum held them
         h = reduce(spec)
-        eig = eigensolve(h)
-        e0, values = h.vacuum_energy, eig.values
-        weights = eig.vectors[0] * eig.vectors[-1]
+        values, vectors = eigensolve(h)
+        e0 = h.vacuum_energy
+        weights = vectors[0] * vectors[-1]
         expected = {
             "levels": values - e0,
             "weights": weights,

@@ -1,8 +1,10 @@
 """No module in src/, tests/ or demos/ imports a name at module level that it never uses,
 no module in src/ defines a private function that nothing refers to, the
 brute-force validator (full_space) imports nothing of the package but chain,
-and no module in src/ uses a name that numpy added in 2.0, below the floor
-(numpy 1.24) that pyproject.toml declares.
+no module in src/ uses a name that numpy added in 2.0, below the floor
+(numpy 1.24) that pyproject.toml declares, and the command line catches only
+the errors of its flags and files: the chain text, the overflow of f and the
+field box are refused by the modules whose rules they break.
 
 Names listed in a module's __all__ are exempt, and so is every import of
 spintransfer/__init__.py, whose imports are the package's re-exports.  A
@@ -205,3 +207,46 @@ def test_the_numpy_scan_sees_what_it_should():
               "f = np.linalg.norm(np.astype(a, int))\n")
     assert numpy_2_uses(source) == [("np.concat", 2), ("np.isdtype", 5), ("np.trapezoid", 6),
                                     ("asarray(copy=)", 7), ("np.astype", 8)]
+
+
+# What cli.py may catch: file errors, the package's refusals (ChainSpecError is
+# a ValueError), argparse's exit and its own usage error.
+_CLI_CATCHES = {"OSError", "ValueError", "SystemExit", "_UsageError", "ChainSpecError"}
+
+
+def handlers(source: str) -> tuple[set[str], list[int]]:
+    """The exceptions the except clauses of source name ("" for a bare except),
+    and the line of each errstate call (a decorator included)."""
+    caught, errstate = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {"" if t is None else ast.unparse(t) for t in types}
+        elif (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "errstate"):
+            errstate.append(node.lineno)
+    return caught, sorted(errstate)
+
+
+def test_the_cli_catches_only_flag_and_file_errors():
+    caught, errstate = handlers((ROOT / "src" / "spintransfer" / "cli.py").read_text(
+        encoding="utf-8"))
+    assert caught <= _CLI_CATCHES and errstate == []
+
+
+def test_the_handler_scan_sees_what_it_should():
+    source = ("try:\n"
+              "    pass\n"
+              "except (json.JSONDecodeError, OSError) as exc:\n"
+              "    pass\n"
+              "except RecursionError:\n"
+              "    pass\n"
+              "except:\n"
+              "    pass\n"
+              "with np.errstate(over='ignore'):\n"
+              "    pass\n"
+              "@errstate(invalid='ignore')\n"
+              "def f():\n"
+              "    pass\n")
+    assert handlers(source) == ({"json.JSONDecodeError", "OSError", "RecursionError", ""},
+                                [9, 11])
