@@ -24,11 +24,7 @@ from .chain import (
     validate,
 )
 from .closed_forms import PresetSystem, analytic_f, analytic_spectrum, critical_field
-from .excitation import (
-    AmplitudeRecord,
-    SingleExcitationHamiltonian,
-    transfer_amplitude,
-)
+from .excitation import SingleExcitationHamiltonian
 from .fidelity import (
     BlochState,
     FidelityReport,
@@ -73,9 +69,7 @@ __all__ = [
     "analytic_f",
     "analytic_spectrum",
     "critical_field",
-    "AmplitudeRecord",
     "SingleExcitationHamiltonian",
-    "transfer_amplitude",
     "BlochState",
     "FidelityReport",
     "average_fidelity",

@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__, optimize, verification
 from .chain import ChainSpecError, _count, dumps_chain, loads_chain, preset
 from .excitation import Spectrum, _grid_f, eigensolve, reduce
-from .fidelity import fidelity_report_blocks
+from .fidelity import _report_blocks
 from .optimize import SearchConfig
 
 CSV_HEADER = "t,re_f,im_f,abs_f,gamma,fbar,fbar_corr,delta"
@@ -145,9 +145,9 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     if not (math.isfinite(args.t_max) and args.t_max >= 0):
         raise _UsageError(f"--t-max must be finite and nonnegative, got {args.t_max}")
     h = reduce(spec)
-    # _grid_f refuses a non-finite f, fidelity_report_blocks an |f| out of range: before any row
+    # _grid_f refuses a non-finite f, _report_blocks an |f| out of range: before any row
     grid, f = _grid_f(Spectrum.of(h, eigensolve(h)), [(0.0, args.t_max, args.steps - 1)])
-    reports = fidelity_report_blocks(grid, f)
+    reports = _report_blocks(grid, f)
     with _output(args.out) as stream:
         stream.write(CSV_HEADER + "\n")
         for rep in reports:

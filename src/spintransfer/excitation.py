@@ -23,8 +23,9 @@ chain's number rule (chain._finite), and _grid_f on an evenly spaced grid
 products with one complex exponential per level for each _GRID_BLOCK grid
 times, within _grid_error of synthesize_f's, about 16 (|lambda|max t_max +
 N) 2^-53 sum_k |w_k|.  f equals the phase-referenced tail conj(f0) fn[N] of
-amplitudes, which gives f0 and fn, O(N^2), for the unitarity checks, to
-rounding (bit for bit when E0 = 0); _terms forms the terms of all three.
+amplitudes, which gives the pair (f0, fn), O(N^2), for the unitarity
+checks, to rounding (bit for bit when E0 = 0); _terms forms the terms of
+all three.
 The reported phase of f, and every fidelity derived from f, is computed in
 the fidelity module (the tuned search takes arg f only to choose its field).
 
@@ -49,13 +50,10 @@ from .chain import ChainSpec, NonFiniteError, _finite, _finites
 __all__ = [
     "SingleExcitationHamiltonian",
     "Spectrum",
-    "AmplitudeRecord",
     "reduce",
     "eigensolve",
     "solve",
-    "amplitudes",
     "synthesize_f",
-    "transfer_amplitude",
 ]
 
 # Times per block of synthesize_f's array path; bounds its (times x levels)
@@ -109,16 +107,6 @@ class Spectrum:
                    band=hi - lo, transfer_bound=float(np.abs(weights).sum()))
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeRecord:
-    """f0 = exp(-i E0 t) and fn[n], the amplitude for the excitation injected at
-    site 1 to be found at site n+1, at one time; f is synthesize_f's, conj(f0) *
-    fn[-1] to rounding.  The unitarity checks read this record."""
-
-    f0: complex
-    fn: np.ndarray
-
-
 def _hopping_scale(s_left: float, s_right: float) -> float:
     return math.sqrt(s_left * s_right)
 
@@ -165,13 +153,23 @@ def solve(spec: ChainSpec) -> Spectrum:
     return Spectrum.of(h, eigensolve(h))
 
 
-def amplitudes(h: SingleExcitationHamiltonian, eig: tuple, t: float) -> AmplitudeRecord:
-    """f0 and all fn at one time (by the chain's number rule, _finite) from
-    eigensolve(h); NaN, as in synthesize_f, where a phase overflows."""
+# Not public; pinned by bench/tracing.py:28 and bench/test_bench.py:107,114 (ROADMAP item 17).
+def amplitudes(h: SingleExcitationHamiltonian, eig: tuple,
+               t: float) -> tuple[complex, np.ndarray]:
+    """The pair (f0, fn) at one time (by the chain's number rule, _finite) from
+    eigensolve(h): f0 = exp(-i E0 t), and fn[n] the amplitude for the excitation
+    injected at site 1 to be found at site n+1; f is conj(f0) * fn[-1] to
+    rounding.  NaN, as in synthesize_f, where a phase overflows."""
     t = _finite(t, "times")
     values, vectors = eig
     fn = _terms(t, values, vectors * vectors[0]).sum(axis=1)
-    return AmplitudeRecord(f0=complex(np.exp(-1j * h.vacuum_energy * t)), fn=fn)
+    return complex(np.exp(-1j * h.vacuum_energy * t)), fn
+
+
+def transfer_amplitude(spec: ChainSpec, t: float) -> tuple[complex, np.ndarray]:
+    """reduce, eigensolve and amplitudes at one time; f is synthesize_f(solve(spec), t)."""
+    h = reduce(spec)
+    return amplitudes(h, eigensolve(h), t)
 
 
 def synthesize_f(spectrum: Spectrum, t):
@@ -263,10 +261,3 @@ def _grid_error(spectrum: Spectrum, t_max: float) -> float:
     """
     scale = 16.0 * float(np.max(np.abs(spectrum.levels))) * t_max + 16.0 * spectrum.levels.size
     return spectrum.transfer_bound * scale * 2.0**-53
-
-
-def transfer_amplitude(spec: ChainSpec, t: float) -> AmplitudeRecord:
-    """reduce, eigensolve and amplitudes at one time; f is synthesize_f(solve(spec), t)."""
-    h = reduce(spec)
-    return amplitudes(h, eigensolve(h), t)
-

@@ -27,7 +27,7 @@ dimensions raise ValueError.  fidelity broadcasts f against the polar angle
 theta, and gives a Python float only when both are scalars; theta and the
 reports' t go by the chain's number rule (chain._finites), as times do, and
 a reports' t that does not broadcast to f is refused, naming both shapes.
-fidelity_report_blocks always gives arrays; reduced_density and
+_report_blocks (simulate's rows) always gives arrays; reduced_density and
 bloch_average_quadrature refuse an array.  A NaN |f| or one above
 1 + _CLAMP_EXCESS raises AmplitudeOutOfRangeError before any value.
 """
@@ -54,7 +54,6 @@ __all__ = [
     "corrected_average_fidelity",
     "bloch_average_quadrature",
     "fidelity_report",
-    "fidelity_report_blocks",
 ]
 
 # Below this |f| the phase of f is reported as 0.
@@ -62,7 +61,7 @@ PHASE_DEGENERATE_TOL = 1e-12
 # |f| may exceed 1 by at most this much (upstream round-off); beyond it the
 # input is treated as corrupt.
 _CLAMP_EXCESS = 1e-9
-# Rows per fidelity_report_blocks block: its eight columns stay near 64 kB.
+# Rows per _report_blocks block: its eight columns stay near 64 kB.
 _REPORT_BLOCK = 1024
 
 
@@ -235,7 +234,7 @@ def fidelity_report(t, f) -> FidelityReport:
     return FidelityReport(**{name: _shaped(f, column) for name, column in vars(rep).items()})
 
 
-def fidelity_report_blocks(t, f) -> Iterator[FidelityReport]:
+def _report_blocks(t, f) -> Iterator[FidelityReport]:
     """fidelity_report(t, f) as consecutive blocks of rows, each an array report.
 
     Every t, |f| and the shape of t is checked, and the refusal raised, by

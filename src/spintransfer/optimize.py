@@ -107,7 +107,10 @@ class SearchConfig:
     t_max follows the chain's number rule (_finite), is stored as a float and
     must be positive; inf raises GridBudgetError.  n_samples is a count in
     [16, _MAX_GRID_POINTS - 2] (_count: ValueError below or for a
-    non-integer, GridBudgetError above).
+    non-integer, GridBudgetError above).  refine_tol = 1e-10 t_max is
+    subnormal below t_max = 2^-1022 / 1e-10, about 2.2251e-298; there best_t
+    loses its stated accuracy without a refusal (the corrected sec3-two-spin
+    at J = 2B = 2^1020 and t_max = 30 / 2^1020: off by 6e-10 t_max).
     """
 
     t_max: float
@@ -220,14 +223,13 @@ class _Search:
     def result(self, best_t: float, bracket: tuple[float, float], best_field: float | None = None,
                spectrum: Spectrum | None = None) -> OptimizationResult:
         """The result at best_t, its values from f on spectrum if given."""
-        f = self.f(best_t, spectrum)
-        rep = fidelity.fidelity_report(best_t, f)
+        rep = fidelity.fidelity_report(best_t, self.f(best_t, spectrum))
         return OptimizationResult(
             best_t=best_t,
             best_field=best_field,
             fbar=rep.fbar,
             fbar_corrected=rep.fbar_corrected,
-            abs_f=abs(f),
+            abs_f=rep.abs_f,
             evaluations=self.count,
             bracket=bracket,
         )

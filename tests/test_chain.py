@@ -45,7 +45,7 @@ from spintransfer.closed_forms import (
     zero_field_critical_time,
 )
 from spintransfer.excitation import solve, synthesize_f, transfer_amplitude
-from spintransfer.fidelity import BlochState, fidelity, fidelity_report, fidelity_report_blocks
+from spintransfer.fidelity import BlochState, _report_blocks, fidelity, fidelity_report
 from spintransfer.full_space import FullSpaceModel
 from spintransfer.optimize import SearchConfig, tune_uniform_field
 
@@ -138,7 +138,7 @@ _REAL_PARAMETERS = [
        name, ()) for method in ("receiver_densities", "fidelity") for name in _INPUT),
     (lambda x: fidelity(0.5, x), "theta", ()),
     (lambda x: fidelity_report(x, 0.5), "t", ()),
-    (lambda x: fidelity_report_blocks(x, 0.5), "t", ()),
+    (lambda x: _report_blocks(x, 0.5), "t", ()),
     (lambda x: BlochState(x), "theta", ("theta must lie in [0, pi], got ",)),
     (lambda x: BlochState(0.5, x), "phi", ("phi must lie in [0, 2*pi), got ",)),
     (lambda x: SearchConfig(x), "t_max", ("t_max must be positive, got ", "t_max = ")),

@@ -1,6 +1,5 @@
 """Single-excitation reduction, eigensolver, and transfer amplitudes."""
 
-import dataclasses
 import math
 import re
 import warnings
@@ -25,7 +24,6 @@ from spintransfer.chain import (
 from spintransfer.excitation import (
     _TIME_BLOCK,
     _grid_f,
-    AmplitudeRecord,
     SingleExcitationHamiltonian,
     Spectrum,
     amplitudes,
@@ -153,10 +151,10 @@ class TestAmplitudes:
     def test_identity_at_t0(self):
         t = 0.0
         spec = preset("sec2-three-spin-center", 1.0, 0.7)
-        rec = transfer_amplitude(spec, t)
+        f0, fn = transfer_amplitude(spec, t)
         f = synthesize_f(solve(spec), t)
-        assert rec.f0 == pytest.approx(1.0, abs=1e-15)
-        assert rec.fn == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
+        assert f0 == pytest.approx(1.0, abs=1e-15)
+        assert fn == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
         assert f == pytest.approx(0.0, abs=1e-14)
         assert fidelity_report(t, f).gamma == 0.0
 
@@ -175,27 +173,25 @@ class TestAmplitudes:
         assert f == pytest.approx(1.0, abs=1e-12)
 
     def test_f_is_phase_referenced_tail(self):
-        # with a vacuum energy f equals the record's tail conj(f0) fn[N] to rounding
+        # with a vacuum energy f equals the tail conj(f0) fn[N] to rounding
         # (measured 1.1e-16 here)
         spec = preset("sec3-three-spin-center", 0.8, 0.3)
-        rec = transfer_amplitude(spec, 2.5)
+        f0, fn = transfer_amplitude(spec, 2.5)
         f = synthesize_f(solve(spec), 2.5)
-        assert f == pytest.approx(complex(np.conj(rec.f0) * rec.fn[-1]), abs=1e-15)
+        assert f == pytest.approx(complex(np.conj(f0) * fn[-1]), abs=1e-15)
 
     def test_synthesize_f_is_the_only_route_to_f(self, monkeypatch):
-        # the record keeps what the unitarity checks read; amplitudes builds no
-        # Spectrum and calls no synthesize_f
-        assert [field.name for field in dataclasses.fields(AmplitudeRecord)] == ["f0", "fn"]
+        # amplitudes builds no Spectrum and calls no synthesize_f
         spec = preset("sec3-three-spin-center", 0.8, 0.3)
-        expected = transfer_amplitude(spec, 2.5)
+        expected_f0, expected_fn = transfer_amplitude(spec, 2.5)
 
         def second_route(*args):
             raise AssertionError("amplitudes took a second route to f")
 
         monkeypatch.setattr(excitation.Spectrum, "of", second_route)
         monkeypatch.setattr(excitation, "synthesize_f", second_route)
-        rec = transfer_amplitude(spec, 2.5)
-        assert rec.f0 == expected.f0 and np.array_equal(rec.fn, expected.fn)
+        f0, fn = transfer_amplitude(spec, 2.5)
+        assert f0 == expected_f0 and np.array_equal(fn, expected_fn)
 
     def test_gamma_branch(self):
         # f real negative must report +pi, not -pi
@@ -252,10 +248,9 @@ def random_chain(draw, max_sites=12):
 @settings(max_examples=60, deadline=None)
 @given(spec=random_chain(), t=st.floats(min_value=0.0, max_value=50.0))
 def test_unitarity_property(spec, t):
-    rec = transfer_amplitude(spec, t)
-    assert abs(float(np.sum(np.abs(rec.fn) ** 2)) - 1.0) <= 1e-12
-    assert abs(abs(rec.f0) - 1.0) <= 1e-12
-    assert isinstance(rec, AmplitudeRecord)
+    f0, fn = transfer_amplitude(spec, t)
+    assert abs(float(np.sum(np.abs(fn) ** 2)) - 1.0) <= 1e-12
+    assert abs(abs(f0) - 1.0) <= 1e-12
 
 
 @st.composite
@@ -288,9 +283,9 @@ def random_block(draw, max_sites=40):
 
 
 def _phase_referenced_tail(h, eig, t):
-    """conj(f0) fn[N] of the amplitude record: f by the O(N^2) route."""
-    rec = amplitudes(h, eig, t)
-    return complex(np.conj(rec.f0) * rec.fn[-1])
+    """conj(f0) fn[N] from the pair (f0, fn) of amplitudes: f by the O(N^2) route."""
+    f0, fn = amplitudes(h, eig, t)
+    return complex(np.conj(f0) * fn[-1])
 
 
 class TestSynthesizeF:

@@ -11,6 +11,7 @@ from spintransfer import fidelity as fidelity_module
 from spintransfer.chain import preset
 from spintransfer.excitation import solve, synthesize_f
 from spintransfer.fidelity import (
+    _report_blocks,
     AmplitudeOutOfRangeError,
     BlochState,
     average_fidelity,
@@ -18,7 +19,6 @@ from spintransfer.fidelity import (
     corrected_average_fidelity,
     fidelity,
     fidelity_report,
-    fidelity_report_blocks,
     reduced_density,
 )
 
@@ -332,7 +332,7 @@ class TestFidelityReports:
         f = self._amplitudes()
         t = np.linspace(0.0, 7.0, f.size)
         whole = fidelity_report(t, f)
-        blocks = list(fidelity_report_blocks(t, f))
+        blocks = list(_report_blocks(t, f))
         assert [len(b.t) for b in blocks] == [1024, 1024, 1024, 928]
         for name, column in vars(whole).items():
             joined = np.concatenate([getattr(b, name) for b in blocks])
@@ -342,7 +342,7 @@ class TestFidelityReports:
         f = self._amplitudes()
         f[-1] = 1.0 + 2e-9
         with pytest.raises(AmplitudeOutOfRangeError):
-            fidelity_report_blocks(np.zeros(f.size), f)  # the call, not iteration, raises
+            _report_blocks(np.zeros(f.size), f)  # the call, not iteration, raises
 
 
 class TestAverageFidelities:
@@ -406,7 +406,7 @@ _SHAPE_RULE = {
     "corrected_average_fidelity": corrected_average_fidelity,
     "fidelity": lambda f: fidelity(f, 1.0),
     "fidelity_report": lambda f: fidelity_report(0.0, f),
-    "fidelity_report_blocks": lambda f: fidelity_report_blocks(0.0, f),
+    "fidelity_report_blocks": lambda f: _report_blocks(0.0, f),  # simulate's row blocks
 }
 _ONE_AMPLITUDE = {
     "reduced_density": lambda f: reduced_density(f, _STATE),
@@ -425,7 +425,7 @@ def test_refused_amplitude_shapes(call, f, message):
         call(f)
 
 
-@pytest.mark.parametrize("report", [fidelity_report, fidelity_report_blocks])
+@pytest.mark.parametrize("report", [fidelity_report, _report_blocks])
 @pytest.mark.parametrize("t, f, message", [
     ([1.0, 2.0], 0.5, "t of shape (2,) does not broadcast to f of shape ()"),
     (np.zeros(3), np.full(2, 0.5j), "t of shape (3,) does not broadcast to f of shape (2,)"),

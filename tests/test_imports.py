@@ -4,7 +4,8 @@ brute-force validator (full_space) imports nothing of the package but chain,
 no module in src/ uses a name that numpy added in 2.0, below the floor
 (numpy 1.24) that pyproject.toml declares, and the command line catches only
 the errors of its flags and files: the chain text, the overflow of f and the
-field box are refused by the modules whose rules they break.
+field box are refused by the modules whose rules they break.  The public
+names, the package's __all__ and each module's, are pinned as literal sets.
 
 Names listed in a module's __all__ are exempt, and so is every import of
 spintransfer/__init__.py, whose imports are the package's re-exports.  A
@@ -16,9 +17,13 @@ own def, by a name, an attribute, an import or a string equal to it.
 
 import ast
 import functools
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import spintransfer
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for tree in ("src", "tests", "demos") for path in (ROOT / tree).rglob("*.py"))
@@ -250,3 +255,60 @@ def test_the_handler_scan_sees_what_it_should():
               "    pass\n")
     assert handlers(source) == ({"json.JSONDecodeError", "OSError", "RecursionError", ""},
                                 [9, 11])
+
+
+# Every public name, by module (None: no __all__).  Adding or dropping one is a
+# change of the public API: edit this pin with it.
+_PUBLIC = {
+    "spintransfer": {
+        "__version__", "chain", "closed_forms", "excitation", "fidelity", "full_space",
+        "optimize", "verification", "ChainSpec", "SiteSpec", "SpinMagnitude", "SPIN_HALF",
+        "SPIN_ONE", "engineered_chain", "engineered_couplings", "load_chain", "preset",
+        "save_chain", "validate", "PresetSystem", "analytic_f", "analytic_spectrum",
+        "critical_field", "SingleExcitationHamiltonian", "BlochState", "FidelityReport",
+        "average_fidelity", "bloch_average_quadrature", "corrected_average_fidelity",
+        "fidelity_report", "reduced_density", "FullSpaceModel", "full_hamiltonian",
+        "OptimizationResult", "SearchConfig", "critical_times", "maximize_fidelity",
+        "tune_uniform_field",
+    },
+    "spintransfer.chain": {
+        "BadArgsError", "BadSpinError", "ChainFormatError", "ChainSpec", "ChainSpecError",
+        "EmptyChainError", "LengthMismatchError", "NonFiniteError", "PRESET_NAMES",
+        "SPIN_HALF", "SPIN_ONE", "SiteSpec", "SpinMagnitude", "TooManySitesError",
+        "UnknownPresetError", "chain_to_dict", "dumps_chain", "engineered_chain",
+        "engineered_couplings", "load_chain", "loads_chain", "preset", "save_chain", "validate",
+    },
+    "spintransfer.cli": None,
+    "spintransfer.closed_forms": {
+        "DegenerateSystemError", "NotTunableError", "PresetSystem", "analytic_f",
+        "analytic_spectrum", "critical_field", "zero_field_critical_time",
+    },
+    "spintransfer.excitation": {
+        "SingleExcitationHamiltonian", "Spectrum", "eigensolve", "reduce", "solve",
+        "synthesize_f",
+    },
+    "spintransfer.fidelity": {
+        "AmplitudeOutOfRangeError", "BlochState", "FidelityReport", "average_fidelity",
+        "bloch_average_quadrature", "corrected_average_fidelity", "fidelity",
+        "fidelity_report", "reduced_density",
+    },
+    "spintransfer.full_space": {
+        "DIMENSION_CAP", "DimensionCapError", "FullSpaceModel", "STATE_CAP",
+        "excitation_sector_indices", "full_hamiltonian", "spin_operators",
+        "sz_commutator_max", "total_sz_diagonal",
+    },
+    "spintransfer.optimize": {
+        "GridBudgetError", "OptimizationResult", "SearchConfig", "critical_times",
+        "maximize_fidelity", "tune_uniform_field",
+    },
+    "spintransfer.verification": {"CHECK_NAMES", "CheckResult", "run_all"},
+}
+
+
+def test_the_public_names_are_pinned():
+    modules = [spintransfer] + [importlib.import_module(f"spintransfer.{info.name}")
+                                for info in pkgutil.iter_modules(spintransfer.__path__)]
+    listed = {m.__name__: getattr(m, "__all__", None) for m in modules}
+    assert {name: names and set(names) for name, names in listed.items()} == _PUBLIC
+    # and no name listed twice
+    assert all(len(names) == len(set(names)) for names in listed.values() if names)

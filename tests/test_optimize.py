@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import weakref
 from collections import Counter
 from unittest import mock
@@ -69,6 +70,25 @@ class TestSearchConfig:
         for t_max in (3, np.float64(2.5), 1.5):
             cfg = SearchConfig(t_max=t_max)
             assert type(cfg.t_max) is float and cfg.t_max == t_max
+
+    @pytest.mark.parametrize("k", [1, 500, 990])
+    def test_power_of_two_scaling_keeps_every_bit(self, k):
+        # J, B times c = 2^k and t_max over c: best_t over c, the same values and work
+        c = 2.0**k
+        cfg = SearchConfig(t_max=30.0)
+        base = maximize_fidelity(preset("sec3-two-spin", 1.0, 0.5), cfg, corrected=True)
+        res = maximize_fidelity(preset("sec3-two-spin", c, 0.5 * c),
+                                SearchConfig(t_max=30.0 / c), corrected=True)
+        assert res.best_t * c == base.best_t == 2.809925892405826
+        assert tuple(end * c for end in res.bracket) == base.bracket
+        assert (res.fbar, res.fbar_corrected, res.abs_f, res.evaluations) == (
+            base.fbar, base.fbar_corrected, base.abs_f, base.evaluations)
+
+    def test_refine_tol_turns_subnormal_between_2_to_the_990_and_1000(self):
+        # below t_max = 2^-1022 / 1e-10 (about 2.2251e-298) best_t loses its stated
+        # accuracy, with no refusal: the scaling above then breaks at k = 1000
+        assert SearchConfig(t_max=30.0 / 2.0**990).refine_tol >= sys.float_info.min
+        assert SearchConfig(t_max=30.0 / 2.0**1000).refine_tol < sys.float_info.min
 
     def test_sample_floor_range_is_inclusive(self):
         for n_samples in (16, np.int64(16), optimize._MAX_GRID_POINTS - 2,
@@ -272,6 +292,18 @@ class TestMaximizeFidelity:
                 corrected=True,
             )
             assert res.abs_f <= j / mu + 1e-9
+
+    def test_abs_f_is_the_reports(self):
+        # abs_f is the |f| that fbar and fbar_corrected come from, rescaled with
+        # them: a second abs(f) read above 1 on 39 of these 116 searches
+        cfg = SearchConfig(t_max=1.3 * math.pi)
+        for n in range(2, 60):
+            spec = engineered_chain(n)
+            spectrum = solve(spec)
+            for corrected in (False, True):
+                res = maximize_fidelity(spec, cfg, corrected)
+                rep = fidelity.fidelity_report(res.best_t, synthesize_f(spectrum, res.best_t))
+                assert res.abs_f == rep.abs_f <= 1.0, (n, corrected)
 
 
 class TestTuneUniformField:
