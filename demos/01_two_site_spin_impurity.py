@@ -10,18 +10,12 @@ import math
 
 import numpy as np
 
-from spintransfer import (
-    SearchConfig,
-    average_fidelity,
-    corrected_average_fidelity,
-    critical_times,
-    fidelity_report,
-    maximize_fidelity,
-    preset,
-    tune_uniform_field,
-)
+from spintransfer.chain import preset
 from spintransfer.closed_forms import PresetSystem, critical_field, zero_field_critical_time
 from spintransfer.excitation import solve, synthesize_f
+from spintransfer.fidelity import average_fidelity, corrected_average_fidelity, fidelity_report
+from spintransfer.optimize import (SearchConfig, critical_times, maximize_fidelity,
+                                   tune_uniform_field)
 
 J = 1.0
 T_STAR = math.pi / (math.sqrt(2.0) * J)

@@ -10,16 +10,10 @@ import math
 
 import numpy as np
 
-from spintransfer import (
-    SearchConfig,
-    average_fidelity,
-    corrected_average_fidelity,
-    fidelity_report,
-    maximize_fidelity,
-    preset,
-    tune_uniform_field,
-)
+from spintransfer.chain import preset
 from spintransfer.excitation import solve, synthesize_f
+from spintransfer.fidelity import average_fidelity, corrected_average_fidelity, fidelity_report
+from spintransfer.optimize import SearchConfig, maximize_fidelity, tune_uniform_field
 
 J = 1.0
 T_C = math.pi / J

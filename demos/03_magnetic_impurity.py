@@ -9,11 +9,8 @@ allows, and J >> B pushes the ceiling back toward 1.
 
 import math
 
-from spintransfer import (
-    SearchConfig,
-    maximize_fidelity,
-    preset,
-)
+from spintransfer.chain import preset
+from spintransfer.optimize import SearchConfig, maximize_fidelity
 
 print("=== the J/mu ceiling (two sites, field on the sender) ===")
 print("     J      B     J/mu    sup|f|   max corrected Fbar")

@@ -10,14 +10,10 @@ import math
 
 import numpy as np
 
-from spintransfer import (
-    PresetSystem,
-    SearchConfig,
-    analytic_f,
-    maximize_fidelity,
-    preset,
-)
+from spintransfer.chain import preset
+from spintransfer.closed_forms import PresetSystem, analytic_f
 from spintransfer.excitation import solve, synthesize_f
+from spintransfer.optimize import SearchConfig, maximize_fidelity
 
 SQRT2 = math.sqrt(2.0)
 B = 1.0

@@ -9,7 +9,8 @@ below reports what the search finds; it asserts nothing.
 
 import math
 
-from spintransfer import SearchConfig, engineered_chain, maximize_fidelity
+from spintransfer.chain import engineered_chain
+from spintransfer.optimize import SearchConfig, maximize_fidelity
 
 print("=== plain engineered chains transfer perfectly ===")
 for n in (5, 8):

@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from spintransfer import BlochState, FullSpaceModel, full_hamiltonian, preset
-from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec
-from spintransfer.fidelity import fidelity
-from spintransfer.full_space import excitation_sector_indices, total_sz_diagonal
+from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, preset
 from spintransfer.excitation import reduce, solve, synthesize_f
+from spintransfer.fidelity import BlochState, fidelity
+from spintransfer.full_space import (FullSpaceModel, excitation_sector_indices, full_hamiltonian,
+                                     total_sz_diagonal)
 
 rng = np.random.default_rng(2)
 

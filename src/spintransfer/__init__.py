@@ -10,38 +10,6 @@ times and tuned fields.
 """
 
 from . import chain, closed_forms, excitation, fidelity, full_space, optimize, verification
-from .chain import (
-    ChainSpec,
-    SPIN_HALF,
-    SPIN_ONE,
-    SiteSpec,
-    SpinMagnitude,
-    engineered_chain,
-    engineered_couplings,
-    load_chain,
-    preset,
-    save_chain,
-    validate,
-)
-from .closed_forms import PresetSystem, analytic_f, analytic_spectrum, critical_field
-from .excitation import SingleExcitationHamiltonian
-from .fidelity import (
-    BlochState,
-    FidelityReport,
-    average_fidelity,
-    bloch_average_quadrature,
-    corrected_average_fidelity,
-    fidelity_report,
-    reduced_density,
-)
-from .full_space import FullSpaceModel, full_hamiltonian
-from .optimize import (
-    OptimizationResult,
-    SearchConfig,
-    critical_times,
-    maximize_fidelity,
-    tune_uniform_field,
-)
 
 __version__ = "0.1.0"
 
@@ -54,34 +22,4 @@ __all__ = [
     "full_space",
     "optimize",
     "verification",
-    "ChainSpec",
-    "SiteSpec",
-    "SpinMagnitude",
-    "SPIN_HALF",
-    "SPIN_ONE",
-    "engineered_chain",
-    "engineered_couplings",
-    "load_chain",
-    "preset",
-    "save_chain",
-    "validate",
-    "PresetSystem",
-    "analytic_f",
-    "analytic_spectrum",
-    "critical_field",
-    "SingleExcitationHamiltonian",
-    "BlochState",
-    "FidelityReport",
-    "average_fidelity",
-    "bloch_average_quadrature",
-    "corrected_average_fidelity",
-    "fidelity_report",
-    "reduced_density",
-    "FullSpaceModel",
-    "full_hamiltonian",
-    "OptimizationResult",
-    "SearchConfig",
-    "critical_times",
-    "maximize_fidelity",
-    "tune_uniform_field",
 ]

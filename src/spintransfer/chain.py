@@ -39,7 +39,6 @@ __all__ = [
     "engineered_chain",
     "preset",
     "PRESET_NAMES",
-    "chain_to_dict",
     "dumps_chain",
     "loads_chain",
     "save_chain",
@@ -329,18 +328,11 @@ def _spin_to_json(spin: SpinMagnitude) -> Any:
     return spin.s
 
 
-def chain_to_dict(spec: ChainSpec) -> dict[str, Any]:
-    """External JSON form: {"sites": [{"spin": ..., "field": ...}], "couplings": [...]}."""
-    return {
-        "sites": [
-            {"spin": _spin_to_json(site.spin), "field": site.field} for site in spec.sites
-        ],
-        "couplings": list(spec.couplings),
-    }
-
-
 def dumps_chain(spec: ChainSpec) -> str:
-    return json.dumps(chain_to_dict(spec), indent=2, allow_nan=False) + "\n"
+    """External JSON form: {"sites": [{"spin": ..., "field": ...}], "couplings": [...]}."""
+    sites = [{"spin": _spin_to_json(site.spin), "field": site.field} for site in spec.sites]
+    return json.dumps({"sites": sites, "couplings": list(spec.couplings)},
+                      indent=2, allow_nan=False) + "\n"
 
 
 def loads_chain(text: str | bytes) -> ChainSpec:

@@ -94,12 +94,12 @@ class BlochState:
 
 
 def _checked_amplitudes(f) -> tuple[np.ndarray, np.ndarray]:
-    """(f, |f|) as 1-D arrays, |f| in (1, 1 + _CLAMP_EXCESS] rescaled to 1, NaN or more refused.
+    """(f, |f|) as 1-D arrays, |f| in (1, 1 + _CLAMP_EXCESS] divided out, NaN or more refused.
 
     |f| is np.hypot(Re f, Im f), the libm hypot that Python's abs(complex)
     calls, so it equals abs(z) for every element z.  A rescaled row divides
     Re f and Im f by |f| separately, as Python's complex / float does, and
-    takes its |f| again.
+    takes its |f| again, which reads 1.0 or 0.9999999999999999: not always 1.
     """
     f = np.array(f, dtype=complex, ndmin=1)  # a copy: rescaled in place, kept in reports
     if f.ndim > 1:

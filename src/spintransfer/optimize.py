@@ -142,7 +142,9 @@ class OptimizationResult:
 
     evaluations is the number of time points the search visited, each
     counted once: the grid, the golden-section path and the parabolic polish
-    of every refined bracket, and best_t.  The candidate times of the
+    of every refined bracket, and best_t.  tune_uniform_field evaluates best_t
+    twice and counts both: at the box centre to choose the field, and on the
+    tuned chain for the report.  The candidate times of the
     refine's lookahead trees that no step visited are not counted (they are
     the search's probes); brackets that are never refined add nothing: the
     pruned ones and, in maximize_fidelity, those that start after the first

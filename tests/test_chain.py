@@ -29,7 +29,6 @@ from spintransfer.chain import (
     SpinMagnitude,
     TooManySitesError,
     UnknownPresetError,
-    chain_to_dict,
     dumps_chain,
     engineered_chain,
     engineered_couplings,
@@ -398,7 +397,7 @@ def test_malformed_text_is_a_format_error(data, refusal):
 
 def test_spin_json_encoding():
     spec = preset("sec2-two-spin", 1.0, 0.0)
-    d = chain_to_dict(spec)
+    d = json.loads(dumps_chain(spec))
     assert d["sites"][0]["spin"] == "one"
     assert d["sites"][1]["spin"] == "half"
     big = ChainSpec(

@@ -5,10 +5,11 @@ no module in src/ uses a name that numpy added in 2.0, below the floor
 (numpy 1.24) that pyproject.toml declares, and the command line catches only
 the errors of its flags and files: the chain text, the overflow of f and the
 field box are refused by the modules whose rules they break.  The public
-names, the package's __all__ and each module's, are pinned as literal sets.
+names, the package's __all__ and each module's, are pinned as literal sets,
+and each has one home: no __all__ in src/ lists a name that its module only
+imports, save the package's own submodules in the package's __all__.
 
-Names listed in a module's __all__ are exempt, and so is every import of
-spintransfer/__init__.py, whose imports are the package's re-exports.  A
+Names listed in a module's __all__ are exempt from the import scan.  A
 private function is a module-level def whose name starts with an underscore,
 is no dunder and has no decorator (which may register it).  It is dead when
 no module of src/, tests/, demos/ or bench/ refers to its name outside its
@@ -28,7 +29,6 @@ import spintransfer
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for tree in ("src", "tests", "demos") for path in (ROOT / tree).rglob("*.py"))
 SCANNED = MODULES + sorted((ROOT / "bench").rglob("*.py"))
-REEXPORTS = ROOT / "src" / "spintransfer" / "__init__.py"
 
 
 def _imported(module: ast.Module) -> dict[str, int]:
@@ -63,8 +63,7 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
                    if name not in used | _exported(module)), key=lambda item: item[1])
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p != REEXPORTS],
-                         ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -80,6 +79,42 @@ def test_the_scan_sees_what_it_should():
               "    import sys\n"
               "    return os.sep, pi\n")
     assert unused_imports(source) == [("np", 3), ("circle", 4)]
+
+
+def listed_elsewhere(source: str, package: bool = False) -> list[str]:
+    """Names in source's __all__ that source does not define by a def, a class or an
+    assignment at module level; in a package (package=True) `from . import m` defines m."""
+    module = ast.parse(source)
+    defined = set()
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif package and isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module:
+            defined |= {alias.asname or alias.name for alias in node.names}
+    return sorted(_exported(module) - defined)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.is_relative_to(ROOT / "src")],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_public_name_has_one_home(path):
+    assert listed_elsewhere(path.read_text(encoding="utf-8"), path.name == "__init__.py") == []
+
+
+def test_the_home_scan_sees_what_it_should():
+    source = ("from . import chain\n"
+              "from .chain import ChainSpec, preset as make\n"
+              "import numpy as np\n"
+              "LIMIT: int = 3\n"
+              "def solve():\n"
+              "    pass\n"
+              "class Spectrum:\n"
+              "    pass\n"
+              "__all__ = ['chain', 'ChainSpec', 'make', 'np', 'LIMIT', 'solve', 'Spectrum']\n")
+    assert listed_elsewhere(source) == ["ChainSpec", "chain", "make", "np"]
+    assert listed_elsewhere(source, package=True) == ["ChainSpec", "make", "np"]
 
 
 def _referenced(node: ast.AST) -> set[str]:
@@ -262,20 +297,13 @@ def test_the_handler_scan_sees_what_it_should():
 _PUBLIC = {
     "spintransfer": {
         "__version__", "chain", "closed_forms", "excitation", "fidelity", "full_space",
-        "optimize", "verification", "ChainSpec", "SiteSpec", "SpinMagnitude", "SPIN_HALF",
-        "SPIN_ONE", "engineered_chain", "engineered_couplings", "load_chain", "preset",
-        "save_chain", "validate", "PresetSystem", "analytic_f", "analytic_spectrum",
-        "critical_field", "SingleExcitationHamiltonian", "BlochState", "FidelityReport",
-        "average_fidelity", "bloch_average_quadrature", "corrected_average_fidelity",
-        "fidelity_report", "reduced_density", "FullSpaceModel", "full_hamiltonian",
-        "OptimizationResult", "SearchConfig", "critical_times", "maximize_fidelity",
-        "tune_uniform_field",
+        "optimize", "verification",
     },
     "spintransfer.chain": {
         "BadArgsError", "BadSpinError", "ChainFormatError", "ChainSpec", "ChainSpecError",
         "EmptyChainError", "LengthMismatchError", "NonFiniteError", "PRESET_NAMES",
         "SPIN_HALF", "SPIN_ONE", "SiteSpec", "SpinMagnitude", "TooManySitesError",
-        "UnknownPresetError", "chain_to_dict", "dumps_chain", "engineered_chain",
+        "UnknownPresetError", "dumps_chain", "engineered_chain",
         "engineered_couplings", "load_chain", "loads_chain", "preset", "save_chain", "validate",
     },
     "spintransfer.cli": None,

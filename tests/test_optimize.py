@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spintransfer import excitation, fidelity, optimize
-from spintransfer.chain import ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec, engineered_chain, preset
+from spintransfer.chain import (PRESET_NAMES, ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec,
+                                engineered_chain, preset)
 from spintransfer.closed_forms import (
     NotTunableError,
     PresetSystem,
@@ -73,16 +74,22 @@ class TestSearchConfig:
 
     @pytest.mark.parametrize("k", [1, 500, 990])
     def test_power_of_two_scaling_keeps_every_bit(self, k):
-        # J, B times c = 2^k and t_max over c: best_t over c, the same values and work
+        # J, B and the field box times c = 2^k and t_max over c: best_t and the bracket
+        # over c, best_field times c, the same values and work
+        def searches(c):
+            spec, cfg = preset("sec3-two-spin", c, 0.5 * c), SearchConfig(t_max=30.0 / c)
+            return (maximize_fidelity(spec, cfg, corrected=True),
+                    tune_uniform_field(spec, cfg, (-0.7 * c, 1.3 * c)))
+
         c = 2.0**k
-        cfg = SearchConfig(t_max=30.0)
-        base = maximize_fidelity(preset("sec3-two-spin", 1.0, 0.5), cfg, corrected=True)
-        res = maximize_fidelity(preset("sec3-two-spin", c, 0.5 * c),
-                                SearchConfig(t_max=30.0 / c), corrected=True)
-        assert res.best_t * c == base.best_t == 2.809925892405826
-        assert tuple(end * c for end in res.bracket) == base.bracket
-        assert (res.fbar, res.fbar_corrected, res.abs_f, res.evaluations) == (
-            base.fbar, base.fbar_corrected, base.abs_f, base.evaluations)
+        bases = searches(1.0)
+        assert [base.best_t for base in bases] == [2.809925892405826, 2.8099258924106474]
+        for base, res in zip(bases, searches(c)):
+            assert res.best_t * c == base.best_t
+            assert tuple(end * c for end in res.bracket) == base.bracket
+            assert (res.best_field and res.best_field / c) == base.best_field
+            assert (res.fbar, res.fbar_corrected, res.abs_f, res.evaluations) == (
+                base.fbar, base.fbar_corrected, base.abs_f, base.evaluations)
 
     def test_refine_tol_turns_subnormal_between_2_to_the_990_and_1000(self):
         # below t_max = 2^-1022 / 1e-10 (about 2.2251e-298) best_t loses its stated
@@ -304,6 +311,46 @@ class TestMaximizeFidelity:
                 res = maximize_fidelity(spec, cfg, corrected)
                 rep = fidelity.fidelity_report(res.best_t, synthesize_f(spectrum, res.best_t))
                 assert res.abs_f == rep.abs_f <= 1.0, (n, corrected)
+
+
+def _sign_flip_chains():
+    """The 5 presets at J 1, B 0.37, engineered N = 5, 8, 21 and 400 with a centre spin-1
+    site, and 20 seeded random mixed-spin chains of up to 39 sites with site fields."""
+    rng = np.random.default_rng(16)
+    chains = [preset(name, 1.0, 0.37) for name in PRESET_NAMES]
+    chains += [engineered_chain(n, spin_one_site=(n + 1) // 2) for n in (5, 8, 21, 400)]
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        chains.append(ChainSpec(
+            sites=tuple(SiteSpec(SPIN_ONE if rng.uniform() < 0.5 else SPIN_HALF,
+                                 float(rng.uniform(-1.0, 1.0))) for _ in range(n)),
+            couplings=tuple(rng.uniform(-1.5, 1.5, n - 1).tolist())))
+    return chains
+
+
+def _flipped(spec):
+    """spec with every coupling J -> -J."""
+    return ChainSpec(sites=spec.sites, couplings=tuple(-j for j in spec.couplings))
+
+
+class TestSignFlip:
+    """J -> -J keeps the levels and multiplies the weights by (-1)^(N-1), bit for bit, so
+    |f| and the corrected measures keep every bit."""
+
+    def test_levels_keep_and_weights_take_the_sign(self):
+        for spec in _sign_flip_chains():
+            base, flipped = solve(spec), solve(_flipped(spec))
+            sign = (-1.0) ** (len(spec.sites) - 1)
+            assert flipped.levels.tobytes() == base.levels.tobytes(), spec
+            assert flipped.weights.tobytes() == (sign * base.weights).tobytes(), spec
+
+    def test_the_corrected_search_keeps_every_bit(self):
+        cfg = SearchConfig(t_max=20.0)
+        for spec in _sign_flip_chains():
+            base = maximize_fidelity(spec, cfg, corrected=True)
+            res = maximize_fidelity(_flipped(spec), cfg, corrected=True)
+            assert (res.best_t, res.fbar_corrected, res.abs_f, res.evaluations) == (
+                base.best_t, base.fbar_corrected, base.abs_f, base.evaluations), spec
 
 
 class TestTuneUniformField:
