@@ -24,8 +24,9 @@ products with one complex exponential per level for each _GRID_BLOCK grid
 times, within _grid_error of synthesize_f's, about 16 (|lambda|max t_max +
 N) 2^-53 sum_k |w_k|.  f equals the phase-referenced tail conj(f0) fn[N] of
 amplitudes, which gives the pair (f0, fn), O(N^2), for the unitarity
-checks, to rounding (bit for bit when E0 = 0); _terms forms the terms of
-all three.
+checks, to rounding (bit for bit when E0 = 0); _f_slopes gives
+synthesize_f's f with its first two derivatives, for the searches' refine;
+_terms forms the terms of all four.
 The reported phase of f, and every fidelity derived from f, is computed in
 the fidelity module (the tuned search takes arg f only to choose its field).
 
@@ -198,6 +199,28 @@ def synthesize_f(spectrum: Spectrum, t):
     for lo in range(0, grid.size, _TIME_BLOCK):
         f[lo:lo + _TIME_BLOCK] = _terms(grid[lo:lo + _TIME_BLOCK], levels, weights).sum(axis=1)
     return complex(f[0]) if times.ndim == 0 else f
+
+
+def _f_slopes(spectrum: Spectrum, t, scale: float) -> np.ndarray:
+    """f, df/dtau and d^2f/dtau^2 with tau = scale * t, the rows of a (3 x times)
+    array, at a 1-D array of times (by the number rule, _finites).
+
+    df/dtau = sum_k (-i mu_k) w_k e^{-i lambda_k t} and d^2f/dtau^2 = sum_k
+    (-i mu_k)^2 w_k e^{-i lambda_k t}, mu_k = lambda_k / scale: a power of two
+    near the spread keeps both within sum_k |w_k| and scales with the chain
+    exactly.  The terms and blocks are synthesize_f's, so f has its bits.
+    """
+    levels, weights = spectrum.levels, spectrum.weights
+    times = _finites(t, "times").reshape(-1)
+    rate = -1j * (levels / scale)
+    out = np.empty((3, times.size), dtype=complex)
+    for lo in range(0, times.size, _TIME_BLOCK):
+        terms = _terms(times[lo:lo + _TIME_BLOCK], levels, weights)
+        block = out[:, lo:lo + _TIME_BLOCK]
+        block[0] = terms.sum(axis=1)
+        block[1] = np.multiply(terms, rate, out=terms).sum(axis=1)
+        block[2] = np.multiply(terms, rate, out=terms).sum(axis=1)
+    return out
 
 
 def _terms(times, levels: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -9,32 +9,26 @@ an oscillation.  excitation._grid_f, the block-product route to f on evenly
 spaced grids, gives the grid times and f there, one complex exponential per
 level for each block of 64 points; these values lie within _grid_error of
 synthesize_f's, which the pruning margin allows for; every other value of f,
-refined or reported, comes from synthesize_f through the search, which counts
-each time point it visits once.  Candidate brackets are refined by
-golden-section search in lockstep: each pass takes, on every bracket still
-open, the step whose branch is known and evaluates the new times in one array
-synthesis, and each bracket visits the same times a search on it alone would.
-While few brackets are open the same call also evaluates, for each bracket,
-the candidate times of the next steps, one per outcome of the comparisons not
-yet known, and those steps are read off the stored candidates; the
-candidates never visited are the search's probes, not counted in
-evaluations.  A step costs its share of an objective call plus a few Python
-float operations per open bracket, whose ends, probes and values are Python
-floats.  A final three-point parabolic correction sharpens each extremum past
-the floating-point tie plateau that makes raw golden-section comparisons
-uninformative on flat tops.  critical_times refines every peak of |f|.  The
-fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a bound on
-how far the objective can rise between grid points, plus twice the grid
-values' error stays more than 2 * _TIE_TOL below the best value found: it can
-neither win nor tie.  Where the weighted levels are commensurate, so that
-the objective has a period T to within _TIE_TOL / 4 on [0, t_max] (_period),
-maximize_fidelity also skips every bracket that starts at or after T: it can
-only tie an earlier one.  No randomness is used anywhere; identical inputs
-give identical results, and the winner is the earliest candidate within
-_TIE_TOL of the largest.  Field tuning searches t alone: a uniform field b
-only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best field at
-each t is known, and the grid is finer only while the field box cannot align
-every phase.
+refined or reported, has synthesize_f's bits, and the search counts each time
+point it visits once.  Candidate brackets are refined by safeguarded Newton
+steps on the objective's slope, in lockstep: each pass evaluates the current
+time of every open bracket in one call of excitation._f_slopes, which gives f
+with its first two derivatives, and the objective's own two derivatives
+follow in closed form (_slopes); each bracket visits the times a search on it
+alone would.  The step's position comes from the slope, so it is exact where
+the values tie to round-off on a flat top.  critical_times refines every peak
+of |f|.  The fidelity searches skip a bracket whose grid peak plus _MAX_RISE,
+a bound on how far the objective can rise between grid points, plus twice the
+grid values' error stays more than 2 * _TIE_TOL below the best value found:
+it can neither win nor tie.  Where the weighted levels are commensurate, so
+that the objective has a period T to within _TIE_TOL / 4 on [0, t_max]
+(_period), maximize_fidelity also skips every bracket that starts at or after
+T: it can only tie an earlier one.  No randomness is used anywhere; identical
+inputs give identical results, and the winner is the earliest candidate
+within _TIE_TOL of the largest.  Field tuning searches t alone: a uniform
+field b only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best
+field at each t is known, and the grid is finer only while the field box
+cannot align every phase.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ import numpy as np
 
 from . import fidelity
 from .chain import ChainSpec, NonFiniteError, _count, _finite, _finites
-from .excitation import Spectrum, _grid_error, _grid_f, solve, synthesize_f
+from .excitation import Spectrum, _f_slopes, _grid_error, _grid_f, solve, synthesize_f
 
 __all__ = [
     "GridBudgetError",
@@ -57,8 +51,6 @@ __all__ = [
     "maximize_fidelity",
     "tune_uniform_field",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Peaks of |f| below this are indistinguishable from a dead channel.
 _PEAK_FLOOR = 1e-12
@@ -82,18 +74,8 @@ _MAX_RISE = (1.0 / 3.0) * (math.pi / 10.0) ** 2 / 8.0
 # Longest search grid (the benchmark's largest: 13 515-15 669 points; presets under 4 000).
 _MAX_GRID_POINTS = 2**20
 
-# Golden-section steps per bracket, at most.
+# Objective evaluations per refined bracket, at most.
 _MAX_REFINE_ITERS = 200
-
-# Most candidate times one lookahead call of the refine evaluates: with n
-# brackets open it looks d steps ahead, the largest d with (2**d - 1) * n at
-# most this; at d = 1 the step alone, no tree.  On a 2-core x86-64 VM an
-# objective call costs 8-27 us for one time and 10-31 us for 31, while a
-# lookahead's Python work costs 0.2-0.7 us a candidate.  32 lets one bracket
-# take 5 steps a call and keeps d = 1 from 11 open brackets on.  On the
-# benchmark's optimize and tune-field inputs 16-64 were within 4 % of each
-# other, 32 fastest; 8 and 128 were slower.
-_LOOKAHEAD_PROBES = 32
 
 
 class GridBudgetError(ValueError):
@@ -108,9 +90,13 @@ class SearchConfig:
     must be positive; inf raises GridBudgetError.  n_samples is a count in
     [16, _MAX_GRID_POINTS - 2] (_count: ValueError below or for a
     non-integer, GridBudgetError above).  refine_tol = 1e-10 t_max is
-    subnormal below t_max = 2^-1022 / 1e-10, about 2.2251e-298; there best_t
-    loses its stated accuracy without a refusal (the corrected sec3-two-spin
-    at J = 2B = 2^1020 and t_max = 30 / 2^1020: off by 6e-10 t_max).
+    subnormal below t_max = 2^-1022 / 1e-10, about 2.2251e-298, at no cost:
+    a converged Newton step is 0, within any tolerance.  The corrected
+    sec3-two-spin at J = 2B = 2^k and t_max = 30 / 2^k, and its tuned search
+    with the box (-0.7, 1.3) 2^k, keep the bits of k = 0 through k = 1019.
+    At k = 1020 16 max|lambda| in _grid_error overflows, so nothing is
+    pruned, and the bracket, best_t -+ refine_tol, loses bits with the
+    tolerance's.
     """
 
     t_max: float
@@ -141,14 +127,12 @@ class OptimizationResult:
     """Best point found, its fidelities, and search diagnostics.
 
     evaluations is the number of time points the search visited, each
-    counted once: the grid, the golden-section path and the parabolic polish
-    of every refined bracket, and best_t.  tune_uniform_field evaluates best_t
-    twice and counts both: at the box centre to choose the field, and on the
-    tuned chain for the report.  The candidate times of the
-    refine's lookahead trees that no step visited are not counted (they are
-    the search's probes); brackets that are never refined add nothing: the
-    pruned ones and, in maximize_fidelity, those that start after the first
-    period of a periodic objective.
+    counted once: the grid, the Newton path of every refined bracket, and
+    best_t.  tune_uniform_field evaluates best_t twice and counts both: at
+    the box centre to choose the field, and on the tuned chain for the
+    report.  Brackets that are never refined add nothing: the pruned ones
+    and, in maximize_fidelity, those that start after the first period of a
+    periodic objective.
     """
 
     best_t: float
@@ -195,32 +179,36 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
 
 
 class _Search:
-    """One search on a chain's spectrum: its grid, the objective value(t, f)
-    there, and every time point at which f is evaluated, each counted once.
+    """One search on a chain's spectrum: its grid, the objective there, and
+    every time point at which f is evaluated, each counted once.
 
-    The grid values of f come from _grid_f, within grid_error of synthesize_f,
-    which gives f everywhere else.
+    objective(t, f) gives the objective's values at times t from f there, and
+    objective(t, f, (f1, f2)), with f1 and f2 the first two derivatives of f in
+    tau = scale * t, also positive multiples of its own (_slopes).  scale is
+    the power of two in (s / 2, s] for the largest spread s of the grid's
+    pieces.  The grid values of f come from _grid_f, within grid_error of
+    synthesize_f, which gives f everywhere else.
     """
 
-    def __init__(self, spectrum: Spectrum, value: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 cfg: SearchConfig, *pieces: tuple[float, float]) -> None:
-        self.spectrum, self.value = spectrum, value
+    def __init__(self, spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
+                 *pieces: tuple[float, float]) -> None:
+        self.spectrum, self.objective = spectrum, objective
         self.grid, grid_f = _grid_f(spectrum, _time_grid(cfg, *pieces))
-        self.values = value(self.grid, grid_f)
+        self.values = objective(self.grid, grid_f)
         self.grid_error = _grid_error(spectrum, cfg.t_max)
-        self.count, self.probes = self.grid.size, 0
+        self.scale = math.ldexp(0.5, math.frexp(max(s for _, s in pieces))[1])
+        self.count = self.grid.size
 
     def f(self, t, spectrum: Spectrum | None = None):
         """f at time(s) t on the searched chain, or on spectrum if given."""
         self.count += np.size(t)
         return synthesize_f(spectrum or self.spectrum, t)
 
-    def objective(self, t: np.ndarray) -> np.ndarray:
-        return self.value(t, self.f(t))
-
-    def discard(self, n: int) -> None:
-        """Move n evaluated times, tree candidates no refine step visited, from count to probes."""
-        self.count, self.probes = self.count - n, self.probes + n
+    def slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The objective at times t, and positive multiples of its first two derivatives in tau."""
+        self.count += t.size
+        f, *df = _f_slopes(self.spectrum, t, self.scale)
+        return self.objective(t, f, df)
 
     def result(self, best_t: float, bracket: tuple[float, float], best_field: float | None = None,
                spectrum: Spectrum | None = None) -> OptimizationResult:
@@ -237,118 +225,77 @@ class _Search:
         )
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # |f| = 0: NaN, which stops a refine
+def _slopes(f: np.ndarray, f1: np.ndarray, f2: np.ndarray, measure: str,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """h' and h'' for h = |f| ("abs"), and 3 h' and 3 h'' for h = Fbar ("plain") or
+    the corrected Fbar ("corrected"), of f with the derivatives f1 and f2.
+
+    With m = |f|, p = Re(conj(f) f1) = m m' and q = |f1|^2 + Re(conj(f) f2) =
+    (m^2)'' / 2: m' = p / m and m'' = (q - m'^2) / m; 3 Fbar = 3/2 + Re f + m^2 / 2
+    has 3 Fbar' = Re f1 + p and 3 Fbar'' = Re f2 + q; the corrected one, with m
+    for Re f, has m' + p and m'' + q.
+    """
+    p = f.real * f1.real + f.imag * f1.imag
+    q = f1.real * f1.real + f1.imag * f1.imag + f.real * f2.real + f.imag * f2.imag
+    if measure == "plain":
+        return f1.real + p, f2.real + q
+    m = np.hypot(f.real, f.imag)
+    dm = p / m
+    ddm = (q - dm * dm) / m
+    return (dm, ddm) if measure == "abs" else (dm + p, ddm + q)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # steps to +-inf leave the bracket
 def _refine_brackets(
-    objective: Callable[[np.ndarray], np.ndarray],
+    slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    scale: float,
     los: np.ndarray,
     his: np.ndarray,
     cfg: SearchConfig,
-    discard: Callable[[int], object] = lambda n: None,
 ) -> list[tuple[float, float, tuple[float, float]]]:
     """Refine every bracket [los[i], his[i]] at once; (t, value, bracket) for each.
 
-    objective maps an array of times to an array of values.  Golden-section
-    steps run on all brackets in lockstep, on every bracket still wider than
-    refine_tol, for at most _MAX_REFINE_ITERS steps.  Each pass takes, on
-    every open bracket, the step whose branch is known (f1 > f2).  With n
-    brackets open a pass covers d steps, the largest d with (2**d - 1) * n at
-    most _LOOKAHEAD_PROBES, capped by the steps left.  At d >= 2 the pass also
-    builds, from each bracket's state after that step, the tree of the d - 1
-    steps below it: node 0 is that state, and node k's children are 2k + 1
-    (keep [a, x2]) and 2k + 2 (keep [x1, b]), 2**d - 2 candidate times in
-    all.  One objective call evaluates the new times and the candidates; each
-    tree is replayed on the returned values by reading its stored nodes, up
-    to a node no wider than refine_tol, and discard is told how many
-    candidates no step visited.  At d = 1 no tree is built.  Each bracket's a,
-    b, x1, x2, f1, f2 are Python floats, whose IEEE arithmetic is that of
-    float64 array elements, and objective must give a time the same value in
-    an array of any length, as synthesize_f and the searches' objectives do.
-    One three-point parabolic step of width h then polishes every bracket
-    wider than 2h: golden-section stalls once objective differences drop
-    below the resolution of a flat top, and a stencil wide enough to see real
-    curvature places the vertex far better.  Each bracket visits the times,
-    and takes the branches, of a search on it alone.
+    slopes maps an array of times to the objective h there and positive
+    multiples of h' and h'' in tau = scale * t (see _Search).  Each pass
+    evaluates, in one call, the time x of every open bracket, first its
+    midpoint, and keeps the bracket [a, b] by the sign of h'(x): a = x where
+    h rises, b = x where it falls.  The next x is the Newton step
+    x - h'(x) / h''(x), in t, where h''(x) < 0 and it lands inside (a, b).
+    Where it leaves the bracket, or h''(x) >= 0 and the step runs on
+    toward the rise, the next x is the end it leaves through if that end was
+    never evaluated (an end where h still rises then closes the bracket: a =
+    b), and the midpoint of [a, b] otherwise.  A bracket stops when its next
+    step is at most refine_tol (a closed bracket's is 0, and so is that of an
+    x where h' is 0 or NaN) or after _MAX_REFINE_ITERS evaluations; it returns
+    its last evaluated time and value, since on a flat top the values tie to
+    round-off and only the slope places the maximum.  All the arithmetic is
+    elementwise, so each bracket visits the times of a search on it alone, and
+    slopes must give a time the same values in an array of any length, as
+    _f_slopes and the searches' objectives do.
     """
-    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
-    tol = cfg.refine_tol
-    a, b = los.tolist(), his.tolist()
-    x1 = [hi - _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
-    x2 = [lo + _GOLDEN * (hi - lo) for lo, hi in zip(a, b)]
-    f12 = objective(np.array(x1 + x2)).tolist()
-    f1, f2 = f12[:len(a)], f12[len(a):]
-    active, steps = range(len(a)), 0
-    while steps < _MAX_REFINE_ITERS:
-        active = [i for i in active if b[i] - a[i] > tol]
-        if not active:
+    lo, hi = np.array(los, dtype=float), np.array(his, dtype=float)
+    tol, idx = cfg.refine_tol, np.arange(lo.size)
+    a, b, x = lo, hi, lo + (hi - lo) / 2.0
+    unseen_a = unseen_b = np.ones(lo.size, dtype=bool)
+    t, value = x.copy(), np.empty(lo.size)
+    for _ in range(_MAX_REFINE_ITERS):
+        value[idx], d1, d2 = slopes(x)
+        t[idx] = x
+        up, down = d1 > 0.0, d1 < 0.0
+        a, b = np.where(up, x, a), np.where(down, x, b)
+        unseen_a, unseen_b = unseen_a & ~up, unseen_b & ~down
+        step = np.where(d2 < 0.0, -(d1 / d2) / scale, np.where(up, math.inf, -math.inf))
+        step[~(up | down)] = 0.0
+        nxt, mid = x + step, a + (b - a) / 2.0
+        nxt = np.where(up & ~(nxt < b), np.where(unseen_b, b, mid), nxt)
+        nxt = np.where(down & ~(nxt > a), np.where(unseen_a, a, mid), nxt)
+        go = np.abs(nxt - x) > tol
+        if not go.any():
             break
-        depth = min(max(1, (_LOOKAHEAD_PROBES // len(active) + 1).bit_length() - 1),
-                    _MAX_REFINE_ITERS - steps)
-        steps += depth
-        size, times, nodes, filled = 2**depth - 1, [], [], []
-        for i in active:  # the step whose branch is known
-            if f1[i] > f2[i]:  # keep [a, x2]
-                b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
-                x1[i] = t = b[i] - _GOLDEN * (b[i] - a[i])
-                filled.append(f1)
-            else:  # keep [x1, b]
-                a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
-                x2[i] = t = a[i] + _GOLDEN * (b[i] - a[i])
-                filled.append(f2)
-            times.append(t)
-            if size > 1:  # the tree of the depth - 1 steps below it
-                base = len(nodes)
-                nodes.append((a[i], b[i], x1[i], x2[i]))
-                for k in range(base, base + size // 2):  # the nodes with children
-                    lo, hi, p1, p2 = nodes[k]
-                    left, right = p2 - _GOLDEN * (p2 - lo), p1 + _GOLDEN * (hi - p1)
-                    nodes += (lo, p2, left, p1), (p1, hi, p2, right)
-                    times += left, right
-        values = objective(np.array(times)).tolist()
-        for f, i, value in zip(filled, active, values[::size]):
-            f[i] = value
-        if size == 1:
-            continue
-        visited = 0
-        for base, i in zip(range(0, len(values), size), active):  # replay each tree
-            k, v1, v2 = 0, f1[i], f2[i]
-            for _ in range(depth - 1):
-                node = nodes[base + k]
-                if not node[1] - node[0] > tol:
-                    break
-                if v1 > v2:  # keep [a, x2]
-                    k, v2 = 2 * k + 1, v1
-                    v1 = values[base + k]
-                else:  # keep [x1, b]
-                    k, v1 = 2 * k + 2, v2
-                    v2 = values[base + k]
-                visited += 1
-            a[i], b[i], x1[i], x2[i] = nodes[base + k]
-            f1[i], f2[i] = v1, v2
-        discard(len(values) - len(active) - visited)
-    first = np.greater(f1, f2)
-    x, val = np.where(first, x1, x2), np.where(first, f1, f2)
-
-    h = max(1e4 * tol, 1e-6 * cfg.t_max)
-    wide = np.flatnonzero(his - los > 2.0 * h)
-    left = np.minimum(np.maximum(x[wide] - h, los[wide]), his[wide] - 2.0 * h)
-    xs = np.stack([left, left + h, left + 2.0 * h])
-    ys = objective(xs.ravel()).reshape(xs.shape)
-    denom = ys[0] - 2.0 * ys[1] + ys[2]
-    curved = denom < 0.0  # the other stencils keep the golden-section point
-    wide, xs, ys, denom = wide[curved], xs[:, curved], ys[:, curved], denom[curved]
-    vertex = xs[1] + 0.5 * h * (ys[0] - ys[2]) / denom
-    vertex = np.minimum(np.maximum(vertex, los[wide]), his[wide])
-    v_val = objective(vertex)
-    best_x, best_val = x[wide], val[wide]
-    for xk, yk in zip(xs, ys):
-        better = yk > best_val
-        best_x, best_val = np.where(better, xk, best_x), np.where(better, yk, best_val)
-    # On a flat top the vertex ties the incumbent; its position is still the
-    # better estimate because it comes from the visible curvature.
-    take = v_val >= best_val
-    x[wide], val[wide] = np.where(take, vertex, best_x), np.where(take, v_val, best_val)
-
-    brackets = zip(np.maximum(los, x - tol).tolist(), np.minimum(his, x + tol).tolist())
-    return list(zip(x.tolist(), val.tolist(), brackets))
+        idx, a, b, unseen_a, unseen_b, x = (v[go] for v in (idx, a, b, unseen_a, unseen_b, nxt))
+    brackets = zip(np.maximum(lo, t - tol).tolist(), np.minimum(hi, t + tol).tolist())
+    return list(zip(t.tolist(), value.tolist(), brackets))
 
 
 def _interior_peaks(values: np.ndarray) -> np.ndarray:
@@ -364,14 +311,16 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     for instance with all couplings zero).
     """
     spectrum = solve(spec)
-    # np.hypot is bit for bit Python's abs(complex)
-    search = _Search(spectrum, lambda t, f: np.hypot(f.real, f.imag), cfg,
-                     (cfg.t_max, spectrum.spread))
+
+    def magnitude(t, f, df=None):
+        mag = np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
+        return mag if df is None else (mag, *_slopes(f, *df, "abs"))
+
+    search = _Search(spectrum, magnitude, cfg, (cfg.t_max, spectrum.spread))
     peaks = _interior_peaks(search.values)
     peaks = peaks[search.values[peaks] > _PEAK_FLOOR]
     grid = search.grid
-    refined = _refine_brackets(search.objective, grid[peaks - 1], grid[peaks + 1], cfg,
-                               discard=search.discard)
+    refined = _refine_brackets(search.slopes, search.scale, grid[peaks - 1], grid[peaks + 1], cfg)
     return sorted(((t, val) for t, val, _ in refined), key=lambda pair: pair[0])
 
 
@@ -409,14 +358,13 @@ def _period(spectrum: Spectrum, corrected: bool, t_max: float) -> float:
     return 2.0 * math.pi / omega if drift <= _TIE_TOL / 4.0 else math.inf
 
 
-def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
-                values: np.ndarray, grid_error: float, cfg: SearchConfig,
-                discard: Callable[[int], object] = lambda n: None, period: float = math.inf,
+def _global_max(search: _Search, cfg: SearchConfig, period: float = math.inf,
                 ) -> tuple[float, tuple[float, float]]:
     """Time and bracket of the earliest candidate within _TIE_TOL of the largest.
 
-    values are the objective's values on grid, from an f within grid_error of
-    synthesize_f's; objective gives every other value.  The candidates are
+    search.values are the objective's values on search.grid, from an f within
+    search.grid_error of synthesize_f's; search.slopes gives every other
+    value.  The candidates are
     both ends of the grid and the refined brackets around both end intervals
     and every interior peak that start before period.  A bracket that starts
     at or after period covers a translate of an earlier stretch of the
@@ -430,12 +378,13 @@ def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     with round-off its value cannot come within _TIE_TOL of best.  best is
     first the largest grid value, then the largest candidate value; should
     the refined values fall short of the grid, the brackets the lower best
-    admits are refined in a second pass.  discard is passed to _refine_brackets.
+    admits are refined in a second pass.
     """
+    grid, values = search.grid, search.values
     peaks = _interior_peaks(values)
     los = np.concatenate([[0, grid.size - 2], peaks - 1])
     his = np.concatenate([[1, grid.size - 1], peaks + 1])
-    margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * grid_error
+    margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error
     bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + margin
     ends = [(0.0, float(values[0]), (0.0, 0.0)),
             (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
@@ -446,8 +395,8 @@ def _global_max(objective: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 if i not in refined]
         if not todo:
             break
-        refined.update(zip(todo, _refine_brackets(objective, grid[los[todo]], grid[his[todo]],
-                                                  cfg, discard=discard)))
+        refined.update(zip(todo, _refine_brackets(search.slopes, search.scale, grid[los[todo]],
+                                                  grid[his[todo]], cfg)))
         best = max(val for _, val, _ in ends + list(refined.values()))
 
     candidates = ends + [refined[i] for i in sorted(refined)]
@@ -460,19 +409,22 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     """Global maximum of the (plain or corrected) average fidelity on [0, t_max].
 
     Candidates are both endpoints and the brackets around both end intervals
-    and every interior grid peak.  A bracket is refined by golden-section
-    plus a parabolic polish unless its grid peak plus _MAX_RISE stays more
+    and every interior grid peak.  A bracket is refined by safeguarded Newton
+    steps (_refine_brackets) unless its grid peak plus _MAX_RISE stays more
     than 2 * _TIE_TOL below the best value (see _global_max).  Where the
     objective is periodic (_period), only the brackets that start within its
     first period are candidates.  The earliest candidate within _TIE_TOL of
     the largest wins.
     """
     spectrum = solve(spec)
-    search = _Search(spectrum, lambda t, f: fidelity.average_fidelity(f, corrected), cfg,
-                     (cfg.t_max, spectrum.spread))
-    best_t, bracket = _global_max(search.objective, search.grid, search.values,
-                                  search.grid_error, cfg, discard=search.discard,
-                                  period=_period(spectrum, corrected, cfg.t_max))
+    measure = "corrected" if corrected else "plain"
+
+    def fbar(t, f, df=None):
+        value = fidelity.average_fidelity(f, corrected)
+        return value if df is None else (value, *_slopes(f, *df, measure))
+
+    search = _Search(spectrum, fbar, cfg, (cfg.t_max, spectrum.spread))
+    best_t, bracket = _global_max(search, cfg, _period(spectrum, corrected, cfg.t_max))
     return search.result(best_t, bracket)
 
 
@@ -504,18 +456,29 @@ def tune_uniform_field(
     spectrum = solve(base.with_uniform_field(b_c))
 
     def tuned(t, f):
-        """Best field at time(s) t, given f at B_c there, and f at that field."""
+        """Best field at time(s) t, given f at B_c there, and the phase e^{i (b - B_c) t} it adds."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # t = 0 keeps B_c;
             # an angle over a tiny t overflows to +-inf, which the clip takes to a box edge;
             # arctan2 is np.angle's own, and clip np.clip's, which keeps a zero edge's sign
             b = np.where(t > 0.0, b_c - np.arctan2(f.imag, f.real) / t, b_c).clip(b_lo, b_hi)
-        return b, f * np.exp(1j * (b - b_c) * t)
+        return b, np.exp(1j * (b - b_c) * t)
+
+    def fbar(t, f, df=None):
+        """Inside the box the field aligns the phase: the corrected Fbar of f.  At an edge
+        it is fixed: the plain Fbar of f e^{i phi t}, phi = b - B_c.  C^1 where they meet."""
+        b, turn = tuned(t, f)
+        value = fidelity.average_fidelity(f * turn)
+        if df is None:
+            return value
+        (f1, f2), phi = df, (b - b_c) / search.scale  # phi per unit of tau
+        turned = f * turn, (f1 + 1j * phi * f) * turn, (f2 + 2j * phi * f1 - phi * phi * f) * turn
+        inside = (b_lo < b) & (b < b_hi)
+        return value, *(np.where(inside, aligned, edge) for aligned, edge in
+                        zip(_slopes(f, f1, f2, "corrected"), _slopes(*turned, "plain")))
 
     t_aligned = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo))
-    search = _Search(spectrum, lambda t, f: fidelity.average_fidelity(tuned(t, f)[1]), cfg,
-                     (t_aligned, spectrum.spread + (b_hi - b_lo) / 2.0),
+    search = _Search(spectrum, fbar, cfg, (t_aligned, spectrum.spread + (b_hi - b_lo) / 2.0),
                      (cfg.t_max, spectrum.band))
-    best_t, bracket = _global_max(search.objective, search.grid, search.values,
-                                  search.grid_error, cfg, discard=search.discard)
+    best_t, bracket = _global_max(search, cfg)
     best_b = float(tuned(best_t, search.f(best_t))[0])
     return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))

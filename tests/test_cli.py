@@ -741,30 +741,30 @@ def test_runs_import_no_numpy_ma(tmp_path):
 # The two optimize examples of the README, byte for byte.
 _README_CORRECTED_JSON = """\
 {
-  "best_t": 199.80529846218954,
+  "best_t": 199.80529840818983,
   "best_field": null,
-  "fbar": 0.3492484456759512,
-  "fbar_corrected": 0.9677705383234858,
-  "abs_f": 0.9510569519983048,
-  "evaluations": 2006,
+  "fbar": 0.3492484456759517,
+  "fbar_corrected": 0.9677705383234849,
+  "abs_f": 0.9510569519983034,
+  "evaluations": 1144,
   "bracket": [
-    199.80529844218955,
-    199.80529848218953
+    199.80529838818984,
+    199.80529842818981
   ]
 }
 """
 
 _README_TUNED_JSON = """\
 {
-  "best_t": 3.141592653601543,
-  "best_field": 0.9999999999962602,
+  "best_t": 3.1415926535897922,
+  "best_field": 1.0000000000000004,
   "fbar": 0.9999999999999999,
   "fbar_corrected": 0.9999999999999999,
   "abs_f": 1.0,
-  "evaluations": 304,
+  "evaluations": 263,
   "bracket": [
-    3.141592653221543,
-    3.141592653981543
+    3.141592653209792,
+    3.1415926539697923
   ]
 }
 """
