@@ -15,18 +15,18 @@ amplitudes are evaluated by spectral synthesis, never by time stepping:
     fn[n] = sum_k v_k[n] v_k[1] exp(-i eps_k t)
     f     = sum_k w_k exp(-i (eps_k - E0) t),   w_k = v_k[1] v_k[N]
 
-One route gives f, from the Spectrum that solve returns (levels
-lambda_k = eps_k - E0 and weights w_k, no eigenvectors): synthesize_f, O(N)
-per time on a scalar time or a 1-D array of times, each judged by the
-chain's number rule (chain._finite), and _grid_f on an evenly spaced grid
-(the searches' grids and the rows of `spintransfer simulate`), by block
-products with one complex exponential per level for each _GRID_BLOCK grid
-times, within _grid_error of synthesize_f's, about 16 (|lambda|max t_max +
-N) 2^-53 sum_k |w_k|.  f equals the phase-referenced tail conj(f0) fn[N] of
-amplitudes, which gives the pair (f0, fn), O(N^2), for the unitarity
-checks, to rounding (bit for bit when E0 = 0); _f_slopes gives
-synthesize_f's f with its first two derivatives, for the searches' refine;
-_terms forms the terms of all four.
+One route gives f, from the Spectrum that solve returns (levels lambda_k =
+eps_k - E0 and weights w_k, no eigenvectors): synthesize_f, O(N) per time on a
+scalar time or a 1-D array of times, each judged by the chain's number rule
+(chain._finite), and _grid_f on an evenly spaced grid (the searches' grids and
+the rows of `spintransfer simulate`), by block products with one complex
+exponential per level for each _GRID_BLOCK grid times, within _grid_error of
+synthesize_f's, about 16 (|lambda|max t_max + N) 2^-53 sum_k |w_k|; both sum
+in numpy's own loops, not by BLAS, so from one Spectrum no BLAS setting moves
+a bit of f.  f equals the phase-referenced tail conj(f0) fn[N] of amplitudes,
+which gives the pair (f0, fn), O(N^2), for the unitarity checks, to rounding
+(bit for bit when E0 = 0); _f_slopes gives synthesize_f's f with its first two
+derivatives, for the searches' refine; _terms forms the terms of all four.
 The reported phase of f, and every fidelity derived from f, is computed in
 the fidelity module (the tuned search takes arg f only to choose its field).
 
@@ -57,11 +57,11 @@ __all__ = [
     "synthesize_f",
 ]
 
-# Times per block of synthesize_f's array path; bounds its (times x levels)
-# phase matrix at 1024 * N complex numbers, and _grid_f's chunks.
+# Times per block of synthesize_f's array path, and block heads per chunk of
+# _grid_f: bounds each (times x levels) phase matrix at 1024 * N complex numbers.
 _TIME_BLOCK = 1024
 
-# Grid times per block of _grid_f's matrix product.
+# Grid times per block of _grid_f's block product.
 _GRID_BLOCK = 64
 
 
@@ -240,12 +240,12 @@ def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
     and steps 0 giving the single time start; where two pieces share an end
     point, the later piece's value is kept.  A block of _GRID_BLOCK points
     from grid time t_b holds f(t_b + m dt) = sum_k [w_k e^{-i lambda_k t_b}]
-    e^{-i lambda_k m dt}, lambda_k = eps_k - E0: one (blocks x N) by
-    (N x _GRID_BLOCK) product.  dt is linspace's own step and every t_b a grid
-    time, so the times differ from the grid's by rounding alone (see
-    _grid_error).  Chunks of _TIME_BLOCK times keep the phase matrix within
-    the _TIME_BLOCK x N of synthesize_f.  f is finite: the first row where
-    t max|lambda_k| (so synthesize_f's f) or f is not finite raises
+    e^{-i lambda_k m dt}, lambda_k = eps_k - E0: with complex numbers viewed as
+    (Re, Im) pairs, and the offsets stacked with i times themselves, one real
+    product that np.einsum forms in numpy's own loop (optimize=False: no BLAS).
+    dt is linspace's own step and every t_b a grid time, so the times differ
+    from the grid's by rounding alone (see _grid_error).  f is finite: the first
+    row where t max|lambda_k| (so synthesize_f's f) or f is not finite raises
     NonFiniteError, which the searches' grid budget keeps them from.
     """
     levels, weights = spectrum.levels, spectrum.weights
@@ -256,10 +256,12 @@ def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
     for start, end, steps in pieces:
         hi, step = lo + steps, (end - start) / steps if steps else 0.0  # as linspace computes it
         offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(_GRID_BLOCK) * step))
-        for first in range(lo, hi + 1, _TIME_BLOCK):
-            last = min(first + _TIME_BLOCK, hi + 1)
-            f[first:last] = (_terms(grid[first:last:_GRID_BLOCK], levels, weights)
-                             @ offsets).ravel()[:last - first]
+        offsets = np.stack([offsets, 1j * offsets], axis=1).reshape(-1, _GRID_BLOCK).view(float)
+        for first in range(lo, hi + 1, _TIME_BLOCK * _GRID_BLOCK):
+            last = min(first + _TIME_BLOCK * _GRID_BLOCK, hi + 1)
+            heads = _terms(grid[first:last:_GRID_BLOCK], levels, weights).view(float)
+            rows = np.einsum("bk,km->bm", heads, offsets).view(complex).ravel()
+            f[first:last] = rows[:last - first]
         lo = hi
     # t max|lambda_k| too: a block from a finite phase can hold rows whose own phase overflows
     bad = np.isinf(grid * np.max(np.abs(levels))) | ~np.isfinite(f)
@@ -272,15 +274,15 @@ def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
 def _grid_error(spectrum: Spectrum, t_max: float) -> float:
     """Bound on |_grid_f - synthesize_f| at every point of a grid on [0, t_max].
 
-    With u = 2^-53: a time t_b + m dt of the block product lies within
-    3 u t_max of a + m dt (a the start of its piece) and linspace's grid time
-    within 2 u t_max, so the two differ by at most 5 u t_max; rounding
-    lambda_k t in synthesize_f and in the block's two phase products adds
-    3 u |lambda_k| t_max, so each term's phase is off by at most
-    8 u |lambda_k| t_max.  The exponentials, the products with w_k and the two
-    sums over the N levels add at most (sqrt(2) (N + log2 N) + 9) u sum_k |w_k|,
-    less than 16 N u sum_k |w_k|.  The phase constant is doubled for the terms
-    of second order.
+    With u = 2^-53: a time t_b + m dt of the block product lies within 3 u t_max of
+    a + m dt (a the start of its piece) and linspace's grid time within 2 u t_max, so
+    the two differ by at most 5 u t_max; rounding lambda_k t in synthesize_f and in the
+    block's two phase products adds 3 u |lambda_k| t_max: each term's phase is off by
+    at most 8 u |lambda_k| t_max.  The block's Re and Im each sum, in any order, 2N
+    real products whose sizes add to |w_k| or less per level: within 2N u sum_k |w_k|.
+    With the exponentials, the w_k products and synthesize_f's pairwise sum, f is
+    within (2 sqrt(2) N + sqrt(2) log2 N + 9) u sum_k |w_k| < 16 N u sum_k |w_k|.  The
+    phase constant is doubled for the terms of second order.
     """
-    scale = 16.0 * float(np.max(np.abs(spectrum.levels))) * t_max + 16.0 * spectrum.levels.size
+    scale = 16.0 * (float(np.max(np.abs(spectrum.levels))) * t_max + spectrum.levels.size)
     return spectrum.transfer_bound * scale * 2.0**-53

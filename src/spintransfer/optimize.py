@@ -92,11 +92,10 @@ class SearchConfig:
     non-integer, GridBudgetError above).  refine_tol = 1e-10 t_max is
     subnormal below t_max = 2^-1022 / 1e-10, about 2.2251e-298, at no cost:
     a converged Newton step is 0, within any tolerance.  The corrected
-    sec3-two-spin at J = 2B = 2^k and t_max = 30 / 2^k, and its tuned search
-    with the box (-0.7, 1.3) 2^k, keep the bits of k = 0 through k = 1019.
-    At k = 1020 16 max|lambda| in _grid_error overflows, so nothing is
-    pruned, and the bracket, best_t -+ refine_tol, loses bits with the
-    tolerance's.
+    sec3-two-spin at J = 2B = 2^k and t_max = 30 / 2^k keeps the bits of k = 0
+    through k = 1023, and its tuned search with the box (-0.7, 1.3) 2^k through
+    1022 (at 1023 the box is 2^1024 wide); the bracket, best_t -+ refine_tol,
+    moves by an ulp from k = 1020 with the bits the subnormal tolerance loses.
     """
 
     t_max: float
@@ -261,18 +260,18 @@ def _refine_brackets(
     evaluates, in one call, the time x of every open bracket, first its
     midpoint, and keeps the bracket [a, b] by the sign of h'(x): a = x where
     h rises, b = x where it falls.  The next x is the Newton step
-    x - h'(x) / h''(x), in t, where h''(x) < 0 and it lands inside (a, b).
-    Where it leaves the bracket, or h''(x) >= 0 and the step runs on
-    toward the rise, the next x is the end it leaves through if that end was
-    never evaluated (an end where h still rises then closes the bracket: a =
-    b), and the midpoint of [a, b] otherwise.  A bracket stops when its next
-    step is at most refine_tol (a closed bracket's is 0, and so is that of an
-    x where h' is 0 or NaN) or after _MAX_REFINE_ITERS evaluations; it returns
-    its last evaluated time and value, since on a flat top the values tie to
-    round-off and only the slope places the maximum.  All the arithmetic is
-    elementwise, so each bracket visits the times of a search on it alone, and
-    slopes must give a time the same values in an array of any length, as
-    _f_slopes and the searches' objectives do.
+    x - h'(x) / h''(x), taken in tau (a step in t can be subnormal where t is
+    not), where h''(x) < 0 and it lands inside (a, b).  Where it leaves the
+    bracket, or h''(x) >= 0 and the step runs on toward the rise, the next x
+    is the end it leaves through if that end was never evaluated (an end where
+    h still rises then closes the bracket: a = b), and the midpoint of [a, b]
+    otherwise.  A bracket stops when its next step is at most refine_tol (a
+    closed bracket's is 0, and so is that of an x where h' is 0 or NaN) or after
+    _MAX_REFINE_ITERS evaluations; it returns its last evaluated time and value,
+    since on a flat top the values tie to round-off and only the slope places
+    the maximum.  All the arithmetic is elementwise, so each bracket visits the
+    times of a search on it alone, and slopes must give a time the same values
+    in an array of any length, as _f_slopes and the searches' objectives do.
     """
     lo, hi = np.array(los, dtype=float), np.array(his, dtype=float)
     tol, idx = cfg.refine_tol, np.arange(lo.size)
@@ -285,9 +284,9 @@ def _refine_brackets(
         up, down = d1 > 0.0, d1 < 0.0
         a, b = np.where(up, x, a), np.where(down, x, b)
         unseen_a, unseen_b = unseen_a & ~up, unseen_b & ~down
-        step = np.where(d2 < 0.0, -(d1 / d2) / scale, np.where(up, math.inf, -math.inf))
+        step = np.where(d2 < 0.0, -(d1 / d2), np.where(up, math.inf, -math.inf))
         step[~(up | down)] = 0.0
-        nxt, mid = x + step, a + (b - a) / 2.0
+        nxt, mid = (x * scale + step) / scale, a + (b - a) / 2.0
         nxt = np.where(up & ~(nxt < b), np.where(unseen_b, b, mid), nxt)
         nxt = np.where(down & ~(nxt > a), np.where(unseen_a, a, mid), nxt)
         go = np.abs(nxt - x) > tol

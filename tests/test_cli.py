@@ -361,20 +361,48 @@ def test_simulate_rows_stay_within_the_grid_error_of_synthesize_f(spec, steps, t
     assert gap <= _grid_error(spectrum, t_max)
 
 
+@settings(max_examples=10, deadline=None)
+@given(spec=_chains(max_sites=8), t_max=st.floats(min_value=1.0, max_value=100.0),
+       steps=st.sampled_from([2, 65, 1025]))
+def test_simulate_scaled_by_eight_writes_the_same_bytes_but_t(spec, t_max, steps):
+    # every coupling and field times 8 and t_max over 8: the levels times 8, the
+    # same weights and every grid time over 8, so every phase lambda t keeps its
+    # bits, and so does every column but t
+    def rows(chain_spec, horizon):
+        with tempfile.TemporaryDirectory() as tmp:
+            chain, out = Path(tmp) / "chain.json", Path(tmp) / "out.csv"
+            save_chain(chain_spec, chain)
+            assert main(["simulate", "--chain", str(chain), "--t-max", repr(horizon),
+                         "--steps", str(steps), "--out", str(out),
+                         "--manifest", os.devnull]) == 0
+            return [line.split(",", 1) for line in out.read_text().splitlines()[1:]]
+
+    scaled = ChainSpec(sites=tuple(SiteSpec(site.spin, 8.0 * site.field) for site in spec.sites),
+                       couplings=tuple(8.0 * j for j in spec.couplings))
+    base, big = rows(spec, t_max), rows(scaled, t_max / 8.0)
+    assert [float(t) * 8.0 for t, _ in big] == [float(t) for t, _ in base]
+    assert [rest for _, rest in big] == [rest for _, rest in base]
+
+
 def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # a BLAS that splits the block product, or eigh, across threads must not
-    # change a sum: the CSV is the same bytes under one or two threads
+    # a BLAS that splits eigh across threads must not change a sum: the CSV is the
+    # same bytes under one or two threads, with the kernel set OpenBLAS picks for
+    # this CPU and with those of Haswell and Zen, which OPENBLAS_CORETYPE selects
+    # (a build without DYNAMIC_ARCH ignores it)
     chain = tmp_path / "engineered-400.json"
     save_chain(engineered_chain(400, spin_one_site=201), chain)
-    outputs = []
-    for threads in ("1", "2"):
-        proc = subprocess.run([sys.executable, "-m", "spintransfer.cli", "simulate", "--chain",
-                               str(chain), "--t-max", "500", "--steps", "3000", "--manifest",
-                               os.devnull], env={**_CHILD_ENV, "OPENBLAS_NUM_THREADS": threads},
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    host = {key: value for key, value in _CHILD_ENV.items() if key != "OPENBLAS_CORETYPE"}
+    for core in ({}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Zen"}):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "spintransfer.cli", "simulate",
+                                   "--chain", str(chain), "--t-max", "500", "--steps", "3000",
+                                   "--manifest", os.devnull],
+                                  env={**host, **core, "OPENBLAS_NUM_THREADS": threads},
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], core
 
 
 _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
