@@ -121,7 +121,11 @@ def reduce(spec: ChainSpec) -> SingleExcitationHamiltonian:
     spins = spec.spins()
     fields = spec.fields()
     with np.errstate(over="ignore"):  # refused below
-        e0 = float(np.dot(fields, spins))
+        terms = (fields * spins).tolist()
+    try:  # exactly rounded: neither the site order nor a BLAS kernel sets its last bit
+        e0 = math.fsum(terms)
+    except (OverflowError, ValueError):  # the sum overflows, or holds both infinities
+        e0 = math.inf
     if not math.isfinite(e0):
         raise NonFiniteError("the vacuum energy sum_i B_i s_i is not finite")
     # Python floats overflow to inf without a warning

@@ -20,10 +20,7 @@ the values tie to round-off on a flat top.  critical_times refines every peak
 of |f|.  The fidelity searches skip a bracket whose grid peak plus _MAX_RISE,
 a bound on how far the objective can rise between grid points, plus twice the
 grid values' error stays more than 2 * _TIE_TOL below the best value found:
-it can neither win nor tie.  Where the weighted levels are commensurate, so
-that the objective has a period T to within _TIE_TOL / 4 on [0, t_max]
-(_period), maximize_fidelity also skips every bracket that starts at or after
-T: it can only tie an earlier one.  No randomness is used anywhere; identical
+it can neither win nor tie.  No randomness is used anywhere; identical
 inputs give identical results, and the winner is the earliest candidate
 within _TIE_TOL of the largest.  Field tuning searches t alone: a uniform
 field b only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best
@@ -129,9 +126,7 @@ class OptimizationResult:
     counted once: the grid, the Newton path of every refined bracket, and
     best_t.  tune_uniform_field evaluates best_t twice and counts both: at
     the box centre to choose the field, and on the tuned chain for the
-    report.  Brackets that are never refined add nothing: the pruned ones
-    and, in maximize_fidelity, those that start after the first period of a
-    periodic objective.
+    report.  Pruned brackets are never refined and add nothing.
     """
 
     best_t: float
@@ -252,8 +247,8 @@ def _refine_brackets(
     los: np.ndarray,
     his: np.ndarray,
     cfg: SearchConfig,
-) -> list[tuple[float, float, tuple[float, float]]]:
-    """Refine every bracket [los[i], his[i]] at once; (t, value, bracket) for each.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refine every bracket [los[i], his[i]] at once; the arrays (t, value, lo, hi).
 
     slopes maps an array of times to the objective h there and positive
     multiples of h' and h'' in tau = scale * t (see _Search).  Each pass
@@ -267,11 +262,13 @@ def _refine_brackets(
     h still rises then closes the bracket: a = b), and the midpoint of [a, b]
     otherwise.  A bracket stops when its next step is at most refine_tol (a
     closed bracket's is 0, and so is that of an x where h' is 0 or NaN) or after
-    _MAX_REFINE_ITERS evaluations; it returns its last evaluated time and value,
-    since on a flat top the values tie to round-off and only the slope places
-    the maximum.  All the arithmetic is elementwise, so each bracket visits the
-    times of a search on it alone, and slopes must give a time the same values
-    in an array of any length, as _f_slopes and the searches' objectives do.
+    _MAX_REFINE_ITERS evaluations; it returns its last evaluated time t and
+    value, since on a flat top the values tie to round-off and only the slope
+    places the maximum, and the bracket [lo, hi], t -+ refine_tol within
+    [los[i], his[i]].  All the arithmetic is elementwise, so each bracket
+    visits the times of a search on it alone, and slopes must give a time the
+    same values in an array of any length, as _f_slopes and the searches'
+    objectives do.
     """
     lo, hi = np.array(los, dtype=float), np.array(his, dtype=float)
     tol, idx = cfg.refine_tol, np.arange(lo.size)
@@ -293,8 +290,7 @@ def _refine_brackets(
         if not go.any():
             break
         idx, a, b, unseen_a, unseen_b, x = (v[go] for v in (idx, a, b, unseen_a, unseen_b, nxt))
-    brackets = zip(np.maximum(lo, t - tol).tolist(), np.minimum(hi, t + tol).tolist())
-    return list(zip(t.tolist(), value.tolist(), brackets))
+    return t, value, np.maximum(lo, t - tol), np.minimum(hi, t + tol)
 
 
 def _interior_peaks(values: np.ndarray) -> np.ndarray:
@@ -319,65 +315,27 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
     peaks = _interior_peaks(search.values)
     peaks = peaks[search.values[peaks] > _PEAK_FLOOR]
     grid = search.grid
-    refined = _refine_brackets(search.slopes, search.scale, grid[peaks - 1], grid[peaks + 1], cfg)
-    return sorted(((t, val) for t, val, _ in refined), key=lambda pair: pair[0])
+    t, value, _, _ = _refine_brackets(search.slopes, search.scale, grid[peaks - 1],
+                                      grid[peaks + 1], cfg)
+    order = np.argsort(t, kind="stable")
+    return list(zip(t[order].tolist(), value[order].tolist()))
 
 
-def _period(spectrum: Spectrum, corrected: bool, t_max: float) -> float:
-    """A period T of the fidelity objective on [0, t_max], or inf where none is found.
-
-    The objective is a function of g(t) = sum_k w_k e^{-i lambda_k t} over the
-    weighted levels (w_k != 0): the corrected one of |g| alone, so level
-    differences suffice; the plain one of Re g too, so the vacuum level 0
-    joins them.  omega is the least of their gaps that exceeds pi / t_max (a
-    smaller one, say the round-off residue of a level equal to the vacuum's,
-    is left to the drift test), n_k = round(d_k / omega) for each offset d_k
-    from the lowest, omega is refitted to every d_k by least squares, and
-    T = 2 pi / omega.  A shift by m T <= t_max moves
-    each phase d_k t by 2 pi n_k m plus r_k m T, r_k = d_k - n_k omega, so with
-    S = transfer_bound and r = max |r_k| it changes |g| by at most S r t_max
-    and g, the vacuum's phase included, by at most 2 S r t_max.  A fidelity
-    moves by at most 2/3 of a change in g, so the objective moves by at most
-    (2/3) S r t_max corrected and (4/3) S r t_max plain, both below drift =
-    2 S r t_max, and T is returned only when drift <= _TIE_TOL / 4.  Two
-    levels have r = 0.  inf is returned where the test fails, and where no gap
-    exceeds pi / t_max: T could not fall below t_max (the refitted omega is at
-    most 1.5 gaps), which also keeps every n_k small.
-    """
-    levels = {lam for lam, w in zip(spectrum.levels.tolist(), spectrum.weights.tolist()) if w}
-    levels = sorted(levels if corrected else levels | {0.0})
-    gap = min((b - a for a, b in zip(levels, levels[1:]) if (b - a) * t_max > math.pi), default=0)
-    if not gap:
-        return math.inf
-    offsets = [lam - levels[0] for lam in levels[1:]]
-    n = [round(d / gap) for d in offsets]
-    omega = sum(k * d for k, d in zip(n, offsets)) / sum(k * k for k in n)
-    residual = max(abs(d - k * omega) for k, d in zip(n, offsets))
-    drift = 2.0 * spectrum.transfer_bound * residual * t_max
-    return 2.0 * math.pi / omega if drift <= _TIE_TOL / 4.0 else math.inf
-
-
-def _global_max(search: _Search, cfg: SearchConfig, period: float = math.inf,
-                ) -> tuple[float, tuple[float, float]]:
+def _global_max(search: _Search, cfg: SearchConfig) -> tuple[float, tuple[float, float]]:
     """Time and bracket of the earliest candidate within _TIE_TOL of the largest.
 
     search.values are the objective's values on search.grid, from an f within
     search.grid_error of synthesize_f's; search.slopes gives every other
-    value.  The candidates are
-    both ends of the grid and the refined brackets around both end intervals
-    and every interior peak that start before period.  A bracket that starts
-    at or after period covers a translate of an earlier stretch of the
-    objective, moved by at most _period's drift, so it can only tie an
-    earlier candidate, and the earliest tie wins; with the default inf every
-    bracket is a candidate.  No point of a bracket lies more than _MAX_RISE
-    above the bracket's grid peak, and a fidelity objective moves by at most
-    2/3 of a change in f, so a bracket whose peak plus _MAX_RISE plus
-    2 * (2/3) * grid_error (its own grid values and best may each be off by
-    (2/3) * grid_error) stays below best - 2 * _TIE_TOL is never refined: even
-    with round-off its value cannot come within _TIE_TOL of best.  best is
-    first the largest grid value, then the largest candidate value; should
-    the refined values fall short of the grid, the brackets the lower best
-    admits are refined in a second pass.
+    value.  The candidates are both ends of the grid and the refined brackets
+    around both end intervals and every interior peak.  No point of a bracket
+    lies more than _MAX_RISE above the bracket's grid peak, and a fidelity
+    objective moves by at most 2/3 of a change in f, so a bracket whose peak
+    plus _MAX_RISE plus 2 * (2/3) * grid_error (its own grid values and best
+    may each be off by (2/3) * grid_error) stays below best - 2 * _TIE_TOL is
+    never refined: even with round-off its value cannot come within _TIE_TOL
+    of best.  best is first the largest grid value, then the largest candidate
+    value; should the refined values fall short of the grid, the brackets the
+    lower best admits are refined in a second pass.
     """
     grid, values = search.grid, search.values
     peaks = _interior_peaks(values)
@@ -385,23 +343,22 @@ def _global_max(search: _Search, cfg: SearchConfig, period: float = math.inf,
     his = np.concatenate([[1, grid.size - 1], peaks + 1])
     margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error
     bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + margin
-    ends = [(0.0, float(values[0]), (0.0, 0.0)),
-            (cfg.t_max, float(values[-1]), (cfg.t_max, cfg.t_max))]
-    first = grid[los] < period
-    refined, best = {}, float(values.max())
-    while True:
-        todo = [i for i in np.flatnonzero(first & (bound >= best - 2.0 * _TIE_TOL)).tolist()
-                if i not in refined]
-        if not todo:
-            break
-        refined.update(zip(todo, _refine_brackets(search.slopes, search.scale, grid[los[todo]],
-                                                  grid[his[todo]], cfg)))
-        best = max(val for _, val, _ in ends + list(refined.values()))
+    # rows t, value, lo and hi of the candidates: the grid's ends, each its own
+    # bracket, then every bracket in index order, at value -inf until refined
+    ends = np.array([0.0, cfg.t_max])
+    candidates = np.concatenate([[ends, values[[0, -1]], ends, ends],
+                                 np.full((4, los.size), -math.inf)], axis=1)
+    unrefined, best = np.ones(los.size, dtype=bool), values.max()
+    while (todo := np.flatnonzero(unrefined & (bound >= best - 2.0 * _TIE_TOL))).size:
+        unrefined[todo] = False
+        candidates[:, 2 + todo] = _refine_brackets(search.slopes, search.scale,
+                                                   grid[los[todo]], grid[his[todo]], cfg)
+        best = candidates[1].max()
 
-    candidates = ends + [refined[i] for i in sorted(refined)]
-    best_t, _, bracket = min((c for c in candidates if c[1] >= best - _TIE_TOL),
-                             key=lambda c: c[0])
-    return best_t, bracket
+    t, value, lo, hi = candidates
+    tied = np.flatnonzero(value >= best - _TIE_TOL)
+    won = tied[np.argmin(t[tied])]  # the first of the earliest
+    return float(t[won]), (float(lo[won]), float(hi[won]))
 
 
 def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = False) -> OptimizationResult:
@@ -410,10 +367,8 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     Candidates are both endpoints and the brackets around both end intervals
     and every interior grid peak.  A bracket is refined by safeguarded Newton
     steps (_refine_brackets) unless its grid peak plus _MAX_RISE stays more
-    than 2 * _TIE_TOL below the best value (see _global_max).  Where the
-    objective is periodic (_period), only the brackets that start within its
-    first period are candidates.  The earliest candidate within _TIE_TOL of
-    the largest wins.
+    than 2 * _TIE_TOL below the best value (see _global_max).  The earliest
+    candidate within _TIE_TOL of the largest wins.
     """
     spectrum = solve(spec)
     measure = "corrected" if corrected else "plain"
@@ -423,7 +378,7 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
         return value if df is None else (value, *_slopes(f, *df, measure))
 
     search = _Search(spectrum, fbar, cfg, (cfg.t_max, spectrum.spread))
-    best_t, bracket = _global_max(search, cfg, _period(spectrum, corrected, cfg.t_max))
+    best_t, bracket = _global_max(search, cfg)
     return search.result(best_t, bracket)
 
 

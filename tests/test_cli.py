@@ -384,6 +384,35 @@ def test_simulate_scaled_by_eight_writes_the_same_bytes_but_t(spec, t_max, steps
     assert [rest for _, rest in big] == [rest for _, rest in base]
 
 
+@settings(max_examples=30, deadline=None)
+@given(spec=_chains(max_sites=8), t_max=st.floats(min_value=1.0, max_value=30.0),
+       kind=st.sampled_from(["plain", "corrected", "tuned"]),
+       b_lo=st.floats(min_value=-2.0, max_value=2.0),
+       width=st.floats(min_value=0.05, max_value=10.0))
+def test_optimize_scaled_by_eight_writes_the_same_values_and_work(spec, t_max, kind, b_lo, width):
+    # every coupling, field and field-box edge times 8 and t_max over 8: best_t
+    # and the bracket over 8, best_field times 8, and the same fbar,
+    # fbar_corrected, abs_f and evaluations
+    def result(chain_spec, horizon, c):
+        flags = {"plain": [], "corrected": ["--corrected"],
+                 "tuned": ["--tune-field", repr(b_lo * c), repr((b_lo + width) * c)]}[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            chain, out = Path(tmp) / "chain.json", Path(tmp) / "out.json"
+            save_chain(chain_spec, chain)
+            assert main(["optimize", "--chain", str(chain), "--t-max", repr(horizon), *flags,
+                         "--out", str(out), "--manifest", os.devnull]) == 0
+            return json.loads(out.read_text())
+
+    scaled = ChainSpec(sites=tuple(SiteSpec(site.spin, 8.0 * site.field) for site in spec.sites),
+                       couplings=tuple(8.0 * j for j in spec.couplings))
+    base, big = result(spec, t_max, 1.0), result(scaled, t_max / 8.0, 8.0)
+    assert big["best_t"] * 8.0 == base["best_t"]
+    assert [end * 8.0 for end in big["bracket"]] == base["bracket"]
+    assert big["best_field"] == (base["best_field"] and base["best_field"] * 8.0)
+    for key in ("fbar", "fbar_corrected", "abs_f", "evaluations"):
+        assert big[key] == base[key], key
+
+
 def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a BLAS that splits eigh across threads must not change a sum: the CSV is the
     # same bytes under one or two threads, with the kernel set OpenBLAS picks for
