@@ -2,16 +2,18 @@
 
 Every search builds one _Search on the Spectrum that excitation.solve returns:
 the levels and weights of f and their widths, no eigenvector.  _time_grid splits
-[0, t_max] into (start, end, steps) pieces, each spaced for the spectral
-spread it covers: the objective is a trigonometric polynomial whose
-frequencies are level differences, so spacing pi / (10 * spread) cannot skip
-an oscillation.  excitation._grid_f, the block-product route to f on evenly
-spaced grids, gives the grid times and f there, one complex exponential per
-level for each block of 64 points; these values lie within _grid_error of
-synthesize_f's, which the pruning margin allows for; every other value of f,
-refined or reported, has synthesize_f's bits, and the search counts each time
-point it visits once.  Candidate brackets are refined by safeguarded Newton
-steps on the objective's slope, in lockstep: each pass evaluates the current
+[0, t_max] into (start, end, steps) pieces, each spaced at pi / (10 * Omega)
+for an Omega that bounds the objective's curvature there, h'' >= -Omega^2 / 3:
+the spread of the levels for critical_times, which must resolve every peak of
+|f|, and for the fidelity searches the smaller Omega_eff of _effective_spread,
+which weighs each level by |w_k|.  excitation._grid_f, the block-product
+route to f on evenly spaced grids, gives the grid times and f there, one
+complex exponential per level for each block of 64 points; these values lie
+within _grid_error of synthesize_f's, which the pruning margin allows for;
+every other value of f, refined or reported, has synthesize_f's bits, and
+the search counts each time point it visits once.  Candidate brackets are
+refined by safeguarded Newton steps on the objective's slope, in lockstep:
+each pass evaluates the current
 time of every open bracket in one call of excitation._f_slopes, which gives f
 with its first two derivatives, and the objective's own two derivatives
 follow in closed form (_slopes); each bracket visits the times a search on it
@@ -57,18 +59,25 @@ _PEAK_FLOOR = 1e-12
 _TIE_TOL = 1e-12
 
 # How far a fidelity objective can rise above the larger of two neighbouring
-# grid values.  On each piece of _time_grid it is the max, over a family
+# grid values.  On each piece of _time_grid it is the sup, over a family
 # (plain Fbar: theta = 0; corrected: every theta; tuned: every field of the
 # box), of h = 1/2 + Re(e^{i theta} g) / 3 + |g|^2 / 6 with g = sum_k w_k
-# e^{-i nu_k t}, sum_k |w_k| <= 1 and every frequency of h at most Omega, the
-# spread the piece is spaced for.  h lies in [1/3, 1] on all of R (its least
-# value, at Re(e^{i theta} g) = -|g|, falls with |g| to 1/3 at |g| = 1), so
-# Bernstein's inequality on h - 2/3 gives |h''| <= Omega^2 / 3, and over a
-# step of at most pi / (10 Omega) the maximum exceeds the larger end by at
-# most |h''| step^2 / 8.
+# e^{-i nu_k t}.  Two bounds give each member h'' >= -Omega^2 / 3, with Omega
+# the frequency the piece is spaced for.  The spread: h lies in [1/3, 1] on
+# all of R (sum_k |w_k| <= 1; its least value, at Re(e^{i theta} g) = -|g|,
+# falls with |g| to 1/3 at |g| = 1) and its frequencies are at most the
+# spread, so Bernstein's inequality on h - 2/3 gives |h''| <= spread^2 / 3.
+# The moments (_effective_spread): with S = sum_k |w_k| and M2 = sum_k |w_k|
+# nu_k^2, |g| <= S, |g''| <= M2 and |g'|^2 <= S M2, so |Re(e^{i theta} g)''|
+# <= M2 and |(|g|^2)''| = |2 |g'|^2 + 2 Re(conj(g) g'')| <= 4 S M2, and
+# |h''| <= M2 (1 + 2 S) / 3.  A sup of functions with h'' >= -Omega^2 / 3 has
+# it too (h + Omega^2 t^2 / 6 is a sup of convex functions), so over a step of
+# at most pi / (10 Omega) the maximum exceeds the larger end by at most
+# Omega^2 step^2 / 24.
 _MAX_RISE = (1.0 / 3.0) * (math.pi / 10.0) ** 2 / 8.0
 
-# Longest search grid (the benchmark's largest: 13 515-15 669 points; presets under 4 000).
+# Longest search grid (the benchmark's largest at seeds 1-5: 3 899 points, on a preset;
+# its engineered chains 916-2 952).
 _MAX_GRID_POINTS = 2**20
 
 # Objective evaluations per refined bracket, at most.
@@ -141,8 +150,10 @@ class OptimizationResult:
 def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[float, float, int]]:
     """(start, end, steps) pieces of a grid on [0, t_max], none of zero steps.
 
-    pieces are (t_end, spread), t_end ascending to t_max; each is sampled at
-    spacing at most min(t_max / n_samples, pi / (10 * spread)).  Over the
+    pieces are (t_end, Omega), t_end ascending to t_max, with Omega the
+    frequency that bounds the objective's curvature there (the spread, or
+    _effective_spread's Omega_eff); each is sampled at spacing at most
+    min(t_max / n_samples, pi / (10 * Omega)).  Over the
     budget, the hint is the longest horizon whose own grid fits: its pieces
     cut at that horizon, each at its own spacing there.  The step count grows
     with the horizon, so bisection finds it, and it is printed in full.
@@ -172,6 +183,29 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
     return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]
 
 
+def _effective_spread(spectrum: Spectrum, spread: float,
+                      centres: tuple[float, ...] | None = None) -> float:
+    """Omega_eff = min(spread, sqrt(M2 (1 + 2 S))), which bounds a fidelity
+    objective's curvature as the spread does (see _MAX_RISE).
+
+    S = sum_k |w_k| and M2 = sum_k |w_k| nu_k^2, nu_k = lambda_k - c, at the c
+    of centres that gives the larger M2, or at the |w|-weighted mean of the
+    levels (which minimises M2) for centres None.  The moments are formed on
+    nu / spread, within [-1, 1], and multiplied back by spread, so they do not
+    overflow and power-of-two scaling keeps their bits.  A spread of 0 or inf
+    is returned as it is.
+    """
+    if not 0.0 < spread < math.inf:
+        return spread
+    x, w, s = spectrum.levels / spread, np.abs(spectrum.weights), spectrum.transfer_bound
+    if centres is None:  # S = 0: f is 0, and so is M2 about any centre
+        shifts = [float((w * x).sum()) / s if s > 0.0 else 0.0]
+    else:
+        shifts = [c / spread for c in centres]
+    m2 = max(float((w * (x - c) ** 2).sum()) for c in shifts)
+    return spread * min(1.0, math.sqrt(m2 * (1.0 + 2.0 * s)))
+
+
 class _Search:
     """One search on a chain's spectrum: its grid, the objective there, and
     every time point at which f is evaluated, each counted once.
@@ -179,18 +213,19 @@ class _Search:
     objective(t, f) gives the objective's values at times t from f there, and
     objective(t, f, (f1, f2)), with f1 and f2 the first two derivatives of f in
     tau = scale * t, also positive multiples of its own (_slopes).  scale is
-    the power of two in (s / 2, s] for the largest spread s of the grid's
-    pieces.  The grid values of f come from _grid_f, within grid_error of
-    synthesize_f, which gives f everywhere else.
+    the power of two in (s / 2, s] for the largest spread s of the objective's
+    frequencies; the grid's pieces, (t_end, Omega) as _time_grid takes them,
+    may be spaced for less.  The grid values of f come from _grid_f, within
+    grid_error of synthesize_f, which gives f everywhere else.
     """
 
     def __init__(self, spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
-                 *pieces: tuple[float, float]) -> None:
+                 spread: float, *pieces: tuple[float, float]) -> None:
         self.spectrum, self.objective = spectrum, objective
         self.grid, grid_f = _grid_f(spectrum, _time_grid(cfg, *pieces))
         self.values = objective(self.grid, grid_f)
         self.grid_error = _grid_error(spectrum, cfg.t_max)
-        self.scale = math.ldexp(0.5, math.frexp(max(s for _, s in pieces))[1])
+        self.scale = math.ldexp(0.5, math.frexp(spread)[1])
         self.count = self.grid.size
 
     def f(self, t, spectrum: Spectrum | None = None):
@@ -311,7 +346,7 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
         mag = np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
         return mag if df is None else (mag, *_slopes(f, *df, "abs"))
 
-    search = _Search(spectrum, magnitude, cfg, (cfg.t_max, spectrum.spread))
+    search = _Search(spectrum, magnitude, cfg, spectrum.spread, (cfg.t_max, spectrum.spread))
     peaks = _interior_peaks(search.values)
     peaks = peaks[search.values[peaks] > _PEAK_FLOOR]
     grid = search.grid
@@ -364,8 +399,11 @@ def _global_max(search: _Search, cfg: SearchConfig) -> tuple[float, tuple[float,
 def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = False) -> OptimizationResult:
     """Global maximum of the (plain or corrected) average fidelity on [0, t_max].
 
-    Candidates are both endpoints and the brackets around both end intervals
-    and every interior grid peak.  A bracket is refined by safeguarded Newton
+    The grid is spaced for _effective_spread's Omega_eff, with the moments
+    about 0 for the plain Fbar (Re f turns at the levels themselves) and about
+    the levels' weighted mean for the corrected one (|f| turns only at their
+    differences).  Candidates are both endpoints and the brackets around both
+    end intervals and every interior grid peak.  A bracket is refined by safeguarded Newton
     steps (_refine_brackets) unless its grid peak plus _MAX_RISE stays more
     than 2 * _TIE_TOL below the best value (see _global_max).  The earliest
     candidate within _TIE_TOL of the largest wins.
@@ -377,7 +415,8 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
         value = fidelity.average_fidelity(f, corrected)
         return value if df is None else (value, *_slopes(f, *df, measure))
 
-    search = _Search(spectrum, fbar, cfg, (cfg.t_max, spectrum.spread))
+    omega = _effective_spread(spectrum, spectrum.spread, None if corrected else (0.0,))
+    search = _Search(spectrum, fbar, cfg, spectrum.spread, (cfg.t_max, omega))
     best_t, bracket = _global_max(search, cfg)
     return search.result(best_t, bracket)
 
@@ -394,10 +433,14 @@ def tune_uniform_field(
     1.  The chain is solved once, at the box centre B_c.  At time t the field
     B_c - arg f(t, B_c) / t aligns the phase; clipped to the box (the nearer
     edge leaves the smaller phase) it gives the exact maximum over the box.  t
-    is searched as in maximize_fidelity, with W / 2 (W the box width) added to
-    the grid's spread up to t = 2 pi / W; from there on every phase is aligned
-    and the objective, the corrected Fbar, oscillates only at differences of
-    excitation levels.  The reported values come from a solve of the tuned
+    is searched as in maximize_fidelity.  Up to t = 2 pi / W (W the box width)
+    the objective is the sup over phi in [-W/2, W/2] of the plain Fbar of
+    f e^{i phi t}, whose levels are lambda_k - phi: its grid is spaced for the
+    spread plus W / 2, and for the moments about the box edge phi = -+W/2 that
+    gives the larger M2 (M2 is convex in phi).  From there on every phase is
+    aligned and the objective, the corrected Fbar, oscillates only at
+    differences of excitation levels: the band, and the moments about their
+    weighted mean.  The reported values come from a solve of the tuned
     chain.  b_range is (B_lo, B_hi) by the number rule (_finites), B_lo < B_hi, else ValueError.
     """
     box = _finites(b_range, "the field box")
@@ -430,9 +473,11 @@ def tune_uniform_field(
         return value, *(np.where(inside, aligned, edge) for aligned, edge in
                         zip(_slopes(f, f1, f2, "corrected"), _slopes(*turned, "plain")))
 
-    t_aligned = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo))
-    search = _Search(spectrum, fbar, cfg, (t_aligned, spectrum.spread + (b_hi - b_lo) / 2.0),
-                     (cfg.t_max, spectrum.band))
+    t_aligned, half = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), (b_hi - b_lo) / 2.0
+    spread = spectrum.spread + half
+    search = _Search(spectrum, fbar, cfg, spread,
+                     (t_aligned, _effective_spread(spectrum, spread, (-half, half))),
+                     (cfg.t_max, _effective_spread(spectrum, spectrum.band)))
     best_t, bracket = _global_max(search, cfg)
     best_b = float(tuned(best_t, search.f(best_t))[0])
     return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))

@@ -798,15 +798,15 @@ def test_runs_import_no_numpy_ma(tmp_path):
 # The two optimize examples of the README, byte for byte.
 _README_CORRECTED_JSON = """\
 {
-  "best_t": 199.80529840818983,
+  "best_t": 199.80529840818323,
   "best_field": null,
   "fbar": 0.3492484456759517,
   "fbar_corrected": 0.9677705383234849,
   "abs_f": 0.9510569519983034,
-  "evaluations": 1144,
+  "evaluations": 613,
   "bracket": [
-    199.80529838818984,
-    199.80529842818981
+    199.80529838818325,
+    199.80529842818322
   ]
 }
 """

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from spintransfer import excitation, fidelity, optimize
 from spintransfer.chain import (PRESET_NAMES, ChainSpec, SPIN_HALF, SPIN_ONE, SiteSpec,
-                                engineered_chain, preset)
+                                SpinMagnitude, engineered_chain, preset)
 from spintransfer.closed_forms import (
     NotTunableError,
     PresetSystem,
@@ -179,7 +179,9 @@ class TestGridBudget:
             maximize_fidelity(spec, SearchConfig(t_max=1e9, n_samples=n_samples))
         advised = _advised(refused.value)
         cfg = SearchConfig(t_max=advised, n_samples=n_samples)
-        pieces = optimize._time_grid(cfg, (advised, solve(spec).spread))
+        spectrum = solve(spec)
+        omega = optimize._effective_spread(spectrum, spectrum.spread, (0.0,))
+        pieces = optimize._time_grid(cfg, (advised, omega))
         assert pieces[0][2] == optimize._MAX_GRID_POINTS - 1  # the advice fills the budget
 
     def test_infinite_horizon_is_refused(self, refuse_alloc):
@@ -545,11 +547,11 @@ class TestEvaluationCount:
                 alone = maximize_fidelity(spec, cfg, corrected=corrected)
         assert res.evaluations == alone.evaluations == count
 
-    # 262, 265 and 1 227 without pruning; the last is the README example
+    # 262, 265 and 699 without pruning; the last is the README example
     @pytest.mark.parametrize("system, t_max, corrected, count", [
         (("sec2-three-spin-center", 1.0, 0.0), 3.8, False, 260),
         (("sec2-three-spin-center", 1.0, 0.0), 3.8, True, 261),
-        (("sec3-three-spin-center", 0.942809, 1.0), 200.0, True, 1144),
+        (("sec3-three-spin-center", 0.942809, 1.0), 200.0, True, 613),
     ])
     def test_pruned_count(self, synthesized, system, t_max, corrected, count):
         res = maximize_fidelity(preset(*system), SearchConfig(t_max=t_max), corrected=corrected)
@@ -653,7 +655,8 @@ def _fbar_search(spec, cfg, corrected):
         value = average_fidelity(f, corrected)
         return value if df is None else (value, *optimize._slopes(f, *df, measure))
 
-    return optimize._Search(spectrum, objective, cfg, (cfg.t_max, spectrum.spread))
+    omega = optimize._effective_spread(spectrum, spectrum.spread, None if corrected else (0.0,))
+    return optimize._Search(spectrum, objective, cfg, spectrum.spread, (cfg.t_max, omega))
 
 
 class TestLockstepRefine:
@@ -951,7 +954,7 @@ def test_the_work_of_a_fixed_set_of_searches_is_pinned(monkeypatch):
         calls.clear()
         evaluations += search().evaluations
         most = max(most, len(calls))
-    assert (evaluations, most) == (333023, 5)
+    assert (evaluations, most) == (14334, 5)
 
 
 class TestPruning:
@@ -959,34 +962,58 @@ class TestPruning:
 
     @staticmethod
     def _pieces(spec, kind, box):
-        """(t_end, Omega) pieces: Omega bounds every frequency of the objective there."""
+        """(t_end, Omega, Omega_eff) pieces: Omega bounds every frequency of the objective
+        there, and Omega_eff = min(Omega, sqrt(M2 (1 + 2 S))) its curvature, with S =
+        sum_k |w_k| and M2 = sum_k |w_k| (nu_k - c)^2 at the larger of the centres c,
+        formed here from eigensolve's vectors on the raw levels."""
+        def effective(omega, nu, w, centres):
+            s = np.sum(np.abs(w))
+            m2 = max(np.sum(np.abs(w) * (nu - c) ** 2) for c in centres)
+            return min(omega, math.sqrt(m2 * (1.0 + 2.0 * s)))
+
+        def mean(nu, w):
+            return np.sum(np.abs(w) * nu) / np.sum(np.abs(w)) if np.any(w) else 0.0
+
+        h = reduce(spec.with_uniform_field((box[0] + box[1]) / 2.0) if kind == "tuned" else spec)
+        values, vectors = eigensolve(h)
+        nu, w = values - h.vacuum_energy, vectors[0] * vectors[-1]  # a field b shifts nu by b - b_c
         if kind != "tuned":
-            h = reduce(spec)
-            nu = eigensolve(h)[0] - h.vacuum_energy
-            return [(math.inf, max(np.max(np.abs(nu)), np.ptp(nu)))]
+            omega = max(np.max(np.abs(nu)), np.ptp(nu))
+            return [(math.inf, omega,
+                     effective(omega, nu, w, [0.0] if kind == "plain" else [mean(nu, w)]))]
         width = box[1] - box[0]
-        h = reduce(spec.with_uniform_field((box[0] + box[1]) / 2.0))
-        values, _ = eigensolve(h)
-        nu = values - h.vacuum_energy  # a field b shifts them by b - b_c
-        return [(2.0 * math.pi / width, max(np.max(np.abs(nu)) + width / 2.0, np.ptp(nu))),
-                (math.inf, np.ptp(values))]  # centred levels after the phase is aligned
+        omega = max(np.max(np.abs(nu)) + width / 2.0, np.ptp(nu))
+        return [(2.0 * math.pi / width, omega,
+                 effective(omega, nu, w, [-width / 2.0, width / 2.0])),
+                (math.inf, np.ptp(nu),  # centred levels after the phase is aligned
+                 effective(np.ptp(nu), nu, w, [mean(nu, w)]))]
 
     @settings(max_examples=40, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
            kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
     def test_grid_spacing_bounds_every_frequency(self, spec, t_max, kind, box):
-        patch, grids = _recording("_grid_f")
+        patch, searches = _recording("_global_max")
         with patch:
             _search(spec, t_max, kind, box)
-        (_, (grid, _)), = grids
+        ((search, _), _), = searches
+        grid, values = search.grid, search.values
         start = 0.0
-        for t_end, omega in self._pieces(spec, kind, box):
+        for t_end, omega, omega_eff in self._pieces(spec, kind, box):
             t_end = min(t_end, t_max)
             piece = grid[(grid >= start) & (grid <= t_end)]
             assert piece[0] == start and piece[-1] == t_end  # no step straddles a piece end
-            # 1e-12: linspace rounds each point
-            assert np.all(np.diff(piece) <= math.pi / (10.0 * omega) * (1.0 + 1e-12))
+            # 1e-12: linspace rounds each point, and the search forms the moments on nu / Omega
+            assert np.all(np.diff(piece) <= math.pi / (10.0 * omega_eff) * (1.0 + 1e-12))
+            # Omega_eff <= Omega: never more steps than a grid spaced for Omega (+1 for rounding)
+            spacing = min(t_max / 256, math.pi / (10.0 * omega))
+            assert piece.size - 1 <= math.ceil((t_end - start) / spacing) + 1
             start = t_end
+        # between grid points the objective rises at most _MAX_RISE above the larger
+        # end, plus the grid values' error (as _global_max prunes)
+        inner = (grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(1, 8) / 8.0)).ravel()
+        dense = search.objective(inner, synthesize_f(search.spectrum, inner)).reshape(-1, 7)
+        top = np.maximum(values[:-1], values[1:])[:, None]
+        assert np.all(dense <= top + optimize._MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error)
 
     @settings(max_examples=40, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
@@ -1074,11 +1101,13 @@ def _periodic_chains(draw):
 
 class TestDenseAudit:
     """At the north star's size, each search's optimum is checked against values it
-    never saw: synthesize_f's objective on a sample twice as dense as its grid."""
+    never saw: synthesize_f's objective on a sample twice as dense as a grid spaced
+    for the full spread (the search's own grid, spaced for Omega_eff, is no denser),
+    and on 400 times inside every bracket the search refines or prunes."""
 
     @pytest.mark.parametrize("n, corrected", [(400, False), (401, True)])
     def test_no_sample_beats_the_search(self, n, corrected):
-        # engineered chains at t_max = 10 pi, where the grid is spaced at pi / (10 spread)
+        # engineered chains at t_max = 10 pi; the sample is spaced at pi / (20 spread)
         spec, cfg = engineered_chain(n, spin_one_site=n // 2 + 1), SearchConfig(10.0 * math.pi)
         spectrum = solve(spec)
         steps = 2 * math.ceil(cfg.t_max / (math.pi / (10.0 * spectrum.spread)))
@@ -1093,14 +1122,89 @@ class TestDenseAudit:
            corrected=st.booleans())
     def test_no_sample_beats_the_search_on_random_chains(self, spec, t_max, corrected):
         # mixed-spin chains with site fields, and chains whose f lies on two or on
-        # equally spaced levels, so that the objective is periodic; the grid is
-        # spaced at most t_max / 256 and pi / (10 spread) apart
+        # equally spaced levels, so that the objective is periodic; the sample is
+        # twice as dense as a grid spaced at most t_max / 256 and pi / (10 spread) apart
         spectrum = solve(spec)
         steps = 2 * math.ceil(t_max / min(t_max / 256, math.pi / (10.0 * spectrum.spread)))
         sample = synthesize_f(spectrum, np.linspace(0.0, t_max, steps + 1))
         res = maximize_fidelity(spec, SearchConfig(t_max), corrected)
         assert (res.fbar_corrected if corrected else res.fbar) >= (
             average_fidelity(sample, corrected).max() - 2.0 * optimize._TIE_TOL)
+
+
+def _bracket_cases():
+    """The per-bracket audit's inputs: the five presets at J 1, B 0.37 and t_max 20,
+    engineered N = 5-20 with a spin-1 site at 60 pi, plain and corrected, and
+    engineered N = 400 plain and N = 401 corrected at 10 pi."""
+    cases = [pytest.param(preset(name, 1.0, 0.37), 20.0, corrected,
+                          id=f"{name}-{'corrected' if corrected else 'plain'}")
+             for name in PRESET_NAMES for corrected in (False, True)]
+    cases += [pytest.param(engineered_chain(n, spin_one_site=n // 2 + 1), 60.0 * math.pi,
+                           corrected, id=f"engineered-{n}-{'corrected' if corrected else 'plain'}")
+              for n in range(5, 21) for corrected in (False, True)]
+    return cases + [pytest.param(engineered_chain(n, spin_one_site=n // 2 + 1), 10.0 * math.pi,
+                                 corrected, id=f"engineered-{n}-{kind}")
+                    for n, corrected, kind in ((400, False, "plain"), (401, True, "corrected"))]
+
+
+class TestBracketAudit:
+    """Every bracket _global_max refines holds no point above its refined value, and
+    every bracket it prunes none that comes within _TIE_TOL of the best (ROADMAP item 20)."""
+
+    @pytest.mark.parametrize("spec, t_max, corrected", _bracket_cases())
+    def test_every_bracket_is_sampled(self, spec, t_max, corrected):
+        global_patch, searches = _recording("_global_max")
+        refine_patch, refines = _recording("_refine_brackets")
+        with global_patch, refine_patch:
+            maximize_fidelity(spec, SearchConfig(t_max), corrected)
+        ((search, _), _), = searches
+        # the brackets, as _global_max forms them: both end intervals and one around
+        # every interior grid peak
+        grid, values = search.grid, search.values
+        peaks = optimize._interior_peaks(values)
+        los = grid[np.concatenate([[0, grid.size - 2], peaks - 1])]
+        his = grid[np.concatenate([[1, grid.size - 1], peaks + 1])]
+        refined = {}
+        for (_, _, lo, hi, _), (_, value, _, _) in refines:
+            refined.update(zip(zip(lo.tolist(), hi.tolist()), value.tolist()))
+        best = max(max(refined.values()), values[0], values[-1])
+        times = (los[:, None] + (his - los)[:, None] * np.linspace(0.0, 1.0, 400)).ravel()
+        tops = average_fidelity(synthesize_f(search.spectrum, times), corrected)
+        tops = tops.reshape(-1, 400).max(axis=1)
+        brackets = list(zip(los.tolist(), his.tolist()))
+        assert set(refined) <= set(brackets)
+        for (lo, hi), top in zip(brackets, tops.tolist()):
+            if (lo, hi) in refined:
+                assert top <= refined[lo, hi] + 2.0 * optimize._TIE_TOL, (lo, hi)
+            else:
+                assert top < best - optimize._TIE_TOL, (lo, hi)
+
+
+def _compensated_chain(n, lam, seed):
+    """An engineered chain with about 5 % of its sites at spin 1, 3/2 or 2, drawn by
+    seed, and couplings J_i = (lam / 2) sqrt(i (N - i)) / sqrt(s_i s_{i+1}): its
+    hoppings are those of the bare chain, so whatever the spins, f(pi / lam) =
+    e^{-i pi (N - 1) / 2} (Christandl et al., PRL 92, 187902 (2004))."""
+    rng = np.random.default_rng(seed)
+    spins = [0.5] * n
+    for site in rng.choice(n, size=round(0.05 * n), replace=False):
+        spins[site] = float(rng.choice([1.0, 1.5, 2.0]))
+    couplings = tuple(lam / 2.0 * math.sqrt(i * (n - i)) / math.sqrt(spins[i - 1] * spins[i])
+                      for i in range(1, n))
+    return ChainSpec(sites=tuple(SiteSpec(SpinMagnitude(s)) for s in spins), couplings=couplings)
+
+
+class TestCompensatedChains:
+    """A spin impurity cannot prevent perfect transfer (ROADMAP item 12, first leg):
+    at the north star's sizes the corrected search finds it at t* = pi / lam."""
+
+    @pytest.mark.parametrize("n, lam", [(401, 1.0), (1001, 0.7)])
+    def test_the_corrected_search_finds_perfect_transfer(self, n, lam):
+        spec, t_star = _compensated_chain(n, lam, seed=n), math.pi / lam
+        res = maximize_fidelity(spec, SearchConfig(1.5 * t_star), corrected=True)
+        assert res.abs_f >= 1.0 - 1e-12
+        assert abs(res.best_t - t_star) <= 1e-9 * t_star
+        assert abs(synthesize_f(solve(spec), t_star) - np.exp(-0.5j * math.pi * (n - 1))) <= 1e-12
 
 
 class TestGridProduct:
