@@ -302,10 +302,8 @@ def _csv_rows(block: np.ndarray, columns: list[int] | None = None) -> str:
 
 def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:
     spec, digest = _load_spec(args)
-    # rounding alone may give --steps samples one more step: a grid of --steps + 2 points
-    _count(args.steps, "--steps", 16, optimize._MAX_GRID_POINTS - 2, _UsageError)
-    try:  # a bad horizon, step count or field box, or a grid over the budget
-        cfg = SearchConfig(t_max=args.t_max, n_samples=args.steps)
+    try:  # a bad horizon or field box, or samples over the budget
+        cfg = SearchConfig(t_max=args.t_max)
         if args.tune_field is not None:
             res = optimize.tune_uniform_field(spec, cfg, tuple(args.tune_field))
         else:
@@ -387,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="maximize average fidelity over t (and B)")
     _add_chain_source(p_opt)
     p_opt.add_argument("--t-max", type=float, required=True)
-    p_opt.add_argument("--steps", type=int, default=256,
-                       help="coarse grid sample floor (default 256)")
     mode = p_opt.add_mutually_exclusive_group()  # tuning aligns the phase: --corrected is moot
     mode.add_argument("--corrected", action="store_true",
                       help="optimize the phase-corrected average fidelity")

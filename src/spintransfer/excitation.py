@@ -252,27 +252,34 @@ def _grid_f(spectrum: Spectrum, pieces) -> tuple[np.ndarray, np.ndarray]:
     row where t max|lambda_k| (so synthesize_f's f) or f is not finite raises
     NonFiniteError, which the searches' grid budget keeps them from.
     """
-    levels, weights = spectrum.levels, spectrum.weights
     times = [np.linspace(start, end, steps + 1) for start, end, steps in pieces]
     grid = np.concatenate([times[0]] + [piece[1:] for piece in times[1:]])
     f = np.empty(grid.size, dtype=complex)
     lo = 0
     for start, end, steps in pieces:
         hi, step = lo + steps, (end - start) / steps if steps else 0.0  # as linspace computes it
-        offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(_GRID_BLOCK) * step))
-        offsets = np.stack([offsets, 1j * offsets], axis=1).reshape(-1, _GRID_BLOCK).view(float)
-        for first in range(lo, hi + 1, _TIME_BLOCK * _GRID_BLOCK):
-            last = min(first + _TIME_BLOCK * _GRID_BLOCK, hi + 1)
-            heads = _terms(grid[first:last:_GRID_BLOCK], levels, weights).view(float)
-            rows = np.einsum("bk,km->bm", heads, offsets).view(complex).ravel()
-            f[first:last] = rows[:last - first]
+        heads = grid[lo:hi + 1:_GRID_BLOCK]
+        f[lo:hi + 1] = _block_f(spectrum, heads, step, _GRID_BLOCK).ravel()[:hi + 1 - lo]
         lo = hi
     # t max|lambda_k| too: a block from a finite phase can hold rows whose own phase overflows
-    bad = np.isinf(grid * np.max(np.abs(levels))) | ~np.isfinite(f)
+    bad = np.isinf(grid * np.max(np.abs(spectrum.levels))) | ~np.isfinite(f)
     if bad.any():
         raise NonFiniteError(f"f is not finite at t = {float(grid[bad][0])}: the phases E t "
                              f"overflow; lower t_max or rescale the chain")
     return grid, f
+
+
+def _block_f(spectrum: Spectrum, heads: np.ndarray, step: float, count: int) -> np.ndarray:
+    """f at heads[b] + m step for m < count (at most _GRID_BLOCK), row b of a
+    (heads x count) array: _grid_f's block product, _TIME_BLOCK heads at a time."""
+    levels, weights = spectrum.levels, spectrum.weights
+    offsets = np.exp(np.multiply.outer(-1j * levels, np.arange(count) * step))
+    offsets = np.stack([offsets, 1j * offsets], axis=1).reshape(-1, count).view(float)
+    f = np.empty((heads.size, count), dtype=complex)
+    for first in range(0, heads.size, _TIME_BLOCK):
+        block = _terms(heads[first:first + _TIME_BLOCK], levels, weights).view(float)
+        f[first:first + _TIME_BLOCK] = np.einsum("bk,km->bm", block, offsets).view(complex)
+    return f
 
 
 def _grid_error(spectrum: Spectrum, t_max: float) -> float:

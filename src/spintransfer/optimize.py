@@ -6,7 +6,13 @@ the levels and weights of f and their widths, no eigenvector.  _time_grid splits
 for an Omega that bounds the objective's curvature there, h'' >= -Omega^2 / 3:
 the spread of the levels for critical_times, which must resolve every peak of
 |f|, and for the fidelity searches the smaller Omega_eff of _effective_spread,
-which weighs each level by |w_k|.  excitation._grid_f, the block-product
+which weighs each level by |w_k|.  That coarse grid bounds how far the
+objective rises between two of its points, but where f is weak a whole peak
+can lie between them, so the fidelity searches then resample every interval
+that may hold a value near the best for the piece's bound on every frequency
+(the spread, or for the tuned search the spread plus half the box width and
+then the band; _Search.resample), and form their brackets on the merged
+samples.  excitation._grid_f, the block-product
 route to f on evenly spaced grids, gives the grid times and f there, one
 complex exponential per level for each block of 64 points; these values lie
 within _grid_error of synthesize_f's, which the pruning margin allows for;
@@ -19,9 +25,10 @@ with its first two derivatives, and the objective's own two derivatives
 follow in closed form (_slopes); each bracket visits the times a search on it
 alone would.  The step's position comes from the slope, so it is exact where
 the values tie to round-off on a flat top.  critical_times refines every peak
-of |f|.  The fidelity searches skip a bracket whose grid peak plus _MAX_RISE,
-a bound on how far the objective can rise between grid points, plus twice the
-grid values' error stays more than 2 * _TIE_TOL below the best value found:
+of |f|, and the last interval where |f| rises into t_max.  The fidelity
+searches skip a bracket whose grid peak plus _MAX_RISE, a bound on how far
+the objective can rise between grid points, plus twice the grid values'
+error stays more than 2 * _TIE_TOL below the best value found:
 it can neither win nor tie.  No randomness is used anywhere; identical
 inputs give identical results, and the winner is the earliest candidate
 within _TIE_TOL of the largest.  Field tuning searches t alone: a uniform
@@ -32,6 +39,7 @@ cannot align every phase.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,8 +47,9 @@ from typing import Callable
 import numpy as np
 
 from . import fidelity
-from .chain import ChainSpec, NonFiniteError, _count, _finite, _finites
-from .excitation import Spectrum, _f_slopes, _grid_error, _grid_f, solve, synthesize_f
+from .chain import ChainSpec, NonFiniteError, _finite, _finites
+from .excitation import (Spectrum, _GRID_BLOCK, _block_f, _f_slopes, _grid_error, _grid_f,
+                         solve, synthesize_f)
 
 __all__ = [
     "GridBudgetError",
@@ -76,9 +85,12 @@ _TIE_TOL = 1e-12
 # Omega^2 step^2 / 24.
 _MAX_RISE = (1.0 / 3.0) * (math.pi / 10.0) ** 2 / 8.0
 
-# Longest search grid (the benchmark's largest at seeds 1-5: 3 899 points, on a preset;
-# its engineered chains 916-2 952).
+# Most points a search samples, coarse and fine (the benchmark's largest coarse grid at
+# seeds 1-5: 3 899 points, on a preset; its engineered chains 916-2 952).
 _MAX_GRID_POINTS = 2**20
+
+# Fewest steps of the coarse grid on [0, t_max].
+_SAMPLE_FLOOR = 256
 
 # Objective evaluations per refined bracket, at most.
 _MAX_REFINE_ITERS = 200
@@ -90,12 +102,11 @@ class GridBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search horizon and coarse-grid sample floor.
+    """Search horizon.
 
     t_max follows the chain's number rule (_finite), is stored as a float and
-    must be positive; inf raises GridBudgetError.  n_samples is a count in
-    [16, _MAX_GRID_POINTS - 2] (_count: ValueError below or for a
-    non-integer, GridBudgetError above).  refine_tol = 1e-10 t_max is
+    must be positive, with t_max / _SAMPLE_FLOOR above 0; inf raises
+    GridBudgetError.  refine_tol = 1e-10 t_max is
     subnormal below t_max = 2^-1022 / 1e-10, about 2.2251e-298, at no cost:
     a converged Newton step is 0, within any tolerance.  The corrected
     sec3-two-spin at J = 2B = 2^k and t_max = 30 / 2^k keeps the bits of k = 0
@@ -105,7 +116,6 @@ class SearchConfig:
     """
 
     t_max: float
-    n_samples: int = 256
 
     def __post_init__(self) -> None:
         try:
@@ -115,11 +125,9 @@ class SearchConfig:
         if not t_max > 0.0:
             raise ValueError(f"t_max must be positive, got {t_max!r}")
         object.__setattr__(self, "t_max", t_max)
-        # 2 below the budget: rounding may give n_samples one more step
-        _count(self.n_samples, "n_samples", 16, _MAX_GRID_POINTS - 2, ValueError, GridBudgetError)
-        if self.t_max / self.n_samples == 0.0:
-            raise ValueError(f"t_max = {self.t_max!r} is too small for {self.n_samples} "
-                             f"samples: their spacing underflows to 0")
+        if t_max / _SAMPLE_FLOOR == 0.0:
+            raise ValueError(f"t_max = {t_max!r} is too small for {_SAMPLE_FLOOR} samples: "
+                             f"their spacing underflows to 0")
 
     @property
     def refine_tol(self) -> float:
@@ -153,18 +161,17 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
     pieces are (t_end, Omega), t_end ascending to t_max, with Omega the
     frequency that bounds the objective's curvature there (the spread, or
     _effective_spread's Omega_eff); each is sampled at spacing at most
-    min(t_max / n_samples, pi / (10 * Omega)).  Over the
+    min(t_max / _SAMPLE_FLOOR, _spacing(Omega)).  Over the
     budget, the hint is the longest horizon whose own grid fits: its pieces
     cut at that horizon, each at its own spacing there.  The step count grows
     with the horizon, so bisection finds it, and it is printed in full.
     """
     def grid(t_max: float) -> tuple[list[float], list[float], bool]:
         """Piece ends and steps on [0, t_max], and whether they fit the budget."""
-        floor = t_max / cfg.n_samples
+        floor = t_max / _SAMPLE_FLOOR
         ends = [0.0] + [min(t_end, t_max) for t_end, _ in pieces]
-        spacings = [min(floor, math.pi / (10.0 * s) or math.pi / 10.0 / s) if s > 0.0 else floor
-                    for _, s in pieces]  # pi / 10 / s where 10 s overflows (s past 1.8e307)
-        # s is 0 where the spread overflowed, or where floor underflowed
+        spacings = [min(floor, _spacing(s)) for _, s in pieces]
+        # a spacing is 0 where the spread overflowed, or where floor underflowed
         steps = [(hi - lo) / s if s > 0.0 else math.inf
                  for lo, hi, s in zip(ends, ends[1:], spacings)]
         # the grid holds sum(ceil(steps)) + 1 points; the sum may be inf
@@ -181,6 +188,13 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
         raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {sum(steps) + 1:.4g} grid points "
                               f"(limit {_MAX_GRID_POINTS}); {hint}")
     return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]
+
+
+def _spacing(omega: float) -> float:
+    """pi / (10 omega), the grid spacing for the frequency omega; inf for omega 0."""
+    if not omega > 0.0:
+        return math.inf
+    return math.pi / (10.0 * omega) or math.pi / 10.0 / omega  # where 10 omega overflows
 
 
 def _effective_spread(spectrum: Spectrum, spread: float,
@@ -212,21 +226,61 @@ class _Search:
 
     objective(t, f) gives the objective's values at times t from f there, and
     objective(t, f, (f1, f2)), with f1 and f2 the first two derivatives of f in
-    tau = scale * t, also positive multiples of its own (_slopes).  scale is
-    the power of two in (s / 2, s] for the largest spread s of the objective's
-    frequencies; the grid's pieces, (t_end, Omega) as _time_grid takes them,
-    may be spaced for less.  The grid values of f come from _grid_f, within
+    tau = scale * t, also positive multiples of its own (_slopes).  pieces are
+    (t_end, Omega, Omega_eff), t_end ascending to t_max: Omega bounds every
+    frequency of the objective there and Omega_eff <= Omega its curvature.
+    The grid is spaced for Omega_eff (_time_grid) and resample spaces chosen
+    intervals for Omega; scale is the power of two in (s / 2, s] for the
+    largest Omega s.  The grid values of f come from _grid_f, within
     grid_error of synthesize_f, which gives f everywhere else.
     """
 
     def __init__(self, spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
-                 spread: float, *pieces: tuple[float, float]) -> None:
+                 *pieces: tuple[float, float, float]) -> None:
         self.spectrum, self.objective = spectrum, objective
-        self.grid, grid_f = _grid_f(spectrum, _time_grid(cfg, *pieces))
+        coarse = _time_grid(cfg, *((t_end, omega_eff) for t_end, _, omega_eff in pieces))
+        self.grid, grid_f = _grid_f(spectrum, coarse)
         self.values = objective(self.grid, grid_f)
         self.grid_error = _grid_error(spectrum, cfg.t_max)
-        self.scale = math.ldexp(0.5, math.frexp(spread)[1])
+        self.scale = math.ldexp(0.5, math.frexp(max(omega for _, omega, _ in pieces))[1])
         self.count = self.grid.size
+        # each piece of the grid: its intervals [first, last), their step, and the
+        # steps of _spacing(Omega) that split one (inf where the count overflows)
+        ends, first, self.splits = [t_end for t_end, _, _ in pieces], 0, []
+        for start, end, steps in coarse:
+            step, omega = (end - start) / steps, pieces[bisect.bisect_right(ends, start)][1]
+            self.splits.append((first, first + steps, step,
+                                max(1.0, float(np.ceil(step / _spacing(omega))))))
+            first += steps
+
+    def resample(self, near: np.ndarray) -> None:
+        """Split every grid interval i with near[i] into its piece's count of steps of
+        at most _spacing(Omega), adding the new times and the objective there to grid
+        and values; over _MAX_GRID_POINTS in all, GridBudgetError.  f there comes from
+        _block_f, within grid_error as _grid_f's: one complex exponential per level
+        for every _GRID_BLOCK new times, and per piece for each of _GRID_BLOCK offsets."""
+        chosen = [(first + np.flatnonzero(near[first:last]), step, splits)
+                  for first, last, step, splits in self.splits if splits > 1.0]
+        added = sum(at.size * (splits - 1.0) for at, _, splits in chosen if at.size)
+        if not self.grid.size + added <= _MAX_GRID_POINTS:
+            raise GridBudgetError(
+                f"t_max = {float(self.grid[-1])!r} needs {self.grid.size + added:.4g} samples "
+                f"(limit {_MAX_GRID_POINTS}): {self.grid.size} on its grid and {added:.4g} more "
+                f"near its best value; lower t_max")
+        new = []
+        for at, step, splits in chosen:
+            if at.size:
+                n, dt = int(splits) - 1, step / splits
+                t = self.grid[at, None] + dt * np.arange(1.0, n + 1.0)
+                f = _block_f(self.spectrum, t[:, ::_GRID_BLOCK].ravel(), dt, min(n, _GRID_BLOCK))
+                new.append((t.ravel(), f.reshape(at.size, -1)[:, :n].ravel()))
+        if new:
+            t, f = (np.concatenate(column) for column in zip(*new))
+            self.count += t.size
+            grid = np.concatenate([self.grid, t])
+            order = np.argsort(grid, kind="stable")
+            self.grid = grid[order]
+            self.values = np.concatenate([self.values, self.objective(t, f)])[order]
 
     def f(self, t, spectrum: Spectrum | None = None):
         """f at time(s) t on the searched chain, or on spectrum if given."""
@@ -335,10 +389,11 @@ def _interior_peaks(values: np.ndarray) -> np.ndarray:
 
 
 def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, float]]:
-    """Local maxima of |f(t)| on [0, t_max], refined, ascending in t.
+    """Local maxima of |f(t)| on [0, t_max), refined, ascending in t.
 
-    Returns an empty list when the channel is dead (|f| identically zero,
-    for instance with all couplings zero).
+    |f| still rising at t_max gives no maximum there.  Returns an empty list
+    when the channel is dead (|f| identically zero, for instance with all
+    couplings zero).
     """
     spectrum = solve(spec)
 
@@ -346,13 +401,17 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
         mag = np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
         return mag if df is None else (mag, *_slopes(f, *df, "abs"))
 
-    search = _Search(spectrum, magnitude, cfg, spectrum.spread, (cfg.t_max, spectrum.spread))
-    peaks = _interior_peaks(search.values)
-    peaks = peaks[search.values[peaks] > _PEAK_FLOOR]
-    grid = search.grid
+    search = _Search(spectrum, magnitude, cfg, (cfg.t_max, spectrum.spread, spectrum.spread))
+    grid, values = search.grid, search.values
+    last = grid.size - 1
+    peaks = _interior_peaks(values)
+    if values[last] > values[last - 1]:  # |f| rises into t_max: its last interval may hold a peak
+        peaks = np.append(peaks, last)
+    peaks = peaks[values[peaks] > _PEAK_FLOOR]
     t, value, _, _ = _refine_brackets(search.slopes, search.scale, grid[peaks - 1],
-                                      grid[peaks + 1], cfg)
+                                      grid[np.minimum(peaks + 1, last)], cfg)
     order = np.argsort(t, kind="stable")
+    order = order[t[order] < cfg.t_max]  # still rising at t_max: no peak
     return list(zip(t[order].tolist(), value[order].tolist()))
 
 
@@ -370,13 +429,20 @@ def _global_max(search: _Search, cfg: SearchConfig) -> tuple[float, tuple[float,
     never refined: even with round-off its value cannot come within _TIE_TOL
     of best.  best is first the largest grid value, then the largest candidate
     value; should the refined values fall short of the grid, the brackets the
-    lower best admits are refined in a second pass.
+    lower best admits are refined in a second pass.  Before the brackets are
+    formed, every grid interval whose larger end plus that margin comes within
+    2 * _TIE_TOL of the largest grid value is resampled for its piece's full
+    Omega (search.resample): the grid, spaced for the curvature bound
+    Omega_eff, may hide a peak inside such an interval, and the brackets and
+    candidates are formed on the merged samples.
     """
+    margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error
+    values = search.values
+    search.resample(np.maximum(values[:-1], values[1:]) + margin >= values.max() - 2.0 * _TIE_TOL)
     grid, values = search.grid, search.values
     peaks = _interior_peaks(values)
     los = np.concatenate([[0, grid.size - 2], peaks - 1])
     his = np.concatenate([[1, grid.size - 1], peaks + 1])
-    margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error
     bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + margin
     # rows t, value, lo and hi of the candidates: the grid's ends, each its own
     # bracket, then every bracket in index order, at value -inf until refined
@@ -402,11 +468,13 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
     The grid is spaced for _effective_spread's Omega_eff, with the moments
     about 0 for the plain Fbar (Re f turns at the levels themselves) and about
     the levels' weighted mean for the corrected one (|f| turns only at their
-    differences).  Candidates are both endpoints and the brackets around both
-    end intervals and every interior grid peak.  A bracket is refined by safeguarded Newton
-    steps (_refine_brackets) unless its grid peak plus _MAX_RISE stays more
-    than 2 * _TIE_TOL below the best value (see _global_max).  The earliest
-    candidate within _TIE_TOL of the largest wins.
+    differences); the intervals that may hold a value near the best are
+    resampled for the spread.  Candidates are both endpoints and the brackets
+    around both end intervals and every interior peak of the merged samples.
+    A bracket is refined by safeguarded Newton steps (_refine_brackets) unless
+    its peak plus _MAX_RISE stays more than 2 * _TIE_TOL below the best value
+    (see _global_max).  The earliest candidate within _TIE_TOL of the largest
+    wins.
     """
     spectrum = solve(spec)
     measure = "corrected" if corrected else "plain"
@@ -416,7 +484,7 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
         return value if df is None else (value, *_slopes(f, *df, measure))
 
     omega = _effective_spread(spectrum, spectrum.spread, None if corrected else (0.0,))
-    search = _Search(spectrum, fbar, cfg, spectrum.spread, (cfg.t_max, omega))
+    search = _Search(spectrum, fbar, cfg, (cfg.t_max, spectrum.spread, omega))
     best_t, bracket = _global_max(search, cfg)
     return search.result(best_t, bracket)
 
@@ -475,9 +543,9 @@ def tune_uniform_field(
 
     t_aligned, half = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), (b_hi - b_lo) / 2.0
     spread = spectrum.spread + half
-    search = _Search(spectrum, fbar, cfg, spread,
-                     (t_aligned, _effective_spread(spectrum, spread, (-half, half))),
-                     (cfg.t_max, _effective_spread(spectrum, spectrum.band)))
+    search = _Search(spectrum, fbar, cfg,
+                     (t_aligned, spread, _effective_spread(spectrum, spread, (-half, half))),
+                     (cfg.t_max, spectrum.band, _effective_spread(spectrum, spectrum.band)))
     best_t, bracket = _global_max(search, cfg)
     best_b = float(tuned(best_t, search.f(best_t))[0])
     return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))

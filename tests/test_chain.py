@@ -101,7 +101,6 @@ def test_engineered_chain_site_cap_is_inclusive():
 _COUNT_PARAMETERS = [
     (lambda n: engineered_couplings(n, 1.0), "n_sites", (BadArgsError, TooManySitesError)),
     (lambda n: engineered_chain(5, spin_one_site=n), "spin_one_site", BadArgsError),
-    (lambda n: SearchConfig(1.0, n), "n_samples", ValueError),
     (lambda n: zero_field_critical_time("sec2-two-spin", 1.0, n), "k", ValueError),
     (lambda n: critical_field(PresetSystem("sec2-two-spin", 1.0, 0.0), 1.0, "even", n), "l",
      ValueError),
