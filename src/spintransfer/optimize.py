@@ -10,8 +10,8 @@ which weighs each level by |w_k|.  That coarse grid bounds how far the
 objective rises between two of its points, but where f is weak a whole peak
 can lie between them, so the fidelity searches then resample every interval
 that may hold a value near the best for the piece's bound on every frequency
-(the spread, or for the tuned search the spread plus half the box width and
-then the band; _Search.resample), and form their brackets on the merged
+(the spread, or for the tuned search max(max |lambda_k| + W / 2, band) and
+then the band; _Search.near_best), and form their brackets on the merged
 samples.  excitation._grid_f, the block-product
 route to f on evenly spaced grids, gives the grid times and f there, one
 complex exponential per level for each block of 64 points; these values lie
@@ -39,7 +39,6 @@ cannot align every phase.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -97,7 +96,19 @@ _MAX_REFINE_ITERS = 200
 
 
 class GridBudgetError(ValueError):
-    """The search grid on [0, t_max] would hold more than _MAX_GRID_POINTS times."""
+    """A search on [0, t_max] would sample more than _MAX_GRID_POINTS times.
+
+    needs says what it would sample.  horizon, where given, is the longest
+    t_max found to fit, 0.0 where none does (the spread of the levels or the
+    field box overflows), and the message ends with it.
+    """
+
+    def __init__(self, needs: str, horizon: float | None = None) -> None:
+        self.needs, self.horizon = needs, horizon
+        if horizon is not None:
+            needs += (f"; lower t_max to at most {horizon!r}" if horizon > 0.0
+                      else "; the spread of the levels or the field box overflows")
+        super().__init__(needs)
 
 
 @dataclass(frozen=True)
@@ -183,10 +194,8 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
         lo, hi = 0.0, cfg.t_max  # lo fits (or is 0), hi does not
         while lo < (mid := lo + (hi - lo) / 2.0) < hi:
             lo, hi = (mid, hi) if grid(mid)[2] else (lo, mid)
-        hint = (f"lower t_max to at most {lo!r}" if lo > 0.0
-                else "the spread of the levels or the field box overflows")
         raise GridBudgetError(f"t_max = {cfg.t_max!r} needs {sum(steps) + 1:.4g} grid points "
-                              f"(limit {_MAX_GRID_POINTS}); {hint}")
+                              f"(limit {_MAX_GRID_POINTS})", lo)
     return [(lo, hi, math.ceil(n)) for lo, hi, n in zip(ends, ends[1:], steps) if n > 0.0]
 
 
@@ -226,61 +235,98 @@ class _Search:
 
     objective(t, f) gives the objective's values at times t from f there, and
     objective(t, f, (f1, f2)), with f1 and f2 the first two derivatives of f in
-    tau = scale * t, also positive multiples of its own (_slopes).  pieces are
-    (t_end, Omega, Omega_eff), t_end ascending to t_max: Omega bounds every
-    frequency of the objective there and Omega_eff <= Omega its curvature.
-    The grid is spaced for Omega_eff (_time_grid) and resample spaces chosen
-    intervals for Omega; scale is the power of two in (s / 2, s] for the
-    largest Omega s.  The grid values of f come from _grid_f, within
+    tau = scale * t, also positive multiples of its own (_slopes).  scale is
+    the power of two in (s / 2, s] for the largest spread s of the objective's
+    frequencies; the grid's pieces, (t_end, Omega) as _time_grid takes them,
+    may be spaced for less.  The grid values of f come from _grid_f, within
     grid_error of synthesize_f, which gives f everywhere else.
     """
 
     def __init__(self, spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
-                 *pieces: tuple[float, float, float]) -> None:
-        self.spectrum, self.objective = spectrum, objective
-        coarse = _time_grid(cfg, *((t_end, omega_eff) for t_end, _, omega_eff in pieces))
-        self.grid, grid_f = _grid_f(spectrum, coarse)
+                 spread: float, *pieces: tuple[float, float]) -> None:
+        self.spectrum, self.objective, self.t_max = spectrum, objective, cfg.t_max
+        self.pieces = _time_grid(cfg, *pieces)
+        self.grid, grid_f = _grid_f(spectrum, self.pieces)
         self.values = objective(self.grid, grid_f)
         self.grid_error = _grid_error(spectrum, cfg.t_max)
-        self.scale = math.ldexp(0.5, math.frexp(max(omega for _, omega, _ in pieces))[1])
+        self.scale = math.ldexp(0.5, math.frexp(spread)[1])
         self.count = self.grid.size
-        # each piece of the grid: its intervals [first, last), their step, and the
-        # steps of _spacing(Omega) that split one (inf where the count overflows)
-        ends, first, self.splits = [t_end for t_end, _, _ in pieces], 0, []
-        for start, end, steps in coarse:
-            step, omega = (end - start) / steps, pieces[bisect.bisect_right(ends, start)][1]
-            self.splits.append((first, first + steps, step,
-                                max(1.0, float(np.ceil(step / _spacing(omega))))))
-            first += steps
 
-    def resample(self, near: np.ndarray) -> None:
-        """Split every grid interval i with near[i] into its piece's count of steps of
-        at most _spacing(Omega), adding the new times and the objective there to grid
-        and values; over _MAX_GRID_POINTS in all, GridBudgetError.  f there comes from
-        _block_f, within grid_error as _grid_f's: one complex exponential per level
-        for every _GRID_BLOCK new times, and per piece for each of _GRID_BLOCK offsets."""
-        chosen = [(first + np.flatnonzero(near[first:last]), step, splits)
-                  for first, last, step, splits in self.splits if splits > 1.0]
-        added = sum(at.size * (splits - 1.0) for at, _, splits in chosen if at.size)
-        if not self.grid.size + added <= _MAX_GRID_POINTS:
+    def near_best(self, *pieces: tuple[float, float]) -> list[tuple[np.ndarray, float, float]]:
+        """The fidelity grid's intervals that may hold a value near its best, each with the
+        count of steps of at most _spacing(Omega) that split it: (intervals, step, splits)
+        for each piece of the grid spaced wider, with pieces (t_end, Omega) and Omega a
+        bound on every frequency there.
+
+        On an interval [a, b] with end values u and v, h'' >= -c keeps h below the
+        chord plus c (t - a)(b - t) / 2, whose top is (u + v) / 2 + R + (u - v)^2 / (16 R)
+        while |u - v| < 4 R and max(u, v) from there, with R = c (b - a)^2 / 8 at most
+        _MAX_RISE (see _global_max); an interval is near where that top plus twice
+        the grid values' error reaches the largest grid value less 2 * _TIE_TOL.  Over
+        _MAX_GRID_POINTS samples in all, GridBudgetError with the horizon where the grid
+        points and the splits before it reach the budget.
+        """
+        values, rise = self.values, _MAX_RISE
+        floor = values.max() - 2.0 * _TIE_TOL - 2.0 * (2.0 / 3.0) * self.grid_error
+        # the top, max(u, v) + R (1 - |u - v| / (4 R))^2 where |u - v| < 4 R, lies at most
+        # R above max(u, v): only the intervals that reach floor - R so need it
+        top = np.maximum(values[:-1], values[1:])
+        at = np.flatnonzero(top >= floor - rise)
+        lift = np.maximum(1.0 - np.abs(values[at] - values[at + 1]) / (4.0 * rise), 0.0)
+        at, chosen, first = at[top[at] + rise * lift * lift >= floor], [], 0
+        for start, end, steps in self.pieces:
+            omega = next(omega for t_end, omega in pieces if t_end >= end)
+            step = (end - start) / steps
+            splits = max(1.0, float(np.ceil(step / _spacing(omega))))  # inf where it overflows
+            lo, hi = np.searchsorted(at, (first, first + steps))
+            if splits > 1.0 and hi > lo:
+                chosen.append((at[lo:hi], step, splits))
+            first += steps
+        total = self.grid.size + sum(mine.size * (splits - 1.0) for mine, _, splits in chosen)
+        if not total <= _MAX_GRID_POINTS:
+            # the budget falls in [grid[j], grid[j + 1]]: the points up to each, coarse and fine
+            added = np.zeros(self.grid.size - 1)
+            for mine, _, splits in chosen:
+                added[mine] = splits - 1.0
+            reach = np.arange(1.0, self.grid.size + 1.0) + np.concatenate([[0.0], np.cumsum(added)])
+            j = int(np.searchsorted(reach, _MAX_GRID_POINTS, side="right")) - 1
+            lo, hi = self.grid[j], self.grid[j + 1]
+            horizon = lo + (hi - lo) * ((_MAX_GRID_POINTS - reach[j]) / (reach[j + 1] - reach[j]))
             raise GridBudgetError(
-                f"t_max = {float(self.grid[-1])!r} needs {self.grid.size + added:.4g} samples "
-                f"(limit {_MAX_GRID_POINTS}): {self.grid.size} on its grid and {added:.4g} more "
-                f"near its best value; lower t_max")
-        new = []
-        for at, step, splits in chosen:
-            if at.size:
-                n, dt = int(splits) - 1, step / splits
-                t = self.grid[at, None] + dt * np.arange(1.0, n + 1.0)
+                f"t_max = {self.t_max!r} needs {total:.4g} samples (limit {_MAX_GRID_POINTS}): "
+                f"{self.grid.size} on its grid and {total - self.grid.size:.4g} more near its "
+                f"best value", float(horizon))
+        return chosen
+
+    def resample(self, chosen: list[tuple[np.ndarray, float, float]]) -> None:
+        """Split the intervals near_best chose, adding the new times and the objective
+        there to grid and values.  f there comes from synthesize_f where a piece adds
+        at most _GRID_BLOCK times, and else from _block_f, within grid_error as
+        _grid_f's: one complex exponential per level for every _GRID_BLOCK new times,
+        and per piece for each of _GRID_BLOCK offsets."""
+        if not chosen:
+            return
+        at, new = [], []
+        for intervals, step, splits in chosen:
+            n, dt = int(splits) - 1, step / splits
+            t = self.grid[intervals, None] + dt * np.arange(1.0, n + 1.0)
+            if t.size <= _GRID_BLOCK:
+                f = synthesize_f(self.spectrum, t.ravel())
+            else:
                 f = _block_f(self.spectrum, t[:, ::_GRID_BLOCK].ravel(), dt, min(n, _GRID_BLOCK))
-                new.append((t.ravel(), f.reshape(at.size, -1)[:, :n].ravel()))
-        if new:
-            t, f = (np.concatenate(column) for column in zip(*new))
-            self.count += t.size
-            grid = np.concatenate([self.grid, t])
-            order = np.argsort(grid, kind="stable")
-            self.grid = grid[order]
-            self.values = np.concatenate([self.values, self.objective(t, f)])[order]
+                f = f.reshape(intervals.size, -1)[:, :n].ravel()
+            at.append(np.repeat(intervals + 1, n))
+            new.append((t.ravel(), f))
+        t, f = (np.concatenate(column) for column in zip(*new))
+        self.count += t.size
+        # the k-th new time, inserted before grid point at[k], lands at at[k] + k
+        place = np.concatenate(at) + np.arange(t.size)
+        old = np.ones(self.grid.size + t.size, dtype=bool)
+        old[place] = False
+        grid, values = np.empty(old.size), np.empty(old.size)
+        grid[old], grid[place] = self.grid, t
+        values[old], values[place] = self.values, self.objective(t, f)
+        self.grid, self.values = grid, values
 
     def f(self, t, spectrum: Spectrum | None = None):
         """f at time(s) t on the searched chain, or on spectrum if given."""
@@ -401,7 +447,7 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
         mag = np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
         return mag if df is None else (mag, *_slopes(f, *df, "abs"))
 
-    search = _Search(spectrum, magnitude, cfg, (cfg.t_max, spectrum.spread, spectrum.spread))
+    search = _Search(spectrum, magnitude, cfg, spectrum.spread, (cfg.t_max, spectrum.spread))
     grid, values = search.grid, search.values
     last = grid.size - 1
     peaks = _interior_peaks(values)
@@ -429,20 +475,13 @@ def _global_max(search: _Search, cfg: SearchConfig) -> tuple[float, tuple[float,
     never refined: even with round-off its value cannot come within _TIE_TOL
     of best.  best is first the largest grid value, then the largest candidate
     value; should the refined values fall short of the grid, the brackets the
-    lower best admits are refined in a second pass.  Before the brackets are
-    formed, every grid interval whose larger end plus that margin comes within
-    2 * _TIE_TOL of the largest grid value is resampled for its piece's full
-    Omega (search.resample): the grid, spaced for the curvature bound
-    Omega_eff, may hide a peak inside such an interval, and the brackets and
-    candidates are formed on the merged samples.
+    lower best admits are refined in a second pass.
     """
-    margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error
-    values = search.values
-    search.resample(np.maximum(values[:-1], values[1:]) + margin >= values.max() - 2.0 * _TIE_TOL)
     grid, values = search.grid, search.values
     peaks = _interior_peaks(values)
     los = np.concatenate([[0, grid.size - 2], peaks - 1])
     his = np.concatenate([[1, grid.size - 1], peaks + 1])
+    margin = _MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error
     bound = np.concatenate([[values[:2].max(), values[-2:].max()], values[peaks]]) + margin
     # rows t, value, lo and hi of the candidates: the grid's ends, each its own
     # bracket, then every bracket in index order, at value -inf until refined
@@ -460,6 +499,39 @@ def _global_max(search: _Search, cfg: SearchConfig) -> tuple[float, tuple[float,
     tied = np.flatnonzero(value >= best - _TIE_TOL)
     won = tied[np.argmin(t[tied])]  # the first of the earliest
     return float(t[won]), (float(lo[won]), float(hi[won]))
+
+
+def _fidelity_search(spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
+                     *pieces: tuple[float, float, float]) -> _Search:
+    """A fidelity search's _Search, resampled near its best.
+
+    pieces are (t_end, Omega, Omega_eff), t_end ascending to t_max: the grid is
+    spaced for Omega_eff, which bounds the objective's curvature there, and the
+    intervals near its best are split for Omega, which bounds every frequency
+    (_Search.near_best).  Over the budget, GridBudgetError with the advice of
+    a horizon where the search fits: the refusal's own horizon, and while the
+    search there is refused, that refusal's in turn; each try builds a grid
+    within the budget.
+    """
+    def planned(t_max: float) -> tuple[_Search, list]:
+        cut = [(min(t_end, t_max), omega, omega_eff) for t_end, omega, omega_eff in pieces]
+        search = _Search(spectrum, objective, SearchConfig(t_max), max(o for _, o, _ in cut),
+                         *((t_end, omega_eff) for t_end, _, omega_eff in cut))
+        return search, search.near_best(*((t_end, omega) for t_end, omega, _ in cut))
+
+    try:
+        search, chosen = planned(cfg.t_max)
+    except GridBudgetError as refused:
+        horizon = refused.horizon
+        while horizon > 0.0:
+            try:
+                planned(horizon)
+                break
+            except GridBudgetError as again:
+                horizon = again.horizon
+        raise GridBudgetError(refused.needs, horizon) from None
+    search.resample(chosen)
+    return search
 
 
 def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = False) -> OptimizationResult:
@@ -484,7 +556,7 @@ def maximize_fidelity(spec: ChainSpec, cfg: SearchConfig, corrected: bool = Fals
         return value if df is None else (value, *_slopes(f, *df, measure))
 
     omega = _effective_spread(spectrum, spectrum.spread, None if corrected else (0.0,))
-    search = _Search(spectrum, fbar, cfg, (cfg.t_max, spectrum.spread, omega))
+    search = _fidelity_search(spectrum, fbar, cfg, (cfg.t_max, spectrum.spread, omega))
     best_t, bracket = _global_max(search, cfg)
     return search.result(best_t, bracket)
 
@@ -503,8 +575,9 @@ def tune_uniform_field(
     edge leaves the smaller phase) it gives the exact maximum over the box.  t
     is searched as in maximize_fidelity.  Up to t = 2 pi / W (W the box width)
     the objective is the sup over phi in [-W/2, W/2] of the plain Fbar of
-    f e^{i phi t}, whose levels are lambda_k - phi: its grid is spaced for the
-    spread plus W / 2, and for the moments about the box edge phi = -+W/2 that
+    f e^{i phi t}, whose levels are lambda_k - phi: Re f turns at most at
+    max |lambda_k| + W / 2 and |f|^2 at the band, and its grid is spaced for
+    the larger of the two, and for the moments about the box edge phi = -+W/2 that
     gives the larger M2 (M2 is convex in phi).  From there on every phase is
     aligned and the objective, the corrected Fbar, oscillates only at
     differences of excitation levels: the band, and the moments about their
@@ -542,10 +615,10 @@ def tune_uniform_field(
                         zip(_slopes(f, f1, f2, "corrected"), _slopes(*turned, "plain")))
 
     t_aligned, half = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), (b_hi - b_lo) / 2.0
-    spread = spectrum.spread + half
-    search = _Search(spectrum, fbar, cfg,
-                     (t_aligned, spread, _effective_spread(spectrum, spread, (-half, half))),
-                     (cfg.t_max, spectrum.band, _effective_spread(spectrum, spectrum.band)))
+    spread = max(float(np.max(np.abs(spectrum.levels))) + half, spectrum.band)
+    search = _fidelity_search(
+        spectrum, fbar, cfg, (t_aligned, spread, _effective_spread(spectrum, spread, (-half, half))),
+        (cfg.t_max, spectrum.band, _effective_spread(spectrum, spectrum.band)))
     best_t, bracket = _global_max(search, cfg)
     best_b = float(tuned(best_t, search.f(best_t))[0])
     return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))

@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import math
-import re
 import sys
 import weakref
 from collections import Counter
@@ -119,7 +118,8 @@ class TestGridBudget:
         lambda spec, cfg: tune_uniform_field(spec, cfg, (0.0, 2.0)),
     ])
     def test_runaway_horizon_is_refused(self, refuse_alloc, search):
-        refuse_alloc("linspace")
+        # the advice is tried on grids within the budget, never on the runaway one
+        refuse_alloc("linspace", over=optimize._MAX_GRID_POINTS)
         spec = preset("sec2-two-spin", 1.0, 0.0)
         cfg = SearchConfig(t_max=1e9)
         h = reduce(spec)
@@ -136,37 +136,43 @@ class TestGridBudget:
         lambda spec, cfg: tune_uniform_field(spec, cfg, (0.0, 2.0)),
     ], ids=["plain", "corrected", "tuned"])
     def test_advised_horizon_is_searched(self, monkeypatch, search):
-        # the advice is the longest horizon whose grid fits the budget; the finer
-        # samples near the best value come on top, and are refused on their own
+        # the advice counts the grid and the samples near its best value
         monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 2000)
         spec = preset("sec2-two-spin", 1.0, 0.0)
         with pytest.raises(GridBudgetError) as refused:
             search(spec, SearchConfig(t_max=1e4))
         advised = _advised(refused.value)
         assert 0.0 < advised < 1e4
-        with pytest.raises(GridBudgetError, match="lower t_max to at most "):
-            search(spec, SearchConfig(t_max=1.05 * advised))
-        with pytest.raises(GridBudgetError) as refused:
-            search(spec, SearchConfig(t_max=advised))
-        finer = re.fullmatch(r"t_max = .* samples \(limit 2000\): 2000 on its grid and (\d+) "
-                             r"more near its best value; lower t_max", str(refused.value))
-        monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 2000 + int(finer[1]))
         res = search(spec, SearchConfig(t_max=advised))
         assert 0.0 <= res.best_t <= advised
-        assert res.evaluations > optimize._MAX_GRID_POINTS
+        with pytest.raises(GridBudgetError):  # the advice is the longest horizon that fits
+            search(spec, SearchConfig(t_max=1.05 * advised))
+
+    @pytest.mark.parametrize("t_max", [1600.0, 1e5])
+    def test_advice_counts_the_samples_near_the_best(self, monkeypatch, t_max):
+        # on the weak chain B nearly every grid interval is near the best: past the
+        # advice the samples there, not the grid, exceed the budget
+        monkeypatch.setattr(optimize, "_MAX_GRID_POINTS", 2000)
+        with pytest.raises(GridBudgetError) as refused:
+            maximize_fidelity(_CHAIN_B, SearchConfig(t_max))
+        advised = _advised(refused.value)
+        res = maximize_fidelity(_CHAIN_B, SearchConfig(advised))
+        assert 0.0 <= res.best_t <= advised
+        with pytest.raises(GridBudgetError, match="more near its best value; lower t_max"):
+            maximize_fidelity(_CHAIN_B, SearchConfig(1.05 * advised))
 
     def test_advised_horizon_fits_the_full_budget(self, refuse_alloc):
-        # the grid's step counts alone, at the real budget: no grid is built
-        refuse_alloc("linspace")
+        # at the real budget: the grid and the samples near its best value fill it
+        refuse_alloc("linspace", over=optimize._MAX_GRID_POINTS)
         spec = preset("sec2-two-spin", 1.0, 0.0)
         with pytest.raises(GridBudgetError) as refused:
             maximize_fidelity(spec, SearchConfig(t_max=1e9))
         advised = _advised(refused.value)
-        cfg = SearchConfig(t_max=advised)
-        spectrum = solve(spec)
-        omega = optimize._effective_spread(spectrum, spectrum.spread, (0.0,))
-        pieces = optimize._time_grid(cfg, (advised, omega))
-        assert pieces[0][2] == optimize._MAX_GRID_POINTS - 1  # the advice fills the budget
+        search = _fbar_search(spec, SearchConfig(t_max=advised), False)
+        chosen = search.near_best((advised, search.spectrum.spread))
+        samples = search.grid.size + sum(at.size * (splits - 1.0) for at, _, splits in chosen)
+        splits = max(splits for _, _, splits in chosen)
+        assert optimize._MAX_GRID_POINTS - 2 * splits < samples <= optimize._MAX_GRID_POINTS
 
     def test_infinite_horizon_is_refused(self, refuse_alloc):
         refuse_alloc("linspace")
@@ -490,15 +496,17 @@ class TestEvaluationCount:
 
     @pytest.fixture
     def synthesized(self, monkeypatch):
-        # f reaches the search by four routes: the grid's block products, those
-        # of the intervals resampled near the best, _f_slopes in the refine and
-        # synthesize_f for the report; returns the sizes of those calls
-        points = []
+        # f reaches the search by four routes: the grid's block products, the
+        # intervals resampled near the best (by synthesize_f or block products),
+        # _f_slopes in the refine and synthesize_f for the report; returns the
+        # sizes of those calls
+        points, resampling = [], []
         real, real_grid, real_slopes = optimize.synthesize_f, optimize._grid_f, optimize._f_slopes
         real_resample = optimize._Search.resample
 
         def counting(spectrum, t):
-            points.append(np.size(t))
+            if not resampling:
+                points.append(np.size(t))
             return real(spectrum, t)
 
         def counting_grid(spectrum, pieces):
@@ -510,9 +518,11 @@ class TestEvaluationCount:
             points.append(np.size(t))
             return real_slopes(spectrum, t, scale)
 
-        def counting_resample(search, near):
+        def counting_resample(search, chosen):
             before = search.grid.size
-            real_resample(search, near)
+            resampling.append(True)
+            real_resample(search, chosen)
+            resampling.pop()
             points.append(search.grid.size - before)
 
         monkeypatch.setattr(optimize, "synthesize_f", counting)
@@ -556,7 +566,7 @@ class TestEvaluationCount:
     @pytest.mark.parametrize("system, t_max, corrected, count", [
         (("sec2-three-spin-center", 1.0, 0.0), 3.8, False, 260),
         (("sec2-three-spin-center", 1.0, 0.0), 3.8, True, 261),
-        (("sec3-three-spin-center", 0.942809, 1.0), 200.0, True, 726),
+        (("sec3-three-spin-center", 0.942809, 1.0), 200.0, True, 642),
     ])
     def test_pruned_count(self, synthesized, system, t_max, corrected, count):
         res = maximize_fidelity(preset(*system), SearchConfig(t_max=t_max), corrected=corrected)
@@ -661,7 +671,7 @@ def _fbar_search(spec, cfg, corrected):
         return value if df is None else (value, *optimize._slopes(f, *df, measure))
 
     omega = optimize._effective_spread(spectrum, spectrum.spread, None if corrected else (0.0,))
-    return optimize._Search(spectrum, objective, cfg, (cfg.t_max, spectrum.spread, omega))
+    return optimize._Search(spectrum, objective, cfg, spectrum.spread, (cfg.t_max, omega))
 
 
 class TestLockstepRefine:
@@ -960,7 +970,7 @@ def test_the_work_of_a_fixed_set_of_searches_is_pinned(monkeypatch):
         calls.clear()
         evaluations += search().evaluations
         most = max(most, len(calls))
-    assert (evaluations, most) == (14894, 6)
+    assert (evaluations, most) == (14576, 6)
 
 
 class TestPruning:
@@ -987,10 +997,8 @@ class TestPruning:
             omega = max(np.max(np.abs(nu)), np.ptp(nu))
             return [(math.inf, omega,
                      effective(omega, nu, w, [0.0] if kind == "plain" else [mean(nu, w)]))]
-        # the spread, with the vacuum's level 0, plus half the box: the search's bound,
-        # not below max(max |nu_k| + W / 2, ptp(nu)), the bound on the frequencies
         width = box[1] - box[0]
-        omega = max(np.max(nu), 0.0) - min(np.min(nu), 0.0) + width / 2.0
+        omega = max(np.max(np.abs(nu)) + width / 2.0, np.ptp(nu))
         return [(2.0 * math.pi / width, omega,
                  effective(omega, nu, w, [-width / 2.0, width / 2.0])),
                 (math.inf, np.ptp(nu),  # centred levels after the phase is aligned
@@ -999,7 +1007,7 @@ class TestPruning:
     @settings(max_examples=40, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
            kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
-    # levels -2.81, -2.24 and 0.56: the spread plus W / 2 is 3.87, max |nu_k| + W / 2 3.31
+    # levels -2.81, -2.24 and 0.56: max |nu_k| + W / 2 is 3.31, the spread plus W / 2 3.87
     @example(spec=ChainSpec(sites=(SiteSpec(SPIN_HALF, 2.0), SiteSpec(SPIN_HALF, 0.0),
                                    SiteSpec(SPIN_ONE, 1.0)), couplings=(1.0, 2.0)),
              t_max=22.0, kind="tuned", box=(0.0, 1.0))
@@ -1022,22 +1030,33 @@ class TestPruning:
             spacing = min(t_max / 256, math.pi / (10.0 * omega))
             assert piece.size - 1 <= math.ceil((t_end - start) / spacing) + 1
             start = t_end
-        # between grid points the objective rises at most _MAX_RISE above the larger
-        # end, plus the grid values' error (as _global_max prunes)
-        margin = optimize._MAX_RISE + 2.0 * (2.0 / 3.0) * search.grid_error
-        inner = (grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(1, 8) / 8.0)).ravel()
+        # between grid points the objective stays below the chord plus the parabola of
+        # curvature -Omega_eff^2 / 3 through both ends, plus the grid values' error; its
+        # top lies at most _MAX_RISE above the larger end (as _global_max prunes)
+        error = 2.0 * (2.0 / 3.0) * search.grid_error
+        ends = [min(t_end, t_max) for t_end, _, _ in pieces]
+        owner = np.searchsorted(ends, grid[:-1], side="right")
+        curvature = np.array([omega_eff for _, _, omega_eff in pieces])[owner] ** 2 / 3.0
+        step, x = np.diff(grid)[:, None], np.arange(1, 8) / 8.0
+        assert np.all(curvature * step[:, 0] ** 2 / 8.0 <= optimize._MAX_RISE * (1.0 + 1e-12))
+        inner = (grid[:-1, None] + step * x).ravel()
         dense = search.objective(inner, synthesize_f(search.spectrum, inner)).reshape(-1, 7)
-        top = np.maximum(values[:-1], values[1:])
-        assert np.all(dense <= top[:, None] + margin)
-        # so every interval that may hold a value within 2 _TIE_TOL of the largest is
-        # resampled at its piece's pi / (10 Omega), and the others keep their grid points
-        near = top + margin >= values.max() - 2.0 * optimize._TIE_TOL
+        u, v = values[:-1], values[1:]
+        chord = u[:, None] + (v - u)[:, None] * x + curvature[:, None] * step**2 * x * (1.0 - x) / 2.0
+        assert np.all(dense <= chord + error)
+        # so every interval whose top, with _MAX_RISE for the parabola's, comes within
+        # 2 _TIE_TOL of the largest grid value is resampled at its piece's pi / (10 Omega),
+        # the others hold no value that close, and keep their grid points
+        gap, rise = np.abs(v - u), optimize._MAX_RISE
+        top = np.where(gap < 4.0 * rise, (u + v) / 2.0 + rise + gap**2 / (16.0 * rise),
+                       np.maximum(u, v))
+        near = top + error >= values.max() - 2.0 * optimize._TIE_TOL
+        assert np.all(dense[~near] < values.max() - 2.0 * optimize._TIE_TOL)
         merged = search.grid
         owner = np.searchsorted(grid, merged[:-1], side="right") - 1
         assert np.array_equal(merged[np.isin(merged, grid)], grid)
         assert np.array_equal(np.unique(owner), np.arange(grid.size - 1))
         assert not np.any(~near[owner[:-1]] & (owner[:-1] == owner[1:]))
-        ends = [min(t_end, t_max) for t_end, _, _ in pieces]
         omegas = np.array([omega for _, omega, _ in pieces])
         fine = math.pi / (10.0 * omegas[np.searchsorted(ends, merged[:-1], side="right")])
         assert np.all((np.diff(merged) <= fine * (1.0 + 1e-12))[near[owner]])
@@ -1092,7 +1111,7 @@ class TestPruning:
                     np.where(on, 0.0, (4.0 * u * u - 2.0) / 0.09 * bump))
 
         search = SimpleNamespace(grid=grid, values=slopes(grid)[0], grid_error=0.0,
-                                 slopes=slopes, scale=1.0, resample=lambda near: None)
+                                 slopes=slopes, scale=1.0)
         cfg = SearchConfig(t_max=10.0)
         assert search.values.max() == 1.0
         assert search.values[19:23].max() + optimize._MAX_RISE < 1.0
@@ -1114,7 +1133,7 @@ class TestPruning:
 
         grid = np.linspace(0.0, 10.0, 101)
         search = SimpleNamespace(grid=grid, values=slopes(grid)[0], grid_error=0.0,
-                                 slopes=slopes, scale=1.0, resample=lambda near: None)
+                                 slopes=slopes, scale=1.0)
         best_t, _ = optimize._global_max(search, SearchConfig(t_max=10.0))
         assert abs(best_t - 5.0) < 0.35
 
