@@ -172,10 +172,10 @@ def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[fl
     pieces are (t_end, Omega), t_end ascending to t_max, with Omega the
     frequency that bounds the objective's curvature there (the spread, or
     _effective_spread's Omega_eff); each is sampled at spacing at most
-    min(t_max / _SAMPLE_FLOOR, _spacing(Omega)).  Over the
-    budget, the hint is the longest horizon whose own grid fits: its pieces
-    cut at that horizon, each at its own spacing there.  The step count grows
-    with the horizon, so bisection finds it, and it is printed in full.
+    min(t_max / _SAMPLE_FLOOR, _spacing(Omega)).  Over the budget,
+    GridBudgetError before any grid is built, its horizon the longest whose
+    own grid fits: its pieces cut at that horizon, each at its own spacing
+    there.  The step count grows with the horizon, so bisection finds it.
     """
     def grid(t_max: float) -> tuple[list[float], list[float], bool]:
         """Piece ends and steps on [0, t_max], and whether they fit the budget."""
