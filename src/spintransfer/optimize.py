@@ -33,8 +33,8 @@ it can neither win nor tie.  No randomness is used anywhere; identical
 inputs give identical results, and the winner is the earliest candidate
 within _TIE_TOL of the largest.  Field tuning searches t alone: a uniform
 field b only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best
-field at each t is known, and the grid is finer only while the field box
-cannot align every phase.
+field at each t is known, the grid is finer only while the field box
+cannot align every phase, and the report turns f at best_t by that field's phase.
 """
 
 from __future__ import annotations
@@ -152,9 +152,8 @@ class OptimizationResult:
 
     evaluations is the number of time points the search visited, each
     counted once: the grid, the Newton path of every refined bracket, and
-    best_t.  tune_uniform_field evaluates best_t twice and counts both: at
-    the box centre to choose the field, and on the tuned chain for the
-    report.  Pruned brackets are never refined and add nothing.
+    best_t.  Pruned brackets are never refined and add nothing.  Every search
+    solves its chain once and reports the value it maximised, bit for bit.
     """
 
     best_t: float
@@ -169,8 +168,8 @@ class OptimizationResult:
 def _time_grid(cfg: SearchConfig, *pieces: tuple[float, float]) -> list[tuple[float, float, int]]:
     """(start, end, steps) pieces of a grid on [0, t_max], none of zero steps.
 
-    pieces are (t_end, Omega), t_end ascending to t_max, with Omega the
-    frequency that bounds the objective's curvature there (the spread, or
+    pieces are (t_end, Omega), t_end ascending, the last at or past t_max,
+    with Omega the frequency that bounds the objective's curvature there (the spread, or
     _effective_spread's Omega_eff); each is sampled at spacing at most
     min(t_max / _SAMPLE_FLOOR, _spacing(Omega)).  Over the budget,
     GridBudgetError before any grid is built, its horizon the longest whose
@@ -235,28 +234,30 @@ class _Search:
 
     objective(t, f) gives the objective's values at times t from f there, and
     objective(t, f, (f1, f2)), with f1 and f2 the first two derivatives of f in
-    tau = scale * t, also positive multiples of its own (_slopes).  scale is
-    the power of two in (s / 2, s] for the largest spread s of the objective's
-    frequencies; the grid's pieces, (t_end, Omega) as _time_grid takes them,
-    may be spaced for less.  The grid values of f come from _grid_f, within
+    tau = scale * t, also positive multiples of its own (_slopes).  pieces are
+    (t_end, Omega, Omega_eff), t_end ascending, the last at or past t_max:
+    Omega bounds every frequency of the objective there and Omega_eff its
+    curvature.  The grid is spaced for Omega_eff (_time_grid), near_best
+    splits for Omega, and scale is the power of two in (s / 2, s] for the
+    largest Omega s.  The grid values of f come from _grid_f, within
     grid_error of synthesize_f, which gives f everywhere else.
     """
 
     def __init__(self, spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
-                 spread: float, *pieces: tuple[float, float]) -> None:
+                 *pieces: tuple[float, float, float]) -> None:
         self.spectrum, self.objective, self.t_max = spectrum, objective, cfg.t_max
-        self.pieces = _time_grid(cfg, *pieces)
+        self.omegas = [(t_end, omega) for t_end, omega, _ in pieces]
+        self.pieces = _time_grid(cfg, *((t_end, omega_eff) for t_end, _, omega_eff in pieces))
         self.grid, grid_f = _grid_f(spectrum, self.pieces)
         self.values = objective(self.grid, grid_f)
         self.grid_error = _grid_error(spectrum, cfg.t_max)
-        self.scale = math.ldexp(0.5, math.frexp(spread)[1])
+        self.scale = math.ldexp(0.5, math.frexp(max(omega for _, omega in self.omegas))[1])
         self.count = self.grid.size
 
-    def near_best(self, *pieces: tuple[float, float]) -> list[tuple[np.ndarray, float, float]]:
+    def near_best(self) -> list[tuple[np.ndarray, float, float]]:
         """The fidelity grid's intervals that may hold a value near its best, each with the
         count of steps of at most _spacing(Omega) that split it: (intervals, step, splits)
-        for each piece of the grid spaced wider, with pieces (t_end, Omega) and Omega a
-        bound on every frequency there.
+        for each piece of the grid spaced wider than its Omega.
 
         On an interval [a, b] with end values u and v, h'' >= -c keeps h below the
         chord plus c (t - a)(b - t) / 2, whose top is (u + v) / 2 + R + (u - v)^2 / (16 R)
@@ -275,7 +276,7 @@ class _Search:
         lift = np.maximum(1.0 - np.abs(values[at] - values[at + 1]) / (4.0 * rise), 0.0)
         at, chosen, first = at[top[at] + rise * lift * lift >= floor], [], 0
         for start, end, steps in self.pieces:
-            omega = next(omega for t_end, omega in pieces if t_end >= end)
+            omega = next(omega for t_end, omega in self.omegas if t_end >= end)
             step = (end - start) / steps
             splits = max(1.0, float(np.ceil(step / _spacing(omega))))  # inf where it overflows
             lo, hi = np.searchsorted(at, (first, first + steps))
@@ -328,21 +329,23 @@ class _Search:
         values[old], values[place] = self.values, self.objective(t, f)
         self.grid, self.values = grid, values
 
-    def f(self, t, spectrum: Spectrum | None = None):
-        """f at time(s) t on the searched chain, or on spectrum if given."""
-        self.count += np.size(t)
-        return synthesize_f(spectrum or self.spectrum, t)
-
     def slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The objective at times t, and positive multiples of its first two derivatives in tau."""
         self.count += t.size
         f, *df = _f_slopes(self.spectrum, t, self.scale)
         return self.objective(t, f, df)
 
-    def result(self, best_t: float, bracket: tuple[float, float], best_field: float | None = None,
-               spectrum: Spectrum | None = None) -> OptimizationResult:
-        """The result at best_t, its values from f on spectrum if given."""
-        rep = fidelity.fidelity_report(best_t, self.f(best_t, spectrum))
+    def result(self, best_t: float, bracket: tuple[float, float],
+               tuned: Callable | None = None) -> OptimizationResult:
+        """The result at best_t, from f there on a one-element array, as the objective
+        forms it; tuned(t, f), where given, gives the best field and the phase it turns f by."""
+        t, best_field = np.array([best_t]), None
+        f = synthesize_f(self.spectrum, t)
+        self.count += 1
+        if tuned is not None:
+            b, turn = tuned(t, f)
+            f, best_field = f * turn, float(b[0])
+        rep = fidelity.fidelity_report(best_t, f[0])
         return OptimizationResult(
             best_t=best_t,
             best_field=best_field,
@@ -447,7 +450,7 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
         mag = np.hypot(f.real, f.imag)  # bit for bit Python's abs(complex)
         return mag if df is None else (mag, *_slopes(f, *df, "abs"))
 
-    search = _Search(spectrum, magnitude, cfg, spectrum.spread, (cfg.t_max, spectrum.spread))
+    search = _Search(spectrum, magnitude, cfg, (cfg.t_max, spectrum.spread, spectrum.spread))
     grid, values = search.grid, search.values
     last = grid.size - 1
     peaks = _interior_peaks(values)
@@ -505,19 +508,14 @@ def _fidelity_search(spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
                      *pieces: tuple[float, float, float]) -> _Search:
     """A fidelity search's _Search, resampled near its best.
 
-    pieces are (t_end, Omega, Omega_eff), t_end ascending to t_max: the grid is
-    spaced for Omega_eff, which bounds the objective's curvature there, and the
-    intervals near its best are split for Omega, which bounds every frequency
-    (_Search.near_best).  Over the budget, GridBudgetError with the advice of
-    a horizon where the search fits: the refusal's own horizon, and while the
-    search there is refused, that refusal's in turn; each try builds a grid
-    within the budget.
+    pieces are _Search's (t_end, Omega, Omega_eff).  Over the budget,
+    GridBudgetError with the advice of a horizon where the search fits: the
+    refusal's own horizon, and while the search there is refused, that
+    refusal's in turn; each try builds a grid within the budget.
     """
     def planned(t_max: float) -> tuple[_Search, list]:
-        cut = [(min(t_end, t_max), omega, omega_eff) for t_end, omega, omega_eff in pieces]
-        search = _Search(spectrum, objective, SearchConfig(t_max), max(o for _, o, _ in cut),
-                         *((t_end, omega_eff) for t_end, _, omega_eff in cut))
-        return search, search.near_best(*((t_end, omega) for t_end, omega, _ in cut))
+        search = _Search(spectrum, objective, SearchConfig(t_max), *pieces)
+        return search, search.near_best()
 
     try:
         search, chosen = planned(cfg.t_max)
@@ -581,8 +579,9 @@ def tune_uniform_field(
     gives the larger M2 (M2 is convex in phi).  From there on every phase is
     aligned and the objective, the corrected Fbar, oscillates only at
     differences of excitation levels: the band, and the moments about their
-    weighted mean.  The reported values come from a solve of the tuned
-    chain.  b_range is (B_lo, B_hi) by the number rule (_finites), B_lo < B_hi, else ValueError.
+    weighted mean.  The report is the search's own f at best_t, turned by the
+    chosen field's phase e^{i (B - B_c) t}, with no second solve.  b_range is
+    (B_lo, B_hi) by the number rule (_finites), B_lo < B_hi, else ValueError.
     """
     box = _finites(b_range, "the field box")
     if box.shape != (2,):
@@ -620,5 +619,4 @@ def tune_uniform_field(
         spectrum, fbar, cfg, (t_aligned, spread, _effective_spread(spectrum, spread, (-half, half))),
         (cfg.t_max, spectrum.band, _effective_spread(spectrum, spectrum.band)))
     best_t, bracket = _global_max(search, cfg)
-    best_b = float(tuned(best_t, search.f(best_t))[0])
-    return search.result(best_t, bracket, best_b, solve(base.with_uniform_field(best_b)))
+    return search.result(best_t, bracket, tuned)

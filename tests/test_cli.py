@@ -827,7 +827,7 @@ _README_TUNED_JSON = """\
   "fbar": 0.9999999999999999,
   "fbar_corrected": 0.9999999999999999,
   "abs_f": 1.0,
-  "evaluations": 263,
+  "evaluations": 262,
   "bracket": [
     3.141592653209792,
     3.1415926539697923

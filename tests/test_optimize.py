@@ -169,7 +169,7 @@ class TestGridBudget:
             maximize_fidelity(spec, SearchConfig(t_max=1e9))
         advised = _advised(refused.value)
         search = _fbar_search(spec, SearchConfig(t_max=advised), False)
-        chosen = search.near_best((advised, search.spectrum.spread))
+        chosen = search.near_best()
         samples = search.grid.size + sum(at.size * (splits - 1.0) for at, _, splits in chosen)
         splits = max(splits for _, _, splits in chosen)
         assert optimize._MAX_GRID_POINTS - 2 * splits < samples <= optimize._MAX_GRID_POINTS
@@ -458,9 +458,15 @@ class TestTunedOptimum:
         assert b_lo <= res.best_field <= b_hi
         assert 0.0 <= res.best_t <= t_max
         assert res.fbar >= _brute_force_max(spec, t_max, b_lo, b_hi) - 1e-9
-        # the reported values belong to the tuned chain at (best_t, best_field)
+        # the report is the phase law on the searched spectrum, at the box centre, bit
+        # for bit, and a direct solve at (best_t, best_field) agrees to the 1e-12 of
+        # verify's uniform-field-phase-law
+        b_c, t = (b_lo + b_hi) / 2.0, np.array([res.best_t])
+        turned = synthesize_f(solve(spec.with_uniform_field(b_c)), t) * np.exp(
+            1j * (res.best_field - b_c) * t)
+        assert res.fbar == average_fidelity(turned)[0]
         f = synthesize_f(solve(spec.with_uniform_field(res.best_field)), res.best_t)
-        assert res.fbar == average_fidelity(f)
+        assert abs(res.fbar - average_fidelity(f)) <= 1e-12
 
     def test_wide_box_gives_the_corrected_optimum(self):
         # every phase can be aligned from t = 2 pi / W on, so a wide box finds
@@ -671,7 +677,7 @@ def _fbar_search(spec, cfg, corrected):
         return value if df is None else (value, *optimize._slopes(f, *df, measure))
 
     omega = optimize._effective_spread(spectrum, spectrum.spread, None if corrected else (0.0,))
-    return optimize._Search(spectrum, objective, cfg, spectrum.spread, (cfg.t_max, omega))
+    return optimize._Search(spectrum, objective, cfg, (cfg.t_max, spectrum.spread, omega))
 
 
 class TestLockstepRefine:
@@ -970,7 +976,7 @@ def test_the_work_of_a_fixed_set_of_searches_is_pinned(monkeypatch):
         calls.clear()
         evaluations += search().evaluations
         most = max(most, len(calls))
-    assert (evaluations, most) == (14576, 6)
+    assert (evaluations, most) == (14575, 6)
 
 
 class TestPruning:
@@ -1149,15 +1155,16 @@ def _periodic_chains(draw):
 
 
 def _sampled_best(spec, t_max, kind, box=None):
-    """The largest objective value on synthesize_f's sample at spacing pi / (20 Omega),
-    with Omega the spread (plus half the box width for the tuned search).  The tuned
+    """The largest objective value on synthesize_f's sample twice as dense as a grid
+    spaced at most t_max / 256 and pi / (10 Omega) apart, with Omega the spread (plus
+    half the box width for the tuned search).  The tuned
     value at t is the plain Fbar with Re f e^{i phi t} at its largest over the box's
     fields phi: |f| where the phases arg f + phi t span a multiple of 2 pi, else the
     larger of the two edges'."""
     b_c = 0.0 if box is None else (box[0] + box[1]) / 2.0
     spectrum = solve(spec.with_uniform_field(b_c) if kind == "tuned" else spec)
     half = 0.0 if kind != "tuned" else (box[1] - box[0]) / 2.0
-    steps = math.ceil(t_max / (math.pi / (20.0 * (spectrum.spread + half))))
+    steps = 2 * math.ceil(t_max / min(t_max / 256, math.pi / (10.0 * (spectrum.spread + half))))
     t = np.linspace(0.0, t_max, steps + 1)
     f = synthesize_f(spectrum, t)
     if kind != "tuned":
@@ -1187,20 +1194,23 @@ class TestDenseAudit:
         assert _found(spec, 10.0 * math.pi, kind) >= (
             _sampled_best(spec, 10.0 * math.pi, kind) - 2.0 * optimize._TIE_TOL)
 
+    def test_no_sample_beats_the_tuned_search(self):
+        # engineered N = 401 at t_max = 10 pi, the box (-0.5, 0.5): the sample is spaced
+        # at pi / (20 (spread + 1 / 2))
+        spec, box = engineered_chain(401, spin_one_site=201), (-0.5, 0.5)
+        assert _found(spec, 10.0 * math.pi, "tuned", box) >= (
+            _sampled_best(spec, 10.0 * math.pi, "tuned", box) - 2.0 * optimize._TIE_TOL)
+
     # on 300 such chains the sample's largest value exceeded the search's by at most 9.2e-13
     @settings(max_examples=60, deadline=None)
     @given(spec=_chains(max_sites=60) | _periodic_chains(), t_max=st.floats(1.0, 50.0),
-           corrected=st.booleans())
-    def test_no_sample_beats_the_search_on_random_chains(self, spec, t_max, corrected):
+           kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
+    def test_no_sample_beats_the_search_on_random_chains(self, spec, t_max, kind, box):
         # mixed-spin chains with site fields, and chains whose f lies on two or on
-        # equally spaced levels, so that the objective is periodic; the sample is
-        # twice as dense as a grid spaced at most t_max / 256 and pi / (10 spread) apart
-        spectrum = solve(spec)
-        steps = 2 * math.ceil(t_max / min(t_max / 256, math.pi / (10.0 * spectrum.spread)))
-        sample = synthesize_f(spectrum, np.linspace(0.0, t_max, steps + 1))
-        res = maximize_fidelity(spec, SearchConfig(t_max), corrected)
-        assert (res.fbar_corrected if corrected else res.fbar) >= (
-            average_fidelity(sample, corrected).max() - 2.0 * optimize._TIE_TOL)
+        # equally spaced levels, so that the objective is periodic
+        box = box if kind == "tuned" else None
+        assert _found(spec, t_max, kind, box) >= (
+            _sampled_best(spec, t_max, kind, box) - 2.0 * optimize._TIE_TOL)
 
 
 def _chain(spins, fields, couplings):
@@ -1256,6 +1266,39 @@ class TestWeakChains:
             if gap > 2.0 * optimize._TIE_TOL:
                 short.append((seed, gap))
         assert short == []
+
+
+class TestOneSolve:
+    """Every search solves its chain once and reports the value it maximised: the
+    objective at best_t, bit for bit, from synthesize_f on a one-element array."""
+
+    @pytest.mark.parametrize("search", [
+        lambda spec, cfg: critical_times(spec, cfg),
+        lambda spec, cfg: maximize_fidelity(spec, cfg),
+        lambda spec, cfg: maximize_fidelity(spec, cfg, corrected=True),
+        lambda spec, cfg: tune_uniform_field(spec, cfg, (0.0, math.pi / 8.0)),
+    ], ids=["critical_times", "plain", "corrected", "tuned"])
+    def test_one_solve(self, search):
+        with mock.patch.object(optimize, "solve", wraps=optimize.solve) as solved:
+            search(preset("sec2-two-spin", 1.0, 0.0), SearchConfig(t_max=2.0))
+        assert solved.call_count == 1
+
+    # a narrow box, (0, pi / 8) at t_max 2, whose report by a direct solve at the chosen
+    # field lay 2 ulp from the searched value, and the weak chains A and B
+    @pytest.mark.parametrize("spec, t_max, box", [
+        pytest.param(preset("sec2-two-spin", 0.5, 0.0), 2.0, (0.0, math.pi / 8.0), id="narrow-box"),
+        pytest.param(_CHAIN_A, 200.0, (-0.5, 0.5), id="A"),
+        pytest.param(_CHAIN_B, 300.0, (-0.5, 0.5), id="B"),
+    ])
+    @pytest.mark.parametrize("kind", ["plain", "corrected", "tuned"])
+    def test_the_report_is_the_maximised_value(self, spec, t_max, box, kind):
+        patch, searches = _recording("_global_max")
+        with patch:
+            res = _search(spec, t_max, kind, box)
+        ((search, _), _), = searches
+        t = np.array([res.best_t])
+        value = search.objective(t, synthesize_f(search.spectrum, t))
+        assert (res.fbar_corrected if kind == "corrected" else res.fbar) == value[0]
 
 
 def _bracket_cases():
