@@ -237,21 +237,28 @@ class _Search:
     tau = scale * t, also positive multiples of its own (_slopes).  pieces are
     (t_end, Omega, Omega_eff), t_end ascending, the last at or past t_max:
     Omega bounds every frequency of the objective there and Omega_eff its
-    curvature.  The grid is spaced for Omega_eff (_time_grid), near_best
-    splits for Omega, and scale is the power of two in (s / 2, s] for the
-    largest Omega s.  The grid values of f come from _grid_f, within
-    grid_error of synthesize_f, which gives f everywhere else.
+    curvature.  The grid is spaced for Omega_eff (_time_grid); splits, each grid
+    piece's steps of at most _spacing(Omega) per interval (inf on overflow), is
+    formed once; scale is the power of two in (s / 2, s] for the largest Omega s.
+    Where sum_k |w_k| = 0, f is 0 and the objective constant, so every Omega is
+    0: _SAMPLE_FLOOR steps at any horizon, none split.  The grid values of f come
+    from _grid_f, within grid_error of synthesize_f, which gives f everywhere else.
     """
 
     def __init__(self, spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
                  *pieces: tuple[float, float, float]) -> None:
         self.spectrum, self.objective, self.t_max = spectrum, objective, cfg.t_max
-        self.omegas = [(t_end, omega) for t_end, omega, _ in pieces]
+        if spectrum.transfer_bound == 0.0:
+            pieces = tuple((t_end, 0.0, 0.0) for t_end, _, _ in pieces)
         self.pieces = _time_grid(cfg, *((t_end, omega_eff) for t_end, _, omega_eff in pieces))
+        # a grid piece takes the Omega of the first piece that reaches its end
+        self.splits = [max(1.0, float(np.ceil((end - start) / steps / _spacing(
+            next(omega for t_end, omega, _ in pieces if t_end >= end)))))
+            for start, end, steps in self.pieces]
         self.grid, grid_f = _grid_f(spectrum, self.pieces)
         self.values = objective(self.grid, grid_f)
         self.grid_error = _grid_error(spectrum, cfg.t_max)
-        self.scale = math.ldexp(0.5, math.frexp(max(omega for _, omega in self.omegas))[1])
+        self.scale = math.ldexp(0.5, math.frexp(max(omega for _, omega, _ in pieces))[1])
         self.count = self.grid.size
 
     def near_best(self) -> list[tuple[np.ndarray, float, float]]:
@@ -263,9 +270,10 @@ class _Search:
         chord plus c (t - a)(b - t) / 2, whose top is (u + v) / 2 + R + (u - v)^2 / (16 R)
         while |u - v| < 4 R and max(u, v) from there, with R = c (b - a)^2 / 8 at most
         _MAX_RISE (see _global_max); an interval is near where that top plus twice
-        the grid values' error reaches the largest grid value less 2 * _TIE_TOL.  Over
-        _MAX_GRID_POINTS samples in all, GridBudgetError with the horizon where the grid
-        points and the splits before it reach the budget.
+        the grid values' error reaches the largest grid value less 2 * _TIE_TOL.  The
+        samples each interval adds, splits - 1 where near and else 0, are counted once, in
+        added; past _MAX_GRID_POINTS in all, GridBudgetError with the horizon where the
+        points up to each grid point, coarse and fine, reach the budget, by np.interp.
         """
         values, rise = self.values, _MAX_RISE
         floor = values.max() - 2.0 * _TIE_TOL - 2.0 * (2.0 / 3.0) * self.grid_error
@@ -275,39 +283,30 @@ class _Search:
         at = np.flatnonzero(top >= floor - rise)
         lift = np.maximum(1.0 - np.abs(values[at] - values[at + 1]) / (4.0 * rise), 0.0)
         at, chosen, first = at[top[at] + rise * lift * lift >= floor], [], 0
-        for start, end, steps in self.pieces:
-            omega = next(omega for t_end, omega in self.omegas if t_end >= end)
-            step = (end - start) / steps
-            splits = max(1.0, float(np.ceil(step / _spacing(omega))))  # inf where it overflows
+        added = np.zeros(self.grid.size - 1)
+        for (start, end, steps), splits in zip(self.pieces, self.splits):
             lo, hi = np.searchsorted(at, (first, first + steps))
             if splits > 1.0 and hi > lo:
-                chosen.append((at[lo:hi], step, splits))
+                chosen.append((at[lo:hi], (end - start) / steps, splits))
+                added[at[lo:hi]] = splits - 1.0
             first += steps
-        total = self.grid.size + sum(mine.size * (splits - 1.0) for mine, _, splits in chosen)
-        if not total <= _MAX_GRID_POINTS:
-            # the budget falls in [grid[j], grid[j + 1]]: the points up to each, coarse and fine
-            added = np.zeros(self.grid.size - 1)
-            for mine, _, splits in chosen:
-                added[mine] = splits - 1.0
-            reach = np.arange(1.0, self.grid.size + 1.0) + np.concatenate([[0.0], np.cumsum(added)])
-            j = int(np.searchsorted(reach, _MAX_GRID_POINTS, side="right")) - 1
-            lo, hi = self.grid[j], self.grid[j + 1]
-            horizon = lo + (hi - lo) * ((_MAX_GRID_POINTS - reach[j]) / (reach[j + 1] - reach[j]))
+        if not self.grid.size + added.sum() <= _MAX_GRID_POINTS:
+            reach = np.cumsum(np.concatenate([[1.0], added + 1.0]))  # points up to each grid point
             raise GridBudgetError(
-                f"t_max = {self.t_max!r} needs {total:.4g} samples (limit {_MAX_GRID_POINTS}): "
-                f"{self.grid.size} on its grid and {total - self.grid.size:.4g} more near its "
-                f"best value", float(horizon))
+                f"t_max = {self.t_max!r} needs {reach[-1]:.4g} samples (limit {_MAX_GRID_POINTS}): "
+                f"{self.grid.size} on its grid and {reach[-1] - self.grid.size:.4g} more near its "
+                f"best value", float(np.interp(_MAX_GRID_POINTS, reach, self.grid)))
         return chosen
 
     def resample(self, chosen: list[tuple[np.ndarray, float, float]]) -> None:
-        """Split the intervals near_best chose, adding the new times and the objective
-        there to grid and values.  f there comes from synthesize_f where a piece adds
-        at most _GRID_BLOCK times, and else from _block_f, within grid_error as
+        """Split the intervals near_best chose, np.insert adding the new times and the
+        objective there to grid and values.  f there comes from synthesize_f where a piece
+        adds at most _GRID_BLOCK times, and else from _block_f, within grid_error as
         _grid_f's: one complex exponential per level for every _GRID_BLOCK new times,
         and per piece for each of _GRID_BLOCK offsets."""
         if not chosen:
             return
-        at, new = [], []
+        new = []
         for intervals, step, splits in chosen:
             n, dt = int(splits) - 1, step / splits
             t = self.grid[intervals, None] + dt * np.arange(1.0, n + 1.0)
@@ -316,18 +315,11 @@ class _Search:
             else:
                 f = _block_f(self.spectrum, t[:, ::_GRID_BLOCK].ravel(), dt, min(n, _GRID_BLOCK))
                 f = f.reshape(intervals.size, -1)[:, :n].ravel()
-            at.append(np.repeat(intervals + 1, n))
-            new.append((t.ravel(), f))
-        t, f = (np.concatenate(column) for column in zip(*new))
+            new.append((np.repeat(intervals + 1, n), t.ravel(), f))  # before its interval's end
+        at, t, f = (np.concatenate(column) for column in zip(*new))
         self.count += t.size
-        # the k-th new time, inserted before grid point at[k], lands at at[k] + k
-        place = np.concatenate(at) + np.arange(t.size)
-        old = np.ones(self.grid.size + t.size, dtype=bool)
-        old[place] = False
-        grid, values = np.empty(old.size), np.empty(old.size)
-        grid[old], grid[place] = self.grid, t
-        values[old], values[place] = self.values, self.objective(t, f)
-        self.grid, self.values = grid, values
+        self.grid = np.insert(self.grid, at, t)
+        self.values = np.insert(self.values, at, self.objective(t, f))
 
     def slopes(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The objective at times t, and positive multiples of its first two derivatives in tau."""
@@ -440,9 +432,9 @@ def _interior_peaks(values: np.ndarray) -> np.ndarray:
 def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, float]]:
     """Local maxima of |f(t)| on [0, t_max), refined, ascending in t.
 
-    |f| still rising at t_max gives no maximum there.  Returns an empty list
-    when the channel is dead (|f| identically zero, for instance with all
-    couplings zero).
+    |f| still rising at t_max gives no maximum there.  Returns an empty list,
+    at any horizon, when the channel is dead: sum_k |w_k| = 0, so f is 0, as
+    with a zero coupling.
     """
     spectrum = solve(spec)
 

@@ -148,6 +148,19 @@ class TestGridBudget:
         with pytest.raises(GridBudgetError):  # the advice is the longest horizon that fits
             search(spec, SearchConfig(t_max=1.05 * advised))
 
+    @pytest.mark.parametrize("t_max", [100.0, 3000.0, 1e5, 1e12])
+    def test_dead_channel_fits_at_any_horizon(self, t_max):
+        # the zero coupling leaves sum_k |w_k| = 0 under a spread of 3.32: f is 0 and
+        # every objective 1/2, so the grid is the 256-step floor and nothing is split
+        spec = ChainSpec((SiteSpec(SPIN_HALF, 3.0), SiteSpec(SPIN_ONE, 0.0),
+                          SiteSpec(SPIN_HALF, 0.0)), (1.0, 0.0))
+        cfg = SearchConfig(t_max)
+        assert critical_times(spec, cfg) == []
+        found = [maximize_fidelity(spec, cfg), maximize_fidelity(spec, cfg, corrected=True),
+                 tune_uniform_field(spec, cfg, (-0.5, 0.5))]
+        assert [(res.best_t, res.fbar, res.evaluations) for res in found] == [
+            (0.0, 0.5, 260), (0.0, 0.5, 260), (0.0, 0.5, 261)]
+
     @pytest.mark.parametrize("t_max", [1600.0, 1e5])
     def test_advice_counts_the_samples_near_the_best(self, monkeypatch, t_max):
         # on the weak chain B nearly every grid interval is near the best: past the
