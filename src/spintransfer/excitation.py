@@ -19,14 +19,14 @@ One route gives f, from the Spectrum that solve returns (levels lambda_k =
 eps_k - E0 and weights w_k, no eigenvectors): synthesize_f, O(N) per time on a
 scalar time or a 1-D array of times, each judged by the chain's number rule
 (chain._finite), and _grid_f on an evenly spaced grid (the searches' grids and
-the rows of `spintransfer simulate`), by block products with one complex
-exponential per level for each _GRID_BLOCK grid times, within _grid_error of
-synthesize_f's, about 16 (|lambda|max t_max + N) 2^-53 sum_k |w_k|; both sum
-in numpy's own loops, not by BLAS, so from one Spectrum no BLAS setting moves
-a bit of f.  f equals the phase-referenced tail conj(f0) fn[N] of amplitudes,
-which gives the pair (f0, fn), O(N^2), for the unitarity checks, to rounding
-(bit for bit when E0 = 0); _f_slopes gives synthesize_f's f with its first two
-derivatives, for the searches' refine; _terms forms the terms of all four.
+the rows of `spintransfer simulate`) and _block_f near a search's best, by
+block products, one complex exponential per level for each _GRID_BLOCK times,
+within _grid_error of synthesize_f's, about 16 (|lambda|max t_max + N) 2^-53
+sum_k |w_k|; all sum in numpy's own loops, not by BLAS, so from one Spectrum no
+BLAS setting moves a bit of f.  f equals conj(f0) fn[N] of amplitudes (the pair
+(f0, fn), O(N^2), for the unitarity checks) to rounding, bit for bit at E0 = 0;
+_f_slopes gives synthesize_f's f with its first two derivatives, for every value
+a search refines or reports; _terms forms the terms of all of them.
 The reported phase of f, and every fidelity derived from f, is computed in
 the fidelity module (the tuned search takes arg f only to choose its field).
 

@@ -12,29 +12,28 @@ can lie between them, so the fidelity searches then resample every interval
 that may hold a value near the best for the piece's bound on every frequency
 (the spread, or for the tuned search max(max |lambda_k| + W / 2, band) and
 then the band; _Search.near_best), and form their brackets on the merged
-samples.  excitation._grid_f, the block-product
-route to f on evenly spaced grids, gives the grid times and f there, one
-complex exponential per level for each block of 64 points; these values lie
-within _grid_error of synthesize_f's, which the pruning margin allows for;
-every other value of f, refined or reported, has synthesize_f's bits, and
+samples.  Every sample of f, on the grid (excitation._grid_f) and near the
+best (excitation._block_f), comes from block products, one complex
+exponential per level for each block of 64 points, within _grid_error of
+synthesize_f's, which the pruning margin allows for; every value of f refined
+or reported comes from excitation._f_slopes, with synthesize_f's bits, and
 the search counts each time point it visits once.  Candidate brackets are
 refined by safeguarded Newton steps on the objective's slope, in lockstep:
-each pass evaluates the current
-time of every open bracket in one call of excitation._f_slopes, which gives f
-with its first two derivatives, and the objective's own two derivatives
-follow in closed form (_slopes); each bracket visits the times a search on it
-alone would.  The step's position comes from the slope, so it is exact where
-the values tie to round-off on a flat top.  critical_times refines every peak
-of |f|, and the last interval where |f| rises into t_max.  The fidelity
-searches skip a bracket whose grid peak plus _MAX_RISE, a bound on how far
-the objective can rise between grid points, plus twice the grid values'
-error stays more than 2 * _TIE_TOL below the best value found:
-it can neither win nor tie.  No randomness is used anywhere; identical
-inputs give identical results, and the winner is the earliest candidate
-within _TIE_TOL of the largest.  Field tuning searches t alone: a uniform
-field b only rotates the phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best
-field at each t is known, the grid is finer only while the field box
-cannot align every phase, and the report turns f at best_t by that field's phase.
+each pass evaluates the current time of every open bracket in one call of
+_f_slopes, which gives f with its first two derivatives, and the objective's
+own two derivatives follow in closed form (_slopes); each bracket visits the
+times a search on it alone would.  The step's position comes from the slope, so
+it is exact where the values tie to round-off on a flat top.  critical_times
+refines every peak of |f|, and the last interval where |f| rises into
+t_max.  The fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a
+bound on how far the objective can rise between grid points, plus twice the
+grid values' error stays more than 2 * _TIE_TOL below the best value found: it
+can neither win nor tie.  No randomness is used anywhere; identical inputs give
+identical results, and the winner is the earliest candidate within _TIE_TOL of
+the largest.  Field tuning searches t alone: a uniform field b only rotates the
+phase of f, f(t, b) = f(t, 0) e^{ibt}, so the best field at each t is known,
+the grid is finer only while the field box cannot align every phase, and the
+report turns f at best_t by that field's phase.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ import numpy as np
 
 from . import fidelity
 from .chain import ChainSpec, NonFiniteError, _finite, _finites
-from .excitation import (Spectrum, _GRID_BLOCK, _block_f, _f_slopes, _grid_error, _grid_f,
-                         solve, synthesize_f)
+from .excitation import Spectrum, _GRID_BLOCK, _block_f, _f_slopes, _grid_error, _grid_f, solve
 
 __all__ = [
     "GridBudgetError",
@@ -88,7 +86,9 @@ _MAX_RISE = (1.0 / 3.0) * (math.pi / 10.0) ** 2 / 8.0
 # seeds 1-5: 3 899 points, on a preset; its engineered chains 916-2 952).
 _MAX_GRID_POINTS = 2**20
 
-# Fewest steps of the coarse grid on [0, t_max].
+# Fewest steps of the coarse grid on [0, t_max].  On short horizons its grid is already finer
+# than pi / (10 Omega), so no interval is resampled: its block products cost less time than
+# the fine level and the extra refine passes of a coarser grid (ROADMAP, "Measured and parked").
 _SAMPLE_FLOOR = 256
 
 # Objective evaluations per refined bracket, at most.
@@ -241,8 +241,8 @@ class _Search:
     piece's steps of at most _spacing(Omega) per interval (inf on overflow), is
     formed once; scale is the power of two in (s / 2, s] for the largest Omega s.
     Where sum_k |w_k| = 0, f is 0 and the objective constant, so every Omega is
-    0: _SAMPLE_FLOOR steps at any horizon, none split.  The grid values of f come
-    from _grid_f, within grid_error of synthesize_f, which gives f everywhere else.
+    0: _SAMPLE_FLOOR steps at any horizon, none split.  Every sample of f comes from block
+    products within grid_error of synthesize_f, and every refined or reported one from _f_slopes.
     """
 
     def __init__(self, spectrum: Spectrum, objective: Callable, cfg: SearchConfig,
@@ -300,21 +300,17 @@ class _Search:
 
     def resample(self, chosen: list[tuple[np.ndarray, float, float]]) -> None:
         """Split the intervals near_best chose, np.insert adding the new times and the
-        objective there to grid and values.  f there comes from synthesize_f where a piece
-        adds at most _GRID_BLOCK times, and else from _block_f, within grid_error as
-        _grid_f's: one complex exponential per level for every _GRID_BLOCK new times,
-        and per piece for each of _GRID_BLOCK offsets."""
+        objective there to grid and values.  f there comes from _block_f, within grid_error
+        as _grid_f's: one complex exponential per level for every _GRID_BLOCK new times,
+        and per piece for each of at most _GRID_BLOCK offsets."""
         if not chosen:
             return
         new = []
         for intervals, step, splits in chosen:
             n, dt = int(splits) - 1, step / splits
             t = self.grid[intervals, None] + dt * np.arange(1.0, n + 1.0)
-            if t.size <= _GRID_BLOCK:
-                f = synthesize_f(self.spectrum, t.ravel())
-            else:
-                f = _block_f(self.spectrum, t[:, ::_GRID_BLOCK].ravel(), dt, min(n, _GRID_BLOCK))
-                f = f.reshape(intervals.size, -1)[:, :n].ravel()
+            f = _block_f(self.spectrum, t[:, ::_GRID_BLOCK].ravel(), dt, min(n, _GRID_BLOCK))
+            f = f.reshape(intervals.size, -1)[:, :n].ravel()
             new.append((np.repeat(intervals + 1, n), t.ravel(), f))  # before its interval's end
         at, t, f = (np.concatenate(column) for column in zip(*new))
         self.count += t.size
@@ -329,10 +325,10 @@ class _Search:
 
     def result(self, best_t: float, bracket: tuple[float, float],
                tuned: Callable | None = None) -> OptimizationResult:
-        """The result at best_t, from f there on a one-element array, as the objective
-        forms it; tuned(t, f), where given, gives the best field and the phase it turns f by."""
+        """The result at best_t, from f there by _f_slopes as in the refine; tuned(t, f), where
+        given, gives the best field and the phase it turns f by."""
         t, best_field = np.array([best_t]), None
-        f = synthesize_f(self.spectrum, t)
+        f = _f_slopes(self.spectrum, t, self.scale)[0]
         self.count += 1
         if tuned is not None:
             b, turn = tuned(t, f)
@@ -459,9 +455,9 @@ def critical_times(spec: ChainSpec, cfg: SearchConfig) -> list[tuple[float, floa
 def _global_max(search: _Search, cfg: SearchConfig) -> tuple[float, tuple[float, float]]:
     """Time and bracket of the earliest candidate within _TIE_TOL of the largest.
 
-    search.values are the objective's values on search.grid, from an f within
-    search.grid_error of synthesize_f's; search.slopes gives every other
-    value.  The candidates are both ends of the grid and the refined brackets
+    search.values are the objective's values on search.grid, from block products
+    within search.grid_error of synthesize_f's; search.slopes, by _f_slopes, gives
+    every refined value.  The candidates are both ends of the grid and the refined brackets
     around both end intervals and every interior peak.  No point of a bracket
     lies more than _MAX_RISE above the bracket's grid peak, and a fidelity
     objective moves by at most 2/3 of a change in f, so a bracket whose peak

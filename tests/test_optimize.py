@@ -515,18 +515,12 @@ class TestEvaluationCount:
 
     @pytest.fixture
     def synthesized(self, monkeypatch):
-        # f reaches the search by four routes: the grid's block products, the
-        # intervals resampled near the best (by synthesize_f or block products),
-        # _f_slopes in the refine and synthesize_f for the report; returns the
-        # sizes of those calls
-        points, resampling = [], []
-        real, real_grid, real_slopes = optimize.synthesize_f, optimize._grid_f, optimize._f_slopes
+        # f reaches the search by three routes: the grid's block products, the
+        # intervals resampled near the best (block products too), and _f_slopes
+        # in the refine and for the report; returns the sizes of those calls
+        points = []
+        real_grid, real_slopes = optimize._grid_f, optimize._f_slopes
         real_resample = optimize._Search.resample
-
-        def counting(spectrum, t):
-            if not resampling:
-                points.append(np.size(t))
-            return real(spectrum, t)
 
         def counting_grid(spectrum, pieces):
             grid, f = real_grid(spectrum, pieces)
@@ -539,12 +533,9 @@ class TestEvaluationCount:
 
         def counting_resample(search, chosen):
             before = search.grid.size
-            resampling.append(True)
             real_resample(search, chosen)
-            resampling.pop()
             points.append(search.grid.size - before)
 
-        monkeypatch.setattr(optimize, "synthesize_f", counting)
         monkeypatch.setattr(optimize, "_grid_f", counting_grid)
         monkeypatch.setattr(optimize._Search, "resample", counting_resample)
         monkeypatch.setattr(optimize, "_f_slopes", counting_slopes)
@@ -972,8 +963,8 @@ def _ratchet_searches():
 def test_the_work_of_a_fixed_set_of_searches_is_pinned(monkeypatch):
     # a ratchet: a change that lowers the work lowers these pins in the same
     # commit; raising them is a declared contract move.  Calls are the objective
-    # calls after the grid (the resample, the refine's passes and the report's
-    # synthesize_f).
+    # calls after the grid (the resample's block products, the refine's passes and
+    # the report's _f_slopes).
     calls = []
 
     def counted(real):
@@ -982,7 +973,7 @@ def test_the_work_of_a_fixed_set_of_searches_is_pinned(monkeypatch):
             return real(*args)
         return call
 
-    for name in ("synthesize_f", "_f_slopes", "_block_f"):
+    for name in ("_f_slopes", "_block_f"):
         monkeypatch.setattr(optimize, name, counted(getattr(optimize, name)))
     evaluations, most = 0, 0
     for search in _ratchet_searches():
@@ -1102,9 +1093,21 @@ class TestPruning:
     @settings(max_examples=60, deadline=None)
     @given(spec=_chains(), t_max=st.floats(1.0, 60.0),
            kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
+    # _MAX_RISE also sets the intervals near_best resamples: inf in near_best too
+    # resampled every interval here, and the refine took another Newton path to
+    # best_t 1.2322340188012544, 1.1e-10 from the pruned search's
+    @example(spec=ChainSpec(sites=(SiteSpec(SPIN_ONE, 0.0), SiteSpec(SPIN_ONE, 0.5)),
+                            couplings=(1.25,)), t_max=36.0, kind="corrected", box=(0.0, 1.0))
     def test_pruned_search_is_bit_identical(self, spec, t_max, kind, box):
+        # pruning off alone: _global_max refines every bracket, on the same samples
+        real_global_max = optimize._global_max
+
+        def unpruned(search, cfg):
+            with mock.patch.object(optimize, "_MAX_RISE", math.inf):
+                return real_global_max(search, cfg)
+
         pruned = _search(spec, t_max, kind, box)
-        with mock.patch.object(optimize, "_MAX_RISE", math.inf):
+        with mock.patch.object(optimize, "_global_max", unpruned):
             full = _search(spec, t_max, kind, box)
 
         def bits(res):
@@ -1400,15 +1403,16 @@ class TestCompensatedChains:
 
 
 class TestGridProduct:
-    """The grid's block products stay within _grid_error of synthesize_f and
-    change no search result."""
+    """The block products of the grid and of the samples added near its best stay
+    within _grid_error of synthesize_f and change no search result."""
 
     @settings(max_examples=40, deadline=None)
     @given(spec=_chains(max_sites=40), t_max=st.floats(1.0, 100.0),
            kind=st.sampled_from(["plain", "corrected", "tuned"]), box=_boxes)
     def test_within_the_error_bound(self, spec, t_max, kind, box):
         patch, grids = _recording("_grid_f")
-        with patch:
+        global_patch, searches = _recording("_global_max")
+        with patch, global_patch:
             _search(spec, t_max, kind, box)
         ((spectrum, pieces), (grid, fast)), = grids
         # a tuned grid has a second piece when some t < t_max aligns every phase
@@ -1416,6 +1420,12 @@ class TestGridProduct:
         assert len(pieces) == (2 if two else 1)
         gap = np.max(np.abs(fast - synthesize_f(spectrum, grid)))
         assert gap <= optimize._grid_error(spectrum, t_max)
+        # the merged samples: a fidelity objective moves by at most 2/3 of a change in f,
+        # and each of its two evaluations, of a value at most 1, rounds by 2 ulp of 1 at most
+        ((search, _), _), = searches
+        exact = search.objective(search.grid, synthesize_f(spectrum, search.grid))
+        gap = np.max(np.abs(search.values - exact))
+        assert gap <= (2.0 / 3.0) * search.grid_error + 4.0 * np.spacing(1.0)
 
     def test_empty_piece(self):
         # a field box narrower than 2 pi / t_max aligns every phase only at
