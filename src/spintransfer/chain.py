@@ -92,7 +92,10 @@ def _shown(value: Any) -> str:
 
 def _finite(value: Any, what: str) -> float:
     """value as a float, the one rule for every real number given: a numbers.Real, not a
-    bool, else ChainFormatError; NaN, +-inf or beyond the floats, NonFiniteError."""
+    bool, else ChainFormatError; NaN, +-inf or beyond the floats, NonFiniteError.  A finite
+    plain float, the common case, returns itself before any other test."""
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):  # slow ABC last
         raise ChainFormatError(f"{what} must be a number, got {_shown(value)}")
     try:
@@ -108,6 +111,8 @@ def _finite(value: Any, what: str) -> float:
 def _finites(values: Any, what: str) -> np.ndarray:
     """values, a number or a 1-D sequence of them, as floats of its ndim by _finite: a
     float, int or uint array by one np.isfinite, else entry by entry, naming the first bad."""
+    if type(values) is float and math.isfinite(values):  # a 0-d float array, not a 0-d object one
+        return np.array(values)
     array = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if array.ndim > 1:
         raise ValueError(f"{what} must be a scalar or one-dimensional")
@@ -121,7 +126,8 @@ def _count(value: Any, what: str, lo: int, hi: int, error: type[Exception],
     """value as an int in [lo, hi], the one rule for every count: an Integral
     but not a bool (np.int64 passes).  A non-integer or a value below lo
     raises error, one above hi over (or error), naming the value by _shown."""
-    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    integer = type(value) is int or (  # a plain int first: the ABC test is slow
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
     if integer and lo <= value <= hi:
         return int(value)
     refusal = over if integer and value > hi and over else error
@@ -197,14 +203,6 @@ class ChainSpec:
     @property
     def n_sites(self) -> int:
         return len(self.sites)
-
-    def spins(self) -> np.ndarray:
-        """Spin magnitudes s_1 .. s_N as a float array."""
-        return np.array([site.spin.s for site in self.sites])
-
-    def fields(self) -> np.ndarray:
-        """Local fields B_1 .. B_N as a float array."""
-        return np.array([site.field for site in self.sites])
 
     def with_uniform_field(self, b: float) -> "ChainSpec":
         """The same chain with b added to the field of every site."""

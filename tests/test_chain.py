@@ -213,6 +213,38 @@ def test_numbers_become_floats_of_the_same_ndim():
         assert array.tolist() == np.asarray(values, dtype=float).tolist()
 
 
+@given(value=st.floats(allow_nan=False, allow_infinity=False))
+def test_a_finite_plain_float_is_its_own_value(value):
+    assert chain._finite(value, "x") is value
+    array = chain._finites(value, "x")
+    assert array.dtype == float and array.shape == ()
+    assert array.tobytes() == np.float64(value).tobytes()
+
+
+class _Real(float):
+    """A float subclass: not a plain float, so it takes the number rule's general path."""
+
+
+@pytest.mark.parametrize("value, result", [
+    (_Real(0.25), 0.25),
+    (np.float64(-0.5), -0.5),
+    (Fraction(1, 3), 1 / 3),
+    (7, 7.0),
+    (True, "x must be a number, got True"),
+    (10**400, "x must be finite, got a 1329-bit integer"),
+    (math.nan, "x must be finite, got nan"),
+    (_Real(math.inf), "x must be finite, got inf"),
+])
+def test_every_other_number_keeps_its_result(value, result):
+    # a plain float, type float exactly, comes back from either path
+    for call in (chain._finite, lambda v, what: chain._finites(v, what).item()):
+        try:
+            got = call(value, "x")
+        except ValueError as exc:
+            got = str(exc)
+        assert got == result and type(got) is type(result)
+
+
 def test_nonfinite_rejected():
     with pytest.raises(NonFiniteError):
         SiteSpec(SPIN_HALF, float("nan"))

@@ -295,6 +295,100 @@ def random_block(draw, max_sites=40):
     return _block(*draw(chain_parts(max_sites)))
 
 
+def _reduce_by_arrays(spec):
+    """reduce as it was written on numpy arrays: the products B_i s_i by one array
+    product, the fields read back by tolist; the reference for reduce's bits."""
+    spins = np.array([site.spin.s for site in spec.sites])
+    fields = np.array([site.field for site in spec.sites])
+    with np.errstate(over="ignore"):
+        terms = (fields * spins).tolist()
+    try:
+        e0 = math.fsum(terms)
+    except (OverflowError, ValueError):
+        e0 = math.inf
+    if not math.isfinite(e0):
+        raise NonFiniteError("the vacuum energy sum_i B_i s_i is not finite")
+    onsite = tuple(e0 - b for b in fields.tolist())
+    s = spins.tolist()
+    hopping = tuple(j * math.sqrt(s[i] * s[i + 1]) for i, j in enumerate(spec.couplings))
+    for n, value in enumerate(onsite, 1):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"the flip energy E0 - B_{n} of site {n} is not finite")
+    for i, value in enumerate(hopping, 1):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"the hopping J_{i} sqrt(s_{i} s_{i + 1}) of bond {i} "
+                                 f"is not finite")
+    return SingleExcitationHamiltonian(vacuum_energy=e0, onsite=onsite, hopping=hopping)
+
+
+def _outcome(build, spec):
+    """Every entry of build(spec) as float.hex, or the text of its refusal."""
+    try:
+        h = build(spec)
+    except NonFiniteError as exc:
+        return str(exc)
+    return [x.hex() for x in (h.vacuum_energy, *h.onsite, *h.hopping)]
+
+
+def _matrix_by_diag(h):
+    """The dense block as np.diag and two fancy-indexed off-diagonal writes form it."""
+    m = np.diag(np.asarray(h.onsite, dtype=float))
+    off = np.asarray(h.hopping, dtype=float)
+    idx = np.arange(len(off))
+    m[idx, idx + 1] = off
+    m[idx + 1, idx] = off
+    return m
+
+
+# every finite float, the subnormals, -0.0 and the products that overflow included
+_ANY_FINITE = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestTheBlockKeepsItsBits:
+    """reduce on Python floats and matrix by strided writes give the bits and refusals
+    of the array forms they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(parts=chain_parts(max_sites=40).filter(lambda parts: len(parts[0]) > 1),
+           wide=st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.5, 1e200]), _ANY_FINITE,
+                                   _ANY_FINITE), min_size=0, max_size=3))
+    def test_reduce_equals_the_array_products(self, parts, wide):
+        spins, fields, couplings = parts
+        for spin, field, coupling in wide:  # a few sites of any size at the end
+            spins, fields, couplings = spins + [spin], fields + [field], couplings + [coupling]
+        spec = ChainSpec(tuple(SiteSpec(SpinMagnitude(s), b) for s, b in zip(spins, fields)),
+                         tuple(couplings))
+        assert _outcome(reduce, spec) == _outcome(_reduce_by_arrays, spec)
+
+    @pytest.mark.parametrize("spins,fields,couplings,message", [
+        ((1e200, 1e200, 2.0), (1e308, 1e308, -1e308), (1e300, 1e300),
+         "the vacuum energy sum_i B_i s_i is not finite"),
+        ((1.0, 0.5, 4.0), (-1.7e308, 1e308, 0.0), (1.0, 1.7e308),
+         "the flip energy E0 - B_2 of site 2 is not finite"),
+        ((0.5, 0.5, 0.5, 1.0), (1e308, 1e308, -1.7e308, -1.7e308), (1.0, 1e300, 1.0),
+         "the flip energy E0 - B_1 of site 1 is not finite"),
+        ((0.5, 1e200, 1e200, 1e200), (0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 1.0),
+         "the hopping J_2 sqrt(s_2 s_3) of bond 2 is not finite"),
+    ], ids=["vacuum-before-all", "flip-before-hopping", "first-flip", "first-hopping"])
+    def test_refusals_keep_their_order_and_text(self, spins, fields, couplings, message):
+        spec = ChainSpec(tuple(SiteSpec(SpinMagnitude(s), b) for s, b in zip(spins, fields)),
+                         couplings)
+        assert _outcome(reduce, spec) == _outcome(_reduce_by_arrays, spec) == message
+
+    def test_matrix_has_the_bytes_of_the_diagonal_form(self):
+        rng = np.random.default_rng(50)
+        for n in (1, 2, 40):
+            onsite = rng.uniform(-2.0, 2.0, n).tolist()
+            hopping = rng.uniform(-2.0, 2.0, n - 1).tolist()
+            onsite[::3] = [-0.0] * len(onsite[::3])  # -0.0 on the diagonal ...
+            hopping[1::3] = [-0.0] * len(hopping[1::3])  # ... and off it
+            h = SingleExcitationHamiltonian(0.5, tuple(onsite), tuple(hopping))
+            m = h.matrix()
+            assert m.dtype == float and m.flags.c_contiguous
+            assert m.tobytes() == _matrix_by_diag(h).tobytes(), n
+        assert np.signbit(m[0, 0]) and np.signbit(m[1, 2]) and np.signbit(m[2, 1])
+
+
 def _phase_referenced_tail(h, eig, t):
     """conj(f0) fn[N] from the pair (f0, fn) of amplitudes: f by the O(N^2) route."""
     f0, fn = amplitudes(h, eig, t)

@@ -664,9 +664,9 @@ def _bits(candidate):
 
 
 @st.composite
-def _chains(draw, max_sites=7):
+def _chains(draw, max_sites=7, fields=st.floats(-2.0, 2.0)):
     n = draw(st.integers(2, max_sites))
-    sites = tuple(SiteSpec(draw(st.sampled_from([SPIN_HALF, SPIN_ONE])), draw(st.floats(-2.0, 2.0)))
+    sites = tuple(SiteSpec(draw(st.sampled_from([SPIN_HALF, SPIN_ONE])), draw(fields))
                   for _ in range(n))
     return ChainSpec(sites=sites, couplings=tuple(draw(st.floats(0.2, 2.0)) for _ in range(n - 1)))
 
@@ -818,6 +818,11 @@ def _search(spec, t_max, kind, box):
 
 _boxes = st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 10.0)).map(lambda p: (p[0], p[0] + p[1]))
 
+# 0 or at least 2^-900 in magnitude: times 2^k with |k| <= 64, and as a product B_i s_i,
+# such a field or box edge stays normal, so power-of-two scaling rounds it exactly
+_normal_floats = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 2.0**-900)
+_normal_boxes = st.tuples(_normal_floats, st.floats(0.05, 10.0)).map(lambda p: (p[0], p[0] + p[1]))
+
 
 class TestLockstepSearches:
     """Refining every bracket in lockstep changes no bit of any search result, evaluations
@@ -897,8 +902,8 @@ class TestExactSymmetries:
     chains of up to 40 sites."""
 
     @settings(max_examples=20, deadline=None)
-    @given(spec=_chains(max_sites=40), k=st.integers(-64, 64), t_max=st.floats(1.0, 20.0),
-           box=_boxes)
+    @given(spec=_chains(max_sites=40, fields=_normal_floats), k=st.integers(-64, 64),
+           t_max=st.floats(1.0, 20.0), box=_normal_boxes)
     def test_power_of_two_scaling_keeps_every_bit(self, spec, k, t_max, box):
         # J, B and the field box times c = 2^k and t_max over c: the levels times c
         # and the same weights; every time over c, every field times c, the same
@@ -981,6 +986,16 @@ def test_the_work_of_a_fixed_set_of_searches_is_pinned(monkeypatch):
         evaluations += search().evaluations
         most = max(most, len(calls))
     assert (evaluations, most) == (14575, 6)
+
+
+def test_the_work_of_a_tuned_search_past_the_sample_floor_is_pinned():
+    # the ratchet's one tuned search runs on the 256-step floor's grid; here the first
+    # piece's pi / (10 Omega_eff) spacing sets the grid (34 ms).  The last bit of fbar
+    # follows eigh's kernel set and thread count; evaluations do not.
+    res = tune_uniform_field(engineered_chain(401, spin_one_site=201),
+                             SearchConfig(t_max=20.0 * math.pi), (-0.5, 0.5))
+    assert res.evaluations == 3549
+    assert res.fbar == pytest.approx(0.9997914529933931, abs=1e-15)
 
 
 class TestPruning:
