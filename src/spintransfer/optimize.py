@@ -274,7 +274,11 @@ class _Search:
         samples each interval adds, splits - 1 where near and else 0, are counted once, in
         added; past _MAX_GRID_POINTS in all, GridBudgetError with the horizon where the
         points up to each grid point, coarse and fine, reach the budget, by np.interp.
+        Where no piece is spaced wider than its Omega (every split 1), [] at once: nothing
+        can be split, and _time_grid has already fitted the grid to the budget.
         """
+        if max(self.splits) <= 1.0:
+            return []
         values, rise = self.values, _MAX_RISE
         floor = values.max() - 2.0 * _TIE_TOL - 2.0 * (2.0 / 3.0) * self.grid_error
         # the top, max(u, v) + R (1 - |u - v| / (4 R))^2 where |u - v| < 4 R, lies at most
@@ -326,20 +330,22 @@ class _Search:
     def result(self, best_t: float, bracket: tuple[float, float],
                tuned: Callable | None = None) -> OptimizationResult:
         """The result at best_t, from f there by _f_slopes as in the refine; tuned(t, f), where
-        given, gives the best field and the phase it turns f by."""
+        given, gives the best field and the phase it turns f by.  fbar, fbar_corrected and
+        abs_f are fidelity_report's at best_t, bit for bit, from the same _checked_amplitudes
+        and _average, with no phase and no report objects."""
         t, best_field = np.array([best_t]), None
         f = _f_slopes(self.spectrum, t, self.scale)[0]
         self.count += 1
         if tuned is not None:
             b, turn = tuned(t, f)
             f, best_field = f * turn, float(b[0])
-        rep = fidelity.fidelity_report(best_t, f[0])
+        f, mag = fidelity._checked_amplitudes(f)
         return OptimizationResult(
             best_t=best_t,
             best_field=best_field,
-            fbar=rep.fbar,
-            fbar_corrected=rep.fbar_corrected,
-            abs_f=rep.abs_f,
+            fbar=fidelity._average(f.real, mag)[0].item(),
+            fbar_corrected=fidelity._average(mag, mag)[0].item(),
+            abs_f=mag[0].item(),
             evaluations=self.count,
             bracket=bracket,
         )
@@ -413,9 +419,12 @@ def _refine_brackets(
         nxt = np.where(up & ~(nxt < b), np.where(unseen_b, b, mid), nxt)
         nxt = np.where(down & ~(nxt > a), np.where(unseen_a, a, mid), nxt)
         go = np.abs(nxt - x) > tol
-        if not go.any():
+        if go.all():
+            x = nxt
+        elif go.any():
+            idx, a, b, unseen_a, unseen_b, x = (v[go] for v in (idx, a, b, unseen_a, unseen_b, nxt))
+        else:
             break
-        idx, a, b, unseen_a, unseen_b, x = (v[go] for v in (idx, a, b, unseen_a, unseen_b, nxt))
     return t, value, np.maximum(lo, t - tol), np.minimum(hi, t + tol)
 
 
@@ -590,16 +599,23 @@ def tune_uniform_field(
 
     def fbar(t, f, df=None):
         """Inside the box the field aligns the phase: the corrected Fbar of f.  At an edge
-        it is fixed: the plain Fbar of f e^{i phi t}, phi = b - B_c.  C^1 where they meet."""
+        it is fixed: the plain Fbar of f e^{i phi t}, phi = b - B_c.  C^1 where they meet.
+        f e^{i phi t} is formed once, and the turned derivatives and plain slopes only at
+        the times whose field is on an edge: each time gets the bits of its own branch."""
         b, turn = tuned(t, f)
-        value = fidelity.average_fidelity(f * turn)
+        f_turned = f * turn
+        value = fidelity.average_fidelity(f_turned)
         if df is None:
             return value
-        (f1, f2), phi = df, (b - b_c) / search.scale  # phi per unit of tau
-        turned = f * turn, (f1 + 1j * phi * f) * turn, (f2 + 2j * phi * f1 - phi * phi * f) * turn
-        inside = (b_lo < b) & (b < b_hi)
-        return value, *(np.where(inside, aligned, edge) for aligned, edge in
-                        zip(_slopes(f, f1, f2, "corrected"), _slopes(*turned, "plain")))
+        f1, f2 = df
+        d1, d2 = _slopes(f, f1, f2, "corrected")
+        edge = np.flatnonzero(~((b_lo < b) & (b < b_hi)))
+        if edge.size:
+            f, f1, f2, turn = f[edge], f1[edge], f2[edge], turn[edge]
+            phi = (b[edge] - b_c) / search.scale  # phi per unit of tau
+            d1[edge], d2[edge] = _slopes(f_turned[edge], (f1 + 1j * phi * f) * turn,
+                                         (f2 + 2j * phi * f1 - phi * phi * f) * turn, "plain")
+        return value, d1, d2
 
     t_aligned, half = min(cfg.t_max, 2.0 * math.pi / (b_hi - b_lo)), (b_hi - b_lo) / 2.0
     spread = max(float(np.max(np.abs(spectrum.levels))) + half, spectrum.band)
