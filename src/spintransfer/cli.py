@@ -311,7 +311,7 @@ def _cmd_optimize(args: argparse.Namespace) -> tuple[int, str]:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     with _output(args.out) as stream:
-        stream.write(json.dumps(dataclasses.asdict(res), indent=2) + "\n")
+        stream.write(json.dumps(vars(res), indent=2) + "\n")  # __dict__ keeps field order
     return _EXIT_OK, digest
 
 

@@ -22,7 +22,10 @@ refined by safeguarded Newton steps on the objective's slope, in lockstep:
 each pass evaluates the current time of every open bracket in one call of
 _f_slopes, which gives f with its first two derivatives, and the objective's
 own two derivatives follow in closed form (_slopes); each bracket visits the
-times a search on it alone would.  The step's position comes from the slope, so
+times a search on it alone would.  A pass with at most _FLOAT_PASS_BRACKETS open
+brackets updates them on Python floats, where numpy's fixed cost per call would
+outweigh the work, and a larger one on numpy arrays: the same IEEE arithmetic,
+so the choice changes no bit.  The step's position comes from the slope, so
 it is exact where the values tie to round-off on a flat top.  critical_times
 refines every peak of |f|, and the last interval where |f| rises into
 t_max.  The fidelity searches skip a bracket whose grid peak plus _MAX_RISE, a
@@ -93,6 +96,13 @@ _SAMPLE_FLOOR = 256
 
 # Objective evaluations per refined bracket, at most.
 _MAX_REFINE_ITERS = 200
+
+# A refine pass with at most this many open brackets updates them on Python floats, a
+# larger one on numpy arrays (_refine_brackets).  One pass with n open brackets and a cheap
+# slopes, best of 9 on a 2-core x86-64 VM (Python 3.11, numpy 2.4, one BLAS thread): the
+# numpy update costs a fixed 26-30 us up to n = 64, the float one 5 + 0.42 n us; they cross
+# between n = 56 and 64, and 48 keeps a margin.  A tuned preset search refines 1-5 brackets.
+_FLOAT_PASS_BRACKETS = 48
 
 
 class GridBudgetError(ValueError):
@@ -392,40 +402,85 @@ def _refine_brackets(
     bracket, or h''(x) >= 0 and the step runs on toward the rise, the next x
     is the end it leaves through if that end was never evaluated (an end where
     h still rises then closes the bracket: a = b), and the midpoint of [a, b]
-    otherwise.  A bracket stops when its next step is at most refine_tol (a
-    closed bracket's is 0, and so is that of an x where h' is 0 or NaN) or after
-    _MAX_REFINE_ITERS evaluations; it returns its last evaluated time t and
-    value, since on a flat top the values tie to round-off and only the slope
-    places the maximum, and the bracket [lo, hi], t -+ refine_tol within
-    [los[i], his[i]].  All the arithmetic is elementwise, so each bracket
-    visits the times of a search on it alone, and slopes must give a time the
-    same values in an array of any length, as _f_slopes and the searches'
-    objectives do.
+    otherwise.  A bracket stops where h'(x) is 0 or NaN, when its next step is
+    at most refine_tol (a closed bracket's is 0), or after _MAX_REFINE_ITERS
+    evaluations; it returns its last evaluated time t and value, since on a
+    flat top the values tie to round-off and only the slope places the maximum,
+    and the bracket [lo, hi], t -+ refine_tol within [los[i], his[i]].  A pass
+    updates a, b, the next x and the stop test on numpy arrays while more than
+    _FLOAT_PASS_BRACKETS brackets are open, and from then on on Python floats
+    (_refine_on_floats), where one numpy call costs more than the loop over a
+    few brackets.  Both are elementwise IEEE arithmetic, so each bracket visits
+    the times of a search on it alone on either path, and slopes must give a
+    time the same values in an array of any length, as _f_slopes and the
+    searches' objectives do.
     """
     lo, hi = np.array(los, dtype=float), np.array(his, dtype=float)
     tol, idx = cfg.refine_tol, np.arange(lo.size)
     a, b, x = lo, hi, lo + (hi - lo) / 2.0
     unseen_a = unseen_b = np.ones(lo.size, dtype=bool)
     t, value = x.copy(), np.empty(lo.size)
-    for _ in range(_MAX_REFINE_ITERS):
+    passes = _MAX_REFINE_ITERS
+    while passes and idx.size > _FLOAT_PASS_BRACKETS:
+        passes -= 1
         value[idx], d1, d2 = slopes(x)
         t[idx] = x
         up, down = d1 > 0.0, d1 < 0.0
         a, b = np.where(up, x, a), np.where(down, x, b)
         unseen_a, unseen_b = unseen_a & ~up, unseen_b & ~down
         step = np.where(d2 < 0.0, -(d1 / d2), np.where(up, math.inf, -math.inf))
-        step[~(up | down)] = 0.0
+        step[~(up | down)] = math.nan  # no direction: nxt is NaN, and the bracket stops
         nxt, mid = (x * scale + step) / scale, a + (b - a) / 2.0
         nxt = np.where(up & ~(nxt < b), np.where(unseen_b, b, mid), nxt)
         nxt = np.where(down & ~(nxt > a), np.where(unseen_a, a, mid), nxt)
         go = np.abs(nxt - x) > tol
         if go.all():
             x = nxt
-        elif go.any():
-            idx, a, b, unseen_a, unseen_b, x = (v[go] for v in (idx, a, b, unseen_a, unseen_b, nxt))
         else:
-            break
+            idx, a, b, unseen_a, unseen_b, x = (v[go] for v in (idx, a, b, unseen_a, unseen_b, nxt))
+    if passes and idx.size:
+        t[idx], value[idx] = _refine_on_floats(
+            slopes, scale, tol, passes,
+            list(zip(a.tolist(), b.tolist(), unseen_a.tolist(), unseen_b.tolist())), x.tolist())
     return t, value, np.maximum(lo, t - tol), np.minimum(hi, t + tol)
+
+
+def _refine_on_floats(slopes: Callable, scale: float, tol: float, passes: int,
+                      brackets: list[tuple[float, float, bool, bool]], xs: list[float],
+                      ) -> tuple[list[float], list[float]]:
+    """_refine_brackets' passes on Python floats, for at most passes more passes: the same
+    IEEE arithmetic, bracket by bracket, on (a, b, unseen_a, unseen_b) and the current
+    times xs.  Returns each bracket's last evaluated time and value."""
+    ts, values = xs[:], [0.0] * len(xs)
+    todo = list(range(len(xs)))
+    for _ in range(passes):
+        got = zip(*(column.tolist() for column in slopes(np.array(xs))))
+        kept, xs_kept = [], []
+        for i, x, (value, d1, d2) in zip(todo, xs, got):
+            ts[i], values[i] = x, value
+            a, b, unseen_a, unseen_b = brackets[i]
+            # x * scale - d1 / d2 is numpy's x * scale + -(d1 / d2) bit for bit; a step
+            # of +-inf leaves the bracket as numpy's inf, or NaN where x * scale overflows
+            if d1 > 0.0:
+                a, unseen_a = x, False
+                nxt = (x * scale - d1 / d2) / scale if d2 < 0.0 else math.inf
+                if not nxt < b:
+                    nxt = b if unseen_b else a + (b - a) / 2.0
+            elif d1 < 0.0:
+                b, unseen_b = x, False
+                nxt = (x * scale - d1 / d2) / scale if d2 < 0.0 else -math.inf
+                if not nxt > a:
+                    nxt = a if unseen_a else a + (b - a) / 2.0
+            else:  # h' is 0 or NaN: no direction to go
+                continue
+            if abs(nxt - x) > tol:
+                brackets[i] = a, b, unseen_a, unseen_b
+                kept.append(i)
+                xs_kept.append(nxt)
+        if not kept:
+            break
+        todo, xs = kept, xs_kept
+    return ts, values
 
 
 def _interior_peaks(values: np.ndarray) -> np.ndarray:

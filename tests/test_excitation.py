@@ -533,6 +533,17 @@ class TestEigensolveProperties:
         assert np.max(np.abs(rebuilt - m)) <= 1e-12 * np.linalg.norm(m, 2)
 
 
+def _mirror_chain(half, centre):
+    """The chain whose sites and couplings read the same from either end: half holds
+    (spin, field, coupling to the next site) from one end, centre (spin, field) or None."""
+    sites = [SiteSpec(s, b) for s, b, _ in half]
+    couplings = [j for _, _, j in half]
+    middle = [SiteSpec(*centre)] if centre is not None else []
+    return ChainSpec(sites=tuple(sites + middle + sites[::-1]),
+                     couplings=tuple(couplings[:-1] + [couplings[-1]] * (1 + bool(middle))
+                                     + couplings[:-1][::-1]))
+
+
 class TestTransferBound:
     """Spectrum.transfer_bound = sum_k |v_k[1] v_k[N]|."""
 
@@ -564,14 +575,16 @@ class TestTransferBound:
            centre=st.none() | st.tuples(st.sampled_from([SPIN_HALF, SPIN_ONE]),
                                         st.floats(-2.0, 2.0)))
     def test_one_on_mirror_chains(self, half, centre):
-        # sites and couplings read the same from either end
-        sites = [SiteSpec(s, b) for s, b, _ in half]
-        couplings = [j for _, _, j in half]
-        middle = [SiteSpec(*centre)] if centre is not None else []
-        spec = ChainSpec(sites=tuple(sites + middle + sites[::-1]),
-                         couplings=tuple(couplings[:-1] + [couplings[-1]] * (1 + bool(middle))
-                                         + couplings[:-1][::-1]))
-        assert abs(solve(spec).transfer_bound - 1.0) <= 1e-12
+        assert abs(solve(_mirror_chain(half, centre)).transfer_bound - 1.0) <= 1e-12
+
+    # a draw of the property above that fails under the SkylakeX, Haswell, Sandybridge and
+    # Zen kernels at one thread: transfer_bound 0.9999999999989219, as its two lowest
+    # levels, 8.9e-10 apart, let eigh mix the vectors of the mirror pair
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 25: a near-degenerate mirror pair")
+    def test_one_on_a_near_degenerate_mirror_pair(self):
+        half = [(SPIN_HALF, 1.0, 0.25), (SPIN_HALF, 0.0, 0.25), (SPIN_HALF, -2.0, 0.2),
+                (SPIN_HALF, -2.0, 0.25)]
+        assert abs(solve(_mirror_chain(half, (SPIN_HALF, 0.0))).transfer_bound - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n, site", [(4, 2), (5, 2), (6, 3), (8, 2), (8, 4)])
     def test_below_one_with_an_off_centre_spin_one(self, n, site):

@@ -706,13 +706,17 @@ class TestLockstepRefine:
         inner = np.concatenate([optimize._interior_peaks(values), optimize._interior_peaks(-values)])
         los = np.concatenate([[grid[0], grid[-2]], grid[inner - 1], grid[:-40:3]])
         his = np.concatenate([[grid[1], grid[-1]], grid[inner + 1], grid[40::3]])
-        evaluated, visited = Counter(), Counter()
-        refined = optimize._refine_brackets(counted, search.scale, los, his, cfg)
+        visited = Counter()
         oracle = [_scalar_newton(scalar, search.scale, lo, hi, cfg)
                   for lo, hi in zip(los.tolist(), his.tolist())]
-        assert [_bits(c) for c in zip(*refined)] == [_bits(c) for c, _ in oracle]
-        # the lockstep evaluates the times the scalar searches visit, each as often
-        assert evaluated == visited
+        # every pass on numpy arrays, the default switch, and every pass on Python floats
+        for floats in (0, optimize._FLOAT_PASS_BRACKETS, sys.maxsize):
+            evaluated = Counter()
+            with mock.patch.object(optimize, "_FLOAT_PASS_BRACKETS", floats):
+                refined = optimize._refine_brackets(counted, search.scale, los, his, cfg)
+            assert [_bits(c) for c in zip(*refined)] == [_bits(c) for c, _ in oracle]
+            # the lockstep evaluates the times the scalar searches visit, each as often
+            assert evaluated == visited
         # alone, a bracket gets the same bits
         for k in range(0, los.size, max(1, los.size // 4)):
             alone, = zip(*optimize._refine_brackets(search.slopes, search.scale, los[k:k + 1],
@@ -761,6 +765,54 @@ class TestLockstepRefine:
             optimize._refine_brackets(slopes, 8.0, [lo], [lo + 0.5], cfg)
             alone.append(len(sizes))
         assert lockstep == [sum(calls > k for calls in alone) for k in range(max(alone))]
+
+    def test_both_updates_take_the_non_finite_branches(self):
+        # synthetic slopes in tau = 8 t, one bracket [10 r + 1, 10 r + 3] per row r, and four
+        # where x * 8 overflows, which no search reaches (f's phases E t overflow first)
+        rows = [  # (h', h''), or from row 2 on (target, h'') with h' = 8 (target - t)
+            (0.0, -1.0), (math.nan, -1.0),  # h' 0 and NaN at the midpoint
+            (22.3, 0.0), (32.3, -0.0), (42.3, math.nan), (52.3, 1.0),  # end and midpoint steps
+            (62.5, -1.0), (72.5, -1.0),  # a Newton step onto h' = 0, and onto NaN past 72.4
+            (81.3, 0.0)]  # falling: the end a first
+
+        def h(t):
+            if t <= -1e300:  # rising: x * 8 is -inf and the step +inf, so the next x is NaN
+                return 1e300, -1e-300
+            if t >= 1e300:  # rising, falling (its step lands at inf, as the oracle's), flat
+                return (1.0 if t < 1.3e308 else -1.0 if t < 1.65e308 else 0.0), -1.0
+            r = int(t // 10.0)
+            first, d2 = rows[r]
+            if r < 2:
+                return first, d2
+            return (math.nan if r == 7 and t > 72.4 else 8.0 * first - 8.0 * t), d2
+
+        def slopes(t):
+            d1, d2 = np.array([h(x) for x in t.tolist()]).reshape(-1, 2).T
+            return -np.abs(t - 1.0), d1, d2
+
+        def scalar(t):
+            visited[t[0].hex()] += 1
+            return slopes(t)
+
+        def counted(t):
+            evaluated.update(x.hex() for x in t.tolist())
+            return slopes(t)
+
+        cfg = SearchConfig(t_max=100.0)
+        los = np.array([10.0 * r + 1.0 for r in range(len(rows))]
+                       + [-1.2e308, 1.0e308, 1.4e308, 1.7e308])
+        his = np.array([10.0 * r + 3.0 for r in range(len(rows))]
+                       + [-1.0e308, 1.2e308, 1.6e308, 1.79e308])
+        visited = Counter()
+        oracle = [_scalar_newton(scalar, 8.0, lo, hi, cfg) for lo, hi in zip(los.tolist(), his.tolist())]
+        assert {kind for _, kinds in oracle for kind in kinds} == {"newton", "end", "midpoint"}
+        # numpy arrays on every pass, a switch to floats at 4 open brackets, floats throughout
+        for floats in (0, 4, sys.maxsize):
+            evaluated = Counter()
+            with mock.patch.object(optimize, "_FLOAT_PASS_BRACKETS", floats):
+                refined = optimize._refine_brackets(counted, 8.0, los, his, cfg)
+            assert [_bits(c) for c in zip(*refined)] == [_bits(c) for c, _ in oracle]
+            assert evaluated == visited
 
     @staticmethod
     def _scalar_brackets(slopes, scale, los, his, cfg):
